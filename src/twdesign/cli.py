@@ -31,20 +31,10 @@ from .instance import (
     substream,
 )
 from .routing import budget_saa, load_route, route_to_xy, save_route, write_cost_csv
-from .solver import (
-    DroModel,
-    InfeasibleError,
-    SaaModel,
-    benders_cut,
-    branch_and_bound,
-    enumerate_exact,
-    oa_cut,
-)
+from .solver import DroModel, InfeasibleError, SaaModel, branch_and_bound, enumerate_exact
 from .window_design import (
     PenaltyConfig,
-    design_dro,
     design_fixed_width,
-    design_stochastic,
     load_plan,
     penalties_from_beta,
     save_plan,
@@ -127,8 +117,6 @@ def build_parser() -> _Parser:
     p.add_argument("--exact", action="store_true", help="full enumeration instead of branch and bound")
     p.add_argument("--cut-log", type=Path, default=None)
     p.add_argument("--out-dir", type=Path)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface stability; the search is sequential")
     p.add_argument("--no-timestamp", action="store_true")
 
     p = sub.add_parser("eval", help="score a plan on fresh test draws")
@@ -186,25 +174,32 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _model(args, net):
+    """The model named by --model, with its training draws for sm."""
+    if args.model == "sm":
+        if args.q_train < 1:
+            raise ValueError("--q-train must be >= 1")
+        return SaaModel(sample_travel_times(net, args.q_train, substream(args.seed, "sampling-train")))
+    alpha1 = getattr(args, "alpha1", 0.0)  # design has no --alpha1
+    if alpha1 < 0:
+        raise ValueError("--alpha1 must be nonnegative")
+    if args.alpha2 < 0:
+        raise ValueError("--alpha2 must be nonnegative")
+    return DroModel(alpha1, args.alpha2)
+
+
 def _cmd_design(args) -> int:
     _require(args, "instance", "route", "model", "out")
     net = load_instance(args.instance)
     route = route_to_xy(load_route(args.route), net)
     pen = _penalties(args, net.n_customers)
-    if args.model == "sm":
-        if args.q_train < 1:
-            raise ValueError("--q-train must be >= 1")
-        train = sample_travel_times(net, args.q_train, substream(args.seed, "sampling-train"))
-        if args.fixed_width:
-            plan = design_fixed_width(route, train, pen)
-        else:
-            plan, _ = design_stochastic(route, train, pen)
+    model = _model(args, net)
+    if not args.fixed_width:
+        plan = model.plan(net, route, pen)
+    elif isinstance(model, SaaModel):
+        plan = design_fixed_width(route, model.samples, pen)
     else:
-        if args.fixed_width:
-            raise ValueError("--fixed-width applies to the sm model only")
-        if args.alpha2 < 0:
-            raise ValueError("--alpha2 must be nonnegative")
-        plan = design_dro(route, net.mean, net.cov, args.alpha2, pen)
+        raise ValueError("--fixed-width applies to the sm model only")
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_plan(plan, args.out, extra=_timestamp_extra(args))
     if args.cost_csv is not None:
@@ -232,22 +227,9 @@ def _write_cut_log(path, cuts, net) -> None:
 
 def _cmd_solve(args) -> int:
     _require(args, "instance", "model", "out-dir")
-    if args.threads < 1:
-        raise ValueError("--threads must be >= 1")
     net = load_instance(args.instance)
     pen = _penalties(args, net.n_customers)
-    if args.model == "sm":
-        if args.q_train < 1:
-            raise ValueError("--q-train must be >= 1")
-        train = sample_travel_times(net, args.q_train, substream(args.seed, "sampling-train"))
-        model = SaaModel(train)
-    else:
-        if args.alpha1 < 0:
-            raise ValueError("--alpha1 must be nonnegative")
-        if args.alpha2 < 0:
-            raise ValueError("--alpha2 must be nonnegative")
-        train = None
-        model = DroModel(args.alpha1, args.alpha2)
+    model = _model(args, net)
     res = enumerate_exact(net, model, pen) if args.exact else branch_and_bound(net, model, pen)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     doc = res.to_json_dict(include_timing=not args.no_timestamp)
@@ -258,12 +240,7 @@ def _cmd_solve(args) -> int:
     save_plan(res.plan, args.out_dir / "plan.json", extra=_timestamp_extra(args))
     save_route(res.route.seq, args.out_dir / "route.json")
     if args.cut_log is not None:
-        if args.model == "sm":
-            cuts = [benders_cut(res.route.y[k - 1], train, pen, k) for k in res.route.customers]
-        else:
-            cbar = net.cov + args.alpha2 * np.eye(net.n_arcs)
-            cuts = [oa_cut(res.route.y[k - 1], cbar, customer=k) for k in res.route.customers]
-        _write_cut_log(args.cut_log, cuts, net)
+        _write_cut_log(args.cut_log, model.cuts(net, res.route, pen), net)
     print(
         f"solved {res.model}: objective {res.objective:.6g}, route {list(res.route.seq)}, "
         f"{res.nodes} nodes, wrote {args.out_dir}"

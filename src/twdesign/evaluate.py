@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .instance import Network, SampleSet, sample_travel_times, substream
-from .routing import Route, arrival_matrix, budget_dro, budget_saa
+from .routing import Route, arrival_matrix
 from .solver import DroModel, SaaModel, branch_and_bound
 from .window_design import PenaltyConfig, WindowPlan, penalties_from_beta
 
@@ -173,6 +173,7 @@ def guideline_sweep(
     (model, beta_l, beta_u, seed).
     """
     rows = []
+    robust = DroModel(alpha1, alpha2)
     for model_name in models:
         if model_name not in ("sm", "rm"):
             raise ValueError(f"unknown model {model_name!r}; expected 'sm' or 'rm'")
@@ -181,12 +182,8 @@ def guideline_sweep(
             for seed in seeds:
                 train = sample_travel_times(net, q_train, substream(seed, "sampling-train"))
                 test = sample_travel_times(net, q_test, substream(seed, "sampling-test"))
-                if model_name == "sm":
-                    res = branch_and_bound(net, SaaModel(train), pen)
-                    budget_used = budget_saa(res.route.x, train)
-                else:
-                    res = branch_and_bound(net, DroModel(alpha1, alpha2), pen)
-                    budget_used = budget_dro(res.route.x, net.mean, net.cov, alpha1)
+                model = {"sm": SaaModel(train), "rm": robust}[model_name]
+                res = branch_and_bound(net, model, pen)
                 rep = evaluate_plan(res.route, res.plan, test)
                 rows.append(
                     {
@@ -198,7 +195,7 @@ def guideline_sweep(
                         "early_rate": rep.early_rate,
                         "late_rate": rep.late_rate,
                         "objective": res.objective,
-                        "budget_used": budget_used,
+                        "budget_used": res.budget_value,
                     }
                 )
     rows.sort(key=lambda r: (r["model"], r["beta_l"], r["beta_u"], r["seed"]))

@@ -16,7 +16,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 PSD_JITTER = 1e-8
@@ -140,16 +139,30 @@ def _validate_network(net: Network) -> None:
         raise ValueError("covariance not PSD within jitter tolerance") from exc
     if not net.time_budget > 0:
         raise ValueError("time_budget must be positive")
-    g = nx.DiGraph()
-    g.add_nodes_from(range(n_nodes))
-    g.add_edges_from(net.arcs)
-    reachable = nx.descendants(g, 0)
-    reaching = nx.ancestors(g, 0)
+    reachable = _hops_from(0, n_nodes, net.arcs)
+    reaching = _hops_from(0, n_nodes, [(j, i) for i, j in net.arcs])
     for k in range(1, n_nodes):
-        if k not in reachable:
+        if reachable[k] < 0:
             raise ValueError(f"disconnected network: customer {k} unreachable from depot")
-        if k not in reaching:
+        if reaching[k] < 0:
             raise ValueError(f"disconnected network: customer {k} cannot reach depot")
+
+
+def _hops_from(src: int, n_nodes: int, edges) -> list[int]:
+    """Hop counts from ``src`` along directed edges (i, j), -1 for nodes it
+    cannot reach; breadth first, one sweep over the edges per level."""
+    dist = [-1] * n_nodes
+    dist[src] = 0
+    level = 0
+    grew = True
+    while grew:
+        grew = False
+        for i, j in edges:
+            if dist[i] == level and dist[j] < 0:
+                dist[j] = level + 1
+                grew = True
+        level += 1
+    return dist
 
 
 def arc_node_hops(net: Network) -> np.ndarray:
@@ -158,13 +171,8 @@ def arc_node_hops(net: Network) -> np.ndarray:
     Entry [a, k] is the smaller of the two endpoint-to-node shortest-path
     hop counts, so an arc incident to k has distance 0.
     """
-    g = nx.Graph()
-    g.add_nodes_from(range(net.node_count))
-    g.add_edges_from(net.arcs)
-    dist = np.full((net.node_count, net.node_count), -1, dtype=np.int64)
-    for src, lengths in nx.all_pairs_shortest_path_length(g):
-        for dst, h in lengths.items():
-            dist[src, dst] = h
+    both_ways = [*net.arcs, *((j, i) for i, j in net.arcs)]
+    dist = np.array([_hops_from(v, net.node_count, both_ways) for v in range(net.node_count)])
     if np.any(dist < 0):
         raise ValueError("disconnected network: undirected skeleton is not connected")
     ends = np.asarray(net.arcs)
@@ -218,11 +226,11 @@ class SampleSet:
             raise ValueError("sample values must be a 2-D array (q, n_arcs)")
         if self.values.shape[0] != self.q:
             raise ValueError(f"sample values: expected {self.q} rows, got {self.values.shape[0]}")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("sample values must be finite")
         if np.any(self.values < 0):
             raise ValueError("sample values must be nonnegative")
-        if not self.values.flags.writeable:
-            pass
-        else:
+        if self.values.flags.writeable:
             self.values = self.values.copy()
             self.values.setflags(write=False)
 

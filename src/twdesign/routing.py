@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import Network, SampleSet
-from .window_design import PenaltyConfig, gamma_coeffs, saa_window
+from .window_design import DroPricer, PenaltyConfig, SaaPricer, price_route
 
 
 @dataclass(eq=False)
@@ -161,8 +161,8 @@ def budget_saa(x, samples: SampleSet) -> float:
 
 def budget_dro(x, mean, cov, alpha1: float) -> float:
     """Mean tour duration plus an alpha1-weighted dispersion term."""
-    if alpha1 < 0:
-        raise ValueError("alpha1 must be nonnegative")
+    if not 0 <= alpha1 < np.inf:
+        raise ValueError("alpha1 must be finite and nonnegative")
     x = np.asarray(x, dtype=float)
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
@@ -172,33 +172,17 @@ def budget_dro(x, mean, cov, alpha1: float) -> float:
 
 def route_cost_sm(route: Route, samples: SampleSet, pen: PenaltyConfig) -> float:
     """Total optimal window cost of a route under the sample-average model."""
-    arr = arrival_matrix(route, samples.values)
-    total = 0.0
-    for pos, k in enumerate(route.customers):
-        a_w, a_l, a_u = pen.for_customer(k)
-        total += saa_window(arr[:, pos], a_w, a_l, a_u).cost
-    return float(total)
+    return price_route(SaaPricer(samples, pen), route)
 
 
 def route_cost_rm(route: Route, mean, cov, alpha2: float, pen: PenaltyConfig) -> float:
     """Total optimal window cost of a route under the moment-robust model.
 
-    Each customer contributes (gamma_l + gamma_u) times the standard
-    deviation of its arrival time under cov + alpha2 I.
+    Each customer contributes the cost of its ``dro_window``: (gamma_l +
+    gamma_u) times the standard deviation of its arrival time under
+    cov + alpha2 I, unless the window's lower edge is clamped at zero.
     """
-    if alpha2 < 0:
-        raise ValueError("alpha2 must be nonnegative")
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    cbar = cov + alpha2 * np.eye(cov.shape[0])
-    total = 0.0
-    for k in route.customers:
-        a_w, a_l, a_u = pen.for_customer(k)
-        g_l, g_u = gamma_coeffs(a_w, a_l, a_u)
-        y = route.y[k - 1].astype(float)
-        var = max(float(y @ cbar @ y), 0.0)
-        total += (g_l + g_u) * np.sqrt(var)
-    return float(total)
+    return price_route(DroPricer(mean, cov, alpha2, pen), route)
 
 
 def save_route(seq, path) -> None:

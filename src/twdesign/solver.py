@@ -7,12 +7,19 @@ exact: the accumulated cost of placed customers never overestimates the
 finished tour.  Two searches are provided on purpose:
 
 * ``enumerate_exact`` walks every customer permutation and prices each
-  complete tour from scratch.  Slow, simple, and used as the reference.
+  complete tour from the depot.  Slow, simple, and used as the reference.
 * ``branch_and_bound`` extends partial paths along existing arcs with
   incremental arrival bookkeeping, an admissible budget bound, and
   incumbent pruning.
 
-Both respect the duration budget exactly as defined in ``routing``.
+Both respect the duration budget exactly as defined in ``routing``, and
+both price through the model's pricer from ``window_design``, so they
+and the final plan agree on every cost to the last bit.
+
+A model (``SaaModel`` or ``DroModel``) is everything the searches and
+the command line need to know about it: ``name``, ``check(net, pen)``,
+``budget(net, x)``, ``context(net, pen)`` (the pricer), ``plan(net,
+route, pen)`` and ``cuts(net, route, pen)``.
 
 Cut generation for master-problem decompositions is also here: the
 sample-average window cost is superdifferentiable in the path variables
@@ -25,26 +32,21 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .instance import Network, SampleSet
-from .routing import (
-    Route,
-    budget_dro,
-    budget_saa,
-    route_cost_rm,
-    route_cost_sm,
-    route_to_xy,
-)
+from .routing import Route, budget_dro, budget_saa, route_to_xy
 from .window_design import (
+    DroPricer,
     PenaltyConfig,
+    SaaPricer,
     WindowPlan,
-    critical_indices,
     design_dro,
     design_stochastic,
-    gamma_coeffs,
+    price_route,
     saa_window,
 )
 
@@ -65,6 +67,23 @@ class SaaModel:
     """Sample-average objective and budget over a fixed scenario set."""
 
     samples: SampleSet
+    name: ClassVar[str] = "sm"
+
+    def check(self, net: Network, pen: PenaltyConfig) -> None:
+        if self.samples.n_arcs != net.n_arcs:
+            raise ValueError("sample set does not match the network's arc count")
+
+    def budget(self, net: Network, x) -> float:
+        return budget_saa(x, self.samples)
+
+    def context(self, net: Network, pen: PenaltyConfig) -> SaaPricer:
+        return SaaPricer(self.samples, pen)
+
+    def plan(self, net: Network, route: Route, pen: PenaltyConfig) -> WindowPlan:
+        return design_stochastic(route, self.samples, pen)[0]
+
+    def cuts(self, net: Network, route: Route, pen: PenaltyConfig) -> list[Cut]:
+        return [benders_cut(route.y[k - 1], self.samples, pen, k) for k in route.customers]
 
 
 @dataclass(frozen=True)
@@ -74,10 +93,30 @@ class DroModel:
 
     alpha1: float = 0.0
     alpha2: float = 0.0
+    name: ClassVar[str] = "rm"
 
     def __post_init__(self):
-        if self.alpha1 < 0 or self.alpha2 < 0:
-            raise ValueError("alpha1 and alpha2 must be nonnegative")
+        if not (0 <= self.alpha1 < np.inf and 0 <= self.alpha2 < np.inf):
+            raise ValueError("alpha1 and alpha2 must be finite and nonnegative")
+
+    def check(self, net: Network, pen: PenaltyConfig) -> None:
+        if not pen.dro_valid:
+            raise ValueError(
+                "coefficient domain: moment-robust model needs 2*a_w < min(a_l, a_u)"
+            )
+
+    def budget(self, net: Network, x) -> float:
+        return budget_dro(x, net.mean, net.cov, self.alpha1)
+
+    def context(self, net: Network, pen: PenaltyConfig) -> DroPricer:
+        return DroPricer(net.mean, net.cov, self.alpha2, pen)
+
+    def plan(self, net: Network, route: Route, pen: PenaltyConfig) -> WindowPlan:
+        return design_dro(route, net.mean, net.cov, self.alpha2, pen)
+
+    def cuts(self, net: Network, route: Route, pen: PenaltyConfig) -> list[Cut]:
+        cbar = net.cov + self.alpha2 * np.eye(net.n_arcs)
+        return [oa_cut(route.y[k - 1], cbar, customer=k) for k in route.customers]
 
 
 @dataclass(frozen=True)
@@ -116,38 +155,40 @@ class SolveResult:
         return doc
 
 
-def _budget_of(net: Network, model, x) -> float:
-    if isinstance(model, SaaModel):
-        return budget_saa(x, model.samples)
-    return budget_dro(x, net.mean, net.cov, model.alpha1)
-
-
-def _route_cost(net: Network, model, route: Route, pen: PenaltyConfig) -> float:
-    if isinstance(model, SaaModel):
-        return route_cost_sm(route, model.samples, pen)
-    return route_cost_rm(route, net.mean, net.cov, model.alpha2, pen)
-
-
-def _final_plan(net: Network, model, route: Route, pen: PenaltyConfig) -> WindowPlan:
-    if isinstance(model, SaaModel):
-        plan, _ = design_stochastic(route, model.samples, pen)
-        return plan
-    return design_dro(route, net.mean, net.cov, model.alpha2, pen)
-
-
-def _check_model(net: Network, model, pen: PenaltyConfig) -> None:
+def _checked_context(net: Network, model, pen: PenaltyConfig):
+    """Validate the model against the instance and return its pricer."""
+    if not hasattr(model, "check"):
+        raise TypeError(f"unknown model type {type(model).__name__}")
     if pen.n_customers != net.n_customers:
         raise ValueError("penalty config does not match the network's customer count")
-    if isinstance(model, SaaModel):
-        if model.samples.n_arcs != net.n_arcs:
-            raise ValueError("sample set does not match the network's arc count")
-    elif isinstance(model, DroModel):
-        if not pen.dro_valid:
-            raise ValueError(
-                "coefficient domain: moment-robust model needs 2*a_w < min(a_l, a_u)"
-            )
-    else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
+    model.check(net, pen)
+    return model.context(net, pen)
+
+
+def _infeasible(min_budget: float, time_budget: float) -> InfeasibleError:
+    if not np.isfinite(min_budget):
+        return InfeasibleError("no feasible tour: network admits no full circuit")
+    return InfeasibleError(
+        f"budget infeasible: cheapest tour needs {min_budget:.6g} "
+        f"but the budget is {time_budget:.6g}",
+        min_budget=float(min_budget),
+    )
+
+
+def _result(net: Network, model, pen, seq, cost, nodes: int, pruned: int, start: float) -> SolveResult:
+    route = route_to_xy(seq, net)
+    return SolveResult(
+        route=route,
+        plan=model.plan(net, route, pen),
+        objective=float(cost),
+        budget_value=model.budget(net, route.x),
+        budget_limit=net.time_budget,
+        nodes=nodes,
+        pruned=pruned,
+        proof_of_optimality=True,
+        wall_time=time.perf_counter() - start,
+        model=model.name,
+    )
 
 
 ENUMERATE_MAX_CUSTOMERS = 9
@@ -159,13 +200,13 @@ def enumerate_exact(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     Ties are broken lexicographically by visit sequence.  Limited to
     nine customers; beyond that use ``branch_and_bound``.
     """
-    _check_model(net, model, pen)
+    start = time.perf_counter()
+    ctx = _checked_context(net, model, pen)
     if net.n_customers > ENUMERATE_MAX_CUSTOMERS:
         raise ValueError(f"enumeration limited to {ENUMERATE_MAX_CUSTOMERS} customers")
-    start = time.perf_counter()
     arcs = net.arc_index
     best_cost = np.inf
-    best_route = None
+    best_seq = None
     min_budget = np.inf
     tours_priced = 0
     for perm in itertools.permutations(net.customers):
@@ -174,92 +215,34 @@ def enumerate_exact(net: Network, model, pen: PenaltyConfig) -> SolveResult:
             continue
         route = route_to_xy(path, net)
         tours_priced += 1
-        budget = _budget_of(net, model, route.x)
+        budget = model.budget(net, route.x)
         min_budget = min(min_budget, budget)
         if budget > net.time_budget:
             continue
-        cost = _route_cost(net, model, route, pen)
+        cost = price_route(ctx, route)
         if cost < best_cost:
             best_cost = cost
-            best_route = route
-    if best_route is None:
-        if not np.isfinite(min_budget):
-            raise InfeasibleError("no feasible tour: network admits no full circuit")
-        raise InfeasibleError(
-            f"budget infeasible: cheapest tour needs {min_budget:.6g} "
-            f"but the budget is {net.time_budget:.6g}",
-            min_budget=float(min_budget),
-        )
-    plan = _final_plan(net, model, best_route, pen)
-    return SolveResult(
-        route=best_route,
-        plan=plan,
-        objective=float(best_cost),
-        budget_value=_budget_of(net, model, best_route.x),
-        budget_limit=net.time_budget,
-        nodes=tours_priced,
-        pruned=0,
-        proof_of_optimality=True,
-        wall_time=time.perf_counter() - start,
-        model="sm" if isinstance(model, SaaModel) else "rm",
-    )
+            best_seq = route.seq
+    if best_seq is None:
+        raise _infeasible(min_budget, net.time_budget)
+    return _result(net, model, pen, best_seq, best_cost, tours_priced, 0, start)
 
 
-class _SaaContext:
-    """Incremental pricing state for the sample-average model."""
+class _BudgetOnly:
+    """A pricer that charges nothing, for the search that looks only for
+    the cheapest tour budget."""
 
-    def __init__(self, net: Network, samples: SampleSet, pen: PenaltyConfig):
-        self.values = samples.values
-        self.q = samples.q
-        self.linear = self.values.mean(axis=0)  # per-arc average travel time
-        self.pen = pen
-        self.ranks = {
-            k: critical_indices(self.q, *pen.for_customer(k)) for k in net.customers
-        }
+    def __init__(self, linear: np.ndarray):
+        self.linear = linear
 
     def root_state(self):
-        return np.zeros(self.q)
+        return None
 
     def extend(self, state, arc: int):
-        return state + self.values[:, arc]
+        return None
 
     def place_cost(self, state, k: int) -> float:
-        a_w, a_l, a_u = self.pen.for_customer(k)
-        p1, p2 = self.ranks[k]
-        if p1 == p2:
-            part = np.partition(state, p1 - 1)
-        else:
-            part = np.partition(state, (p1 - 1, p2 - 1))
-        lo = part[p1 - 1]
-        up = part[p2 - 1]
-        early = lo * (p1 - 1) - part[: p1 - 1].sum()
-        late = part[p2:].sum() - up * (self.q - p2)
-        return float(a_w * (up - lo) + (a_l / self.q) * early + (a_u / self.q) * late)
-
-
-class _DroContext:
-    """Incremental pricing state for the moment-robust model."""
-
-    def __init__(self, net: Network, model: DroModel, pen: PenaltyConfig):
-        self.cbar = net.cov + model.alpha2 * np.eye(net.n_arcs)
-        self.linear = net.mean
-        self.gamma = {}
-        for k in net.customers:
-            g_l, g_u = gamma_coeffs(*pen.for_customer(k))
-            self.gamma[k] = g_l + g_u
-
-    def root_state(self):
-        # (C y, y' C y) for the current prefix path
-        return np.zeros(len(self.linear)), 0.0
-
-    def extend(self, state, arc: int):
-        v, quad = state
-        new_quad = quad + 2.0 * v[arc] + self.cbar[arc, arc]
-        return v + self.cbar[:, arc], new_quad
-
-    def place_cost(self, state, k: int) -> float:
-        _, quad = state
-        return float(self.gamma[k] * np.sqrt(max(quad, 0.0)))
+        return 0.0
 
 
 def _greedy_seq(net: Network, linear: np.ndarray) -> tuple[int, ...] | None:
@@ -282,49 +265,78 @@ def _greedy_seq(net: Network, linear: np.ndarray) -> tuple[int, ...] | None:
     return tuple(seq)
 
 
-def _min_budget_tour(net: Network, model, linear: np.ndarray) -> float:
-    """Exact minimum tour budget, or inf when no circuit exists.
+def _dfs(net: Network, model, ctx, prune: bool, best_cost=np.inf, best_seq=None,
+         min_budget=np.inf, chase_budget: bool = False):
+    """Depth-first search over partial visit sequences from the depot.
 
-    Used only to report infeasibility precisely: the returned value is
-    what the error message quotes as the cheapest attainable budget.
-    Prunes on the admissible linear bound, so it stays fast on the small
-    instances where the main search gave up.
+    Starts from the incumbent (best_cost, best_seq) and returns the best
+    tour found with the cheapest budget seen, nodes and prunes.  With
+    ``chase_budget`` the budget limit is the cheapest budget seen so far
+    instead of the time budget: paired with ``_BudgetOnly`` this finds
+    the exact minimum tour budget, which infeasibility reports quote.
     """
+    linear = ctx.linear
     min_in = np.full(net.node_count, np.inf)
     for a, (i, j) in enumerate(net.arcs):
         min_in[j] = min(min_in[j], linear[a])
-    best = np.inf
+    tb = net.time_budget
+    limit = (min_budget if chase_budget else tb) + BUDGET_PRUNE_SLACK
+    nodes = 0
+    pruned = 0
+    n_customers = net.n_customers
     visited = np.zeros(net.node_count, dtype=bool)
     visited[0] = True
-    n_customers = net.n_customers
 
-    def dfs(node: int, depth: int, seq: list[int], acc_linear: float):
-        nonlocal best
+    def visit(node: int, depth: int, seq: list[int], state, acc_cost: float, acc_linear: float):
+        nonlocal nodes, pruned, best_cost, best_seq, min_budget, limit
+        nodes += 1
         if depth == n_customers:
-            if (node, 0) not in net.arc_index:
+            arc = net.arc_index.get((node, 0))
+            if arc is None:
                 return
             route = route_to_xy((*seq, 0), net)
-            best = min(best, _budget_of(net, model, route.x))
+            budget = model.budget(net, route.x)
+            min_budget = min(min_budget, budget)
+            if budget > tb:
+                if chase_budget:
+                    limit = min_budget + BUDGET_PRUNE_SLACK
+                return
+            if acc_cost < best_cost:
+                best_cost = acc_cost
+                best_seq = tuple(route.seq)
             return
         for j, arc in net.out_arcs[node]:
             if j == 0 or visited[j]:
                 continue
             child_linear = acc_linear + linear[arc]
-            remaining = [k for k in range(1, net.node_count) if not visited[k] and k != j]
-            lb = child_linear + sum(min_in[k] for k in remaining)
-            closing_from = remaining if remaining else [j]
-            closing = [linear[a] for jj, a in net.in_arcs[0] if jj in closing_from]
-            lb += min(closing) if closing else np.inf
-            if lb >= best:
-                continue
+            child_state = ctx.extend(state, arc)
+            child_cost = acc_cost + ctx.place_cost(child_state, j)
+            if prune:
+                if child_cost >= best_cost:
+                    pruned += 1
+                    continue
+                remaining = [k for k in range(1, net.node_count) if not visited[k] and k != j]
+                lb = child_linear + sum(min_in[k] for k in remaining)
+                if remaining:
+                    closing = [
+                        linear[a]
+                        for jj, a in net.in_arcs[0]
+                        if not visited[jj] and jj != j
+                    ]
+                else:
+                    closing = [linear[a] for jj, a in net.in_arcs[0] if jj == j]
+                lb += min(closing) if closing else np.inf
+                if lb > limit:
+                    pruned += 1
+                    continue
             visited[j] = True
             seq.append(j)
-            dfs(j, depth + 1, seq, child_linear)
+            visit(j, depth + 1, seq, child_state, child_cost, child_linear)
             seq.pop()
             visited[j] = False
 
-    dfs(0, 0, [0], 0.0)
-    return float(best)
+    visit(0, 0, [0], ctx.root_state(), 0.0, 0.0)
+    return best_cost, best_seq, min_budget, nodes, pruned
 
 
 def branch_and_bound(
@@ -342,21 +354,14 @@ def branch_and_bound(
     children are explored in ascending node order.  Practical up to
     roughly fifteen customers; beyond that the permutation space
     outgrows what incremental pricing can cover.
+
+    The returned ``objective`` equals ``plan.total_cost`` and the model's
+    route cost (``route_cost_sm``/``route_cost_rm``) exactly, not just to
+    a tolerance: all three sum the same pricer's costs in visit order.
     """
-    _check_model(net, model, pen)
     opts = options or SearchOptions()
     start = time.perf_counter()
-    ctx = (
-        _SaaContext(net, model.samples, pen)
-        if isinstance(model, SaaModel)
-        else _DroContext(net, model, pen)
-    )
-    linear = ctx.linear
-    min_in = np.full(net.node_count, np.inf)
-    for a, (i, j) in enumerate(net.arcs):
-        min_in[j] = min(min_in[j], linear[a])
-    tb = net.time_budget
-
+    ctx = _checked_context(net, model, pen)
     best_cost = np.inf
     best_seq: tuple[int, ...] | None = None
     min_budget = np.inf
@@ -367,11 +372,11 @@ def branch_and_bound(
             route = route_to_xy(seq, net)
         except ValueError:
             return
-        budget = _budget_of(net, model, route.x)
+        budget = model.budget(net, route.x)
         min_budget = min(min_budget, budget)
-        if budget > tb:
+        if budget > net.time_budget:
             return
-        cost = _route_cost(net, model, route, pen)
+        cost = price_route(ctx, route)
         if cost < best_cost:
             best_cost = cost
             best_seq = seq
@@ -379,89 +384,21 @@ def branch_and_bound(
     if opts.initial_seq is not None:
         consider(tuple(opts.initial_seq))
     if opts.greedy_start and opts.prune:
-        greedy = _greedy_seq(net, linear)
+        greedy = _greedy_seq(net, ctx.linear)
         if greedy is not None:
             consider(greedy)
 
-    nodes = 0
-    pruned = 0
-    n_customers = net.n_customers
-    visited = np.zeros(net.node_count, dtype=bool)
-    visited[0] = True
-
-    def dfs(node: int, depth: int, seq: list[int], state, acc_cost: float, acc_linear: float):
-        nonlocal nodes, pruned, best_cost, best_seq, min_budget
-        nodes += 1
-        if depth == n_customers:
-            arc = net.arc_index.get((node, 0))
-            if arc is None:
-                return
-            route = route_to_xy((*seq, 0), net)
-            budget = _budget_of(net, model, route.x)
-            min_budget = min(min_budget, budget)
-            if budget > tb:
-                return
-            if acc_cost < best_cost:
-                best_cost = acc_cost
-                best_seq = tuple(route.seq)
-            return
-        for j, arc in net.out_arcs[node]:
-            if j == 0 or visited[j]:
-                continue
-            child_linear = acc_linear + linear[arc]
-            child_state = ctx.extend(state, arc)
-            child_cost = acc_cost + ctx.place_cost(child_state, j)
-            if opts.prune:
-                if child_cost >= best_cost:
-                    pruned += 1
-                    continue
-                remaining = [k for k in range(1, net.node_count) if not visited[k] and k != j]
-                lb = child_linear + sum(min_in[k] for k in remaining)
-                if remaining:
-                    closing = [
-                        linear[a]
-                        for jj, a in net.in_arcs[0]
-                        if not visited[jj] and jj != j
-                    ]
-                else:
-                    closing = [linear[a] for jj, a in net.in_arcs[0] if jj == j]
-                lb += min(closing) if closing else np.inf
-                if lb > tb + BUDGET_PRUNE_SLACK:
-                    pruned += 1
-                    continue
-            visited[j] = True
-            seq.append(j)
-            dfs(j, depth + 1, seq, child_state, child_cost, child_linear)
-            seq.pop()
-            visited[j] = False
-
-    dfs(0, 0, [0], ctx.root_state(), 0.0, 0.0)
-
+    best_cost, best_seq, min_budget, nodes, pruned = _dfs(
+        net, model, ctx, opts.prune, best_cost, best_seq, min_budget
+    )
     if best_seq is None:
         # pruning may have discarded every completion before its exact
-        # budget was priced, so compute the true cheapest budget now
-        min_budget = min(min_budget, _min_budget_tour(net, model, linear))
-        if not np.isfinite(min_budget):
-            raise InfeasibleError("no feasible tour: network admits no full circuit")
-        raise InfeasibleError(
-            f"budget infeasible: cheapest tour needs {min_budget:.6g} "
-            f"but the budget is {net.time_budget:.6g}",
-            min_budget=float(min_budget),
+        # budget was priced, so search again for the true cheapest budget
+        _, _, cheapest, _, _ = _dfs(
+            net, model, _BudgetOnly(ctx.linear), True, min_budget=min_budget, chase_budget=True
         )
-    route = route_to_xy(best_seq, net)
-    plan = _final_plan(net, model, route, pen)
-    return SolveResult(
-        route=route,
-        plan=plan,
-        objective=float(best_cost),
-        budget_value=_budget_of(net, model, route.x),
-        budget_limit=tb,
-        nodes=nodes,
-        pruned=pruned,
-        proof_of_optimality=True,
-        wall_time=time.perf_counter() - start,
-        model="sm" if isinstance(model, SaaModel) else "rm",
-    )
+        raise _infeasible(cheapest, net.time_budget)
+    return _result(net, model, pen, best_seq, best_cost, nodes, pruned, start)
 
 
 # ---------------------------------------------------------------------------

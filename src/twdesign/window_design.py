@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +51,8 @@ class PenaltyConfig:
         if self.a_l.size != n or self.a_u.size != n:
             raise ValueError("penalty arrays must have equal length")
         for name, arr in (("a_w", self.a_w), ("a_l", self.a_l), ("a_u", self.a_u)):
-            if np.any(arr <= 0) or np.any(arr > 1 + CMP_TOL):
+            # written so that NaN fails the test as well
+            if not np.all((arr > 0) & (arr <= 1 + CMP_TOL)):
                 raise ValueError(f"{name}: weights must lie in (0, 1]")
         ratio = self.a_w / self.a_l + self.a_w / self.a_u
         if np.any(ratio > 1 + CMP_TOL):
@@ -143,6 +145,26 @@ class SaaWindow:
     p2: int
 
 
+def _order_stat_window(arr: np.ndarray, p1: int, p2: int, a_w: float, a_l: float, a_u: float):
+    """The sample-average pricing kernel: (lower, upper, cost) of the
+    optimal window, whose edges are the order statistics of ranks p1, p2.
+
+    A partial sort places the p1 - 1 earliest and the q - p2 latest
+    arrivals on either side of the two ranks, which is all the earliness
+    and tardiness sums need.
+    """
+    q = arr.size
+    if p1 == p2:
+        part = np.partition(arr, p1 - 1)
+    else:
+        part = np.partition(arr, (p1 - 1, p2 - 1))
+    lower = float(part[p1 - 1])
+    upper = float(part[p2 - 1])
+    early = lower * (p1 - 1) - part[: p1 - 1].sum()
+    late = part[p2:].sum() - upper * (q - p2)
+    return lower, upper, float(a_w * (upper - lower) + (a_l / q) * early + (a_u / q) * late)
+
+
 def saa_window(arrivals, a_w: float, a_l: float, a_u: float) -> SaaWindow:
     """Optimal window for one customer given arrival samples.
 
@@ -154,28 +176,16 @@ def saa_window(arrivals, a_w: float, a_l: float, a_u: float) -> SaaWindow:
         raise ValueError("arrivals must be a non-empty 1-D array")
     q = arr.size
     p1, p2 = critical_indices(q, a_w, a_l, a_u)
+    lower, upper, cost = _order_stat_window(arr, p1, p2, a_w, a_l, a_u)
+    # duals by rank: full weight below P1 (above P2), the remainder at the rank
     order = np.argsort(arr, kind="stable")
-    srt = arr[order]
-    lower = float(srt[p1 - 1])
-    upper = float(srt[p2 - 1])
-    cost = (
-        a_w * (upper - lower)
-        + (a_l / q) * float(np.maximum(lower - arr, 0.0).sum())
-        + (a_u / q) * float(np.maximum(arr - upper, 0.0).sum())
-    )
-    rho1_sorted = np.zeros(q)
-    rho1_sorted[: p1 - 1] = a_l / q
-    rho1_sorted[p1 - 1] = a_w - (p1 - 1) * (a_l / q)
-    rho2_sorted = np.zeros(q)
-    rho2_sorted[p2:] = a_u / q
-    rho2_sorted[p2 - 1] = a_w - (q - p2) * (a_u / q)
-    np.clip(rho1_sorted, 0.0, a_l / q, out=rho1_sorted)
-    np.clip(rho2_sorted, 0.0, a_u / q, out=rho2_sorted)
-    rho1 = np.empty(q)
-    rho2 = np.empty(q)
-    rho1[order] = rho1_sorted
-    rho2[order] = rho2_sorted
-    return SaaWindow(lower, upper, float(cost), rho1, rho2, p1, p2)
+    rho1 = np.zeros(q)
+    rho1[order[: p1 - 1]] = a_l / q
+    rho1[order[p1 - 1]] = min(max(a_w - (p1 - 1) * (a_l / q), 0.0), a_l / q)
+    rho2 = np.zeros(q)
+    rho2[order[p2:]] = a_u / q
+    rho2[order[p2 - 1]] = min(max(a_w - (q - p2) * (a_u / q), 0.0), a_u / q)
+    return SaaWindow(lower, upper, cost, rho1, rho2, p1, p2)
 
 
 @dataclass(eq=False)
@@ -284,6 +294,64 @@ def load_plan(path) -> WindowPlan:
     )
 
 
+# ---------------------------------------------------------------------------
+# pricing along a route
+#
+# A pricer carries the arrival state of a path from the depot and prices
+# the customer at its end.  The route search extends it one arc at a
+# time; every other caller walks a finished route with the same
+# recurrence and sums in the same visit order, so the objective a search
+# reports equals the cost of the plan built for its route bit for bit.
+
+
+def _prefix_states(pricer, route):
+    """(customer, arrival state) at each customer of a route, in visit order."""
+    state = pricer.root_state()
+    for arc, k in zip(route.path_arcs, route.customers):
+        state = pricer.extend(state, arc)
+        yield k, state
+
+
+def _visit_sum(costs) -> float:
+    """Left-to-right sum, the order in which the route search accumulates
+    costs (numpy's pairwise sum differs in the last bits from n = 8)."""
+    total = 0.0
+    for cost in costs:
+        total += cost
+    return float(total)
+
+
+def price_route(pricer, route) -> float:
+    """Total window cost of a route under the model ``pricer`` belongs to."""
+    return _visit_sum(pricer.place_cost(state, k) for k, state in _prefix_states(pricer, route))
+
+
+class SaaPricer:
+    """Sample-average pricing: the state is the vector of scenario arrival
+    times, and a customer costs its ``_order_stat_window``."""
+
+    def __init__(self, samples, pen: PenaltyConfig):
+        self.values = samples.values
+        self.terms = {}
+        for k in range(1, pen.n_customers + 1):
+            weights = pen.for_customer(k)
+            self.terms[k] = (*critical_indices(samples.q, *weights), *weights)
+
+    @cached_property
+    def linear(self) -> np.ndarray:
+        """Per-arc average travel time; only the route search needs it."""
+        return self.values.mean(axis=0)
+
+    def root_state(self):
+        return np.zeros(self.values.shape[0])
+
+    def extend(self, state, arc: int):
+        return state + self.values[:, arc]
+
+    def place_cost(self, state, k: int) -> float:
+        return _order_stat_window(state, *self.terms[k])[2]
+
+
 def design_stochastic(route, samples, pen: PenaltyConfig):
     """Per-customer optimal windows under the sample-average cost.
 
@@ -291,15 +359,12 @@ def design_stochastic(route, samples, pen: PenaltyConfig):
     duals are what optimality cuts for the routing master problem are
     built from.
     """
-    from .routing import arrival_matrix
-
-    arr = arrival_matrix(route, samples.values)
     q = samples.q
     lowers, uppers, costs, early, late = [], [], [], [], []
     duals: dict[int, DualPair] = {}
-    for pos, k in enumerate(route.customers):
+    for k, arrivals in _prefix_states(SaaPricer(samples, pen), route):
         a_w, a_l, a_u = pen.for_customer(k)
-        win = saa_window(arr[:, pos], a_w, a_l, a_u)
+        win = saa_window(arrivals, a_w, a_l, a_u)
         lowers.append(win.lower)
         uppers.append(win.upper)
         costs.append(win.cost)
@@ -313,7 +378,7 @@ def design_stochastic(route, samples, pen: PenaltyConfig):
         lower=np.array(lowers),
         upper=np.array(uppers),
         cost_per_customer=np.array(costs),
-        total_cost=float(np.sum(costs)),
+        total_cost=_visit_sum(costs),
         early_rate=np.array(early),
         late_rate=np.array(late),
     )
@@ -364,7 +429,7 @@ def brute_force_windows(route, samples, pen: PenaltyConfig) -> WindowPlan:
         lower=np.array(lowers),
         upper=np.array(uppers),
         cost_per_customer=np.array(costs),
-        total_cost=float(np.sum(costs)),
+        total_cost=_visit_sum(costs),
         early_rate=np.array(early),
         late_rate=np.array(late),
     )
@@ -475,7 +540,7 @@ def design_fixed_width(route, samples, pen: PenaltyConfig, a_w_shared: float | N
         lower=lowers,
         upper=lowers + w,
         cost_per_customer=np.array(costs),
-        total_cost=float(np.sum(costs)),
+        total_cost=_visit_sum(costs),
         shared_width=w,
         early_rate=np.array(early),
         late_rate=np.array(late),
@@ -527,27 +592,65 @@ def gamma_coeffs(a_w: float, a_l: float, a_u: float) -> tuple[float, float]:
     return math.sqrt(a_w * (a_l - a_w)), math.sqrt(a_w * (a_u - a_w))
 
 
+def _dro_terms(a_w: float, a_l: float, a_u: float) -> tuple[float, ...]:
+    """The weights followed by the per-sigma cost gamma_l + gamma_u and the
+    two wings: everything ``_dro_window`` needs about one customer."""
+    g_l, g_u = gamma_coeffs(a_w, a_l, a_u)
+    return a_w, a_l, a_u, g_l + g_u, _wing(a_w / a_l), _wing(a_w / a_u)
+
+
+def _dro_window(mean, variance, a_w, a_l, a_u, gamma, wing_l, wing_u):
+    """The moment-robust pricing kernel, on a customer's ``_dro_terms``."""
+    sigma = math.sqrt(variance)
+    lower = mean - sigma * wing_l
+    upper = mean + sigma * wing_u
+    if lower >= 0:
+        return lower, upper, gamma * sigma, False
+    cost = (
+        a_w * upper
+        + a_l * scarf_earliness(0.0, mean, variance)
+        + a_u * scarf_tardiness(upper, mean, variance)
+    )
+    return 0.0, upper, cost, True
+
+
 def dro_window(mean: float, variance: float, a_w: float, a_l: float, a_u: float):
     """Closed-form moment-robust window for one customer.
 
     Returns (lower, upper, cost, clamped).  The unconstrained optimum is
-    mean -/+ sigma * wing(beta_side); a negative lower edge is clamped
-    to zero and flagged, with the cost evaluated at the clamped window.
+    mean -/+ sigma * wing(beta_side) at cost (gamma_l + gamma_u) * sigma;
+    a negative lower edge is clamped to zero and flagged, with the cost
+    evaluated at the clamped window.
     """
     if variance < 0:
         raise ValueError("variance must be nonnegative")
-    sigma = math.sqrt(variance)
-    lower = mean - sigma * _wing(a_w / a_l)
-    upper = mean + sigma * _wing(a_w / a_u)
-    clamped = lower < 0
-    if clamped:
-        lower = 0.0
-    cost = (
-        a_w * (upper - lower)
-        + a_l * scarf_earliness(lower, mean, variance)
-        + a_u * scarf_tardiness(upper, mean, variance)
-    )
-    return lower, upper, cost, clamped
+    return _dro_window(mean, variance, *_dro_terms(a_w, a_l, a_u))
+
+
+class DroPricer:
+    """Moment-robust pricing: the state is (m, C y, y' C y) of the path
+    under C = cov + alpha2 I, and a customer costs its ``dro_window``."""
+
+    def __init__(self, mean, cov, alpha2: float, pen: PenaltyConfig):
+        if not 0 <= alpha2 < math.inf:
+            raise ValueError("alpha2 must be finite and nonnegative")
+        self.linear = np.asarray(mean, dtype=float)
+        cov = np.asarray(cov, dtype=float)
+        self.cbar = cov + alpha2 * np.eye(cov.shape[0])
+        self.terms = {
+            k: _dro_terms(*pen.for_customer(k)) for k in range(1, pen.n_customers + 1)
+        }
+
+    def root_state(self):
+        return 0.0, np.zeros(len(self.linear)), 0.0
+
+    def extend(self, state, arc: int):
+        m, v, quad = state
+        return m + self.linear[arc], v + self.cbar[:, arc], quad + 2.0 * v[arc] + self.cbar[arc, arc]
+
+    def place_cost(self, state, k: int) -> float:
+        m, _, quad = state
+        return _dro_window(m, max(quad, 0.0), *self.terms[k])[2]
 
 
 def design_dro(route, mean, cov, alpha2: float, pen: PenaltyConfig, allow_boundary: bool = False) -> WindowPlan:
@@ -560,25 +663,16 @@ def design_dro(route, mean, cov, alpha2: float, pen: PenaltyConfig, allow_bounda
     2 a_w = a_side collapses the corresponding window edge onto the mean
     and is admitted only with ``allow_boundary``.
     """
-    if alpha2 < 0:
-        raise ValueError("alpha2 must be nonnegative")
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
+    pricer = DroPricer(mean, cov, alpha2, pen)
     slack = CMP_TOL if allow_boundary else -CMP_TOL
     if np.any(2 * pen.a_w - pen.a_l > slack) or np.any(2 * pen.a_w - pen.a_u > slack):
         raise ValueError(
             "coefficient domain: moment-robust design needs 2*a_w < min(a_l, a_u)"
             + ("" if allow_boundary else " (strictly)")
         )
-    cbar = cov + alpha2 * np.eye(cov.shape[0])
     lowers, uppers, costs, flags = [], [], [], []
-    for pos, k in enumerate(route.customers):
-        a_w, a_l, a_u = pen.for_customer(k)
-        y = route.y[k - 1]
-        m = float(mean @ y)
-        var = float(y @ cbar @ y)
-        var = max(var, 0.0)
-        lo, up, cost, clamped = dro_window(m, var, a_w, a_l, a_u)
+    for k, (m, _, quad) in _prefix_states(pricer, route):
+        lo, up, cost, clamped = _dro_window(m, max(quad, 0.0), *pricer.terms[k])
         lowers.append(lo)
         uppers.append(up)
         costs.append(cost)
@@ -590,6 +684,6 @@ def design_dro(route, mean, cov, alpha2: float, pen: PenaltyConfig, allow_bounda
         lower=np.array(lowers),
         upper=np.array(uppers),
         cost_per_customer=np.array(costs),
-        total_cost=float(np.sum(costs)),
+        total_cost=_visit_sum(costs),
         clamped=np.array(flags, dtype=bool),
     )

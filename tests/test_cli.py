@@ -206,6 +206,19 @@ def test_solve_cut_log(inst, tmp_path):
     label, value = entry.split("=")
     assert "->" in label
     float(value)
+    # the moment model logs one dispersion cut per customer
+    rc = main(
+        [
+            "solve", "--instance", str(inst_path), "--model", "rm",
+            "--beta-l", "0.1", "--beta-u", "0.1", "--alpha2", "0.5",
+            "--out-dir", str(out_dir), "--cut-log", str(log), "--no-timestamp",
+        ]
+    )
+    assert rc == 0
+    with open(log, newline="") as fh:
+        recs = list(csv.reader(fh))
+    assert len(recs) == 4
+    assert all(float(r[2]) > 0 for r in recs[1:])
 
 
 def test_solve_infeasible_exit_code(tmp_path, capsys):
@@ -335,6 +348,22 @@ def test_bad_flag_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--model", "bogus"])
     assert exc.value.code == 1
+
+
+def test_solve_rejects_nan_alpha(inst, tmp_path, capsys):
+    # a NaN inflation would price every tour at NaN and exit 2 as if infeasible
+    net, inst_path = inst
+    for flag in ("--alpha1", "--alpha2"):
+        rc = main(
+            [
+                "solve", "--instance", str(inst_path), "--model", "rm",
+                "--beta-l", "0.05", "--beta-u", "0.05", flag, "nan",
+                "--out-dir", str(tmp_path / "r"),
+            ]
+        )
+        assert rc == 1
+        assert "finite and nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
 
 def test_missing_instance_file_exits_one(tmp_path, capsys):

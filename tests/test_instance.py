@@ -1,11 +1,15 @@
 """Tests for networks, covariance generation, sampling, and instance IO."""
 
 import json
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twdesign
 from twdesign import (
     CovGenParams,
     Network,
@@ -130,6 +134,54 @@ def test_arc_node_hops_matches_bfs_oracle():
                 assert hops[a, k] == want, (seed, a, k)
 
 
+def random_arcs(rng, n_nodes, complete):
+    pairs = [(i, j) for i in range(n_nodes) for j in range(n_nodes) if i != j]
+    if complete:
+        return pairs
+    keep = rng.random(len(pairs)) < 2.0 / n_nodes
+    return [pair for pair, k in zip(pairs, keep) if k] or pairs[:1]
+
+
+def test_graph_searches_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(3)
+    for trial in range(60):
+        n_nodes = int(rng.integers(2, 9))
+        arcs = random_arcs(rng, n_nodes, complete=trial % 6 == 0)
+        m = len(arcs)
+        # reachability: the error names the first customer the oracle flags
+        g = nx.DiGraph()
+        g.add_nodes_from(range(n_nodes))
+        g.add_edges_from(arcs)
+        reachable, reaching = nx.descendants(g, 0), nx.ancestors(g, 0)
+        want = None
+        for k in range(1, n_nodes):
+            if k not in reachable:
+                want = f"customer {k} unreachable from depot"
+            elif k not in reaching:
+                want = f"customer {k} cannot reach depot"
+            if want:
+                break
+        if want:
+            with pytest.raises(ValueError, match=want):
+                Network(n_nodes, tuple(arcs), np.ones(m), np.zeros((m, m)), 10.0)
+            continue
+        net = Network(n_nodes, tuple(arcs), np.ones(m), np.zeros((m, m)), 10.0)
+        # hop distances on the undirected skeleton
+        lengths = dict(nx.all_pairs_shortest_path_length(g.to_undirected()))
+        hops = arc_node_hops(net)
+        for a, (i, j) in enumerate(arcs):
+            for k in range(n_nodes):
+                assert hops[a, k] == min(lengths[i][k], lengths[j][k]), (trial, a, k)
+
+
+def test_import_does_not_load_networkx():
+    src = str(Path(twdesign.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import twdesign; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_arc_node_hops_incident_arcs_are_zero():
     net = small_net()
     hops = arc_node_hops(net)
@@ -244,6 +296,14 @@ def test_sample_set_validation():
         SampleSet(q=3, values=np.ones((2, 4)))
     with pytest.raises(ValueError, match="nonnegative"):
         SampleSet(q=1, values=np.array([[-1.0, 2.0]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SampleSet(q=1, values=np.array([[bad, 2.0]]))
+    # a writable input is copied and frozen, the caller's array is not
+    raw = np.ones((2, 3))
+    s = SampleSet(q=2, values=raw)
+    assert not s.values.flags.writeable and raw.flags.writeable
+    assert s.values is not raw
 
 
 # ---------------------------------------------------------------------------
@@ -424,3 +484,7 @@ def test_samples_bad_rows(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="sample file is empty"):
         load_samples(path, net)
+    for bad in ("nan", "inf"):
+        path.write_text(",".join(net.arc_labels()) + f"\n1,2,3,4,{bad},6\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_samples(path, net)

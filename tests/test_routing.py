@@ -166,8 +166,9 @@ def test_budgets():
     disp = float(np.sqrt(np.diag(cov)[tour_cols].sum()))
     assert budget_dro(route.x, net.mean, cov, 0.0) == pytest.approx(mean_part)
     assert budget_dro(route.x, net.mean, cov, 4.0) == pytest.approx(mean_part + 2 * disp)
-    with pytest.raises(ValueError, match="alpha1"):
-        budget_dro(route.x, net.mean, cov, -1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha1"):
+            budget_dro(route.x, net.mean, cov, bad)
 
 
 def test_route_cost_sm_matches_design():

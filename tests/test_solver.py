@@ -20,8 +20,11 @@ from twdesign import (
     oa_cut,
     penalties_from_beta,
     random_network,
+    route_cost_rm,
+    route_cost_sm,
     saa_window,
     sample_travel_times,
+    substream,
 )
 
 
@@ -57,6 +60,43 @@ def test_bnb_matches_enumeration_rm():
             a, b = solve_both(net, model, pen)
             assert b.objective == pytest.approx(a.objective, abs=1e-9), (seed, n)
             assert b.route.seq == a.route.seq
+
+
+def test_objective_is_plan_cost_bitwise():
+    # eight customers: from there numpy's pairwise sum would reorder the
+    # plan total, so only a visit-order sum of the same costs matches
+    n = 8
+    pen = penalties_from_beta(0.05, 0.05, n)
+    for seed in range(10):
+        net = random_network(n, seed=seed)
+        train = sample_travel_times(net, 1000, substream(seed, "sampling-train"))
+        for model in (SaaModel(train), DroModel(0.0, 0.0)):
+            a, b = solve_both(net, model, pen)
+            assert a.route.seq == b.route.seq
+            for res in (a, b):
+                if model.name == "sm":
+                    repriced = route_cost_sm(res.route, train, pen)
+                else:
+                    repriced = route_cost_rm(res.route, net.mean, net.cov, 0.0, pen)
+                assert res.objective == res.plan.total_cost == repriced, (seed, model.name)
+
+
+def test_bnb_matches_enumeration_rm_clamped_windows():
+    # a tight target and a large covariance inflation push the early
+    # customers' lower edges below zero, where the window is clamped and
+    # its cost is no longer (gamma_l + gamma_u) * sigma
+    n = 6
+    pen = penalties_from_beta(0.01, 0.01, n)
+    model = DroModel(alpha1=0.0, alpha2=20.0)
+    clamped_plans = 0
+    for seed in range(10):
+        net = random_network(n, seed=seed, complete=True)
+        a, b = solve_both(net, model, pen)
+        assert b.route.seq == a.route.seq, seed
+        assert b.objective == a.objective, seed
+        assert b.objective == b.plan.total_cost, seed
+        clamped_plans += bool(b.plan.clamped.any())
+    assert clamped_plans >= 5
 
 
 def test_bnb_unpruned_node_count_complete_graph():
@@ -139,6 +179,13 @@ def test_model_validation():
         branch_and_bound(net, DroModel(), pen)
     with pytest.raises(TypeError, match="unknown model"):
         enumerate_exact(net, object(), penalties_from_beta(0.1, 0.1, 3))
+    # a NaN inflation would price every tour at NaN and report a false
+    # infeasibility, an infinite one every tour at infinity
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            DroModel(alpha1=bad)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            DroModel(alpha2=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +205,21 @@ def test_budget_infeasible_reports_cheapest_tour():
     assert e1.value.min_budget > 1.0
     assert "budget infeasible" in str(e1.value)
     assert f"{e1.value.min_budget:.6g}" in str(e1.value)
+
+
+def test_infeasible_budget_matches_enumeration_exactly():
+    # the budget-only pass of the search must find enumeration's cheapest tour
+    for seed in range(6):
+        net = random_network(6, seed=seed, complete=seed % 2 == 0, time_budget=5.0)
+        samples = sample_travel_times(net, 50, seed=seed)
+        pen = penalties_from_beta(0.05, 0.05, 6)
+        for model in (SaaModel(samples), DroModel(alpha1=1.5)):
+            with pytest.raises(InfeasibleError) as e1:
+                enumerate_exact(net, model, pen)
+            with pytest.raises(InfeasibleError) as e2:
+                branch_and_bound(net, model, pen)
+            assert e2.value.min_budget == e1.value.min_budget, (seed, model.name)
+            assert str(e2.value) == str(e1.value)
 
 
 def test_no_circuit_network():

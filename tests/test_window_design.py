@@ -66,6 +66,12 @@ def test_penalty_config_rejects_bad_weights():
         PenaltyConfig(0.0 * one, one, one)
     with pytest.raises(ValueError, match=r"lie in \(0, 1\]"):
         PenaltyConfig(one, 1.5 * one, one)
+    # NaN passes neither "<= 0" nor "> 1", so it needs its own rejection
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"a_w: weights must lie in \(0, 1\]"):
+            PenaltyConfig([bad], [0.5], [0.5])
+        with pytest.raises(ValueError, match=r"a_u: weights must lie in \(0, 1\]"):
+            PenaltyConfig([0.1], [0.5], [bad])
     # ratio a_w/a_l + a_w/a_u must stay at most 1
     with pytest.raises(ValueError, match=r"a_w/a_l \+ a_w/a_u"):
         PenaltyConfig(0.6 * one, one, one)
@@ -488,6 +494,9 @@ def test_design_dro_alpha2_widens_windows():
     wide = design_dro(route, net.mean, net.cov, 5.0, pen)
     assert np.all(wide.width >= base.width - 1e-12)
     assert wide.total_cost > base.total_cost
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha2 must be finite and nonnegative"):
+            design_dro(route, net.mean, net.cov, bad, pen)
 
 
 def test_design_dro_rejects_boundary_without_flag():
