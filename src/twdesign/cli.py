@@ -31,7 +31,7 @@ from .instance import (
     substream,
 )
 from .routing import budget_saa, load_route, route_to_xy, save_route, write_cost_csv
-from .solver import DroModel, InfeasibleError, SaaModel, branch_and_bound, enumerate_exact
+from .solver import DroModel, InfeasibleError, SaaModel, branch_and_bound
 from .window_design import (
     PenaltyConfig,
     design_fixed_width,
@@ -114,7 +114,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha1", type=float, default=0.0)
     p.add_argument("--alpha2", type=float, default=0.0)
-    p.add_argument("--exact", action="store_true", help="full enumeration instead of branch and bound")
     p.add_argument("--cut-log", type=Path, default=None)
     p.add_argument("--out-dir", type=Path)
     p.add_argument("--no-timestamp", action="store_true")
@@ -230,7 +229,7 @@ def _cmd_solve(args) -> int:
     net = load_instance(args.instance)
     pen = _penalties(args, net.n_customers)
     model = _model(args, net)
-    res = enumerate_exact(net, model, pen) if args.exact else branch_and_bound(net, model, pen)
+    res = branch_and_bound(net, model, pen)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     doc = res.to_json_dict(include_timing=not args.no_timestamp)
     doc.update(_timestamp_extra(args))

@@ -166,7 +166,8 @@ def guideline_sweep(
 ) -> list[dict]:
     """Grid evaluation used to pick service-level targets.
 
-    For each (model, beta pair, seed) cell: draw training scenarios,
+    For each (model, beta pair, seed) cell: build the model (``sm``
+    draws training scenarios; ``rm`` reads only the network's moments),
     solve for the route and windows, draw fresh test scenarios, and
     score.  Each seed splits into independent named substreams for the
     training and test draws.  Rows come back sorted by
@@ -174,15 +175,18 @@ def guideline_sweep(
     """
     rows = []
     robust = DroModel(alpha1, alpha2)
+    model_for_seed = {
+        "sm": lambda seed: SaaModel(sample_travel_times(net, q_train, substream(seed, "sampling-train"))),
+        "rm": lambda seed: robust,
+    }
     for model_name in models:
-        if model_name not in ("sm", "rm"):
+        if model_name not in model_for_seed:
             raise ValueError(f"unknown model {model_name!r}; expected 'sm' or 'rm'")
         for beta_l, beta_u in beta_grid:
             pen = penalties_from_beta(beta_l, beta_u, net.n_customers)
             for seed in seeds:
-                train = sample_travel_times(net, q_train, substream(seed, "sampling-train"))
+                model = model_for_seed[model_name](seed)
                 test = sample_travel_times(net, q_test, substream(seed, "sampling-test"))
-                model = {"sm": SaaModel(train), "rm": robust}[model_name]
                 res = branch_and_bound(net, model, pen)
                 rep = evaluate_plan(res.route, res.plan, test)
                 rows.append(

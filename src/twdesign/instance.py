@@ -275,7 +275,6 @@ def random_network(
     seed: int,
     complete: bool = False,
     cov_params: CovGenParams | None = None,
-    mean_range: tuple[float, float] = (10.0, 30.0),
     tb_factor: float = 1.5,
     time_budget: float | None = None,
 ) -> Network:
@@ -310,7 +309,7 @@ def random_network(
             picks = rng.choice(len(pool), size=extra, replace=False)
             chosen.update(pool[p] for p in picks)
         arcs = sorted(chosen)
-    mean = rng.uniform(mean_range[0], mean_range[1], len(arcs))
+    mean = rng.uniform(10.0, 30.0, len(arcs))
     arc_pos = {arc: a for a, arc in enumerate(arcs)}
     cycle_mean = float(sum(mean[arc_pos[arc]] for arc in cycle))
     tb = float(time_budget) if time_budget is not None else tb_factor * cycle_mean

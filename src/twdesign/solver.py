@@ -119,13 +119,6 @@ class DroModel:
         return [oa_cut(route.y[k - 1], cbar, customer=k) for k in route.customers]
 
 
-@dataclass(frozen=True)
-class SearchOptions:
-    initial_seq: tuple[int, ...] | None = None
-    prune: bool = True
-    greedy_start: bool = True
-
-
 @dataclass(eq=False)
 class SolveResult:
     route: Route
@@ -165,30 +158,58 @@ def _checked_context(net: Network, model, pen: PenaltyConfig):
     return model.context(net, pen)
 
 
-def _infeasible(min_budget: float, time_budget: float) -> InfeasibleError:
-    if not np.isfinite(min_budget):
-        return InfeasibleError("no feasible tour: network admits no full circuit")
-    return InfeasibleError(
-        f"budget infeasible: cheapest tour needs {min_budget:.6g} "
-        f"but the budget is {time_budget:.6g}",
-        min_budget=float(min_budget),
-    )
+class _Incumbent:
+    """The best tour a search has found, and the rule every complete tour
+    goes through: build the route, take its budget, track the cheapest
+    budget seen, and keep the tour when it is within the time budget and
+    strictly cheaper than the best so far."""
 
+    def __init__(self, net: Network, model, ctx):
+        self.net = net
+        self.model = model
+        self.ctx = ctx
+        self.cost = np.inf
+        self.route: Route | None = None
+        self.min_budget = np.inf
 
-def _result(net: Network, model, pen, seq, cost, nodes: int, pruned: int, start: float) -> SolveResult:
-    route = route_to_xy(seq, net)
-    return SolveResult(
-        route=route,
-        plan=model.plan(net, route, pen),
-        objective=float(cost),
-        budget_value=model.budget(net, route.x),
-        budget_limit=net.time_budget,
-        nodes=nodes,
-        pruned=pruned,
-        proof_of_optimality=True,
-        wall_time=time.perf_counter() - start,
-        model=model.name,
-    )
+    def offer(self, seq, cost: float | None = None) -> None:
+        """Consider the tour ``seq``.  ``cost`` is its window cost when the
+        caller has it already; otherwise a feasible tour is priced here."""
+        route = route_to_xy(seq, self.net)
+        budget = self.model.budget(self.net, route.x)
+        self.min_budget = min(self.min_budget, budget)
+        if budget > self.net.time_budget:
+            return
+        if cost is None:
+            cost = price_route(self.ctx, route)
+        if cost < self.cost:
+            self.cost = cost
+            self.route = route
+
+    def infeasible(self) -> InfeasibleError:
+        """The error for a search that found no feasible tour, quoting the
+        cheapest budget seen."""
+        if not np.isfinite(self.min_budget):
+            return InfeasibleError("no feasible tour: network admits no full circuit")
+        return InfeasibleError(
+            f"budget infeasible: cheapest tour needs {self.min_budget:.6g} "
+            f"but the budget is {self.net.time_budget:.6g}",
+            min_budget=float(self.min_budget),
+        )
+
+    def result(self, pen: PenaltyConfig, nodes: int, pruned: int, start: float) -> SolveResult:
+        return SolveResult(
+            route=self.route,
+            plan=self.model.plan(self.net, self.route, pen),
+            objective=float(self.cost),
+            budget_value=self.model.budget(self.net, self.route.x),
+            budget_limit=self.net.time_budget,
+            nodes=nodes,
+            pruned=pruned,
+            proof_of_optimality=True,
+            wall_time=time.perf_counter() - start,
+            model=self.model.name,
+        )
 
 
 ENUMERATE_MAX_CUSTOMERS = 9
@@ -201,31 +222,20 @@ def enumerate_exact(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     nine customers; beyond that use ``branch_and_bound``.
     """
     start = time.perf_counter()
-    ctx = _checked_context(net, model, pen)
+    inc = _Incumbent(net, model, _checked_context(net, model, pen))
     if net.n_customers > ENUMERATE_MAX_CUSTOMERS:
         raise ValueError(f"enumeration limited to {ENUMERATE_MAX_CUSTOMERS} customers")
     arcs = net.arc_index
-    best_cost = np.inf
-    best_seq = None
-    min_budget = np.inf
     tours_priced = 0
     for perm in itertools.permutations(net.customers):
         path = (0, *perm, 0)
         if any((path[t], path[t + 1]) not in arcs for t in range(len(path) - 1)):
             continue
-        route = route_to_xy(path, net)
         tours_priced += 1
-        budget = model.budget(net, route.x)
-        min_budget = min(min_budget, budget)
-        if budget > net.time_budget:
-            continue
-        cost = price_route(ctx, route)
-        if cost < best_cost:
-            best_cost = cost
-            best_seq = route.seq
-    if best_seq is None:
-        raise _infeasible(min_budget, net.time_budget)
-    return _result(net, model, pen, best_seq, best_cost, tours_priced, 0, start)
+        inc.offer(path)
+    if inc.route is None:
+        raise inc.infeasible()
+    return inc.result(pen, tours_priced, 0, start)
 
 
 class _BudgetOnly:
@@ -265,22 +275,21 @@ def _greedy_seq(net: Network, linear: np.ndarray) -> tuple[int, ...] | None:
     return tuple(seq)
 
 
-def _dfs(net: Network, model, ctx, prune: bool, best_cost=np.inf, best_seq=None,
-         min_budget=np.inf, chase_budget: bool = False):
+def _dfs(net: Network, inc: _Incumbent, chase_budget: bool = False) -> tuple[int, int]:
     """Depth-first search over partial visit sequences from the depot.
 
-    Starts from the incumbent (best_cost, best_seq) and returns the best
-    tour found with the cheapest budget seen, nodes and prunes.  With
+    Offers every complete tour it reaches to the incumbent ``inc`` and
+    returns the nodes visited and the children pruned.  With
     ``chase_budget`` the budget limit is the cheapest budget seen so far
     instead of the time budget: paired with ``_BudgetOnly`` this finds
     the exact minimum tour budget, which infeasibility reports quote.
     """
+    ctx = inc.ctx
     linear = ctx.linear
     min_in = np.full(net.node_count, np.inf)
     for a, (i, j) in enumerate(net.arcs):
         min_in[j] = min(min_in[j], linear[a])
-    tb = net.time_budget
-    limit = (min_budget if chase_budget else tb) + BUDGET_PRUNE_SLACK
+    limit = (inc.min_budget if chase_budget else net.time_budget) + BUDGET_PRUNE_SLACK
     nodes = 0
     pruned = 0
     n_customers = net.n_customers
@@ -288,22 +297,13 @@ def _dfs(net: Network, model, ctx, prune: bool, best_cost=np.inf, best_seq=None,
     visited[0] = True
 
     def visit(node: int, depth: int, seq: list[int], state, acc_cost: float, acc_linear: float):
-        nonlocal nodes, pruned, best_cost, best_seq, min_budget, limit
+        nonlocal nodes, pruned, limit
         nodes += 1
         if depth == n_customers:
-            arc = net.arc_index.get((node, 0))
-            if arc is None:
-                return
-            route = route_to_xy((*seq, 0), net)
-            budget = model.budget(net, route.x)
-            min_budget = min(min_budget, budget)
-            if budget > tb:
+            if (node, 0) in net.arc_index:
+                inc.offer((*seq, 0), acc_cost)
                 if chase_budget:
-                    limit = min_budget + BUDGET_PRUNE_SLACK
-                return
-            if acc_cost < best_cost:
-                best_cost = acc_cost
-                best_seq = tuple(route.seq)
+                    limit = inc.min_budget + BUDGET_PRUNE_SLACK
             return
         for j, arc in net.out_arcs[node]:
             if j == 0 or visited[j]:
@@ -311,24 +311,23 @@ def _dfs(net: Network, model, ctx, prune: bool, best_cost=np.inf, best_seq=None,
             child_linear = acc_linear + linear[arc]
             child_state = ctx.extend(state, arc)
             child_cost = acc_cost + ctx.place_cost(child_state, j)
-            if prune:
-                if child_cost >= best_cost:
-                    pruned += 1
-                    continue
-                remaining = [k for k in range(1, net.node_count) if not visited[k] and k != j]
-                lb = child_linear + sum(min_in[k] for k in remaining)
-                if remaining:
-                    closing = [
-                        linear[a]
-                        for jj, a in net.in_arcs[0]
-                        if not visited[jj] and jj != j
-                    ]
-                else:
-                    closing = [linear[a] for jj, a in net.in_arcs[0] if jj == j]
-                lb += min(closing) if closing else np.inf
-                if lb > limit:
-                    pruned += 1
-                    continue
+            if child_cost >= inc.cost:
+                pruned += 1
+                continue
+            remaining = [k for k in range(1, net.node_count) if not visited[k] and k != j]
+            lb = child_linear + sum(min_in[k] for k in remaining)
+            if remaining:
+                closing = [
+                    linear[a]
+                    for jj, a in net.in_arcs[0]
+                    if not visited[jj] and jj != j
+                ]
+            else:
+                closing = [linear[a] for jj, a in net.in_arcs[0] if jj == j]
+            lb += min(closing) if closing else np.inf
+            if lb > limit:
+                pruned += 1
+                continue
             visited[j] = True
             seq.append(j)
             visit(j, depth + 1, seq, child_state, child_cost, child_linear)
@@ -336,21 +335,20 @@ def _dfs(net: Network, model, ctx, prune: bool, best_cost=np.inf, best_seq=None,
             visited[j] = False
 
     visit(0, 0, [0], ctx.root_state(), 0.0, 0.0)
-    return best_cost, best_seq, min_budget, nodes, pruned
+    return nodes, pruned
 
 
-def branch_and_bound(
-    net: Network, model, pen: PenaltyConfig, options: SearchOptions | None = None
-) -> SolveResult:
+def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     """Exact depth-first search over partial visit sequences.
 
     A placed customer's window cost is final, so the accumulated cost is
     an admissible lower bound and any partial sequence matching or
-    exceeding the incumbent can be discarded.  The budget bound adds, to
-    the linear part of the partial duration, each unvisited node's
-    cheapest incoming arc plus the cheapest closing arc; the dispersion
-    part of the robust budget is nonnegative, so the bound stays
-    admissible there too.  Single-threaded and fully deterministic:
+    exceeding the incumbent can be discarded; the first incumbent is the
+    nearest-neighbour tour by linear arc cost, when that tour exists.
+    The budget bound adds, to the linear part of the partial duration,
+    each unvisited node's cheapest incoming arc plus the cheapest closing
+    arc; the dispersion part of the robust budget is nonnegative, so the
+    bound stays admissible there too.  Single-threaded and fully deterministic:
     children are explored in ascending node order.  Practical up to
     roughly fifteen customers; beyond that the permutation space
     outgrows what incremental pricing can cover.
@@ -359,46 +357,21 @@ def branch_and_bound(
     route cost (``route_cost_sm``/``route_cost_rm``) exactly, not just to
     a tolerance: all three sum the same pricer's costs in visit order.
     """
-    opts = options or SearchOptions()
     start = time.perf_counter()
     ctx = _checked_context(net, model, pen)
-    best_cost = np.inf
-    best_seq: tuple[int, ...] | None = None
-    min_budget = np.inf
-
-    def consider(seq: tuple[int, ...]) -> None:
-        nonlocal best_cost, best_seq, min_budget
-        try:
-            route = route_to_xy(seq, net)
-        except ValueError:
-            return
-        budget = model.budget(net, route.x)
-        min_budget = min(min_budget, budget)
-        if budget > net.time_budget:
-            return
-        cost = price_route(ctx, route)
-        if cost < best_cost:
-            best_cost = cost
-            best_seq = seq
-
-    if opts.initial_seq is not None:
-        consider(tuple(opts.initial_seq))
-    if opts.greedy_start and opts.prune:
-        greedy = _greedy_seq(net, ctx.linear)
-        if greedy is not None:
-            consider(greedy)
-
-    best_cost, best_seq, min_budget, nodes, pruned = _dfs(
-        net, model, ctx, opts.prune, best_cost, best_seq, min_budget
-    )
-    if best_seq is None:
+    inc = _Incumbent(net, model, ctx)
+    greedy = _greedy_seq(net, ctx.linear)
+    if greedy is not None:
+        inc.offer(greedy)
+    nodes, pruned = _dfs(net, inc)
+    if inc.route is None:
         # pruning may have discarded every completion before its exact
         # budget was priced, so search again for the true cheapest budget
-        _, _, cheapest, _, _ = _dfs(
-            net, model, _BudgetOnly(ctx.linear), True, min_budget=min_budget, chase_budget=True
-        )
-        raise _infeasible(cheapest, net.time_budget)
-    return _result(net, model, pen, best_seq, best_cost, nodes, pruned, start)
+        cheapest = _Incumbent(net, model, _BudgetOnly(ctx.linear))
+        cheapest.min_budget = inc.min_budget
+        _dfs(net, cheapest, chase_budget=True)
+        raise cheapest.infeasible()
+    return inc.result(pen, nodes, pruned, start)
 
 
 # ---------------------------------------------------------------------------

@@ -454,7 +454,7 @@ def _inner_fixed_cost(srt, cum, a_l, a_u, q, width):
     return float(f[best]), float(cands[best])
 
 
-def design_fixed_width(route, samples, pen: PenaltyConfig, a_w_shared: float | None = None) -> WindowPlan:
+def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
     """Optimal shared-width windows for all customers of a route.
 
     Minimises sum_k [a_w w + (a_l^k/q) sum (l_k - tau)+ +
@@ -467,12 +467,9 @@ def design_fixed_width(route, samples, pen: PenaltyConfig, a_w_shared: float | N
     """
     from .routing import arrival_matrix
 
-    if a_w_shared is None:
-        if not np.all(pen.a_w == pen.a_w[0]):
-            raise ValueError("shared-width design needs a customer-independent a_w")
-        a_w_shared = float(pen.a_w[0])
-    if a_w_shared <= 0:
-        raise ValueError("a_w_shared must be positive")
+    if not np.all(pen.a_w == pen.a_w[0]):
+        raise ValueError("shared-width design needs a customer-independent a_w")
+    a_w = float(pen.a_w[0])
     arr = arrival_matrix(route, samples.values)
     q = samples.q
     n = len(route.customers)
@@ -497,7 +494,7 @@ def design_fixed_width(route, samples, pen: PenaltyConfig, a_w_shared: float | N
     def total_at(idx: int) -> float:
         if idx not in cache:
             w = float(widths[idx])
-            total = n * a_w_shared * w
+            total = n * a_w * w
             for pos, k in enumerate(route.customers):
                 _, a_l, a_u = pen.for_customer(k)
                 srt, cum = per_cust[pos]
@@ -524,7 +521,7 @@ def design_fixed_width(route, samples, pen: PenaltyConfig, a_w_shared: float | N
         _, l_best = _inner_fixed_cost(srt, cum, a_l, a_u, q, w)
         col = arr[:, pos]
         cost = (
-            a_w_shared * w
+            a_w * w
             + (a_l / q) * float(np.maximum(l_best - col, 0.0).sum())
             + (a_u / q) * float(np.maximum(col - l_best - w, 0.0).sum())
         )
@@ -653,23 +650,18 @@ class DroPricer:
         return _dro_window(m, max(quad, 0.0), *self.terms[k])[2]
 
 
-def design_dro(route, mean, cov, alpha2: float, pen: PenaltyConfig, allow_boundary: bool = False) -> WindowPlan:
+def design_dro(route, mean, cov, alpha2: float, pen: PenaltyConfig) -> WindowPlan:
     """Moment-robust windows built around each customer's arrival mean.
 
     The arrival moments come from the prefix of the route: m = mean on
     the path to the customer, s^2 = path variance under cov + alpha2 I
     (the inflation alpha2 guards against covariance estimation error).
-    Requires 2 a_w < min(a_l, a_u); the degenerate boundary case
-    2 a_w = a_side collapses the corresponding window edge onto the mean
-    and is admitted only with ``allow_boundary``.
+    Requires 2 a_w < min(a_l, a_u) (``PenaltyConfig.dro_valid``, the
+    rule ``DroModel`` checks before a search).
     """
+    if not pen.dro_valid:
+        raise ValueError("coefficient domain: moment-robust design needs 2*a_w < min(a_l, a_u)")
     pricer = DroPricer(mean, cov, alpha2, pen)
-    slack = CMP_TOL if allow_boundary else -CMP_TOL
-    if np.any(2 * pen.a_w - pen.a_l > slack) or np.any(2 * pen.a_w - pen.a_u > slack):
-        raise ValueError(
-            "coefficient domain: moment-robust design needs 2*a_w < min(a_l, a_u)"
-            + ("" if allow_boundary else " (strictly)")
-        )
     lowers, uppers, costs, flags = [], [], [], []
     for k, (m, _, quad) in _prefix_states(pricer, route):
         lo, up, cost, clamped = _dro_window(m, max(quad, 0.0), *pricer.terms[k])

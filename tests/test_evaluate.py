@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from twdesign import (
+    DroModel,
     Network,
     SampleSet,
     SaaModel,
@@ -164,6 +165,34 @@ def test_guideline_sweep_matches_manual_pipeline():
     assert row["late_rate"] == pytest.approx(rep.late_rate, abs=0)
     assert row["width"] == pytest.approx(rep.mean_length, abs=0)
     assert row["budget_used"] == pytest.approx(budget_saa(res.route.x, train), abs=0)
+
+
+def test_guideline_sweep_rm_draws_only_test_scenarios(monkeypatch):
+    import twdesign.evaluate
+
+    net = random_network(3, seed=5, complete=True)
+    pen = penalties_from_beta(0.1, 0.1, 3)
+    want = []
+    for seed in (4, 9):
+        test = sample_travel_times(net, 50, substream(seed, "sampling-test"))
+        res = branch_and_bound(net, DroModel(0.2, 0.1), pen)
+        rep = evaluate_plan(res.route, res.plan, test)
+        want.append({
+            "model": "rm", "beta_l": 0.1, "beta_u": 0.1, "seed": seed,
+            "width": rep.mean_length, "early_rate": rep.early_rate, "late_rate": rep.late_rate,
+            "objective": res.objective, "budget_used": res.budget_value,
+        })
+    draws = []
+
+    def counting(net, q, seed):
+        draws.append(q)
+        return sample_travel_times(net, q, seed)
+
+    monkeypatch.setattr(twdesign.evaluate, "sample_travel_times", counting)
+    rows = guideline_sweep(net, [(0.1, 0.1)], ["rm"], [4, 9], q_train=70, q_test=50,
+                           alpha1=0.2, alpha2=0.1)
+    assert draws == [50, 50]  # test draws only: the moment model reads no training set
+    assert rows == want
 
 
 def test_guideline_sweep_row_order_and_models():

@@ -12,10 +12,11 @@ from twdesign import (
     PenaltyConfig,
     SaaModel,
     SampleSet,
-    SearchOptions,
     benders_cut,
     branch_and_bound,
+    critical_indices,
     cut_check,
+    design_dro,
     enumerate_exact,
     oa_cut,
     penalties_from_beta,
@@ -28,10 +29,25 @@ from twdesign import (
 )
 
 
-def solve_both(net, model, pen, **kw):
+def solve_both(net, model, pen):
     a = enumerate_exact(net, model, pen)
-    b = branch_and_bound(net, model, pen, **kw)
+    b = branch_and_bound(net, model, pen)
     return a, b
+
+
+def outcome(solver, net, model, pen):
+    """What a solver returns or raises, in a form compared with ``==``."""
+    try:
+        res = solver(net, model, pen)
+    except InfeasibleError as exc:
+        return "infeasible", str(exc), exc.min_budget
+    except ValueError as exc:
+        return "invalid", str(exc)
+    return "solved", res.route.seq, res.objective
+
+
+def both_models(samples):
+    return SaaModel(samples), DroModel(alpha1=0.5, alpha2=0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -99,50 +115,83 @@ def test_bnb_matches_enumeration_rm_clamped_windows():
     assert clamped_plans >= 5
 
 
-def test_bnb_unpruned_node_count_complete_graph():
-    # without pruning the DFS visits every partial permutation exactly once
-    n = 4
-    net = random_network(n, seed=1, complete=True)
-    samples = sample_travel_times(net, 30, seed=2)
-    pen = penalties_from_beta(0.1, 0.1, n)
-    res = branch_and_bound(
-        net, SaaModel(samples), pen, options=SearchOptions(prune=False, greedy_start=False)
-    )
-    want = sum(
-        math.factorial(n) // math.factorial(n - d) for d in range(n + 1)
-    )  # 1 + 4 + 12 + 24 + 24
-    assert res.nodes == want == 65
-    assert res.pruned == 0
-
-
 def test_bnb_pruning_only_saves_work():
-    net = random_network(5, seed=4, complete=True)
+    n = 5
+    net = random_network(n, seed=4, complete=True)
     samples = sample_travel_times(net, 60, seed=5)
-    pen = penalties_from_beta(0.1, 0.1, 5)
-    fast = branch_and_bound(net, SaaModel(samples), pen)
-    slow = branch_and_bound(
-        net, SaaModel(samples), pen, options=SearchOptions(prune=False, greedy_start=False)
-    )
-    assert fast.objective == pytest.approx(slow.objective, abs=1e-12)
-    assert fast.route.seq == slow.route.seq
-    assert fast.nodes <= slow.nodes
+    pen = penalties_from_beta(0.1, 0.1, n)
+    ref, fast = solve_both(net, SaaModel(samples), pen)
+    assert fast.objective == pytest.approx(ref.objective, abs=1e-12)
+    assert fast.route.seq == ref.route.seq
+    # an unpruned search visits every partial permutation exactly once
+    full_tree = sum(math.factorial(n) // math.factorial(n - d) for d in range(n + 1))
+    assert fast.nodes < full_tree
     assert fast.pruned > 0
 
 
-def test_bnb_accepts_warm_start():
-    net = random_network(5, seed=9, complete=True)
-    samples = sample_travel_times(net, 60, seed=9)
-    pen = penalties_from_beta(0.1, 0.1, 5)
-    base = branch_and_bound(net, SaaModel(samples), pen)
-    warm = branch_and_bound(
-        net,
-        SaaModel(samples),
-        pen,
-        options=SearchOptions(initial_seq=base.route.seq),
-    )
-    assert warm.objective == pytest.approx(base.objective, abs=1e-12)
-    assert warm.route.seq == base.route.seq
-    assert warm.nodes <= base.nodes + 1
+def test_bnb_matches_enumeration_on_degenerate_inputs():
+    def agree(net, model, pen, label, every_tour_ties=False):
+        got = outcome(branch_and_bound, net, model, pen)
+        want = outcome(enumerate_exact, net, model, pen)
+        if every_tour_ties:
+            # every window is a point of cost zero, so every feasible tour
+            # is optimal and the two searches may return different ones
+            got, want = (got[0], got[2]), (want[0], want[2])
+        assert got == want, label
+        return got[0]
+
+    n = 4
+    pen = penalties_from_beta(0.1, 0.1, n)
+    # equal critical indices: the sm window is a point at one order
+    # statistic, and 2 a_w = a_l puts rm on its excluded boundary
+    point = PenaltyConfig(np.full(5, 0.5), np.ones(5), np.ones(5))
+    p1, p2 = critical_indices(5, 0.5, 1.0, 1.0)
+    assert p1 == p2
+    for seed in range(6):
+        net = random_network(n, seed=seed, complete=seed % 2 == 0)
+        for model in both_models(sample_travel_times(net, 1, seed=seed)):
+            kind = agree(net, model, pen, (seed, model.name, "q=1"), every_tour_ties=model.name == "sm")
+            assert kind == "solved"
+        net5 = random_network(5, seed=seed, complete=seed % 2 == 0)
+        for model in both_models(sample_travel_times(net5, 5, seed=seed)):
+            kind = agree(net5, model, point, (seed, model.name, "p1 == p2"))
+            assert kind == ("solved" if model.name == "sm" else "invalid")
+        flat = Network(net.node_count, net.arcs, net.mean, np.zeros_like(net.cov), net.time_budget)
+        for model in (SaaModel(sample_travel_times(flat, 20, seed=seed)), DroModel(alpha1=0.5)):
+            kind = agree(flat, model, pen, (seed, model.name, "zero covariance"), every_tour_ties=True)
+            assert kind == "solved"
+        for model in both_models(sample_travel_times(net, 30, seed=seed)):
+            shut = Network(net.node_count, net.arcs, net.mean, net.cov, 1.0)
+            with pytest.raises(InfeasibleError) as exc:
+                enumerate_exact(shut, model, pen)
+            assert agree(shut, model, pen, (seed, model.name, "infeasible")) == "infeasible"
+            # a budget equal to the cheapest tour's budget admits that tour
+            exact = Network(net.node_count, net.arcs, net.mean, net.cov, exc.value.min_budget)
+            assert agree(exact, model, pen, (seed, model.name, "tight budget")) == "solved"
+    # no full circuit: each customer is reachable, but no tour covers both
+    arcs = ((0, 1), (1, 0), (0, 2), (2, 0))
+    net = Network(3, arcs, np.ones(4), np.zeros((4, 4)), 100.0)
+    for model in both_models(sample_travel_times(net, 5, seed=0)):
+        assert agree(net, model, penalties_from_beta(0.1, 0.1, 2), model.name) == "infeasible"
+
+
+def test_dro_domain_rule_is_checked_before_search(monkeypatch):
+    net = random_network(4, seed=0, complete=True)
+    # just inside 2 a_w < a_l: the search and the plan accept it alike
+    inside = PenaltyConfig(np.full(4, 0.5 - 5e-14), np.ones(4), np.ones(4))
+    res = branch_and_bound(net, DroModel(), inside)
+    assert res.objective == res.plan.total_cost
+    # on the boundary both refuse before any search starts
+    boundary = PenaltyConfig(np.full(4, 0.5), np.ones(4), np.ones(4))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched an input outside the domain")
+
+    monkeypatch.setattr("twdesign.solver._dfs", no_search)
+    with pytest.raises(ValueError, match="coefficient domain"):
+        branch_and_bound(net, DroModel(), boundary)
+    with pytest.raises(ValueError, match="coefficient domain: moment-robust design needs 2\\*a_w < min"):
+        design_dro(res.route, net.mean, net.cov, 0.0, boundary)
 
 
 def test_bnb_deterministic_across_runs():
