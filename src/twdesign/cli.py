@@ -30,7 +30,7 @@ from .instance import (
     save_instance,
     substream,
 )
-from .routing import budget_saa, load_route, route_to_xy, save_route, write_cost_csv
+from .routing import load_route, route_to_xy, save_route, write_cost_csv
 from .solver import DroModel, InfeasibleError, SaaModel, branch_and_bound
 from .window_design import (
     PenaltyConfig,
@@ -263,7 +263,6 @@ def _cmd_eval(args) -> int:
         beta_u="" if args.beta_u is None else args.beta_u,
         seed=args.seed,
         objective=plan.total_cost,
-        budget_used=budget_saa(route.x, test),
     )
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_report_csv(rows, args.out)
@@ -311,8 +310,6 @@ _COMMANDS = {
     "guideline": _cmd_guideline,
 }
 
-_PATH_KEYS = {"out", "out_dir", "instance", "route", "plan", "cut_log", "cost_csv", "config"}
-
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
@@ -339,13 +336,13 @@ def main(argv=None) -> int:
         if unknown:
             print(f"twdesign: error: --config: unknown keys {sorted(unknown)}", file=sys.stderr)
             return 1
-        coerced = {
-            k: (Path(v) if k in _PATH_KEYS and isinstance(v, str) else v)
-            for k, v in cfg.items()
-        }
         for p in subparsers.values():
-            local = {a.dest for a in p._actions}
-            p.set_defaults(**{k: v for k, v in coerced.items() if k in local})
+            defaults = {}
+            for a in p._actions:
+                if a.dest in cfg:
+                    value = cfg[a.dest]
+                    defaults[a.dest] = Path(value) if a.type is Path and isinstance(value, str) else value
+            p.set_defaults(**defaults)
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -6,11 +6,12 @@ final tour), which makes depth-first search with partial-cost pruning
 exact: the accumulated cost of placed customers never overestimates the
 finished tour.  Two searches are provided on purpose:
 
-* ``enumerate_exact`` walks every customer permutation and prices each
-  complete tour from the depot.  Slow, simple, and used as the reference.
-* ``branch_and_bound`` extends partial paths along existing arcs with
-  incremental arrival bookkeeping, an admissible budget bound, and
-  incumbent pruning.
+* ``enumerate_exact`` walks the arcs depth first without pruning and
+  prices each complete tour from the depot.  Slow, simple, and used as
+  the reference.
+* ``branch_and_bound`` extends partial paths along existing arcs,
+  cheapest arc first, with incremental arrival bookkeeping, an
+  admissible budget bound, and incumbent pruning.
 
 Both respect the duration budget exactly as defined in ``routing``, and
 both price through the model's pricer from ``window_design``, so they
@@ -30,7 +31,6 @@ outer-approximation gradient cut.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import ClassVar
@@ -216,23 +216,35 @@ ENUMERATE_MAX_CUSTOMERS = 9
 
 
 def enumerate_exact(net: Network, model, pen: PenaltyConfig) -> SolveResult:
-    """Reference solver: price every feasible customer permutation.
+    """Reference solver: price every tour the arcs admit.
 
-    Ties are broken lexicographically by visit sequence.  Limited to
-    nine customers; beyond that use ``branch_and_bound``.
+    Walks the arcs depth first in ascending node order, without pruning,
+    so complete tours come in lexicographic order and ties go to the
+    lexicographically first visit sequence.  ``nodes`` counts the tours
+    priced.  Limited to nine customers; beyond that use
+    ``branch_and_bound``.
     """
     start = time.perf_counter()
     inc = _Incumbent(net, model, _checked_context(net, model, pen))
     if net.n_customers > ENUMERATE_MAX_CUSTOMERS:
         raise ValueError(f"enumeration limited to {ENUMERATE_MAX_CUSTOMERS} customers")
-    arcs = net.arc_index
     tours_priced = 0
-    for perm in itertools.permutations(net.customers):
-        path = (0, *perm, 0)
-        if any((path[t], path[t + 1]) not in arcs for t in range(len(path) - 1)):
-            continue
-        tours_priced += 1
-        inc.offer(path)
+    seq = [0]
+
+    def walk(node: int):
+        nonlocal tours_priced
+        if len(seq) == net.node_count:
+            if (node, 0) in net.arc_index:
+                tours_priced += 1
+                inc.offer((*seq, 0))
+            return
+        for j, _ in net.out_arcs[node]:
+            if j not in seq:
+                seq.append(j)
+                walk(j)
+                seq.pop()
+
+    walk(0)
     if inc.route is None:
         raise inc.infeasible()
     return inc.result(pen, tours_priced, 0, start)
@@ -255,29 +267,10 @@ class _BudgetOnly:
         return 0.0
 
 
-def _greedy_seq(net: Network, linear: np.ndarray) -> tuple[int, ...] | None:
-    """Nearest-neighbour tour by the linear arc cost; None on dead ends."""
-    seq = [0]
-    visited = {0}
-    node = 0
-    for _ in range(net.n_customers):
-        choices = [
-            (linear[a], j, a) for j, a in net.out_arcs[node] if j not in visited
-        ]
-        if not choices:
-            return None
-        _, node, _ = min(choices)
-        visited.add(node)
-        seq.append(node)
-    if (node, 0) not in net.arc_index:
-        return None
-    seq.append(0)
-    return tuple(seq)
-
-
 def _dfs(net: Network, inc: _Incumbent, chase_budget: bool = False) -> tuple[int, int]:
     """Depth-first search over partial visit sequences from the depot.
 
+    Children are tried cheapest linear arc first (ties by node id).
     Offers every complete tour it reaches to the incumbent ``inc`` and
     returns the nodes visited and the children pruned.  With
     ``chase_budget`` the budget limit is the cheapest budget seen so far
@@ -289,6 +282,9 @@ def _dfs(net: Network, inc: _Incumbent, chase_budget: bool = False) -> tuple[int
     min_in = np.full(net.node_count, np.inf)
     for a, (i, j) in enumerate(net.arcs):
         min_in[j] = min(min_in[j], linear[a])
+    successors = {
+        i: sorted(out, key=lambda step: (linear[step[1]], step[0])) for i, out in net.out_arcs.items()
+    }
     limit = (inc.min_budget if chase_budget else net.time_budget) + BUDGET_PRUNE_SLACK
     nodes = 0
     pruned = 0
@@ -305,7 +301,7 @@ def _dfs(net: Network, inc: _Incumbent, chase_budget: bool = False) -> tuple[int
                 if chase_budget:
                     limit = inc.min_budget + BUDGET_PRUNE_SLACK
             return
-        for j, arc in net.out_arcs[node]:
+        for j, arc in successors[node]:
             if j == 0 or visited[j]:
                 continue
             child_linear = acc_linear + linear[arc]
@@ -343,15 +339,17 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
 
     A placed customer's window cost is final, so the accumulated cost is
     an admissible lower bound and any partial sequence matching or
-    exceeding the incumbent can be discarded; the first incumbent is the
-    nearest-neighbour tour by linear arc cost, when that tour exists.
-    The budget bound adds, to the linear part of the partial duration,
-    each unvisited node's cheapest incoming arc plus the cheapest closing
-    arc; the dispersion part of the robust budget is nonnegative, so the
-    bound stays admissible there too.  Single-threaded and fully deterministic:
-    children are explored in ascending node order.  Practical up to
-    roughly fifteen customers; beyond that the permutation space
-    outgrows what incremental pricing can cover.
+    exceeding the incumbent can be discarded.  The budget bound adds, to
+    the linear part of the partial duration, each unvisited node's
+    cheapest incoming arc plus the cheapest closing arc; the dispersion
+    part of the robust budget is nonnegative, so the bound stays
+    admissible there too.  Single-threaded and fully deterministic:
+    children are explored cheapest linear arc first (ties by node id),
+    so the first tour reached is the nearest-neighbour tour when that
+    walk does not dead-end (or break the budget bound), and among
+    exactly tied tours the search keeps the first it completes.
+    Practical up to roughly fifteen customers; beyond that the
+    permutation space outgrows what incremental pricing can cover.
 
     The returned ``objective`` equals ``plan.total_cost`` and the model's
     route cost (``route_cost_sm``/``route_cost_rm``) exactly, not just to
@@ -360,9 +358,6 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     start = time.perf_counter()
     ctx = _checked_context(net, model, pen)
     inc = _Incumbent(net, model, ctx)
-    greedy = _greedy_seq(net, ctx.linear)
-    if greedy is not None:
-        inc.offer(greedy)
     nodes, pruned = _dfs(net, inc)
     if inc.route is None:
         # pruning may have discarded every completion before its exact

@@ -266,6 +266,34 @@ def test_eval_command(inst, tmp_path):
     assert all(0.0 <= v <= 1.0 for v in rates)
 
 
+def test_eval_leaves_budget_used_empty(inst, tmp_path):
+    # eval is given no model, so it cannot quote the solved model's budget
+    net, inst_path = inst
+    out_dir = tmp_path / "run"
+    rc = main(
+        [
+            "solve", "--instance", str(inst_path), "--model", "rm",
+            "--beta-l", "0.05", "--beta-u", "0.05", "--alpha1", "4",
+            "--out-dir", str(out_dir), "--no-timestamp",
+        ]
+    )
+    assert rc == 0
+    report = tmp_path / "report.csv"
+    rc = main(
+        [
+            "eval", "--instance", str(inst_path), "--route", str(out_dir / "route.json"),
+            "--plan", str(out_dir / "plan.json"), "--q-test", "200",
+            "--model", "rm", "--beta-l", "0.05", "--beta-u", "0.05", "--out", str(report),
+        ]
+    )
+    assert rc == 0
+    with open(report, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[-1]["customer"] == ""
+    assert rows[-1]["objective"] != ""
+    assert [r["budget_used"] for r in rows] == [""] * len(rows)
+
+
 def test_eval_rejects_zero_draws(inst, tmp_path, capsys):
     net, inst_path = inst
     rc = main(
@@ -325,6 +353,23 @@ def test_config_file_supplies_defaults(inst, tmp_path):
     train = sample_travel_times(net, 60, substream(0, "sampling-train"))
     ref = enumerate_exact(net, SaaModel(train), penalties_from_beta(0.1, 0.1, 3))
     assert doc["objective"] == pytest.approx(ref.objective, abs=1e-9)
+
+
+def test_config_file_supplies_paths(inst, tmp_path):
+    net, inst_path = inst
+    out_dir = tmp_path / "run"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instance": str(inst_path), "out_dir": str(out_dir)}))
+    rc = main(
+        [
+            "--config", str(cfg), "solve", "--model", "rm",
+            "--beta-l", "0.05", "--beta-u", "0.05", "--no-timestamp",
+        ]
+    )
+    assert rc == 0
+    doc = json.loads((out_dir / "solve.json").read_text())
+    ref = enumerate_exact(net, DroModel(), penalties_from_beta(0.05, 0.05, 3))
+    assert doc["seq"] == [int(v) for v in ref.route.seq]
 
 
 def test_config_file_rejects_unknown_keys(inst, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for the exact solvers and the optimality cuts."""
 
+import itertools
 import math
 
 import numpy as np
@@ -173,6 +174,34 @@ def test_bnb_matches_enumeration_on_degenerate_inputs():
     net = Network(3, arcs, np.ones(4), np.zeros((4, 4)), 100.0)
     for model in both_models(sample_travel_times(net, 5, seed=0)):
         assert agree(net, model, penalties_from_beta(0.1, 0.1, 2), model.name) == "infeasible"
+
+
+def test_tied_tours_follow_each_search_order():
+    # with one scenario every sm window is a zero-cost point, so every tour
+    # ties: enumeration keeps the lexicographically first circuit, branch
+    # and bound the first it reaches going cheapest arc first
+    n = 6
+    pen = penalties_from_beta(0.1, 0.1, n)
+    for seed in range(8):
+        net = random_network(n, seed=seed, complete=seed % 2 == 0, time_budget=1e6)
+        samples = sample_travel_times(net, 1, seed=seed)
+        linear = samples.values[0]
+        circuits = [
+            path
+            for perm in itertools.permutations(net.customers)
+            for path in [(0, *perm, 0)]
+            if all(arc in net.arc_index for arc in zip(path, path[1:]))
+        ]
+        ref = enumerate_exact(net, SaaModel(samples), pen)
+        assert ref.nodes == len(circuits), seed
+        assert ref.route.seq == circuits[0], seed
+
+        def reached_order(path):
+            return [(linear[net.arc_index[arc]], arc[1]) for arc in zip(path[:-2], path[1:-1])]
+
+        res = branch_and_bound(net, SaaModel(samples), pen)
+        assert res.route.seq == min(circuits, key=reached_order), seed
+        assert res.objective == ref.objective == 0.0
 
 
 def test_dro_domain_rule_is_checked_before_search(monkeypatch):
