@@ -347,6 +347,16 @@ def save_instance(net: Network, path) -> None:
         fh.write("\n")
 
 
+def _is_json_int(value) -> bool:
+    """True for a JSON integer; ``true``/``false`` load as ``bool``, which
+    Python counts as ``int``, and are not ids or counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_json_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_arcs(doc) -> tuple[list[tuple[int, int]], list[float]]:
     raw = doc.get("arcs")
     if not isinstance(raw, list) or not raw:
@@ -360,10 +370,10 @@ def _parse_arcs(doc) -> tuple[list[tuple[int, int]], list[float]]:
             if key not in entry:
                 raise ValueError(f"arcs[{a}].{key}: missing")
         i, j = entry["from"], entry["to"]
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not _is_json_int(i) or not _is_json_int(j):
             raise ValueError(f"arcs[{a}]: from/to must be integers")
         mean = entry["mean"]
-        if not isinstance(mean, (int, float)):
+        if not _is_json_number(mean):
             raise ValueError(f"arcs[{a}].mean: expected a number")
         if mean < 0:
             raise ValueError(f"arcs[{a}].mean: negative mean travel time")
@@ -382,13 +392,13 @@ def load_instance(path) -> Network:
     if not isinstance(doc, dict):
         raise ValueError("instance file: expected a JSON object at top level")
     nodes = doc.get("nodes")
-    if not isinstance(nodes, int) or nodes < 2:
+    if not _is_json_int(nodes) or nodes < 2:
         raise ValueError("nodes: expected an integer >= 2")
     arcs, means = _parse_arcs(doc)
     if "time_budget" not in doc:
         raise ValueError("time_budget: missing")
     tb = doc["time_budget"]
-    if not isinstance(tb, (int, float)) or not tb > 0:
+    if not _is_json_number(tb) or not tb > 0:
         raise ValueError("time_budget: expected a positive number")
     has_cov = "cov" in doc
     has_gen = "cov_gen" in doc

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import Network, SampleSet
+from .instance import Network, SampleSet, _is_json_int
 from .window_design import DroPricer, PenaltyConfig, SaaPricer, price_route
 
 
@@ -197,7 +197,7 @@ def load_route(path) -> tuple[int, ...]:
     if not isinstance(doc, dict) or "seq" not in doc:
         raise ValueError("route file: expected an object with a 'seq' list")
     seq = doc["seq"]
-    if not isinstance(seq, list) or not all(isinstance(v, int) for v in seq):
+    if not isinstance(seq, list) or not all(_is_json_int(v) for v in seq):
         raise ValueError("route file: 'seq' must be a list of integers")
     return tuple(seq)
 

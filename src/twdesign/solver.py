@@ -11,7 +11,14 @@ finished tour.  Two searches are provided on purpose:
   the reference.
 * ``branch_and_bound`` extends partial paths along existing arcs,
   cheapest arc first, with incremental arrival bookkeeping, an
-  admissible budget bound, and incumbent pruning.
+  admissible budget bound, incumbent pruning and a completion bound.
+  The completion bound is built from the same cuts as below, anchored
+  at the search node's arrival state: every unplaced customer arrives
+  later along a path of arcs inside the unplaced set, and its cost is
+  convex in the arrival, so the cut at the node plus the cheapest
+  weighted arc into the customer (and (u - 2) times the most negative
+  arc weight, u customers unplaced) underestimates it.  The proof is in
+  ``branch_and_bound``.
 
 Both respect the duration budget exactly as defined in ``routing``, and
 both price through the model's pricer from ``window_design``, so they
@@ -23,8 +30,8 @@ the command line need to know about it: ``name``, ``check(net, pen)``,
 route, pen)`` and ``cuts(net, route, pen)``.
 
 Cut generation for master-problem decompositions is also here: the
-sample-average window cost is superdifferentiable in the path variables
-through its optimal duals (a generalized Benders cut), and the
+sample-average window cost is convex in the path variables, with its
+optimal duals as a subgradient (a generalized Benders cut), and the
 moment-robust dispersion term sqrt(y' C y) admits the usual
 outer-approximation gradient cut.
 """
@@ -40,6 +47,7 @@ import numpy as np
 from .instance import Network, SampleSet
 from .routing import Route, budget_dro, budget_saa, route_to_xy
 from .window_design import (
+    SINGULAR_QUAD,
     DroPricer,
     PenaltyConfig,
     SaaPricer,
@@ -51,6 +59,10 @@ from .window_design import (
 )
 
 BUDGET_PRUNE_SLACK = 1e-9
+# relative: a child is pruned when its completion bound reaches the
+# incumbent cost c by more than COMPLETION_PRUNE_SLACK * max(1, c); the
+# bound's rounding is orders of magnitude below that
+COMPLETION_PRUNE_SLACK = 1e-9
 CUT_CHECK_TOL = 1e-9
 
 
@@ -252,7 +264,9 @@ def enumerate_exact(net: Network, model, pen: PenaltyConfig) -> SolveResult:
 
 class _BudgetOnly:
     """A pricer that charges nothing, for the search that looks only for
-    the cheapest tour budget."""
+    the cheapest tour budget.  It has no cuts (``subgradients``): that
+    search runs only when no tour fits the budget, so it never holds an
+    incumbent and never computes a completion bound."""
 
     def __init__(self, linear: np.ndarray):
         self.linear = linear
@@ -267,21 +281,64 @@ class _BudgetOnly:
         return 0.0
 
 
+def _completion_bounds(ctx, net: Network, state, rest: list[int], kids) -> tuple[list, list]:
+    """Lower bounds for the children of one search node, from the
+    pricer's cuts at the node's arrival state ``state``.
+
+    ``rest`` lists the unplaced customers (u of them, u >= 2) and
+    ``kids`` the children as (customer j, arc a) pairs.  For each child
+    the result holds a bound on j's own window cost and one on the summed
+    window costs of the other customers of ``rest``, valid for every
+    completion of the tour through j.  Per cut (scale s, intercept c,
+    arc weights w):
+
+        own_j    = s_j max(0, c + w_a)
+        others_j = sum over k in rest, k != j, of
+                   s_k max(0, c + w_a + into_k + (u - 2) min(0, w_min))
+
+    where into_k is the least weight of an arc into k from ``rest`` and
+    w_min the least weight of an arc within ``rest``.  ``branch_and_bound``
+    gives the proof.  A customer with no arc into it from ``rest`` has no
+    completion, and its bound is +inf.
+    """
+    members = set(rest)
+    in_arcs = net.in_arcs
+    own = [0.0] * len(kids)
+    others = [0.0] * len(kids)
+    for scale, intercept, weights in ctx.subgradients(state, np.array(rest)):
+        w = weights.tolist()
+        scale = scale.tolist()
+        into = [min((w[a] for i, a in in_arcs[k] if i in members), default=np.inf) for k in rest]
+        detour = (len(rest) - 2) * min(0.0, min(into))
+        base = [(k, scale[k], intercept + into_k + detour) for k, into_k in zip(rest, into) if scale[k] > 0]
+        for c, (j, arc) in enumerate(kids):
+            step = w[arc]
+            own[c] += scale[j] * max(0.0, intercept + step)
+            others[c] += sum(s_k * max(0.0, b + step) for k, s_k, b in base if k != j)
+    return own, others
+
+
 def _dfs(net: Network, inc: _Incumbent, chase_budget: bool = False) -> tuple[int, int]:
     """Depth-first search over partial visit sequences from the depot.
 
-    Children are tried cheapest linear arc first (ties by node id).
-    Offers every complete tour it reaches to the incumbent ``inc`` and
-    returns the nodes visited and the children pruned.  With
-    ``chase_budget`` the budget limit is the cheapest budget seen so far
-    instead of the time budget: paired with ``_BudgetOnly`` this finds
-    the exact minimum tour budget, which infeasibility reports quote.
+    Children are tried cheapest linear arc first (ties by node id).  A
+    child is discarded when the cost placed so far plus the completion
+    bound (``_completion_bounds``, computed once per node from the cuts
+    at the node's state, once an incumbent exists) reaches the incumbent
+    by more than ``COMPLETION_PRUNE_SLACK``, first with a bound on the
+    child's own cost and, once priced, with its exact cost; when its
+    exact cost alone reaches the incumbent; or when its budget bound
+    exceeds the limit.  Offers every complete tour it reaches to the
+    incumbent ``inc`` and returns the nodes visited and the children
+    pruned.  With ``chase_budget`` the budget limit is the cheapest
+    budget seen so far instead of the time budget: paired with
+    ``_BudgetOnly`` this finds the exact minimum tour budget, which
+    infeasibility reports quote.
     """
     ctx = inc.ctx
-    linear = ctx.linear
-    min_in = np.full(net.node_count, np.inf)
-    for a, (i, j) in enumerate(net.arcs):
-        min_in[j] = min(min_in[j], linear[a])
+    linear = ctx.linear.tolist()
+    in_arcs = net.in_arcs
+    min_in = [min((linear[a] for _, a in in_arcs[k]), default=np.inf) for k in range(net.node_count)]
     successors = {
         i: sorted(out, key=lambda step: (linear[step[1]], step[0])) for i, out in net.out_arcs.items()
     }
@@ -289,8 +346,7 @@ def _dfs(net: Network, inc: _Incumbent, chase_budget: bool = False) -> tuple[int
     nodes = 0
     pruned = 0
     n_customers = net.n_customers
-    visited = np.zeros(net.node_count, dtype=bool)
-    visited[0] = True
+    unplaced = [False] + [True] * n_customers
 
     def visit(node: int, depth: int, seq: list[int], state, acc_cost: float, acc_linear: float):
         nonlocal nodes, pruned, limit
@@ -301,34 +357,38 @@ def _dfs(net: Network, inc: _Incumbent, chase_budget: bool = False) -> tuple[int
                 if chase_budget:
                     limit = inc.min_budget + BUDGET_PRUNE_SLACK
             return
-        for j, arc in successors[node]:
-            if j == 0 or visited[j]:
-                continue
-            child_linear = acc_linear + linear[arc]
+        kids = [(j, arc) for j, arc in successors[node] if unplaced[j]]
+        rest = [k for k in range(1, n_customers + 1) if unplaced[k]]
+        bounds = None
+        for c, (j, arc) in enumerate(kids):
+            if bounds is None and len(rest) > 1 and inc.cost < np.inf:
+                bounds = _completion_bounds(ctx, net, state, rest, kids)
+            if bounds is not None:
+                others = bounds[1][c]
+                cutoff = inc.cost + COMPLETION_PRUNE_SLACK * max(1.0, inc.cost)
+                if acc_cost + bounds[0][c] + others >= cutoff:
+                    pruned += 1
+                    continue
             child_state = ctx.extend(state, arc)
             child_cost = acc_cost + ctx.place_cost(child_state, j)
-            if child_cost >= inc.cost:
+            if child_cost >= inc.cost or (bounds is not None and child_cost + others >= cutoff):
                 pruned += 1
                 continue
-            remaining = [k for k in range(1, net.node_count) if not visited[k] and k != j]
-            lb = child_linear + sum(min_in[k] for k in remaining)
-            if remaining:
-                closing = [
-                    linear[a]
-                    for jj, a in net.in_arcs[0]
-                    if not visited[jj] and jj != j
-                ]
+            child_linear = acc_linear + linear[arc]
+            lb = child_linear + sum(min_in[k] for k in rest if k != j)
+            if len(rest) > 1:
+                closing = [linear[a] for jj, a in in_arcs[0] if unplaced[jj] and jj != j]
             else:
-                closing = [linear[a] for jj, a in net.in_arcs[0] if jj == j]
+                closing = [linear[a] for jj, a in in_arcs[0] if jj == j]
             lb += min(closing) if closing else np.inf
             if lb > limit:
                 pruned += 1
                 continue
-            visited[j] = True
+            unplaced[j] = False
             seq.append(j)
             visit(j, depth + 1, seq, child_state, child_cost, child_linear)
             seq.pop()
-            visited[j] = False
+            unplaced[j] = True
 
     visit(0, 0, [0], ctx.root_state(), 0.0, 0.0)
     return nodes, pruned
@@ -343,13 +403,53 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     the linear part of the partial duration, each unvisited node's
     cheapest incoming arc plus the cheapest closing arc; the dispersion
     part of the robust budget is nonnegative, so the bound stays
-    admissible there too.  Single-threaded and fully deterministic:
-    children are explored cheapest linear arc first (ties by node id),
-    so the first tour reached is the nearest-neighbour tour when that
-    walk does not dead-end (or break the budget bound), and among
-    exactly tied tours the search keeps the first it completes.
-    Practical up to roughly fifteen customers; beyond that the
-    permutation space outgrows what incremental pricing can cover.
+    admissible there too.
+
+    The completion bound adds what the unplaced customers must still
+    cost.  Take a node with arrival state tau (the arrivals at its
+    customer, as a scenario vector or as the path vector y), unplaced
+    customers U (u of them) and a child j reached by arc a.  The child
+    arrives at tau + t_a, and in any completion each other k in U arrives
+    at tau + t_a + the arcs of a path from j to k of 1 to u - 1 arcs
+    inside U.  The model's pricer
+    supplies, at tau, a linear underestimate of each customer's window
+    cost in the arrival (``subgradients``):
+
+    * ``sm``: the cost is the maximum of g' tau over the dual-feasible
+      g, hence convex in the arrival samples, and the rank duals
+      g = rho2 - rho1 at tau attain it (``benders_cut``), so
+      cost_k(tau + d) >= g' tau + g' d: intercept g' tau and arc weight
+      w_a = sum_q g_q t_{a,q}.  One g serves every customer sharing a
+      weight triple.
+    * ``rm``: the cost of the quoted window is never below gamma_k sigma,
+      the optimum of the unclamped problem (a clamped window is one
+      feasible point of it), and sigma(y) = sqrt(y' C y) is convex with
+      gradient C y / sigma (``oa_cut``), so cost_k(y + d) >= gamma_k
+      (sigma + (C y / sigma)' d).  The anchor is the unclamped gamma_k
+      sigma even where the customer's own window clamps.  At sigma = 0
+      there is no gradient and no bound.
+
+    Summing the weights along the path, the last arc is one into k from
+    U, at least into_k, and the up to u - 2 others are arcs within U,
+    each at least w_min, which can only lower the sum when w_min < 0:
+    hence the (u - 2) min(0, w_min) term.  A cost is never negative, so
+    each customer's bound is also clipped at zero.  A child is pruned when
+    the placed cost plus these bounds reaches the incumbent by more than
+    ``COMPLETION_PRUNE_SLACK`` (relative), which covers the rounding of
+    the cut arithmetic: no strictly cheaper tour is discarded, and the
+    search keeps the same incumbents, in the same order, as without the
+    bound.
+
+    Single-threaded and fully deterministic: children are explored
+    cheapest linear arc first (ties by node id), so the first tour
+    reached is the nearest-neighbour tour when that walk does not
+    dead-end (or break the budget bound), and among exactly tied tours
+    the search keeps the first it completes.  Measured on a 2-core Xeon
+    VM (Python 3.11, numpy 2.4) at q=1000 and beta=0.05, complete
+    graphs with ten customers solve in 0.08-0.29 s (``sm``) and
+    0.03-0.09 s (``rm``) on instances 0-3, and with twelve customers in
+    0.6-1.4 s and 0.2-0.4 s on instances 0-2; the worst case still grows
+    factorially with the customer count.
 
     The returned ``objective`` equals ``plan.total_cost`` and the model's
     route cost (``route_cost_sm``/``route_cost_rm``) exactly, not just to
@@ -407,7 +507,7 @@ def oa_cut(y_hat, cbar, customer: int = 0) -> Cut:
     y = np.asarray(y_hat, dtype=float)
     cbar = np.asarray(cbar, dtype=float)
     quad = float(y @ cbar @ y)
-    if quad <= 1e-18:
+    if quad <= SINGULAR_QUAD:
         raise ValueError("singular anchor: y' C y is numerically zero")
     phi = float(np.sqrt(quad))
     coeffs = (cbar @ y) / phi

@@ -8,7 +8,8 @@ is the customer's arrival time.
 * The sample-based design replaces the expectations with averages over Q
   scenarios; the minimiser is then a pair of order statistics of the
   arrival samples, and the attached dual multipliers give subgradients of
-  the cost in the arrival samples (used to build optimality cuts).
+  the cost in the arrival samples (used to build optimality cuts and the
+  route search's completion bound).
 * The moment-robust design replaces each expectation with its worst case
   over all distributions sharing the arrival mean m and variance s^2
   (the Scarf bound); the minimiser is m shifted by explicit multiples of
@@ -28,6 +29,7 @@ from functools import cached_property
 import numpy as np
 
 CMP_TOL = 1e-12
+SINGULAR_QUAD = 1e-18  # a path variance y' C y at or below this counts as zero
 
 
 @dataclass(eq=False)
@@ -177,15 +179,33 @@ def saa_window(arrivals, a_w: float, a_l: float, a_u: float) -> SaaWindow:
     q = arr.size
     p1, p2 = critical_indices(q, a_w, a_l, a_u)
     lower, upper, cost = _order_stat_window(arr, p1, p2, a_w, a_l, a_u)
-    # duals by rank: full weight below P1 (above P2), the remainder at the rank
+    below, at_p1, at_p2, above = _rank_duals(q, p1, p2, a_w, a_l, a_u)
     order = np.argsort(arr, kind="stable")
     rho1 = np.zeros(q)
-    rho1[order[: p1 - 1]] = a_l / q
-    rho1[order[p1 - 1]] = min(max(a_w - (p1 - 1) * (a_l / q), 0.0), a_l / q)
+    rho1[order[: p1 - 1]] = below
+    rho1[order[p1 - 1]] = at_p1
     rho2 = np.zeros(q)
-    rho2[order[p2:]] = a_u / q
-    rho2[order[p2 - 1]] = min(max(a_w - (q - p2) * (a_u / q), 0.0), a_u / q)
+    rho2[order[p2:]] = above
+    rho2[order[p2 - 1]] = at_p2
     return SaaWindow(lower, upper, cost, rho1, rho2, p1, p2)
+
+
+def _rank_duals(q: int, p1: int, p2: int, a_w: float, a_l: float, a_u: float):
+    """Optimal duals of the sample-average window by arrival rank: rho1 is
+    a_l/q on each of the p1 - 1 earliest samples and the remainder of a_w
+    at rank p1; rho2 is a_u/q on each of the q - p2 latest and the
+    remainder at rank p2.  Returns (rho1 below p1, rho1 at p1, rho2 at
+    p2, rho2 above p2).
+
+    The duals do not depend on the arrival values, only on which sample
+    holds which rank.  Placed on any ranking of a vector tau (ties broken
+    either way) they are optimal at tau, and they are dual feasible
+    everywhere, so sum_q x_q (rho2_q - rho1_q) never exceeds the window
+    cost at any arrival vector x.
+    """
+    at_p1 = min(max(a_w - (p1 - 1) * (a_l / q), 0.0), a_l / q)
+    at_p2 = min(max(a_w - (q - p2) * (a_u / q), 0.0), a_u / q)
+    return a_l / q, at_p1, at_p2, a_u / q
 
 
 @dataclass(eq=False)
@@ -333,9 +353,20 @@ class SaaPricer:
     def __init__(self, samples, pen: PenaltyConfig):
         self.values = samples.values
         self.terms = {}
+        # customers sharing a weight triple share one window cost and its
+        # duals: per triple, membership over node ids and the rho1 (rho2)
+        # duals of the p1 earliest (q - p2 + 1 latest) ranks
+        self.groups: dict[tuple, tuple] = {}
         for k in range(1, pen.n_customers + 1):
             weights = pen.for_customer(k)
-            self.terms[k] = (*critical_indices(samples.q, *weights), *weights)
+            terms = self.terms[k] = (*critical_indices(samples.q, *weights), *weights)
+            if terms not in self.groups:
+                p1, p2 = terms[:2]
+                below, at_p1, at_p2, above = _rank_duals(samples.q, *terms)
+                early = np.append(np.full(p1 - 1, below), at_p1)
+                late = np.append(at_p2, np.full(samples.q - p2, above))
+                self.groups[terms] = (np.zeros(pen.n_customers + 1), early, late)
+            self.groups[terms][0][k] = 1.0
 
     @cached_property
     def linear(self) -> np.ndarray:
@@ -350,6 +381,29 @@ class SaaPricer:
 
     def place_cost(self, state, k: int) -> float:
         return _order_stat_window(state, *self.terms[k])[2]
+
+    def subgradients(self, state, unplaced: np.ndarray):
+        """Linear underestimates of the unplaced customers' costs beyond
+        ``state``: one ``(scale, intercept, weights)`` per weight triple
+        among the customers listed in ``unplaced``, such that
+        cost_k(state + values @ d) >= scale[k] * (intercept + weights @ d)
+        for every arc vector d.
+
+        With g = rho2 - rho1 the triple's rank duals placed on the ranks
+        of ``state`` (``_rank_duals``), the window cost is at least g' x
+        at every arrival vector x, with equality at ``state``: weights =
+        values' g (the coefficients of ``benders_cut``) and intercept =
+        g' state, the cost at the state.
+        """
+        cuts = []
+        for (p1, p2, *_), (scale, rho1, rho2) in self.groups.items():
+            if not scale[unplaced].any():
+                continue
+            ranked = np.argpartition(state, p1 - 1 if p1 == p2 else (p1 - 1, p2 - 1))
+            early, late = ranked[:p1], ranked[p2 - 1 :]
+            intercept = float(rho2 @ state[late] - rho1 @ state[early])
+            cuts.append((scale, intercept, rho2 @ self.values[late] - rho1 @ self.values[early]))
+        return cuts
 
 
 def design_stochastic(route, samples, pen: PenaltyConfig):
@@ -637,6 +691,7 @@ class DroPricer:
         self.terms = {
             k: _dro_terms(*pen.for_customer(k)) for k in range(1, pen.n_customers + 1)
         }
+        self.gamma = np.array([0.0] + [self.terms[k][3] for k in self.terms])
 
     def root_state(self):
         return 0.0, np.zeros(len(self.linear)), 0.0
@@ -648,6 +703,23 @@ class DroPricer:
     def place_cost(self, state, k: int) -> float:
         m, _, quad = state
         return _dro_window(m, max(quad, 0.0), *self.terms[k])[2]
+
+    def subgradients(self, state, unplaced: np.ndarray):
+        """Linear underestimates of the customers' costs beyond ``state``,
+        as ``SaaPricer.subgradients``: one gradient serves everyone.
+
+        A customer's cost is never below gamma_k * sigma (the clamped
+        window is a feasible, not the optimal, point of the unclamped
+        problem), and sigma(y) = sqrt(y' C y) is convex with gradient
+        C y / sigma (the coefficients of ``oa_cut``), so
+        cost_k(y + d) >= gamma_k * (sigma + (C y / sigma) @ d).  At sigma
+        = 0 the gradient does not exist and no underestimate is given.
+        """
+        _, v, quad = state
+        if quad <= SINGULAR_QUAD:
+            return []
+        sigma = math.sqrt(quad)
+        return [(self.gamma, sigma, v / sigma)]
 
 
 def design_dro(route, mean, cov, alpha2: float, pen: PenaltyConfig) -> WindowPlan:

@@ -440,6 +440,33 @@ def test_instance_load_errors_name_the_field(tmp_path):
         load_instance(path)
 
 
+def test_instance_load_rejects_json_booleans(tmp_path):
+    # true and false load as bool, which Python counts as 1 and 0: an arc
+    # {"from": false, "to": true} would otherwise read as the arc (0, 1)
+    base = {
+        "nodes": 2,
+        "arcs": [{"from": 0, "to": 1, "mean": 1.0}, {"from": 1, "to": 0, "mean": 1.0}],
+        "cov": [[0.0, 0.0], [0.0, 0.0]],
+        "time_budget": 10.0,
+    }
+    assert load_instance(write_doc(tmp_path, base)).arcs == ((0, 1), (1, 0))
+    for key, value in (("from", False), ("to", True)):
+        doc = dict(base)
+        doc["arcs"] = [dict(base["arcs"][0], **{key: value}), base["arcs"][1]]
+        with pytest.raises(ValueError, match=r"arcs\[0\]: from/to must be integers"):
+            load_instance(write_doc(tmp_path, doc))
+    doc = dict(base)
+    doc["arcs"] = [dict(base["arcs"][0], mean=True), base["arcs"][1]]
+    with pytest.raises(ValueError, match=r"arcs\[0\].mean: expected a number"):
+        load_instance(write_doc(tmp_path, doc))
+    doc = dict(base, nodes=True)
+    with pytest.raises(ValueError, match="nodes: expected an integer >= 2"):
+        load_instance(write_doc(tmp_path, doc))
+    doc = dict(base, time_budget=True)
+    with pytest.raises(ValueError, match="time_budget: expected a positive number"):
+        load_instance(write_doc(tmp_path, doc))
+
+
 # ---------------------------------------------------------------------------
 # sample files
 

@@ -211,6 +211,16 @@ def test_route_files_round_trip(tmp_path):
         load_route(path)
 
 
+def test_load_route_rejects_json_booleans(tmp_path):
+    # json loads true as a bool, which Python counts as the integer 1, so
+    # [0, true, 2, 0] would otherwise read as the tour (0, 1, 2, 0)
+    path = tmp_path / "route.json"
+    for seq in ("[0, true, 2, 0]", "[false, 1, 2, 0]", "[0, 1, 2, false]"):
+        path.write_text('{"seq": %s}' % seq)
+        with pytest.raises(ValueError, match="'seq' must be a list of integers"):
+            load_route(path)
+
+
 def test_cost_csv_columns(tmp_path):
     net = random_network(2, seed=0, complete=True)
     route = route_to_xy([0, 1, 2, 0], net)

@@ -28,6 +28,7 @@ from twdesign import (
     sample_travel_times,
     substream,
 )
+from twdesign.solver import _completion_bounds
 
 
 def solve_both(net, model, pen):
@@ -49,6 +50,16 @@ def outcome(solver, net, model, pen):
 
 def both_models(samples):
     return SaaModel(samples), DroModel(alpha1=0.5, alpha2=0.2)
+
+
+def mixed_penalties(n, seed):
+    """Per-customer weights with different tolerances, hence different
+    critical ranks (p1, p2); inside the moment model's domain."""
+    rng = np.random.default_rng(seed)
+    beta_l = rng.uniform(0.02, 0.3, n)
+    beta_u = rng.uniform(0.02, 0.3, n)
+    a_w = np.minimum(beta_l, beta_u) * rng.uniform(0.3, 1.0, n)
+    return PenaltyConfig(a_w, a_w / beta_l, a_w / beta_u)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +125,135 @@ def test_bnb_matches_enumeration_rm_clamped_windows():
         assert b.objective == b.plan.total_cost, seed
         clamped_plans += bool(b.plan.clamped.any())
     assert clamped_plans >= 5
+
+
+def test_bnb_matches_enumeration_heterogeneous_weights():
+    # one cut per distinct weight triple: every customer here has its own
+    n = 7
+    for seed in range(10):
+        net = random_network(n, seed=seed, complete=True)
+        pen = mixed_penalties(n, seed)
+        ranks = {critical_indices(50, *pen.for_customer(k)) for k in net.customers}
+        assert len(ranks) > 1, seed
+        train = sample_travel_times(net, 50, substream(seed, "sampling-train"))
+        for model in (SaaModel(train), DroModel(alpha1=0.0, alpha2=0.3)):
+            a, b = solve_both(net, model, pen)
+            assert b.route.seq == a.route.seq, (seed, model.name)
+            assert b.objective == a.objective, (seed, model.name)
+            assert b.objective == b.plan.total_cost, (seed, model.name)
+
+
+def test_completion_bound_prunes_dense_search():
+    # the search without the completion bound visits 5,178 nodes here
+    net = random_network(8, seed=0, complete=True)
+    train = sample_travel_times(net, 1000, substream(0, "sampling-train"))
+    res = branch_and_bound(net, SaaModel(train), penalties_from_beta(0.05, 0.05, 8))
+    assert res.nodes < 1000
+
+
+def completions(ctx, net, state, j, arc, rest):
+    """Customer j's exact cost when placed by ``arc`` after ``state``, and
+    the least summed cost of the other customers of ``rest`` over every
+    path through them from j (the return arc is not required)."""
+    at_j = ctx.extend(state, arc)
+    best = np.inf
+    for order in itertools.permutations([k for k in rest if k != j]):
+        st, prev, total = at_j, j, 0.0
+        for k in order:
+            if (prev, k) not in net.arc_index:
+                break
+            st = ctx.extend(st, net.arc_index[prev, k])
+            total += ctx.place_cost(st, k)
+            prev = k
+        else:
+            best = min(best, total)
+    return ctx.place_cost(at_j, j), best
+
+
+def test_completion_bound_is_admissible():
+    def cases():
+        for n in (6, 7):
+            for complete in (True, False):
+                net = random_network(n, seed=n + complete, complete=complete)
+                pen = mixed_penalties(n, n)
+                for q in (1, 7, 200):
+                    yield net, SaaModel(sample_travel_times(net, q, seed=q)), pen, "sm"
+                yield net, DroModel(alpha2=0.3), pen, "rm"
+                # large inflation and tight targets clamp the early windows
+                yield net, DroModel(alpha2=20.0), penalties_from_beta(0.01, 0.01, n), "rm clamped"
+                flat = Network(net.node_count, net.arcs, net.mean, np.zeros_like(net.cov), net.time_budget)
+                yield flat, SaaModel(sample_travel_times(flat, 7, seed=0)), pen, "sm flat"
+                yield flat, DroModel(), pen, "rm flat"
+                # rank-one covariance b b': sigma = b'y is linear along every
+                # path, so the rm cut is exact there, and with b < 0 between
+                # customers only the (u - 2) min(0, w_min) term keeps the
+                # bound below the later customers' costs
+                b = np.array([3.0 if i == 0 else -0.3 for i, _ in net.arcs])
+                line = Network(net.node_count, net.arcs, 10 * net.mean, np.outer(b, b), net.time_budget)
+                yield line, DroModel(), pen, "rm rank one"
+
+    rng = np.random.default_rng(0)
+    checked = positive = 0
+    for net, model, pen, label in cases():
+        ctx = model.context(net, pen)
+        for _ in range(4):
+            # a random partial path from the depot leaving two or more customers
+            state, node, rest = ctx.root_state(), 0, list(net.customers)
+            for _ in range(rng.integers(0, len(rest) - 1)):
+                nxt = [(j, a) for j, a in net.out_arcs[node] if j in rest]
+                if not nxt:
+                    break
+                node, arc = nxt[rng.integers(len(nxt))]
+                state = ctx.extend(state, arc)
+                rest.remove(node)
+            kids = [(j, a) for j, a in net.out_arcs[node] if j in rest]
+            if len(rest) < 2 or not kids:
+                continue
+            # each cut is exact at the prefix (the unclamped cost for rm)
+            for scale, intercept, _ in ctx.subgradients(state, np.array(rest)):
+                for k in rest:
+                    if model.name == "rm":
+                        want = scale[k] * math.sqrt(state[2])
+                    else:
+                        want = ctx.place_cost(state, k) * (scale[k] > 0)
+                    assert scale[k] * intercept == pytest.approx(want, rel=1e-9, abs=1e-9), label
+            own, others = _completion_bounds(ctx, net, state, rest, kids)
+            for c, (j, arc) in enumerate(kids):
+                true_own, true_others = completions(ctx, net, state, j, arc, rest)
+                assert own[c] <= true_own + 1e-9 * max(1.0, true_own), (label, j)
+                assert others[c] <= true_others + 1e-9 * max(1.0, true_others), (label, j)
+                checked += 1
+                positive += 0 < others[c] < np.inf
+    assert checked > 200
+    assert positive > checked // 4
+
+
+def test_search_cuts_match_benders_and_oa_cuts():
+    # the weights the search prunes with are the optimality cuts' coefficients
+    n = 6
+    net = random_network(n, seed=3, complete=True)
+    pen = mixed_penalties(n, 3)
+    samples = sample_travel_times(net, 300, seed=3)
+    model = DroModel(alpha2=0.4)
+    cbar = net.cov + model.alpha2 * np.eye(net.n_arcs)
+    route = branch_and_bound(net, SaaModel(samples), pen).route
+    for name, ctx in (("sm", SaaModel(samples).context(net, pen)), ("rm", model.context(net, pen))):
+        state = ctx.root_state()
+        for arc, k in zip(route.path_arcs, route.customers):
+            state = ctx.extend(state, arc)
+            cuts = ctx.subgradients(state, np.array([k]))
+            assert len(cuts) == 1
+            scale, intercept, weights = cuts[0]
+            if name == "rm":
+                want = oa_cut(route.y[k - 1], cbar, customer=k)
+                gamma = scale[k]
+                np.testing.assert_allclose(gamma * weights, gamma * want.coeffs, rtol=0, atol=1e-12)
+                assert gamma * intercept == pytest.approx(gamma * want.intercept, rel=1e-12)
+            else:
+                want = benders_cut(route.y[k - 1], samples, pen, k)
+                assert scale[k] == 1.0
+                np.testing.assert_allclose(weights, want.coeffs, rtol=0, atol=1e-12)
+                assert intercept == pytest.approx(want.intercept, rel=1e-12, abs=1e-12)
 
 
 def test_bnb_pruning_only_saves_work():
