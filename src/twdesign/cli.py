@@ -31,7 +31,7 @@ from .instance import (
     substream,
 )
 from .routing import load_route, route_to_xy, save_route, write_cost_csv
-from .solver import DroModel, InfeasibleError, SaaModel, branch_and_bound
+from .solver import DroModel, InfeasibleError, SaaModel, branch_and_bound, checked_context, route_cuts
 from .window_design import (
     PenaltyConfig,
     design_fixed_width,
@@ -194,7 +194,7 @@ def _cmd_design(args) -> int:
     pen = _penalties(args, net.n_customers)
     model = _model(args, net)
     if not args.fixed_width:
-        plan = model.plan(net, route, pen)
+        plan = checked_context(net, model, pen).plan(route)
     elif isinstance(model, SaaModel):
         plan = design_fixed_width(route, model.samples, pen)
     else:
@@ -239,7 +239,7 @@ def _cmd_solve(args) -> int:
     save_plan(res.plan, args.out_dir / "plan.json", extra=_timestamp_extra(args))
     save_route(res.route.seq, args.out_dir / "route.json")
     if args.cut_log is not None:
-        _write_cut_log(args.cut_log, model.cuts(net, res.route, pen), net)
+        _write_cut_log(args.cut_log, route_cuts(checked_context(net, model, pen), res.route), net)
     print(
         f"solved {res.model}: objective {res.objective:.6g}, route {list(res.route.seq)}, "
         f"{res.nodes} nodes, wrote {args.out_dir}"
@@ -311,6 +311,25 @@ _COMMANDS = {
 }
 
 
+def _config_value(action, value):
+    """A --config value checked and converted as argparse treats the flag's
+    text: a JSON number or string goes through the option's ``type`` as
+    text (so 2.5 is no int), a boolean is no number, a switch takes only
+    a boolean, and the value must be one of the option's choices."""
+    if value is None and action.default is None:
+        return value
+    if action.nargs == 0 and not isinstance(value, bool):
+        raise ValueError(f"{action.dest}: expected true or false, got {json.dumps(value)}")
+    text = str(value) if isinstance(value, (str, int, float)) and not isinstance(value, bool) else None
+    try:
+        converted = value if action.type is None else action.type(text)
+    except (TypeError, ValueError):
+        raise ValueError(f"{action.dest}: expected {action.type.__name__}, got {json.dumps(value)}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise ValueError(f"{action.dest}: expected one of {', '.join(action.choices)}, got {json.dumps(value)}")
+    return converted
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
@@ -318,6 +337,7 @@ def main(argv=None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", type=Path)
     pre_args, _ = pre.parse_known_args(argv)
+    config_errors: dict[str, ValueError] = {}
     if pre_args.config is not None:
         try:
             with open(pre_args.config) as fh:
@@ -336,14 +356,16 @@ def main(argv=None) -> int:
         if unknown:
             print(f"twdesign: error: --config: unknown keys {sorted(unknown)}", file=sys.stderr)
             return 1
-        for p in subparsers.values():
-            defaults = {}
-            for a in p._actions:
-                if a.dest in cfg:
-                    value = cfg[a.dest]
-                    defaults[a.dest] = Path(value) if a.type is Path and isinstance(value, str) else value
-            p.set_defaults(**defaults)
+        for name, p in subparsers.items():
+            try:
+                p.set_defaults(**{a.dest: _config_value(a, cfg[a.dest]) for a in p._actions if a.dest in cfg})
+            except ValueError as exc:
+                # a value matters only to the commands that take the option
+                config_errors[name] = exc
     args = parser.parse_args(argv)
+    if args.command in config_errors:
+        print(f"twdesign: error: --config: {config_errors[args.command]}", file=sys.stderr)
+        return 1
     try:
         return _COMMANDS[args.command](args)
     except InfeasibleError as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import Network, SampleSet, _is_json_int
-from .window_design import DroPricer, PenaltyConfig, SaaPricer, price_route
+from .window_design import DroPricer, PenaltyConfig, SaaPricer
 
 
 @dataclass(eq=False)
@@ -172,7 +172,7 @@ def budget_dro(x, mean, cov, alpha1: float) -> float:
 
 def route_cost_sm(route: Route, samples: SampleSet, pen: PenaltyConfig) -> float:
     """Total optimal window cost of a route under the sample-average model."""
-    return price_route(SaaPricer(samples, pen), route)
+    return SaaPricer(samples, pen).plan(route).total_cost
 
 
 def route_cost_rm(route: Route, mean, cov, alpha2: float, pen: PenaltyConfig) -> float:
@@ -182,7 +182,7 @@ def route_cost_rm(route: Route, mean, cov, alpha2: float, pen: PenaltyConfig) ->
     gamma_u) times the standard deviation of its arrival time under
     cov + alpha2 I, unless the window's lower edge is clamped at zero.
     """
-    return price_route(DroPricer(mean, cov, alpha2, pen), route)
+    return DroPricer(mean, cov, alpha2, pen).plan(route).total_cost
 
 
 def save_route(seq, path) -> None:

@@ -6,9 +6,9 @@ final tour), which makes depth-first search with partial-cost pruning
 exact: the accumulated cost of placed customers never overestimates the
 finished tour.  Two searches are provided on purpose:
 
-* ``enumerate_exact`` walks the arcs depth first without pruning and
-  prices each complete tour from the depot.  Slow, simple, and used as
-  the reference.
+* ``enumerate_exact`` walks the arcs depth first without pruning,
+  pricing each customer as it is placed, and compares every complete
+  tour.  Slow, simple, and used as the reference.
 * ``branch_and_bound`` extends partial paths along existing arcs,
   cheapest arc first, with incremental arrival bookkeeping, an
   admissible budget bound, incumbent pruning and a completion bound.
@@ -20,20 +20,24 @@ finished tour.  Two searches are provided on purpose:
   arc weight, u customers unplaced) underestimates it.  The proof is in
   ``branch_and_bound``.
 
-Both respect the duration budget exactly as defined in ``routing``, and
-both price through the model's pricer from ``window_design``, so they
-and the final plan agree on every cost to the last bit.
+Both respect the duration budget exactly as defined in ``routing``.
 
-A model (``SaaModel`` or ``DroModel``) is everything the searches and
-the command line need to know about it: ``name``, ``check(net, pen)``,
-``budget(net, x)``, ``context(net, pen)`` (the pricer), ``plan(net,
-route, pen)`` and ``cuts(net, route, pen)``.
+A model (``SaaModel`` or ``DroModel``) is its pricer and its budget:
+``name``, ``check(net, pen)``, ``budget(net, x)`` and ``context(net,
+pen)``, which returns the pricer (``SaaPricer`` or ``DroPricer`` from
+``window_design``).  The pricer is the model's one pricing kernel: both
+searches price through it, the solve's plan is its ``plan(route)``, and
+its ``subgradients`` give the completion bound and the cuts, so the
+searches, the plan and the cut log agree on every cost to the last bit.
 
 Cut generation for master-problem decompositions is also here: the
 sample-average window cost is convex in the path variables, with its
 optimal duals as a subgradient (a generalized Benders cut), and the
 moment-robust dispersion term sqrt(y' C y) admits the usual
-outer-approximation gradient cut.
+outer-approximation gradient cut.  ``route_cuts`` (the ``--cut-log``
+path) takes both from the pricer at each customer of a route;
+``benders_cut`` and ``oa_cut`` compute the same cuts from scratch at any
+anchor, as references.
 """
 
 from __future__ import annotations
@@ -52,9 +56,7 @@ from .window_design import (
     PenaltyConfig,
     SaaPricer,
     WindowPlan,
-    design_dro,
-    design_stochastic,
-    price_route,
+    _prefix_states,
     saa_window,
 )
 
@@ -91,12 +93,6 @@ class SaaModel:
     def context(self, net: Network, pen: PenaltyConfig) -> SaaPricer:
         return SaaPricer(self.samples, pen)
 
-    def plan(self, net: Network, route: Route, pen: PenaltyConfig) -> WindowPlan:
-        return design_stochastic(route, self.samples, pen)[0]
-
-    def cuts(self, net: Network, route: Route, pen: PenaltyConfig) -> list[Cut]:
-        return [benders_cut(route.y[k - 1], self.samples, pen, k) for k in route.customers]
-
 
 @dataclass(frozen=True)
 class DroModel:
@@ -122,13 +118,6 @@ class DroModel:
 
     def context(self, net: Network, pen: PenaltyConfig) -> DroPricer:
         return DroPricer(net.mean, net.cov, self.alpha2, pen)
-
-    def plan(self, net: Network, route: Route, pen: PenaltyConfig) -> WindowPlan:
-        return design_dro(route, net.mean, net.cov, self.alpha2, pen)
-
-    def cuts(self, net: Network, route: Route, pen: PenaltyConfig) -> list[Cut]:
-        cbar = net.cov + self.alpha2 * np.eye(net.n_arcs)
-        return [oa_cut(route.y[k - 1], cbar, customer=k) for k in route.customers]
 
 
 @dataclass(eq=False)
@@ -160,7 +149,7 @@ class SolveResult:
         return doc
 
 
-def _checked_context(net: Network, model, pen: PenaltyConfig):
+def checked_context(net: Network, model, pen: PenaltyConfig):
     """Validate the model against the instance and return its pricer."""
     if not hasattr(model, "check"):
         raise TypeError(f"unknown model type {type(model).__name__}")
@@ -184,16 +173,13 @@ class _Incumbent:
         self.route: Route | None = None
         self.min_budget = np.inf
 
-    def offer(self, seq, cost: float | None = None) -> None:
-        """Consider the tour ``seq``.  ``cost`` is its window cost when the
-        caller has it already; otherwise a feasible tour is priced here."""
+    def offer(self, seq, cost: float) -> None:
+        """Consider the tour ``seq`` of window cost ``cost``."""
         route = route_to_xy(seq, self.net)
         budget = self.model.budget(self.net, route.x)
         self.min_budget = min(self.min_budget, budget)
         if budget > self.net.time_budget:
             return
-        if cost is None:
-            cost = price_route(self.ctx, route)
         if cost < self.cost:
             self.cost = cost
             self.route = route
@@ -209,10 +195,10 @@ class _Incumbent:
             min_budget=float(self.min_budget),
         )
 
-    def result(self, pen: PenaltyConfig, nodes: int, pruned: int, start: float) -> SolveResult:
+    def result(self, nodes: int, pruned: int, start: float) -> SolveResult:
         return SolveResult(
             route=self.route,
-            plan=self.model.plan(self.net, self.route, pen),
+            plan=self.ctx.plan(self.route),
             objective=float(self.cost),
             budget_value=self.model.budget(self.net, self.route.x),
             budget_limit=self.net.time_budget,
@@ -231,35 +217,38 @@ def enumerate_exact(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     """Reference solver: price every tour the arcs admit.
 
     Walks the arcs depth first in ascending node order, without pruning,
-    so complete tours come in lexicographic order and ties go to the
-    lexicographically first visit sequence.  ``nodes`` counts the tours
-    priced.  Limited to nine customers; beyond that use
-    ``branch_and_bound``.
+    pricing each customer as the walk places it (one ``extend`` and one
+    ``place_cost`` per arc), so complete tours come in lexicographic
+    order and ties go to the lexicographically first visit sequence.
+    ``nodes`` counts the tours priced.  Limited to nine customers; beyond
+    that use ``branch_and_bound``.
     """
     start = time.perf_counter()
-    inc = _Incumbent(net, model, _checked_context(net, model, pen))
+    ctx = checked_context(net, model, pen)
+    inc = _Incumbent(net, model, ctx)
     if net.n_customers > ENUMERATE_MAX_CUSTOMERS:
         raise ValueError(f"enumeration limited to {ENUMERATE_MAX_CUSTOMERS} customers")
     tours_priced = 0
     seq = [0]
 
-    def walk(node: int):
+    def walk(node: int, state, acc_cost: float):
         nonlocal tours_priced
         if len(seq) == net.node_count:
             if (node, 0) in net.arc_index:
                 tours_priced += 1
-                inc.offer((*seq, 0))
+                inc.offer((*seq, 0), acc_cost)
             return
-        for j, _ in net.out_arcs[node]:
+        for j, arc in net.out_arcs[node]:
             if j not in seq:
+                child = ctx.extend(state, arc)
                 seq.append(j)
-                walk(j)
+                walk(j, child, acc_cost + ctx.place_cost(child, j))
                 seq.pop()
 
-    walk(0)
+    walk(0, ctx.root_state(), 0.0)
     if inc.route is None:
         raise inc.infeasible()
-    return inc.result(pen, tours_priced, 0, start)
+    return inc.result(tours_priced, 0, start)
 
 
 class _BudgetOnly:
@@ -456,7 +445,7 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     a tolerance: all three sum the same pricer's costs in visit order.
     """
     start = time.perf_counter()
-    ctx = _checked_context(net, model, pen)
+    ctx = checked_context(net, model, pen)
     inc = _Incumbent(net, model, ctx)
     nodes, pruned = _dfs(net, inc)
     if inc.route is None:
@@ -466,7 +455,7 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
         cheapest.min_budget = inc.min_budget
         _dfs(net, cheapest, chase_budget=True)
         raise cheapest.infeasible()
-    return inc.result(pen, nodes, pruned, start)
+    return inc.result(nodes, pruned, start)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +470,22 @@ class Cut:
     intercept: float
     coeffs: np.ndarray
     anchor: np.ndarray
+
+
+def route_cuts(pricer, route: Route) -> list[Cut]:
+    """One cut per customer of ``route``, from ``pricer.subgradients`` at
+    the customer's arrival state and anchored at its path vector y^k.
+
+    A subgradient bounds cost_k / scale_k, so the cut is the ``benders_cut``
+    of the window cost for ``sm`` (scale 1) and the ``oa_cut`` of the
+    dispersion sqrt(y' C y) for ``rm`` (scale gamma_k).  A customer whose
+    arrival variance is zero has no dispersion gradient and gets no cut.
+    """
+    return [
+        Cut(customer=k, intercept=intercept, coeffs=weights, anchor=route.y[k - 1].copy())
+        for k, state in _prefix_states(pricer, route)
+        for _, intercept, weights in pricer.subgradients(state, np.array([k]))
+    ]
 
 
 def benders_cut(y_hat, samples: SampleSet, pen: PenaltyConfig, customer: int) -> Cut:

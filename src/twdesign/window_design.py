@@ -179,23 +179,27 @@ def saa_window(arrivals, a_w: float, a_l: float, a_u: float) -> SaaWindow:
     q = arr.size
     p1, p2 = critical_indices(q, a_w, a_l, a_u)
     lower, upper, cost = _order_stat_window(arr, p1, p2, a_w, a_l, a_u)
-    below, at_p1, at_p2, above = _rank_duals(q, p1, p2, a_w, a_l, a_u)
-    order = np.argsort(arr, kind="stable")
+    early, late = _rank_split(arr, p1, p2)
     rho1 = np.zeros(q)
-    rho1[order[: p1 - 1]] = below
-    rho1[order[p1 - 1]] = at_p1
     rho2 = np.zeros(q)
-    rho2[order[p2:]] = above
-    rho2[order[p2 - 1]] = at_p2
+    rho1[early], rho2[late] = _rank_duals(q, p1, p2, a_w, a_l, a_u)
     return SaaWindow(lower, upper, cost, rho1, rho2, p1, p2)
+
+
+def _rank_split(arr: np.ndarray, p1: int, p2: int):
+    """Indices of the samples of ranks 1..p1 (rank p1 last) and p2..q
+    (rank p2 first) of ``arr``, from one partial sort; ties are ranked
+    either way."""
+    ranked = np.argpartition(arr, p1 - 1 if p1 == p2 else (p1 - 1, p2 - 1))
+    return ranked[:p1], ranked[p2 - 1 :]
 
 
 def _rank_duals(q: int, p1: int, p2: int, a_w: float, a_l: float, a_u: float):
     """Optimal duals of the sample-average window by arrival rank: rho1 is
     a_l/q on each of the p1 - 1 earliest samples and the remainder of a_w
     at rank p1; rho2 is a_u/q on each of the q - p2 latest and the
-    remainder at rank p2.  Returns (rho1 below p1, rho1 at p1, rho2 at
-    p2, rho2 above p2).
+    remainder at rank p2.  Returns rho1 on ranks 1..p1 and rho2 on ranks
+    p2..q, in the order of ``_rank_split``.
 
     The duals do not depend on the arrival values, only on which sample
     holds which rank.  Placed on any ranking of a vector tau (ties broken
@@ -203,20 +207,11 @@ def _rank_duals(q: int, p1: int, p2: int, a_w: float, a_l: float, a_u: float):
     everywhere, so sum_q x_q (rho2_q - rho1_q) never exceeds the window
     cost at any arrival vector x.
     """
-    at_p1 = min(max(a_w - (p1 - 1) * (a_l / q), 0.0), a_l / q)
-    at_p2 = min(max(a_w - (q - p2) * (a_u / q), 0.0), a_u / q)
-    return a_l / q, at_p1, at_p2, a_u / q
-
-
-@dataclass(eq=False)
-class DualPair:
-    """Optimal duals for one customer, original sample order."""
-
-    customer: int
-    rho1: np.ndarray
-    rho2: np.ndarray
-    p1: int
-    p2: int
+    rho1 = np.full(p1, a_l / q)
+    rho1[-1] = min(max(a_w - (p1 - 1) * (a_l / q), 0.0), a_l / q)
+    rho2 = np.full(q - p2 + 1, a_u / q)
+    rho2[0] = min(max(a_w - (q - p2) * (a_u / q), 0.0), a_u / q)
+    return rho1, rho2
 
 
 @dataclass(eq=False)
@@ -318,10 +313,12 @@ def load_plan(path) -> WindowPlan:
 # pricing along a route
 #
 # A pricer carries the arrival state of a path from the depot and prices
-# the customer at its end.  The route search extends it one arc at a
-# time; every other caller walks a finished route with the same
-# recurrence and sums in the same visit order, so the objective a search
-# reports equals the cost of the plan built for its route bit for bit.
+# the customer at its end; it is the model's one pricing kernel, and also
+# builds the model's plan (``plan``) and its cuts (``subgradients``).  The
+# searches extend it one arc at a time; every other caller walks a
+# finished route with the same recurrence and sums in the same visit
+# order, so the objective a search reports equals the cost of the plan
+# built for its route bit for bit.
 
 
 def _prefix_states(pricer, route):
@@ -341,9 +338,21 @@ def _visit_sum(costs) -> float:
     return float(total)
 
 
-def price_route(pricer, route) -> float:
-    """Total window cost of a route under the model ``pricer`` belongs to."""
-    return _visit_sum(pricer.place_cost(state, k) for k, state in _prefix_states(pricer, route))
+def _window_plan(kind: str, route, windows, **fields) -> WindowPlan:
+    """The plan of a route from one (lower, upper, cost) window per
+    customer, in visit order, and the plan's other ``fields``; the total
+    is summed in visit order."""
+    lower, upper, cost = np.array(windows, dtype=float).reshape(-1, 3).T
+    return WindowPlan(
+        kind=kind,
+        route_seq=route.seq,
+        customers=route.customers,
+        lower=lower,
+        upper=upper,
+        cost_per_customer=cost,
+        total_cost=_visit_sum(cost),
+        **fields,
+    )
 
 
 class SaaPricer:
@@ -361,11 +370,7 @@ class SaaPricer:
             weights = pen.for_customer(k)
             terms = self.terms[k] = (*critical_indices(samples.q, *weights), *weights)
             if terms not in self.groups:
-                p1, p2 = terms[:2]
-                below, at_p1, at_p2, above = _rank_duals(samples.q, *terms)
-                early = np.append(np.full(p1 - 1, below), at_p1)
-                late = np.append(at_p2, np.full(samples.q - p2, above))
-                self.groups[terms] = (np.zeros(pen.n_customers + 1), early, late)
+                self.groups[terms] = (np.zeros(pen.n_customers + 1), *_rank_duals(samples.q, *terms))
             self.groups[terms][0][k] = 1.0
 
     @cached_property
@@ -381,6 +386,19 @@ class SaaPricer:
 
     def place_cost(self, state, k: int) -> float:
         return _order_stat_window(state, *self.terms[k])[2]
+
+    def plan(self, route) -> WindowPlan:
+        """The route's ``saa`` plan: each customer's ``_order_stat_window``
+        at its arrival samples, with the in-sample rates of its ranks,
+        (p1 - 1)/q early and (q - p2)/q late."""
+        q = self.values.shape[0]
+        windows, early, late = [], [], []
+        for k, state in _prefix_states(self, route):
+            p1, p2 = self.terms[k][:2]
+            windows.append(_order_stat_window(state, *self.terms[k]))
+            early.append((p1 - 1) / q)
+            late.append((q - p2) / q)
+        return _window_plan("saa", route, windows, early_rate=np.array(early), late_rate=np.array(late))
 
     def subgradients(self, state, unplaced: np.ndarray):
         """Linear underestimates of the unplaced customers' costs beyond
@@ -399,8 +417,7 @@ class SaaPricer:
         for (p1, p2, *_), (scale, rho1, rho2) in self.groups.items():
             if not scale[unplaced].any():
                 continue
-            ranked = np.argpartition(state, p1 - 1 if p1 == p2 else (p1 - 1, p2 - 1))
-            early, late = ranked[:p1], ranked[p2 - 1 :]
+            early, late = _rank_split(state, p1, p2)
             intercept = float(rho2 @ state[late] - rho1 @ state[early])
             cuts.append((scale, intercept, rho2 @ self.values[late] - rho1 @ self.values[early]))
         return cuts
@@ -409,34 +426,14 @@ class SaaPricer:
 def design_stochastic(route, samples, pen: PenaltyConfig):
     """Per-customer optimal windows under the sample-average cost.
 
-    Returns the plan together with the optimal duals per customer; the
-    duals are what optimality cuts for the routing master problem are
-    built from.
+    Returns the plan (``SaaPricer.plan``) together with each customer's
+    ``SaaWindow``, keyed by customer id.  A window's optimal duals
+    ``rho1``/``rho2`` and ranks ``p1``/``p2`` are what optimality cuts
+    for the routing master problem are built from.
     """
-    q = samples.q
-    lowers, uppers, costs, early, late = [], [], [], [], []
-    duals: dict[int, DualPair] = {}
-    for k, arrivals in _prefix_states(SaaPricer(samples, pen), route):
-        a_w, a_l, a_u = pen.for_customer(k)
-        win = saa_window(arrivals, a_w, a_l, a_u)
-        lowers.append(win.lower)
-        uppers.append(win.upper)
-        costs.append(win.cost)
-        early.append((win.p1 - 1) / q)
-        late.append((q - win.p2) / q)
-        duals[k] = DualPair(k, win.rho1, win.rho2, win.p1, win.p2)
-    plan = WindowPlan(
-        kind="saa",
-        route_seq=route.seq,
-        customers=route.customers,
-        lower=np.array(lowers),
-        upper=np.array(uppers),
-        cost_per_customer=np.array(costs),
-        total_cost=_visit_sum(costs),
-        early_rate=np.array(early),
-        late_rate=np.array(late),
-    )
-    return plan, duals
+    pricer = SaaPricer(samples, pen)
+    windows = {k: saa_window(arrivals, *pen.for_customer(k)) for k, arrivals in _prefix_states(pricer, route)}
+    return pricer.plan(route), windows
 
 
 BRUTE_FORCE_MAX_Q = 500
@@ -456,7 +453,7 @@ def brute_force_windows(route, samples, pen: PenaltyConfig) -> WindowPlan:
     if q > BRUTE_FORCE_MAX_Q:
         raise ValueError(f"brute-force design limited to q <= {BRUTE_FORCE_MAX_Q}")
     arr = arrival_matrix(route, samples.values)
-    lowers, uppers, costs, early, late = [], [], [], [], []
+    windows, early, late = [], [], []
     for pos, k in enumerate(route.customers):
         a_w, a_l, a_u = pen.for_customer(k)
         col = arr[:, pos]
@@ -471,22 +468,10 @@ def brute_force_windows(route, samples, pen: PenaltyConfig) -> WindowPlan:
                 if best is None or key < best:
                     best = key
         cost, width, lo = best
-        lowers.append(lo)
-        uppers.append(lo + width)
-        costs.append(cost)
+        windows.append((lo, lo + width, cost))
         early.append(float(np.mean(col < lo)))
         late.append(float(np.mean(col > lo + width)))
-    return WindowPlan(
-        kind="saa-brute",
-        route_seq=route.seq,
-        customers=route.customers,
-        lower=np.array(lowers),
-        upper=np.array(uppers),
-        cost_per_customer=np.array(costs),
-        total_cost=_visit_sum(costs),
-        early_rate=np.array(early),
-        late_rate=np.array(late),
-    )
+    return _window_plan("saa-brute", route, windows, early_rate=np.array(early), late_rate=np.array(late))
 
 
 FIXED_WIDTH_MAX_CANDIDATES = 10_000_000
@@ -568,7 +553,7 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
     best_idx = min(range(lo, hi + 1), key=lambda i: (total_at(i), widths[i]))
     w = float(widths[best_idx])
 
-    lowers, costs, early, late = [], [], [], []
+    windows, early, late = [], [], []
     for pos, k in enumerate(route.customers):
         _, a_l, a_u = pen.for_customer(k)
         srt, cum = per_cust[pos]
@@ -579,19 +564,13 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
             + (a_l / q) * float(np.maximum(l_best - col, 0.0).sum())
             + (a_u / q) * float(np.maximum(col - l_best - w, 0.0).sum())
         )
-        lowers.append(l_best)
-        costs.append(cost)
+        windows.append((l_best, l_best + w, cost))
         early.append(float(np.mean(col < l_best)))
         late.append(float(np.mean(col > l_best + w)))
-    lowers = np.array(lowers)
-    return WindowPlan(
-        kind="saa-fixed",
-        route_seq=route.seq,
-        customers=route.customers,
-        lower=lowers,
-        upper=lowers + w,
-        cost_per_customer=np.array(costs),
-        total_cost=_visit_sum(costs),
+    return _window_plan(
+        "saa-fixed",
+        route,
+        windows,
         shared_width=w,
         early_rate=np.array(early),
         late_rate=np.array(late),
@@ -704,6 +683,17 @@ class DroPricer:
         m, _, quad = state
         return _dro_window(m, max(quad, 0.0), *self.terms[k])[2]
 
+    def plan(self, route) -> WindowPlan:
+        """The route's ``dro`` plan: each customer's ``dro_window`` at its
+        arrival moments, with its clamp flag."""
+        windows = [
+            _dro_window(m, max(quad, 0.0), *self.terms[k])
+            for k, (m, _, quad) in _prefix_states(self, route)
+        ]
+        return _window_plan(
+            "dro", route, [w[:3] for w in windows], clamped=np.array([w[3] for w in windows], dtype=bool)
+        )
+
     def subgradients(self, state, unplaced: np.ndarray):
         """Linear underestimates of the customers' costs beyond ``state``,
         as ``SaaPricer.subgradients``: one gradient serves everyone.
@@ -733,21 +723,4 @@ def design_dro(route, mean, cov, alpha2: float, pen: PenaltyConfig) -> WindowPla
     """
     if not pen.dro_valid:
         raise ValueError("coefficient domain: moment-robust design needs 2*a_w < min(a_l, a_u)")
-    pricer = DroPricer(mean, cov, alpha2, pen)
-    lowers, uppers, costs, flags = [], [], [], []
-    for k, (m, _, quad) in _prefix_states(pricer, route):
-        lo, up, cost, clamped = _dro_window(m, max(quad, 0.0), *pricer.terms[k])
-        lowers.append(lo)
-        uppers.append(up)
-        costs.append(cost)
-        flags.append(clamped)
-    return WindowPlan(
-        kind="dro",
-        route_seq=route.seq,
-        customers=route.customers,
-        lower=np.array(lowers),
-        upper=np.array(uppers),
-        cost_per_customer=np.array(costs),
-        total_cost=_visit_sum(costs),
-        clamped=np.array(flags, dtype=bool),
-    )
+    return DroPricer(mean, cov, alpha2, pen).plan(route)

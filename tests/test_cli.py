@@ -216,6 +216,21 @@ def test_solve_cut_log(inst, tmp_path):
         recs = list(csv.reader(fh))
     assert len(recs) == 4
     assert all(float(r[2]) > 0 for r in recs[1:])
+    # with zero arrival variance the dispersion has no gradient: the log
+    # keeps its header and no cut, and the solve still succeeds
+    flat = tmp_path / "flat.json"
+    rc = main(["gen", "--customers", "3", "--complete", "--cv-min", "0", "--cv-max", "0", "--out", str(flat)])
+    assert rc == 0
+    rc = main(
+        [
+            "solve", "--instance", str(flat), "--model", "rm",
+            "--beta-l", "0.1", "--beta-u", "0.1", "--alpha2", "0",
+            "--out-dir", str(out_dir), "--cut-log", str(log), "--no-timestamp",
+        ]
+    )
+    assert rc == 0
+    with open(log, newline="") as fh:
+        assert list(csv.reader(fh)) == [["customer", "anchor_hash", "intercept", "nonzero_coeffs"]]
 
 
 def test_solve_infeasible_exit_code(tmp_path, capsys):
@@ -383,6 +398,38 @@ def test_config_file_rejects_unknown_keys(inst, tmp_path, capsys):
     rc = main(["--config", str(cfg), "gen", "--customers", "2", "--out", "x.json"])
     assert rc == 1
     assert "expected a JSON object" in capsys.readouterr().err
+
+
+def test_config_values_use_option_types(inst, tmp_path, capsys):
+    # a config value is converted as the flag's text would be: a boolean
+    # is no number, 2.5 is no int, a model must be sm or rm and a switch
+    # takes a boolean, so each is a usage error, not a traceback from deep
+    # inside sampling (or a silent alpha2 of 1, an rm solve for an unknown
+    # model, or a "false" string that drops the timestamps)
+    net, inst_path = inst
+    cfg = tmp_path / "cfg.json"
+    bad = ({"model": "sm", "q_train": True}, {"model": "sm", "q_train": 2.5},
+           {"model": "rm", "alpha2": True}, {"model": "bogus"}, {"model": "sm", "no_timestamp": "false"})
+    for doc in bad:
+        key = list(doc)[-1]
+        cfg.write_text(json.dumps(doc))
+        rc = main(
+            [
+                "--config", str(cfg), "solve", "--instance", str(inst_path),
+                "--beta-l", "0.1", "--beta-u", "0.1", "--out-dir", str(tmp_path / "run"),
+            ]
+        )
+        assert rc == 1, doc
+        assert f"--config: {key}" in capsys.readouterr().err
+    # numbers written as strings convert like the flag's text
+    cfg.write_text(json.dumps({"q_train": "60", "alpha2": "0.5"}))
+    rc = main(
+        [
+            "--config", str(cfg), "solve", "--instance", str(inst_path), "--model", "sm",
+            "--beta-l", "0.1", "--beta-u", "0.1", "--out-dir", str(tmp_path / "run"), "--no-timestamp",
+        ]
+    )
+    assert rc == 0
 
 
 def test_bad_flag_exits_one(capsys):

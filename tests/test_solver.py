@@ -18,6 +18,7 @@ from twdesign import (
     critical_indices,
     cut_check,
     design_dro,
+    design_stochastic,
     enumerate_exact,
     oa_cut,
     penalties_from_beta,
@@ -104,9 +105,17 @@ def test_objective_is_plan_cost_bitwise():
             for res in (a, b):
                 if model.name == "sm":
                     repriced = route_cost_sm(res.route, train, pen)
+                    fresh = design_stochastic(res.route, train, pen)[0]
                 else:
                     repriced = route_cost_rm(res.route, net.mean, net.cov, 0.0, pen)
+                    fresh = design_dro(res.route, net.mean, net.cov, 0.0, pen)
                 assert res.objective == res.plan.total_cost == repriced, (seed, model.name)
+                # the solve's plan is the library design, field by field
+                for field in ("lower", "upper", "cost_per_customer", "early_rate", "late_rate", "clamped"):
+                    got, want = getattr(res.plan, field), getattr(fresh, field)
+                    assert (got is None) == (want is None), field
+                    if want is not None:
+                        assert np.array_equal(got, want), (seed, model.name, field)
 
 
 def test_bnb_matches_enumeration_rm_clamped_windows():

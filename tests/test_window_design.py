@@ -169,6 +169,7 @@ def test_saa_window_original_order_duals():
 
 def test_saa_window_duals_certify_cost():
     rng = np.random.default_rng(0)
+    cases = []
     for trial in range(40):
         q = int(rng.integers(1, 60))
         arr = rng.uniform(0.0, 50.0, q)
@@ -176,6 +177,22 @@ def test_saa_window_duals_certify_cost():
         a_u = float(rng.uniform(0.3, 1.0))
         # keep a_w/a_l + a_w/a_u at most 1 so a window always exists
         a_w = float(rng.uniform(0.01, 1.0)) * (a_l * a_u) / (a_l + a_u)
+        cases.append((arr, a_w, a_l, a_u))
+    # tied arrivals leave the rank order open, so the duals may sit on
+    # either of two equal samples: rounded draws (at most seven values),
+    # a few repeated values, all equal, and a_w/a_l + a_w/a_u = 1 at q = 9,
+    # which puts both window edges on rank 5 (p1 == p2)
+    ties = []
+    for trial in range(20):
+        q = int(rng.integers(8, 60))
+        ties.append((np.round(rng.uniform(0.0, 6.0, q)), 0.2, 0.9, 0.7))
+        ties.append((rng.choice([1.5, 4.0, 9.0], q), 0.1, 0.6, 1.0))
+    ties.append((np.full(25, 3.0), 0.2, 0.9, 0.7))
+    ties.append((np.array([2.0, 7.0, 7.0, 7.0, 7.0, 7.0, 1.0, 9.0, 7.0]), 0.5, 1.0, 1.0))
+    ties.append((np.array([1.0, 0.0, 2.0, 1.0, 3.0, 1.0, 2.0, 0.0, 1.0]), 0.5, 1.0, 1.0))
+    assert all(len(np.unique(arr)) < arr.size for arr, *_ in ties)
+    for arr, a_w, a_l, a_u in cases + ties:
+        q = arr.size
         win = saa_window(arr, a_w, a_l, a_u)
         assert win.lower <= win.upper
         # feasibility of the duals
@@ -186,6 +203,7 @@ def test_saa_window_duals_certify_cost():
         # strong duality: dual objective equals the primal cost
         dual_obj = float(arr @ (win.rho2 - win.rho1))
         assert dual_obj == pytest.approx(win.cost, abs=1e-9)
+    assert win.p1 == win.p2 == 5
 
 
 def test_saa_window_beats_grid_of_alternatives():
