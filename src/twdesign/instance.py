@@ -137,8 +137,8 @@ def _validate_network(net: Network) -> None:
         np.linalg.cholesky(net.cov + PSD_JITTER * np.eye(m))
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance not PSD within jitter tolerance") from exc
-    if not net.time_budget > 0:
-        raise ValueError("time_budget must be positive")
+    if not 0 < net.time_budget < np.inf:
+        raise ValueError("time_budget must be positive and finite")
     reachable = _hops_from(0, n_nodes, net.arcs)
     reaching = _hops_from(0, n_nodes, [(j, i) for i, j in net.arcs])
     for k in range(1, n_nodes):
@@ -398,8 +398,8 @@ def load_instance(path) -> Network:
     if "time_budget" not in doc:
         raise ValueError("time_budget: missing")
     tb = doc["time_budget"]
-    if not _is_json_number(tb) or not tb > 0:
-        raise ValueError("time_budget: expected a positive number")
+    if not _is_json_number(tb) or not 0 < tb < np.inf:
+        raise ValueError(f"time_budget: expected a positive number, got {json.dumps(tb)}")
     has_cov = "cov" in doc
     has_gen = "cov_gen" in doc
     if has_cov and has_gen:

@@ -18,9 +18,13 @@ finished tour.  Two searches are provided on purpose:
   convex in the arrival, so the cut at the node plus the cheapest
   weighted arc into the customer (and (u - 2) times the most negative
   arc weight, u customers unplaced) underestimates it.  The proof is in
-  ``branch_and_bound``.
+  ``branch_and_bound``.  It is one pass: until a tour fits the budget
+  it also chases the cheapest tour budget, which infeasibility reports
+  quote exactly.
 
 Both respect the duration budget exactly as defined in ``routing``.
+Both take each complete tour's budget from its arcs and build a
+``Route`` only for the tour they return.
 
 A model (``SaaModel`` or ``DroModel``) is its pricer and its budget:
 ``name``, ``check(net, pen)``, ``budget(net, x)`` and ``context(net,
@@ -161,28 +165,32 @@ def checked_context(net: Network, model, pen: PenaltyConfig):
 
 class _Incumbent:
     """The best tour a search has found, and the rule every complete tour
-    goes through: build the route, take its budget, track the cheapest
-    budget seen, and keep the tour when it is within the time budget and
-    strictly cheaper than the best so far."""
+    goes through: take its budget from its arcs, track the cheapest budget
+    seen, and keep the tour when it is within the time budget and strictly
+    cheaper than the best so far.  Only the kept tour becomes a ``Route``,
+    once, in ``result``."""
 
     def __init__(self, net: Network, model, ctx):
         self.net = net
         self.model = model
         self.ctx = ctx
         self.cost = np.inf
-        self.route: Route | None = None
+        self.seq: tuple[int, ...] | None = None
+        self.budget = np.inf
         self.min_budget = np.inf
 
     def offer(self, seq, cost: float) -> None:
         """Consider the tour ``seq`` of window cost ``cost``."""
-        route = route_to_xy(seq, self.net)
-        budget = self.model.budget(self.net, route.x)
+        x = np.zeros(self.net.n_arcs, dtype=np.int8)
+        x[[self.net.arc_index[arc] for arc in zip(seq, seq[1:])]] = 1
+        budget = self.model.budget(self.net, x)
         self.min_budget = min(self.min_budget, budget)
         if budget > self.net.time_budget:
             return
         if cost < self.cost:
             self.cost = cost
-            self.route = route
+            self.seq = seq
+            self.budget = budget
 
     def infeasible(self) -> InfeasibleError:
         """The error for a search that found no feasible tour, quoting the
@@ -196,11 +204,12 @@ class _Incumbent:
         )
 
     def result(self, nodes: int, pruned: int, start: float) -> SolveResult:
+        route = route_to_xy(self.seq, self.net)
         return SolveResult(
-            route=self.route,
-            plan=self.ctx.plan(self.route),
+            route=route,
+            plan=self.ctx.plan(route),
             objective=float(self.cost),
-            budget_value=self.model.budget(self.net, self.route.x),
+            budget_value=self.budget,
             budget_limit=self.net.time_budget,
             nodes=nodes,
             pruned=pruned,
@@ -246,28 +255,9 @@ def enumerate_exact(net: Network, model, pen: PenaltyConfig) -> SolveResult:
                 seq.pop()
 
     walk(0, ctx.root_state(), 0.0)
-    if inc.route is None:
+    if inc.seq is None:
         raise inc.infeasible()
     return inc.result(tours_priced, 0, start)
-
-
-class _BudgetOnly:
-    """A pricer that charges nothing, for the search that looks only for
-    the cheapest tour budget.  It has no cuts (``subgradients``): that
-    search runs only when no tour fits the budget, so it never holds an
-    incumbent and never computes a completion bound."""
-
-    def __init__(self, linear: np.ndarray):
-        self.linear = linear
-
-    def root_state(self):
-        return None
-
-    def extend(self, state, arc: int):
-        return None
-
-    def place_cost(self, state, k: int) -> float:
-        return 0.0
 
 
 def _completion_bounds(ctx, net: Network, state, rest: list[int], kids) -> tuple[list, list]:
@@ -307,7 +297,7 @@ def _completion_bounds(ctx, net: Network, state, rest: list[int], kids) -> tuple
     return own, others
 
 
-def _dfs(net: Network, inc: _Incumbent, chase_budget: bool = False) -> tuple[int, int]:
+def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
     """Depth-first search over partial visit sequences from the depot.
 
     Children are tried cheapest linear arc first (ties by node id).  A
@@ -316,13 +306,14 @@ def _dfs(net: Network, inc: _Incumbent, chase_budget: bool = False) -> tuple[int
     at the node's state, once an incumbent exists) reaches the incumbent
     by more than ``COMPLETION_PRUNE_SLACK``, first with a bound on the
     child's own cost and, once priced, with its exact cost; when its
-    exact cost alone reaches the incumbent; or when its budget bound
+    exact cost alone reaches the incumbent; or when its budget bound is
+    infinite (no way home, or no arc into an unplaced customer) or
     exceeds the limit.  Offers every complete tour it reaches to the
     incumbent ``inc`` and returns the nodes visited and the children
-    pruned.  With ``chase_budget`` the budget limit is the cheapest
-    budget seen so far instead of the time budget: paired with
-    ``_BudgetOnly`` this finds the exact minimum tour budget, which
-    infeasibility reports quote.
+    pruned.  The budget limit is max(time budget, cheapest tour budget
+    offered so far) + ``BUDGET_PRUNE_SLACK``, refreshed after each offer:
+    until a tour fits, the search chases the cheapest budget, and once
+    one fits the limit is the time budget.
     """
     ctx = inc.ctx
     linear = ctx.linear.tolist()
@@ -331,7 +322,7 @@ def _dfs(net: Network, inc: _Incumbent, chase_budget: bool = False) -> tuple[int
     successors = {
         i: sorted(out, key=lambda step: (linear[step[1]], step[0])) for i, out in net.out_arcs.items()
     }
-    limit = (inc.min_budget if chase_budget else net.time_budget) + BUDGET_PRUNE_SLACK
+    limit = max(net.time_budget, inc.min_budget) + BUDGET_PRUNE_SLACK
     nodes = 0
     pruned = 0
     n_customers = net.n_customers
@@ -343,8 +334,7 @@ def _dfs(net: Network, inc: _Incumbent, chase_budget: bool = False) -> tuple[int
         if depth == n_customers:
             if (node, 0) in net.arc_index:
                 inc.offer((*seq, 0), acc_cost)
-                if chase_budget:
-                    limit = inc.min_budget + BUDGET_PRUNE_SLACK
+                limit = max(net.time_budget, inc.min_budget) + BUDGET_PRUNE_SLACK
             return
         kids = [(j, arc) for j, arc in successors[node] if unplaced[j]]
         rest = [k for k in range(1, n_customers + 1) if unplaced[k]]
@@ -370,7 +360,7 @@ def _dfs(net: Network, inc: _Incumbent, chase_budget: bool = False) -> tuple[int
             else:
                 closing = [linear[a] for jj, a in in_arcs[0] if jj == j]
             lb += min(closing) if closing else np.inf
-            if lb > limit:
+            if lb == np.inf or lb > limit:
                 pruned += 1
                 continue
             unplaced[j] = False
@@ -440,6 +430,16 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     0.6-1.4 s and 0.2-0.4 s on instances 0-2; the worst case still grows
     factorially with the customer count.
 
+    One pass both solves and, when no tour fits, finds the exact cheapest
+    tour budget that ``InfeasibleError.min_budget`` quotes.  The budget
+    limit is max(time budget, cheapest budget offered so far) (``_dfs``),
+    so until a tour fits, the search prunes only subtrees whose budget
+    bound exceeds a budget already seen or is infinite.  With no tour in
+    budget there is never an incumbent, hence no cost or completion
+    pruning, and every discarded subtree holds only tours dearer than
+    one already offered: the cheapest budget offered is the minimum over
+    all tours.
+
     The returned ``objective`` equals ``plan.total_cost`` and the model's
     route cost (``route_cost_sm``/``route_cost_rm``) exactly, not just to
     a tolerance: all three sum the same pricer's costs in visit order.
@@ -448,13 +448,8 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     ctx = checked_context(net, model, pen)
     inc = _Incumbent(net, model, ctx)
     nodes, pruned = _dfs(net, inc)
-    if inc.route is None:
-        # pruning may have discarded every completion before its exact
-        # budget was priced, so search again for the true cheapest budget
-        cheapest = _Incumbent(net, model, _BudgetOnly(ctx.linear))
-        cheapest.min_budget = inc.min_budget
-        _dfs(net, cheapest, chase_budget=True)
-        raise cheapest.infeasible()
+    if inc.seq is None:
+        raise inc.infeasible()
     return inc.result(nodes, pruned, start)
 
 

@@ -28,6 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .instance import _is_json_int, _is_json_number
+
 CMP_TOL = 1e-12
 SINGULAR_QUAD = 1e-18  # a path variance y' C y at or below this counts as zero
 
@@ -234,6 +236,9 @@ class WindowPlan:
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
         self.cost_per_customer = np.asarray(self.cost_per_customer, dtype=float)
+        for name in ("lower", "upper", "cost_per_customer"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"window plan has a non-finite {name}")
         if np.any(self.upper < self.lower):
             raise ValueError("window plan has upper < lower")
         if np.any(self.lower < 0):
@@ -292,11 +297,14 @@ def load_plan(path) -> WindowPlan:
     for key in ("route", "windows", "cost"):
         if key not in doc:
             raise ValueError(f"window plan file: missing key {key!r}")
-    customers = tuple(int(w["customer"]) for w in doc["windows"])
-    lower = np.array([float(w["lower"]) for w in doc["windows"]])
-    upper = np.array([float(w["upper"]) for w in doc["windows"]])
+    customers = tuple(_plan_field(w["customer"], "customer", integer=True) for w in doc["windows"])
+    lower = np.array([_plan_field(w["lower"], "lower") for w in doc["windows"]], dtype=float)
+    upper = np.array([_plan_field(w["upper"], "upper") for w in doc["windows"]], dtype=float)
     per = doc.get("per_customer") or [{} for _ in customers]
-    costs = np.array([float(e.get("cost", 0.0)) for e in per])
+    costs = np.array([_plan_field(e.get("cost", 0.0), "cost") for e in per], dtype=float)
+    shared_width = doc.get("shared_width")
+    if shared_width is not None and not (_is_json_number(shared_width) and 0 <= shared_width < np.inf):
+        raise ValueError("window plan file: shared_width: expected null or a finite number >= 0")
     return WindowPlan(
         kind=str(doc.get("kind", "unknown")),
         route_seq=tuple(int(v) for v in doc["route"]),
@@ -304,9 +312,20 @@ def load_plan(path) -> WindowPlan:
         lower=lower,
         upper=upper,
         cost_per_customer=costs,
-        total_cost=float(doc["cost"]),
-        shared_width=doc.get("shared_width"),
+        total_cost=float(_plan_field(doc["cost"], "cost")),
+        shared_width=shared_width,
     )
+
+
+def _plan_field(value, key: str, integer: bool = False):
+    """A plan file's number, rejecting JSON booleans, strings and non-finite values."""
+    if integer:
+        valid, expected = _is_json_int(value), "an integer"
+    else:
+        valid, expected = _is_json_number(value) and math.isfinite(value), "a finite number"
+    if not valid:
+        raise ValueError(f"window plan file: {key}: expected {expected}, got {json.dumps(value)}")
+    return value
 
 
 # ---------------------------------------------------------------------------

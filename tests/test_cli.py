@@ -321,6 +321,65 @@ def test_eval_rejects_zero_draws(inst, tmp_path, capsys):
     assert "--q-test must be >= 1" in capsys.readouterr().err
 
 
+def test_eval_rejects_bad_plan_values(inst, tmp_path, capsys):
+    # a NaN window would count as neither early nor late, and a JSON
+    # boolean would read as 1.0
+    net, inst_path = inst
+    out_dir = tmp_path / "run"
+    solve = [
+        "solve", "--instance", str(inst_path), "--model", "sm", "--beta-l", "0.1",
+        "--beta-u", "0.1", "--q-train", "80", "--out-dir", str(out_dir), "--no-timestamp",
+    ]
+    assert main(solve) == 0
+    with open(out_dir / "plan.json") as fh:
+        good = json.load(fh)
+    nan = float("nan")
+    edits = [
+        ("lower", lambda d: d["windows"][0].update(lower=nan, upper=nan)),
+        ("lower", lambda d: d["windows"][0].update(lower=True)),
+        ("upper", lambda d: d["windows"][1].update(upper=float("inf"))),
+        ("customer", lambda d: d["windows"][0].update(customer=True)),
+        ("cost", lambda d: d["per_customer"][0].update(cost="0.5")),
+        ("cost", lambda d: d.update(cost=None)),
+        ("shared_width", lambda d: d.update(shared_width=-1.0)),
+        ("shared_width", lambda d: d.update(shared_width=True)),
+    ]
+    for key, edit in edits:
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        plan = tmp_path / "bad_plan.json"
+        with open(plan, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        rc = main(
+            [
+                "eval", "--instance", str(inst_path), "--route", str(out_dir / "route.json"),
+                "--plan", str(plan), "--q-test", "50", "--out", str(tmp_path / "report.csv"),
+            ]
+        )
+        assert rc == 1, key
+        assert f"window plan file: {key}: expected" in capsys.readouterr().err, key
+
+
+def test_time_budget_must_be_finite(tmp_path, capsys):
+    # an infinite budget would be written as "Infinity", which is not JSON
+    with pytest.raises(ValueError, match="time_budget must be positive and finite"):
+        random_network(3, seed=0, time_budget=float("inf"))
+    path = tmp_path / "inst.json"
+    save_instance(random_network(3, seed=0), path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["time_budget"] = float("inf")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ValueError, match="time_budget: expected a positive number, got Infinity"):
+        load_instance(path)
+    out = tmp_path / "gen.json"
+    assert main(["gen", "--customers", "3", "--time-budget", "inf", "--out", str(out)]) == 1
+    assert "time_budget must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_guideline_command(inst, tmp_path):
     net, inst_path = inst
     out = tmp_path / "sweep.csv"

@@ -25,6 +25,7 @@ from twdesign import (
     random_network,
     route_cost_rm,
     route_cost_sm,
+    route_to_xy,
     saa_window,
     sample_travel_times,
     substream,
@@ -158,6 +159,35 @@ def test_completion_bound_prunes_dense_search():
     train = sample_travel_times(net, 1000, substream(0, "sampling-train"))
     res = branch_and_bound(net, SaaModel(train), penalties_from_beta(0.05, 0.05, 8))
     assert res.nodes < 1000
+
+
+def test_dead_ends_are_pruned_before_the_first_tour():
+    # the budget limit is infinite until a tour is offered, but a child
+    # with no way home or no arc into an unplaced customer is still
+    # pruned: without that the first dive visits 111 nodes here
+    net = random_network(10, seed=1)
+    train = sample_travel_times(net, 1000, substream(1, "sampling-train"))
+    res = branch_and_bound(net, SaaModel(train), penalties_from_beta(0.05, 0.05, 10))
+    assert res.nodes < 100
+
+
+def test_one_route_per_solve(monkeypatch):
+    # the searches price each tour's budget from its arcs and build the
+    # Route (x and the n x m path matrix y) only for the answer
+    calls = []
+
+    def counting(seq, net):
+        calls.append(seq)
+        return route_to_xy(seq, net)
+
+    monkeypatch.setattr("twdesign.solver.route_to_xy", counting)
+    net = random_network(6, seed=0, complete=True)
+    pen = penalties_from_beta(0.05, 0.05, 6)
+    for model in both_models(sample_travel_times(net, 50, seed=0)):
+        for search in (branch_and_bound, enumerate_exact):
+            calls.clear()
+            res = search(net, model, pen)
+            assert calls == [res.route.seq], (search.__name__, model.name)
 
 
 def completions(ctx, net, state, j, arc, rest):
@@ -435,17 +465,20 @@ def test_budget_infeasible_reports_cheapest_tour():
 
 
 def test_infeasible_budget_matches_enumeration_exactly():
-    # the budget-only pass of the search must find enumeration's cheapest tour
-    for seed in range(6):
-        net = random_network(6, seed=seed, complete=seed % 2 == 0, time_budget=5.0)
+    # with no tour in budget the search chases the cheapest tour budget,
+    # and must quote the one enumeration finds; on the sparse n=8 instance
+    # the cheapest-arc-first dive dead-ends after five customers
+    cases = [(6, seed, seed % 2 == 0) for seed in range(6)] + [(8, 3, False)]
+    for n, seed, complete in cases:
+        net = random_network(n, seed=seed, complete=complete, time_budget=5.0)
         samples = sample_travel_times(net, 50, seed=seed)
-        pen = penalties_from_beta(0.05, 0.05, 6)
+        pen = penalties_from_beta(0.05, 0.05, n)
         for model in (SaaModel(samples), DroModel(alpha1=1.5)):
             with pytest.raises(InfeasibleError) as e1:
                 enumerate_exact(net, model, pen)
             with pytest.raises(InfeasibleError) as e2:
                 branch_and_bound(net, model, pen)
-            assert e2.value.min_budget == e1.value.min_budget, (seed, model.name)
+            assert e2.value.min_budget == e1.value.min_budget, (n, seed, model.name)
             assert str(e2.value) == str(e1.value)
 
 

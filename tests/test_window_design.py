@@ -572,3 +572,14 @@ def test_plan_rejects_inverted_window():
             cost_per_customer=np.array([0.0]),
             total_cost=0.0,
         )
+
+
+def test_plan_rejects_non_finite_values():
+    from twdesign import WindowPlan
+
+    good = dict(lower=[1.0, 2.0], upper=[3.0, 4.0], cost_per_customer=[0.5, 0.5])
+    for name in good:
+        for bad in (np.nan, np.inf):
+            values = dict(good, **{name: [bad, 4.0]})
+            with pytest.raises(ValueError, match=f"non-finite {name}"):
+                WindowPlan(kind="saa", route_seq=(0, 1, 2, 0), customers=(1, 2), total_cost=1.0, **values)
