@@ -31,7 +31,7 @@ from .instance import (
     substream,
 )
 from .routing import load_route, route_to_xy, save_route, write_cost_csv
-from .solver import DroModel, InfeasibleError, SaaModel, branch_and_bound, checked_context, route_cuts
+from .solver import InfeasibleError, branch_and_bound, build_model, checked_context, route_cuts
 from .window_design import (
     PenaltyConfig,
     design_fixed_width,
@@ -60,6 +60,13 @@ def _add_penalty_flags(p):
     p.add_argument("--a-w", type=float, help="explicit width weight")
     p.add_argument("--a-l", type=float, help="explicit earliness weight")
     p.add_argument("--a-u", type=float, help="explicit tardiness weight")
+
+
+def _add_model_flags(p):
+    p.add_argument("--model", choices=("sm", "rm"))
+    p.add_argument("--q-train", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha2", type=float, default=0.0)
 
 
 def _penalties(args, n_customers: int) -> PenaltyConfig:
@@ -96,11 +103,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("design", help="design windows for a fixed route")
     p.add_argument("--instance", type=Path)
     p.add_argument("--route", type=Path)
-    p.add_argument("--model", choices=("sm", "rm"))
+    _add_model_flags(p)
     _add_penalty_flags(p)
-    p.add_argument("--q-train", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha2", type=float, default=0.0)
     p.add_argument("--fixed-width", action="store_true", help="shared window width (sm only)")
     p.add_argument("--out", type=Path)
     p.add_argument("--cost-csv", type=Path, default=None)
@@ -108,12 +112,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="optimise the route and its windows")
     p.add_argument("--instance", type=Path)
-    p.add_argument("--model", choices=("sm", "rm"))
+    _add_model_flags(p)
     _add_penalty_flags(p)
-    p.add_argument("--q-train", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha1", type=float, default=0.0)
-    p.add_argument("--alpha2", type=float, default=0.0)
     p.add_argument("--cut-log", type=Path, default=None)
     p.add_argument("--out-dir", type=Path)
     p.add_argument("--no-timestamp", action="store_true")
@@ -174,17 +175,8 @@ def _cmd_gen(args) -> int:
 
 
 def _model(args, net):
-    """The model named by --model, with its training draws for sm."""
-    if args.model == "sm":
-        if args.q_train < 1:
-            raise ValueError("--q-train must be >= 1")
-        return SaaModel(sample_travel_times(net, args.q_train, substream(args.seed, "sampling-train")))
-    alpha1 = getattr(args, "alpha1", 0.0)  # design has no --alpha1
-    if alpha1 < 0:
-        raise ValueError("--alpha1 must be nonnegative")
-    if args.alpha2 < 0:
-        raise ValueError("--alpha2 must be nonnegative")
-    return DroModel(alpha1, args.alpha2)
+    """The model named by --model (design has no --alpha1)."""
+    return build_model(args.model, net, args.seed, args.q_train, getattr(args, "alpha1", 0.0), args.alpha2)
 
 
 def _cmd_design(args) -> int:
@@ -192,13 +184,13 @@ def _cmd_design(args) -> int:
     net = load_instance(args.instance)
     route = route_to_xy(load_route(args.route), net)
     pen = _penalties(args, net.n_customers)
+    if args.fixed_width and args.model != "sm":
+        raise ValueError("--fixed-width applies to the sm model only")
     model = _model(args, net)
-    if not args.fixed_width:
-        plan = checked_context(net, model, pen).plan(route)
-    elif isinstance(model, SaaModel):
+    if args.fixed_width:
         plan = design_fixed_width(route, model.samples, pen)
     else:
-        raise ValueError("--fixed-width applies to the sm model only")
+        plan = checked_context(net, model, pen).plan(route)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_plan(plan, args.out, extra=_timestamp_extra(args))
     if args.cost_csv is not None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .instance import Network, SampleSet, sample_travel_times, substream
 from .routing import Route, arrival_matrix
-from .solver import DroModel, SaaModel, branch_and_bound
+from .solver import DroModel, branch_and_bound, build_model
 from .window_design import PenaltyConfig, WindowPlan, penalties_from_beta
 
 REPORT_COLUMNS = [
@@ -65,6 +65,8 @@ class EvalReport:
 
 def evaluate_plan(route: Route, plan: WindowPlan, test_samples: SampleSet) -> EvalReport:
     """Score a window plan on scenarios it was not designed against."""
+    if plan.route_seq != route.seq:
+        raise ValueError(f"plan was made for route {list(plan.route_seq)}, not {list(route.seq)}")
     missing = [k for k in route.customers if k not in plan.customers]
     if missing:
         raise ValueError(f"plan has no window for customer {missing[0]}")
@@ -166,42 +168,38 @@ def guideline_sweep(
 ) -> list[dict]:
     """Grid evaluation used to pick service-level targets.
 
-    For each (model, beta pair, seed) cell: build the model (``sm``
-    draws training scenarios; ``rm`` reads only the network's moments),
-    solve for the route and windows, draw fresh test scenarios, and
-    score.  Each seed splits into independent named substreams for the
-    training and test draws.  Rows come back sorted by
-    (model, beta_l, beta_u, seed).
+    For each (model, beta pair, seed) cell: solve for the route and
+    windows, and score them on test scenarios.  Each seed splits into
+    named substreams for the training and test draws, and each input is
+    computed once: a seed's draws serve every pair (its test draws every
+    model), and seeds with equal models (all ``rm`` seeds) share a solve.
+    Rows come back sorted by (model, beta_l, beta_u, seed).
     """
     rows = []
-    robust = DroModel(alpha1, alpha2)
-    model_for_seed = {
-        "sm": lambda seed: SaaModel(sample_travel_times(net, q_train, substream(seed, "sampling-train"))),
-        "rm": lambda seed: robust,
-    }
+    DroModel(alpha1, alpha2)  # bad alphas fail even when no rm cell reads them
+    tests = {seed: sample_travel_times(net, q_test, substream(seed, "sampling-test")) for seed in seeds}
     for model_name in models:
-        if model_name not in model_for_seed:
-            raise ValueError(f"unknown model {model_name!r}; expected 'sm' or 'rm'")
+        built = {seed: build_model(model_name, net, seed, q_train, alpha1, alpha2) for seed in tests}
+        groups = {model: [seed for seed in seeds if built[seed] == model] for model in built.values()}
         for beta_l, beta_u in beta_grid:
             pen = penalties_from_beta(beta_l, beta_u, net.n_customers)
-            for seed in seeds:
-                model = model_for_seed[model_name](seed)
-                test = sample_travel_times(net, q_test, substream(seed, "sampling-test"))
+            for model, group in groups.items():
                 res = branch_and_bound(net, model, pen)
-                rep = evaluate_plan(res.route, res.plan, test)
-                rows.append(
-                    {
-                        "model": model_name,
-                        "beta_l": beta_l,
-                        "beta_u": beta_u,
-                        "seed": seed,
-                        "width": rep.mean_length,
-                        "early_rate": rep.early_rate,
-                        "late_rate": rep.late_rate,
-                        "objective": res.objective,
-                        "budget_used": res.budget_value,
-                    }
-                )
+                for seed in group:
+                    rep = evaluate_plan(res.route, res.plan, tests[seed])
+                    rows.append(
+                        {
+                            "model": model_name,
+                            "beta_l": beta_l,
+                            "beta_u": beta_u,
+                            "seed": seed,
+                            "width": rep.mean_length,
+                            "early_rate": rep.early_rate,
+                            "late_rate": rep.late_rate,
+                            "objective": res.objective,
+                            "budget_used": res.budget_value,
+                        }
+                    )
     rows.sort(key=lambda r: (r["model"], r["beta_l"], r["beta_u"], r["seed"]))
     return rows
 

@@ -52,7 +52,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .instance import Network, SampleSet
+from .instance import Network, SampleSet, sample_travel_times, substream
 from .routing import Route, budget_dro, budget_saa, route_to_xy
 from .window_design import (
     SINGULAR_QUAD,
@@ -122,6 +122,16 @@ class DroModel:
 
     def context(self, net: Network, pen: PenaltyConfig) -> DroPricer:
         return DroPricer(net.mean, net.cov, self.alpha2, pen)
+
+
+def build_model(name: str, net: Network, seed: int, q_train: int, alpha1: float = 0.0, alpha2: float = 0.0):
+    """The model named ``name``: ``sm`` over ``q_train`` training draws from
+    the seed's ``sampling-train`` substream, ``rm`` with the given alphas."""
+    if name == "sm":
+        return SaaModel(sample_travel_times(net, q_train, substream(seed, "sampling-train")))
+    if name == "rm":
+        return DroModel(alpha1, alpha2)
+    raise ValueError(f"unknown model {name!r}; expected 'sm' or 'rm'")
 
 
 @dataclass(eq=False)

@@ -294,20 +294,32 @@ def save_plan(plan: WindowPlan, path, extra: dict | None = None) -> None:
 def load_plan(path) -> WindowPlan:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("window plan file: expected a JSON object")
     for key in ("route", "windows", "cost"):
         if key not in doc:
             raise ValueError(f"window plan file: missing key {key!r}")
-    customers = tuple(_plan_field(w["customer"], "customer", integer=True) for w in doc["windows"])
-    lower = np.array([_plan_field(w["lower"], "lower") for w in doc["windows"]], dtype=float)
-    upper = np.array([_plan_field(w["upper"], "upper") for w in doc["windows"]], dtype=float)
-    per = doc.get("per_customer") or [{} for _ in customers]
+    if not (isinstance(doc["route"], list) and all(_is_json_int(v) for v in doc["route"])):
+        raise ValueError(f"window plan file: route: expected a list of integers, got {json.dumps(doc['route'])}")
+    windows = doc["windows"]
+    if not (isinstance(windows, list)
+            and all(isinstance(w, dict) and {"customer", "lower", "upper"} <= w.keys() for w in windows)):
+        raise ValueError("window plan file: windows: expected a list of objects with customer, lower and upper")
+    per = doc.get("per_customer")
+    if per is None:
+        per = [{} for _ in windows]
+    elif not (isinstance(per, list) and len(per) == len(windows) and all(isinstance(e, dict) for e in per)):
+        raise ValueError(f"window plan file: per_customer: expected a list of {len(windows)} objects, one per window")
+    customers = tuple(_plan_field(w["customer"], "customer", integer=True) for w in windows)
+    lower = np.array([_plan_field(w["lower"], "lower") for w in windows], dtype=float)
+    upper = np.array([_plan_field(w["upper"], "upper") for w in windows], dtype=float)
     costs = np.array([_plan_field(e.get("cost", 0.0), "cost") for e in per], dtype=float)
     shared_width = doc.get("shared_width")
     if shared_width is not None and not (_is_json_number(shared_width) and 0 <= shared_width < np.inf):
         raise ValueError("window plan file: shared_width: expected null or a finite number >= 0")
     return WindowPlan(
         kind=str(doc.get("kind", "unknown")),
-        route_seq=tuple(int(v) for v in doc["route"]),
+        route_seq=tuple(doc["route"]),
         customers=customers,
         lower=lower,
         upper=upper,

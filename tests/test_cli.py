@@ -343,10 +343,23 @@ def test_eval_rejects_bad_plan_values(inst, tmp_path, capsys):
         ("cost", lambda d: d.update(cost=None)),
         ("shared_width", lambda d: d.update(shared_width=-1.0)),
         ("shared_width", lambda d: d.update(shared_width=True)),
+        # a plan of the wrong shape is a usage error, not a TypeError traceback
+        ("windows", lambda d: d.update(windows=5)),
+        ("windows", lambda d: d.update(windows=[5])),
+        ("windows", lambda d: d["windows"][0].pop("upper")),
+        ("per_customer", lambda d: d.update(per_customer=5)),
+        ("per_customer", lambda d: d.update(per_customer=[5] * len(d["windows"]))),
+        ("per_customer", lambda d: d["per_customer"].pop()),
+        ("route", lambda d: d.update(route=[0, True, 2.0, 3, 0])),
+        ("route", lambda d: d.update(route=7)),
     ]
-    for key, edit in edits:
+
+    def edited(edit):
         doc = json.loads(json.dumps(good))
         edit(doc)
+        return doc
+
+    for key, doc in [(key, edited(edit)) for key, edit in edits] + [("", [good])]:
         plan = tmp_path / "bad_plan.json"
         with open(plan, "w") as fh:
             json.dump(doc, fh)
@@ -358,7 +371,38 @@ def test_eval_rejects_bad_plan_values(inst, tmp_path, capsys):
             ]
         )
         assert rc == 1, key
-        assert f"window plan file: {key}: expected" in capsys.readouterr().err, key
+        where = f"{key}: " if key else ""  # the document itself has no key
+        assert f"window plan file: {where}expected" in capsys.readouterr().err, key
+        assert not (tmp_path / "report.csv").exists(), key
+
+
+def test_eval_rejects_plan_for_another_route(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    assert main(["gen", "--customers", "3", "--seed", "1", "--out", str(inst_path)]) == 0
+    out_dir = tmp_path / "run"
+    solve = [
+        "solve", "--instance", str(inst_path), "--model", "sm", "--beta-l", "0.1",
+        "--beta-u", "0.1", "--q-train", "80", "--out-dir", str(out_dir), "--no-timestamp",
+    ]
+    assert main(solve) == 0
+    with open(out_dir / "plan.json") as fh:
+        good = json.load(fh)
+    seq = good["route"]
+    for other in ([0, 9, 9, 9, 0], seq[::-1]):
+        doc = dict(good, route=other)
+        plan = tmp_path / "other_plan.json"
+        with open(plan, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        rc = main(
+            [
+                "eval", "--instance", str(inst_path), "--route", str(out_dir / "route.json"),
+                "--plan", str(plan), "--q-test", "50", "--out", str(tmp_path / "report.csv"),
+            ]
+        )
+        assert rc == 1, other
+        assert f"plan was made for route {other}, not {seq}" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
 
 
 def test_time_budget_must_be_finite(tmp_path, capsys):

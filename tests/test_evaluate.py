@@ -1,6 +1,8 @@
 """Tests for out-of-sample evaluation, the waiting recursion, and reports."""
 
 import csv
+import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +95,16 @@ def test_evaluate_requires_all_windows():
     )
     with pytest.raises(ValueError, match="no window for customer 2"):
         evaluate_plan(route, plan, samples)
+
+
+def test_evaluate_rejects_plan_for_another_route():
+    # windows quoted for one visit order say nothing about another
+    route, samples = line_route_with_samples([[1.0, 1.0, 1.0]])
+    plan = plan_for(route, [0.0, 0.0], [5.0, 5.0])
+    for seq in ((0, 2, 1, 0), (0, 9, 9, 0)):
+        other = dataclasses.replace(plan, route_seq=seq)
+        with pytest.raises(ValueError, match=re.escape(f"plan was made for route {list(seq)}, not [0, 1, 2, 0]")):
+            evaluate_plan(route, other, samples)
 
 
 def test_evaluate_in_sample_rates_match_design():
@@ -192,6 +204,48 @@ def test_guideline_sweep_rm_draws_only_test_scenarios(monkeypatch):
     rows = guideline_sweep(net, [(0.1, 0.1)], ["rm"], [4, 9], q_train=70, q_test=50,
                            alpha1=0.2, alpha2=0.1)
     assert draws == [50, 50]  # test draws only: the moment model reads no training set
+    assert rows == want
+
+
+def test_guideline_sweep_does_each_piece_of_work_once(monkeypatch):
+    # a seed's test draws serve every model and pair, its training draws
+    # every pair, and the moment model (equal for all seeds) one solve a pair
+    import twdesign.evaluate
+    import twdesign.solver
+
+    net = random_network(3, seed=8, complete=True)
+    grid = [(0.1, 0.1), (0.05, 0.05)]
+    seeds = [3, 4, 5]
+    want = []
+    for name in ("rm", "sm"):
+        for beta_l, beta_u in sorted(grid):
+            pen = penalties_from_beta(beta_l, beta_u, 3)
+            for seed in seeds:
+                train = sample_travel_times(net, 60, substream(seed, "sampling-train"))
+                test = sample_travel_times(net, 50, substream(seed, "sampling-test"))
+                res = branch_and_bound(net, SaaModel(train) if name == "sm" else DroModel(0.1, 0.2), pen)
+                rep = evaluate_plan(res.route, res.plan, test)
+                want.append({
+                    "model": name, "beta_l": beta_l, "beta_u": beta_u, "seed": seed,
+                    "width": rep.mean_length, "early_rate": rep.early_rate, "late_rate": rep.late_rate,
+                    "objective": res.objective, "budget_used": res.budget_value,
+                })
+    draws, solves = [], []
+
+    def drawing(net, q, seed):
+        draws.append(q)
+        return sample_travel_times(net, q, seed)
+
+    def solving(net, model, pen):
+        solves.append(model.name)
+        return branch_and_bound(net, model, pen)
+
+    monkeypatch.setattr(twdesign.evaluate, "sample_travel_times", drawing)
+    monkeypatch.setattr(twdesign.solver, "sample_travel_times", drawing, raising=False)
+    monkeypatch.setattr(twdesign.evaluate, "branch_and_bound", solving)
+    rows = guideline_sweep(net, grid, ["sm", "rm"], seeds, q_train=60, q_test=50, alpha1=0.1, alpha2=0.2)
+    assert sorted(draws) == [50] * 3 + [60] * 3  # a draw per cell would be 18
+    assert sorted(solves) == ["rm"] * 2 + ["sm"] * 6  # a solve per cell would be 12
     assert rows == want
 
 
