@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -322,17 +323,35 @@ def _config_value(action, value):
     return converted
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    # pre-scan --config so its values become subcommand defaults
+@functools.cache
+def _parsers():
+    """The command parser and the --config pre-scan, built once a process."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", type=Path)
-    pre_args, _ = pre.parse_known_args(argv)
+    return build_parser(), pre
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    parser, pre = _parsers()
+    subparsers = parser._subparsers._group_actions[0].choices
+    # --config values become subcommand defaults for this call only
+    saved = [(p, dict(p._defaults), [(a, a.default) for a in p._actions]) for p in subparsers.values()]
+    try:
+        return _run(parser, subparsers, pre.parse_known_args(argv)[0].config, argv)
+    finally:
+        for p, defaults, actions in saved:
+            p._defaults.clear()
+            p._defaults.update(defaults)
+            for a, default in actions:
+                a.default = default
+
+
+def _run(parser, subparsers, config, argv) -> int:
     config_errors: dict[str, ValueError] = {}
-    if pre_args.config is not None:
+    if config is not None:
         try:
-            with open(pre_args.config) as fh:
+            with open(config) as fh:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"twdesign: error: --config: {exc}", file=sys.stderr)
@@ -341,7 +360,6 @@ def main(argv=None) -> int:
             print("twdesign: error: --config: expected a JSON object", file=sys.stderr)
             return 1
         known: set[str] = set()
-        subparsers = parser._subparsers._group_actions[0].choices
         for p in subparsers.values():
             known |= {a.dest for a in p._actions}
         unknown = set(cfg) - known

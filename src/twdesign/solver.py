@@ -126,11 +126,14 @@ class DroModel:
 
 def build_model(name: str, net: Network, seed: int, q_train: int, alpha1: float = 0.0, alpha2: float = 0.0):
     """The model named ``name``: ``sm`` over ``q_train`` training draws from
-    the seed's ``sampling-train`` substream, ``rm`` with the given alphas."""
+    the seed's ``sampling-train`` substream, ``rm`` with the given alphas.
+    The alphas are checked for every model, so a bad one never passes
+    unread."""
+    rm = DroModel(alpha1, alpha2)
     if name == "sm":
         return SaaModel(sample_travel_times(net, q_train, substream(seed, "sampling-train")))
     if name == "rm":
-        return DroModel(alpha1, alpha2)
+        return rm
     raise ValueError(f"unknown model {name!r}; expected 'sm' or 'rm'")
 
 

@@ -524,6 +524,41 @@ def _inner_fixed_cost(srt, cum, a_l, a_u, q, width):
     return float(f[best]), float(cands[best])
 
 
+# the width grid drops its repeats this many entries at a time
+_GRID_BLOCK = 1 << 16
+
+
+def _width_grid(sorted_cols) -> np.ndarray:
+    """Zero and every difference ``srt[a] - srt[b]``, a > b, within each
+    sorted column, sorted and without repeats: ``np.unique`` of all the
+    columns' nonnegative pairwise differences plus zero, bit for bit (a
+    tie only yields 0, which entry 0 holds).
+
+    The differences fill one buffer row by row, which is sorted in place;
+    repeats are then dropped one ``_GRID_BLOCK`` at a time by writing the
+    kept values forward, and the grid is the buffer's prefix.
+    """
+    buf = np.empty(1 + sum(len(srt) * (len(srt) - 1) // 2 for srt in sorted_cols))
+    buf[0] = 0.0
+    end = 1
+    for srt in sorted_cols:
+        for a in range(1, len(srt)):
+            np.subtract(srt[a], srt[:a], out=buf[end:end + a])
+            end += a
+    buf.sort()
+    kept, last = 0, np.nan  # nan differs from every value
+    for start in range(0, len(buf), _GRID_BLOCK):
+        block = buf[start:start + _GRID_BLOCK]
+        keep = np.empty(len(block), dtype=bool)
+        keep[0] = block[0] != last
+        np.not_equal(block[1:], block[:-1], out=keep[1:])
+        last = block[-1]
+        values = block[keep]
+        buf[kept:kept + len(values)] = values
+        kept += len(values)
+    return buf[:kept]
+
+
 def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
     """Optimal shared-width windows for all customers of a route.
 
@@ -533,7 +568,9 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
     its cost; the outer objective is convex piecewise linear in w, so an
     exact search over the candidate widths (all nonnegative pairwise
     differences of each customer's arrival samples, plus zero) via
-    ternary search on the sorted grid suffices.
+    ternary search on the sorted grid suffices.  The grid (``_width_grid``)
+    takes one 8-byte buffer per candidate plus one ``_GRID_BLOCK``, so a
+    call holds about 8 n q (q - 1) / 2 bytes.
     """
     from .routing import arrival_matrix
 
@@ -550,14 +587,11 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
             f"{FIXED_WIDTH_MAX_CANDIDATES}; subsample the scenarios first"
         )
     per_cust = []
-    diff_parts = [np.zeros(1)]
     for pos in range(n):
         srt = np.sort(arr[:, pos])
         cum = np.concatenate(([0.0], np.cumsum(srt)))
         per_cust.append((srt, cum))
-        diffs = np.subtract.outer(srt, srt).ravel()
-        diff_parts.append(diffs[diffs >= 0])
-    widths = np.unique(np.concatenate(diff_parts))
+    widths = _width_grid([srt for srt, _ in per_cust])
 
     cache: dict[int, float] = {}
 

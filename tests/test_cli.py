@@ -26,6 +26,7 @@ from twdesign import (
     save_route,
     substream,
 )
+from twdesign import cli
 from twdesign.cli import main
 
 
@@ -556,6 +557,52 @@ def test_solve_rejects_nan_alpha(inst, tmp_path, capsys):
         assert rc == 1
         assert "finite and nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+
+def test_sm_rejects_bad_alphas(inst, tmp_path, capsys):
+    # the sm model reads neither alpha, but a bad value is still an error
+    net, inst_path = inst
+    route_path = tmp_path / "route.json"
+    save_route((0, 1, 2, 3, 0), route_path)
+    calls = (
+        ["solve", "--instance", str(inst_path), "--alpha1", "nan", "--out-dir", str(tmp_path / "r")],
+        ["design", "--instance", str(inst_path), "--route", str(route_path), "--alpha2", "-1",
+         "--out", str(tmp_path / "r" / "plan.json")],
+    )
+    for argv in calls:
+        rc = main(argv + ["--model", "sm", "--beta-l", "0.05", "--beta-u", "0.05", "--q-train", "20"])
+        assert rc == 1, argv[0]
+        assert "finite and nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+
+def test_config_defaults_last_one_call(inst, tmp_path, capsys):
+    net, inst_path = inst
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "rm", "q_train": 60, "beta_l": 0.05, "beta_u": 0.05}))
+    argv = ["solve", "--instance", str(inst_path), "--out-dir", str(tmp_path / "run"), "--no-timestamp"]
+    assert main(["--config", str(cfg)] + argv) == 0
+    # the next call without --config sees the built-in defaults again
+    assert main(argv) == 1
+    assert "--model is required" in capsys.readouterr().err
+    args = cli._parsers()[0].parse_args(["solve"])
+    assert (args.model, args.q_train, args.beta_l, args.beta_u) == (None, 1000, None, None)
+
+
+def test_parser_built_once(tmp_path, monkeypatch):
+    build_parser = cli.build_parser
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parsers.cache_clear()
+    for seed in range(3):
+        assert main(["gen", "--customers", "2", "--seed", str(seed), "--out", str(tmp_path / f"{seed}.json")]) == 0
+    assert main(["gen", "--customers", "2"]) == 1
+    assert len(built) == 1
 
 
 def test_missing_instance_file_exits_one(tmp_path, capsys):

@@ -30,7 +30,7 @@ from twdesign import (
     sample_travel_times,
     substream,
 )
-from twdesign.solver import _completion_bounds
+from twdesign.solver import _completion_bounds, build_model
 
 
 def solve_both(net, model, pen):
@@ -443,6 +443,17 @@ def test_model_validation():
             DroModel(alpha1=bad)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             DroModel(alpha2=bad)
+
+
+def test_build_model_checks_alphas_for_every_model():
+    # sm reads neither alpha, but a bad value must not pass unread
+    net = random_network(3, seed=0, complete=True)
+    for bad in (-1.0, np.nan, np.inf):
+        for name in ("sm", "rm"):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                build_model(name, net, 0, 10, alpha1=bad)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                build_model(name, net, 0, 10, alpha2=bad)
 
 
 # ---------------------------------------------------------------------------

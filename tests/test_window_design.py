@@ -6,15 +6,20 @@ implementation existed.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twdesign import (
     Network,
     PenaltyConfig,
+    SaaModel,
     SampleSet,
+    branch_and_bound,
     brute_force_windows,
     critical_indices,
     design_dro,
@@ -31,7 +36,10 @@ from twdesign import (
     save_plan,
     scarf_earliness,
     scarf_tardiness,
+    substream,
 )
+from twdesign import window_design
+from twdesign.window_design import _width_grid
 
 
 def line_net(n_customers, tb=1000.0):
@@ -369,6 +377,78 @@ def test_fixed_width_candidate_limit():
     pen = penalties_from_beta(0.1, 0.1, 1)
     with pytest.raises(ValueError, match="subsample the scenarios"):
         design_fixed_width(route, samples, pen)
+
+
+def _unique_differences(cols):
+    """The grid as np.unique builds it: every nonnegative pairwise
+    difference within each column, plus zero."""
+    parts = [np.zeros(1)]
+    for col in cols:
+        diffs = np.subtract.outer(col, col).ravel()
+        parts.append(diffs[diffs >= 0])
+    return np.unique(np.concatenate(parts))
+
+
+# zero stands for a clamped arrival; a small pool of values makes ties
+_arrival = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 7.25]), st.floats(0.0, 100.0))
+
+
+@st.composite
+def _arrival_rows(draw):
+    """Scenario rows of 1-4 customers' arrivals, some rows repeated."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_arrival, min_size=n, max_size=n), min_size=1, max_size=30))
+    repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=6))
+    return np.array(rows + [rows[i] for i in repeats])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rows=_arrival_rows(), block=st.integers(1, 9))
+@example(rows=np.array([[3.0, 0.0]]), block=1)  # q = 1: the grid is the zero width alone
+@example(rows=np.array([[0.0], [0.0], [2.0], [2.0], [5.0]]), block=2)
+def test_width_grid_is_unique_of_differences(rows, block):
+    cols = [np.sort(rows[:, pos]) for pos in range(rows.shape[1])]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(window_design, "_GRID_BLOCK", block)
+        grid = _width_grid(cols)
+    assert np.array_equal(grid, _unique_differences(cols))
+
+
+def test_width_grid_spans_blocks():
+    # 2 * 400 * 399 / 2 + 1 = 159,601 entries: three default blocks, with ties
+    rng = np.random.default_rng(5)
+    cols = [np.sort(np.round(rng.gamma(4.0, 10.0, 400), 1)) for _ in range(2)]
+    assert 2 * 400 * 399 // 2 + 1 > 2 * window_design._GRID_BLOCK
+    assert np.array_equal(_width_grid(cols), _unique_differences(cols))
+
+
+def _desk_like(n, q, instance, beta):
+    net = random_network(n, seed=instance)
+    train = sample_travel_times(net, q, substream(instance, "sampling-train"))
+    pen = penalties_from_beta(beta, beta, n)
+    return branch_and_bound(net, SaaModel(train), pen).route, train, pen
+
+
+def test_fixed_width_memory_per_candidate():
+    # the grid is one 8-byte buffer per candidate plus one block; building
+    # it from q x q difference matrices took about 36 bytes per candidate
+    route, train, pen = _desk_like(6, 600, 3, 0.05)
+    candidates = 6 * 600 * 599 // 2 + 1
+    tracemalloc.start()
+    try:
+        design_fixed_width(route, train, pen)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / candidates <= 16.0
+
+
+def test_fixed_width_desk_instance_frozen():
+    # desk instance 0 at draw seed 0, beta 0.05, as the np.unique grid chose
+    route, train, pen = _desk_like(10, 1000, 0, 0.05)
+    plan = design_fixed_width(route, train, pen)
+    assert plan.shared_width == 33.046633564581285
+    assert plan.total_cost == 22.463259071215965
 
 
 # ---------------------------------------------------------------------------
