@@ -49,6 +49,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+class _Pairs(argparse.Action):
+    """A repeatable flag whose command-line values replace its --config list."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, [*([] if items is self.default else items), values])
+
+
 def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name.replace("-", "_"), None) is None:
@@ -133,7 +141,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("guideline", help="sweep service levels across models and seeds")
     p.add_argument("--instance", type=Path)
-    p.add_argument("--beta-pair", action="append",
+    p.add_argument("--beta-pair", action=_Pairs,
                    metavar="BL,BU", help="repeatable, e.g. --beta-pair 0.05,0.05")
     p.add_argument("--models", default="sm,rm")
     p.add_argument("--seeds", help="comma-separated master seeds")
@@ -308,8 +316,13 @@ def _config_value(action, value):
     """A --config value checked and converted as argparse treats the flag's
     text: a JSON number or string goes through the option's ``type`` as
     text (so 2.5 is no int), a boolean is no number, a switch takes only
-    a boolean, and the value must be one of the option's choices."""
+    a boolean, a repeatable flag a list of strings, and the value must be
+    one of the option's choices."""
     if value is None and action.default is None:
+        return value
+    if isinstance(action, _Pairs):
+        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            raise ValueError(f"{action.dest}: expected a list of strings, got {json.dumps(value)}")
         return value
     if action.nargs == 0 and not isinstance(value, bool):
         raise ValueError(f"{action.dest}: expected true or false, got {json.dumps(value)}")

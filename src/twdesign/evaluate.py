@@ -83,9 +83,8 @@ def evaluate_plan(route: Route, plan: WindowPlan, test_samples: SampleSet) -> Ev
     late_count = late_mask.sum(axis=0)
     early_gap = np.where(early_mask, lower - arr, 0.0)
     late_gap = np.where(late_mask, arr - upper, 0.0)
-    with np.errstate(invalid="ignore"):
-        early_amount = np.where(early_count > 0, early_gap.sum(axis=0) / np.maximum(early_count, 1), 0.0)
-        late_amount = np.where(late_count > 0, late_gap.sum(axis=0) / np.maximum(late_count, 1), 0.0)
+    early_amount = np.where(early_count > 0, early_gap.sum(axis=0) / np.maximum(early_count, 1), 0.0)
+    late_amount = np.where(late_count > 0, late_gap.sum(axis=0) / np.maximum(late_count, 1), 0.0)
     return EvalReport(
         customers=route.customers,
         lower=lower,
@@ -187,21 +186,23 @@ def guideline_sweep(
                 res = branch_and_bound(net, model, pen)
                 for seed in group:
                     rep = evaluate_plan(res.route, res.plan, tests[seed])
-                    rows.append(
-                        {
-                            "model": model_name,
-                            "beta_l": beta_l,
-                            "beta_u": beta_u,
-                            "seed": seed,
-                            "width": rep.mean_length,
-                            "early_rate": rep.early_rate,
-                            "late_rate": rep.late_rate,
-                            "objective": res.objective,
-                            "budget_used": res.budget_value,
-                        }
-                    )
+                    keys = {"model": model_name, "beta_l": beta_l, "beta_u": beta_u, "seed": seed}
+                    rows.append(_aggregate_row(rep, keys, res.objective, res.budget_value))
     rows.sort(key=lambda r: (r["model"], r["beta_l"], r["beta_u"], r["seed"]))
     return rows
+
+
+def _aggregate_row(report: EvalReport, keys: dict, objective, budget_used) -> dict:
+    """A report's aggregate row, shared by ``report_rows`` and the sweep;
+    it names no customer."""
+    return {
+        **keys,
+        "width": float(report.mean_length),
+        "early_rate": report.early_rate,
+        "late_rate": report.late_rate,
+        "objective": objective,
+        "budget_used": budget_used,
+    }
 
 
 def report_rows(
@@ -214,51 +215,30 @@ def report_rows(
     budget_used="",
 ) -> list[dict]:
     """Flatten an evaluation into report-CSV rows, one per customer plus
-    one aggregate row with an empty customer field."""
-    rows = []
+    the aggregate row.  A row names only the cells it fills;
+    ``write_report_csv`` leaves the others blank."""
+    keys = {"model": model, "beta_l": beta_l, "beta_u": beta_u, "seed": seed}
     q = report.q_test
-    for pos, k in enumerate(report.customers):
-        rows.append(
-            {
-                "model": model,
-                "beta_l": beta_l,
-                "beta_u": beta_u,
-                "seed": seed,
-                "customer": int(k),
-                "lower": float(report.lower[pos]),
-                "upper": float(report.upper[pos]),
-                "width": float(report.window_length[pos]),
-                "early_rate": report.early_count[pos] / q,
-                "late_rate": report.late_count[pos] / q,
-                "early_amt": float(report.early_amount_mean[pos]),
-                "late_amt": float(report.late_amount_mean[pos]),
-                "objective": "",
-                "budget_used": "",
-            }
-        )
-    rows.append(
+    rows = [
         {
-            "model": model,
-            "beta_l": beta_l,
-            "beta_u": beta_u,
-            "seed": seed,
-            "customer": "",
-            "lower": "",
-            "upper": "",
-            "width": float(report.mean_length),
-            "early_rate": report.early_rate,
-            "late_rate": report.late_rate,
-            "early_amt": "",
-            "late_amt": "",
-            "objective": objective,
-            "budget_used": budget_used,
+            **keys,
+            "customer": int(k),
+            "lower": float(report.lower[pos]),
+            "upper": float(report.upper[pos]),
+            "width": float(report.window_length[pos]),
+            "early_rate": report.early_count[pos] / q,
+            "late_rate": report.late_count[pos] / q,
+            "early_amt": float(report.early_amount_mean[pos]),
+            "late_amt": float(report.late_amount_mean[pos]),
         }
-    )
-    return rows
+        for pos, k in enumerate(report.customers)
+    ]
+    return rows + [_aggregate_row(report, keys, objective, budget_used)]
 
 
 def write_report_csv(rows, path) -> None:
-    """Write rows in the fixed report column order."""
+    """Write rows in the fixed report column order; a cell a row does not
+    name is left blank."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS, restval="", extrasaction="raise")
         writer.writeheader()

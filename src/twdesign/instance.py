@@ -417,6 +417,9 @@ def load_instance(path) -> Network:
             if not isinstance(row, list) or len(row) != m:
                 got = len(row) if isinstance(row, list) else type(row).__name__
                 raise ValueError(f"cov[{r}]: expected {m} entries, got {got}")
+            if not set(map(type, row)) <= {int, float}:  # JSON numbers: no bool, str or null
+                bad = next(v for v in row if not _is_json_number(v))
+                raise ValueError(f"cov[{r}]: expected numbers, got {json.dumps(bad)}")
             cov[r] = row
         return Network(nodes, tuple(arcs), np.asarray(means), cov, float(tb))
     gen = doc["cov_gen"]

@@ -27,11 +27,11 @@ Both take each complete tour's budget from its arcs and build a
 ``Route`` only for the tour they return.
 
 A model (``SaaModel`` or ``DroModel``) is its pricer and its budget:
-``name``, ``check(net, pen)``, ``budget(net, x)`` and ``context(net,
-pen)``, which returns the pricer (``SaaPricer`` or ``DroPricer`` from
-``window_design``).  The pricer is the model's one pricing kernel: both
-searches price through it, the solve's plan is its ``plan(route)``, and
-its ``subgradients`` give the completion bound and the cuts, so the
+``name``, ``budget(net, x)`` and ``context(net, pen)``, which returns
+the pricer (``SaaPricer`` or ``DroPricer`` from ``window_design``), the
+model's one way in: building it applies the model's rules, both searches
+price through it, the solve's plan is its ``plan(route)``, and its
+``subgradients`` give the completion bound and the cuts, so the
 searches, the plan and the cut log agree on every cost to the last bit.
 
 Cut generation for master-problem decompositions is also here: the
@@ -87,14 +87,12 @@ class SaaModel:
     samples: SampleSet
     name: ClassVar[str] = "sm"
 
-    def check(self, net: Network, pen: PenaltyConfig) -> None:
-        if self.samples.n_arcs != net.n_arcs:
-            raise ValueError("sample set does not match the network's arc count")
-
     def budget(self, net: Network, x) -> float:
         return budget_saa(x, self.samples)
 
     def context(self, net: Network, pen: PenaltyConfig) -> SaaPricer:
+        if self.samples.n_arcs != net.n_arcs:
+            raise ValueError("sample set does not match the network's arc count")
         return SaaPricer(self.samples, pen)
 
 
@@ -110,12 +108,6 @@ class DroModel:
     def __post_init__(self):
         if not (0 <= self.alpha1 < np.inf and 0 <= self.alpha2 < np.inf):
             raise ValueError("alpha1 and alpha2 must be finite and nonnegative")
-
-    def check(self, net: Network, pen: PenaltyConfig) -> None:
-        if not pen.dro_valid:
-            raise ValueError(
-                "coefficient domain: moment-robust model needs 2*a_w < min(a_l, a_u)"
-            )
 
     def budget(self, net: Network, x) -> float:
         return budget_dro(x, net.mean, net.cov, self.alpha1)
@@ -167,12 +159,11 @@ class SolveResult:
 
 
 def checked_context(net: Network, model, pen: PenaltyConfig):
-    """Validate the model against the instance and return its pricer."""
-    if not hasattr(model, "check"):
+    """The model's pricer (``model.context`` applies the model's rules)."""
+    if not hasattr(model, "context"):
         raise TypeError(f"unknown model type {type(model).__name__}")
     if pen.n_customers != net.n_customers:
         raise ValueError("penalty config does not match the network's customer count")
-    model.check(net, pen)
     return model.context(net, pen)
 
 
@@ -519,6 +510,8 @@ def oa_cut(y_hat, cbar, customer: int = 0) -> Cut:
     """Outer-approximation cut for the dispersion term sqrt(y' C y)."""
     y = np.asarray(y_hat, dtype=float)
     cbar = np.asarray(cbar, dtype=float)
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(cbar))):
+        raise ValueError("anchor and covariance must be finite")
     quad = float(y @ cbar @ y)
     if quad <= SINGULAR_QUAD:
         raise ValueError("singular anchor: y' C y is numerically zero")

@@ -178,8 +178,15 @@ def saa_window(arrivals, a_w: float, a_l: float, a_u: float) -> SaaWindow:
     arr = np.asarray(arrivals, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("arrivals must be a non-empty 1-D array")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("arrivals must be finite")
+    return _saa_window(arr, *critical_indices(arr.size, a_w, a_l, a_u), a_w, a_l, a_u)
+
+
+def _saa_window(arr: np.ndarray, p1: int, p2: int, a_w: float, a_l: float, a_u: float) -> SaaWindow:
+    """``saa_window`` at known ranks, unchecked, for arrivals walked from
+    validated samples."""
     q = arr.size
-    p1, p2 = critical_indices(q, a_w, a_l, a_u)
     lower, upper, cost = _order_stat_window(arr, p1, p2, a_w, a_l, a_u)
     early, late = _rank_split(arr, p1, p2)
     rho1 = np.zeros(q)
@@ -346,10 +353,11 @@ def _plan_field(value, key: str, integer: bool = False):
 # A pricer carries the arrival state of a path from the depot and prices
 # the customer at its end; it is the model's one pricing kernel, and also
 # builds the model's plan (``plan``) and its cuts (``subgradients``).  The
-# searches extend it one arc at a time; every other caller walks a
-# finished route with the same recurrence and sums in the same visit
-# order, so the objective a search reports equals the cost of the plan
-# built for its route bit for bit.
+# searches extend it one arc at a time; every route-level design (the
+# plans, ``design_stochastic``, ``brute_force_windows`` and
+# ``design_fixed_width``) walks a finished route with the same recurrence
+# and sums in the same visit order, so the objective a search reports
+# equals the cost of the plan built for its route bit for bit.
 
 
 def _prefix_states(pricer, route):
@@ -463,7 +471,7 @@ def design_stochastic(route, samples, pen: PenaltyConfig):
     for the routing master problem are built from.
     """
     pricer = SaaPricer(samples, pen)
-    windows = {k: saa_window(arrivals, *pen.for_customer(k)) for k, arrivals in _prefix_states(pricer, route)}
+    windows = {k: _saa_window(arrivals, *pricer.terms[k]) for k, arrivals in _prefix_states(pricer, route)}
     return pricer.plan(route), windows
 
 
@@ -478,12 +486,10 @@ def brute_force_windows(route, samples, pen: PenaltyConfig) -> WindowPlan:
     smaller width, then the smaller lower bound.  Quadratic in Q, meant
     as an oracle for small sample sets.
     """
-    from .routing import arrival_matrix
-
     q = samples.q
     if q > BRUTE_FORCE_MAX_Q:
         raise ValueError(f"brute-force design limited to q <= {BRUTE_FORCE_MAX_Q}")
-    arr = arrival_matrix(route, samples.values)
+    arr = np.column_stack([state for _, state in _prefix_states(SaaPricer(samples, pen), route)])
     windows, early, late = [], [], []
     for pos, k in enumerate(route.customers):
         a_w, a_l, a_u = pen.for_customer(k)
@@ -572,12 +578,10 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
     takes one 8-byte buffer per candidate plus one ``_GRID_BLOCK``, so a
     call holds about 8 n q (q - 1) / 2 bytes.
     """
-    from .routing import arrival_matrix
-
     if not np.all(pen.a_w == pen.a_w[0]):
         raise ValueError("shared-width design needs a customer-independent a_w")
     a_w = float(pen.a_w[0])
-    arr = arrival_matrix(route, samples.values)
+    arr = np.column_stack([state for _, state in _prefix_states(SaaPricer(samples, pen), route)])
     q = samples.q
     n = len(route.customers)
     raw_count = n * (q * (q + 1)) // 2 + 1
@@ -646,21 +650,28 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
 # moment-robust design
 
 
+def _check_moments(variance: float, *values: float) -> None:
+    """The public moment closed forms take finite numbers, variance >= 0."""
+    if not (0 <= variance < math.inf and all(math.isfinite(v) for v in values)):
+        raise ValueError("moments and window edges must be finite, with variance >= 0")
+
+
+def _scarf(d: float, variance: float) -> float:
+    """The Scarf bound at offset d, unchecked: the pricing kernel's copy."""
+    return 0.5 * (d + math.sqrt(variance + d * d))
+
+
 def scarf_earliness(lower: float, mean: float, variance: float) -> float:
     """Worst-case E[(l - tau)+] over distributions with the given mean and
     variance (Scarf bound): (d + sqrt(s^2 + d^2)) / 2 with d = l - mean."""
-    if variance < 0:
-        raise ValueError("variance must be nonnegative")
-    d = lower - mean
-    return 0.5 * (d + math.sqrt(variance + d * d))
+    _check_moments(variance, lower, mean)
+    return _scarf(lower - mean, variance)
 
 
 def scarf_tardiness(upper: float, mean: float, variance: float) -> float:
     """Worst-case E[(tau - u)+], mirror image of the earliness bound."""
-    if variance < 0:
-        raise ValueError("variance must be nonnegative")
-    d = mean - upper
-    return 0.5 * (d + math.sqrt(variance + d * d))
+    _check_moments(variance, upper, mean)
+    return _scarf(mean - upper, variance)
 
 
 def _wing(beta: float) -> float:
@@ -680,8 +691,8 @@ def gamma_coeffs(a_w: float, a_l: float, a_u: float) -> tuple[float, float]:
     gamma_side = sqrt(a_w (a_side - a_w)).  At the closed boundary
     2 a_w = a_side this degenerates to gamma_side = a_side / 2.
     """
-    if a_w <= 0 or a_l <= 0 or a_u <= 0:
-        raise ValueError("penalty weights must be positive")
+    if not all(0 < a < math.inf for a in (a_w, a_l, a_u)):
+        raise ValueError("penalty weights must be positive and finite")
     if 2 * a_w > min(a_l, a_u) + CMP_TOL:
         raise ValueError("coefficient domain: need 2*a_w <= min(a_l, a_u)")
     return math.sqrt(a_w * (a_l - a_w)), math.sqrt(a_w * (a_u - a_w))
@@ -701,11 +712,7 @@ def _dro_window(mean, variance, a_w, a_l, a_u, gamma, wing_l, wing_u):
     upper = mean + sigma * wing_u
     if lower >= 0:
         return lower, upper, gamma * sigma, False
-    cost = (
-        a_w * upper
-        + a_l * scarf_earliness(0.0, mean, variance)
-        + a_u * scarf_tardiness(upper, mean, variance)
-    )
+    cost = a_w * upper + a_l * _scarf(0.0 - mean, variance) + a_u * _scarf(mean - upper, variance)
     return 0.0, upper, cost, True
 
 
@@ -717,16 +724,19 @@ def dro_window(mean: float, variance: float, a_w: float, a_l: float, a_u: float)
     a negative lower edge is clamped to zero and flagged, with the cost
     evaluated at the clamped window.
     """
-    if variance < 0:
-        raise ValueError("variance must be nonnegative")
+    _check_moments(variance, mean)
     return _dro_window(mean, variance, *_dro_terms(a_w, a_l, a_u))
 
 
 class DroPricer:
     """Moment-robust pricing: the state is (m, C y, y' C y) of the path
-    under C = cov + alpha2 I, and a customer costs its ``dro_window``."""
+    under C = cov + alpha2 I, and a customer costs its ``dro_window``.
+    Building one applies the rm domain rule (``PenaltyConfig.dro_valid``)
+    for every caller; only ``dro_window`` keeps the closed boundary."""
 
     def __init__(self, mean, cov, alpha2: float, pen: PenaltyConfig):
+        if not pen.dro_valid:
+            raise ValueError("coefficient domain: moment-robust design needs 2*a_w < min(a_l, a_u)")
         if not 0 <= alpha2 < math.inf:
             raise ValueError("alpha2 must be finite and nonnegative")
         self.linear = np.asarray(mean, dtype=float)
@@ -783,9 +793,7 @@ def design_dro(route, mean, cov, alpha2: float, pen: PenaltyConfig) -> WindowPla
     The arrival moments come from the prefix of the route: m = mean on
     the path to the customer, s^2 = path variance under cov + alpha2 I
     (the inflation alpha2 guards against covariance estimation error).
-    Requires 2 a_w < min(a_l, a_u) (``PenaltyConfig.dro_valid``, the
-    rule ``DroModel`` checks before a search).
+    Requires 2 a_w < min(a_l, a_u) (``PenaltyConfig.dro_valid``), the
+    rule ``DroPricer`` applies for every rm caller.
     """
-    if not pen.dro_valid:
-        raise ValueError("coefficient domain: moment-robust design needs 2*a_w < min(a_l, a_u)")
     return DroPricer(mean, cov, alpha2, pen).plan(route)

@@ -456,6 +456,39 @@ def test_guideline_bad_pair(inst, tmp_path, capsys):
     assert "expects BL,BU" in capsys.readouterr().err
 
 
+def test_config_beta_pairs_yield_to_flags(inst, tmp_path):
+    # explicit --beta-pair flags replace the config's list, not extend it
+    net, inst_path = inst
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beta_pair": ["0.05,0.05"]}))
+    argv = ["--config", str(cfg), "guideline", "--instance", str(inst_path), "--models", "sm",
+            "--seeds", "1", "--q-train", "50", "--q-test", "50"]
+
+    def swept(*flags):
+        out = tmp_path / "sweep.csv"
+        assert main(argv + list(flags) + ["--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            return [(r["beta_l"], r["beta_u"]) for r in csv.DictReader(fh)]
+
+    assert swept() == [("0.05", "0.05")]
+    assert swept("--beta-pair", "0.2,0.2") == [("0.2", "0.2")]
+    assert swept("--beta-pair", "0.2,0.2", "--beta-pair", "0.1,0.1") == [("0.1", "0.1"), ("0.2", "0.2")]
+    assert swept() == [("0.05", "0.05")]
+
+
+def test_config_beta_pair_must_be_a_list_of_strings(inst, tmp_path, capsys):
+    net, inst_path = inst
+    cfg = tmp_path / "cfg.json"
+    argv = ["--config", str(cfg), "guideline", "--instance", str(inst_path), "--seeds", "1",
+            "--out", str(tmp_path / "s.csv")]
+    for value in ("0.05,0.05", [0.05], [["0.05", "0.05"]]):
+        cfg.write_text(json.dumps({"beta_pair": value}))
+        for flags in ([], ["--beta-pair", "0.2,0.2"]):
+            assert main(argv + flags) == 1, (value, flags)
+            assert "--config: beta_pair: expected a list of strings" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_config_file_supplies_defaults(inst, tmp_path):
     net, inst_path = inst
     cfg = tmp_path / "cfg.json"

@@ -270,7 +270,7 @@ def test_report_rows_and_csv(tmp_path):
     rows = report_rows(rep, model="sm", beta_l=0.1, beta_u=0.1, seed=3, objective=1.5, budget_used=20.0)
     assert len(rows) == 3  # two customers plus the aggregate
     assert rows[0]["customer"] == 1
-    assert rows[2]["customer"] == ""
+    assert "customer" not in rows[2]  # the aggregate row names no customer
     assert rows[2]["objective"] == 1.5
     path = tmp_path / "report.csv"
     write_report_csv(rows, path)
@@ -296,6 +296,8 @@ def test_report_rows_and_csv(tmp_path):
     # per-customer rows leave the aggregate-only fields empty
     assert recs[1][recs[0].index("objective")] == ""
     assert recs[3][recs[0].index("lower")] == ""
+    # and its customer cell is written blank
+    assert recs[3][recs[0].index("customer")] == ""
 
 
 def test_write_report_csv_rejects_unknown_columns(tmp_path):

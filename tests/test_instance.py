@@ -467,6 +467,22 @@ def test_instance_load_rejects_json_booleans(tmp_path):
         load_instance(write_doc(tmp_path, doc))
 
 
+def test_instance_cov_entries_must_be_numbers(tmp_path):
+    # numpy would read true as 1.0 and "2.0" as 2.0
+    base = {
+        "nodes": 2,
+        "arcs": [{"from": 0, "to": 1, "mean": 1.0}, {"from": 1, "to": 0, "mean": 1.0}],
+        "cov": [[1.0, 0], [0, 2.0]],
+        "time_budget": 10.0,
+    }
+    assert load_instance(write_doc(tmp_path, base)).cov.tolist() == [[1.0, 0.0], [0.0, 2.0]]
+    for row, bad in ((0, True), (1, "2.0"), (1, False)):
+        cov = [list(r) for r in base["cov"]]
+        cov[row][row] = bad
+        with pytest.raises(ValueError, match=rf"cov\[{row}\]: expected numbers, got {json.dumps(bad)}"):
+            load_instance(write_doc(tmp_path, dict(base, cov=cov)))
+
+
 # ---------------------------------------------------------------------------
 # sample files
 

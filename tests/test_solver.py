@@ -15,6 +15,7 @@ from twdesign import (
     SampleSet,
     benders_cut,
     branch_and_bound,
+    budget_saa,
     critical_indices,
     cut_check,
     design_dro,
@@ -30,7 +31,8 @@ from twdesign import (
     sample_travel_times,
     substream,
 )
-from twdesign.solver import _completion_bounds, build_model
+from twdesign.solver import _completion_bounds, build_model, checked_context
+from twdesign.window_design import SaaPricer
 
 
 def solve_both(net, model, pen):
@@ -396,10 +398,44 @@ def test_dro_domain_rule_is_checked_before_search(monkeypatch):
         raise AssertionError("searched an input outside the domain")
 
     monkeypatch.setattr("twdesign.solver._dfs", no_search)
-    with pytest.raises(ValueError, match="coefficient domain"):
+    domain = "coefficient domain: moment-robust design needs 2\\*a_w < min"
+    with pytest.raises(ValueError, match=domain):
         branch_and_bound(net, DroModel(), boundary)
-    with pytest.raises(ValueError, match="coefficient domain: moment-robust design needs 2\\*a_w < min"):
+    with pytest.raises(ValueError, match=domain):
         design_dro(res.route, net.mean, net.cov, 0.0, boundary)
+    # every rm pricer applies the one rule: the reference search, the
+    # route cost and the cut log's pricer refuse the same penalties
+    assert route_cost_rm(res.route, net.mean, net.cov, 0.0, inside) == res.objective
+    with pytest.raises(ValueError, match=domain):
+        route_cost_rm(res.route, net.mean, net.cov, 0.0, boundary)
+    with pytest.raises(ValueError, match=domain):
+        enumerate_exact(net, DroModel(), boundary)
+    with pytest.raises(ValueError, match=domain):
+        checked_context(net, DroModel(), boundary)
+
+
+def test_model_protocol_is_name_budget_and_context():
+    # any object with a name, a budget and a pricer is a model: both
+    # searches reach it through nothing else
+    net = random_network(5, seed=3, complete=True)
+    samples = sample_travel_times(net, 200, seed=1)
+    pen = penalties_from_beta(0.05, 0.05, 5)
+
+    class Duck:
+        name = "duck"
+
+        def budget(self, net, x):
+            return budget_saa(x, samples)
+
+        def context(self, net, pen):
+            return SaaPricer(samples, pen)
+
+    for search in (branch_and_bound, enumerate_exact):
+        want = search(net, SaaModel(samples), pen)
+        got = search(net, Duck(), pen)
+        assert got.route.seq == want.route.seq
+        assert got.objective == want.objective  # bitwise
+        assert got.model == "duck"
 
 
 def test_bnb_deterministic_across_runs():

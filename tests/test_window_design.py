@@ -28,6 +28,7 @@ from twdesign import (
     dro_window,
     gamma_coeffs,
     load_plan,
+    oa_cut,
     penalties_from_beta,
     random_network,
     route_to_xy,
@@ -529,6 +530,31 @@ def test_dro_window_zero_variance():
     assert (lo, up) == (30.0, 30.0)
     assert cost == pytest.approx(0.0)
     assert not clamped
+
+
+def test_closed_forms_reject_non_finite_input():
+    # a non-finite arrival, moment, weight or anchor is an error, not a NaN
+    # cost, a NaN cut or a "clamped" window with a NaN edge
+    nan, inf = math.nan, math.inf
+    for arrivals in ([nan, 1.0, 2.0], [1.0, inf, 2.0]):
+        with pytest.raises(ValueError, match="arrivals must be finite"):
+            saa_window(arrivals, 0.05, 1.0, 1.0)
+    for mean, variance in ((nan, 1.0), (1.0, nan), (inf, 1.0), (1.0, inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            dro_window(mean, variance, 0.05, 1.0, 1.0)
+    for edge, mean, variance in ((nan, 10.0, 4.0), (-inf, 10.0, 4.0), (9.0, nan, 4.0), (9.0, 10.0, nan)):
+        for bound in (scarf_earliness, scarf_tardiness):
+            with pytest.raises(ValueError, match="must be finite"):
+                bound(edge, mean, variance)
+    for weights in ((nan, 1.0, 1.0), (0.05, inf, 1.0)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            dro_window(10.0, 4.0, *weights)
+    for anchor, cbar in ((np.array([nan, 1.0]), np.eye(2)), (np.ones(2), np.full((2, 2), nan))):
+        with pytest.raises(ValueError, match="must be finite"):
+            oa_cut(anchor, cbar)
+    # a negative variance is still refused
+    with pytest.raises(ValueError, match="variance >= 0"):
+        dro_window(10.0, -1.0, 0.05, 1.0, 1.0)
 
 
 def test_dro_window_clamps_negative_lower():
