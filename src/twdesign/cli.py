@@ -283,7 +283,11 @@ def _cmd_guideline(args) -> int:
         if len(parts) != 2:
             raise ValueError(f"--beta-pair expects BL,BU, got {pair!r}")
         grid.append((float(parts[0]), float(parts[1])))
+    if not grid:
+        raise ValueError("--beta-pair: no BL,BU pair to sweep")
     models = [m.strip() for m in args.models.split(",") if m.strip()]
+    if not models:
+        raise ValueError("--models: no model to sweep")
     seeds = [int(s) for s in str(args.seeds).split(",")]
     if args.q_train < 1 or args.q_test < 1:
         raise ValueError("--q-train and --q-test must be >= 1")

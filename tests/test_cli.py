@@ -456,6 +456,31 @@ def test_guideline_bad_pair(inst, tmp_path, capsys):
     assert "expects BL,BU" in capsys.readouterr().err
 
 
+def test_guideline_rejects_empty_models(inst, tmp_path, capsys):
+    # an empty sweep is an error, as a missing --beta-pair is, not a
+    # header-only CSV
+    net, inst_path = inst
+    out = tmp_path / "s.csv"
+    for models in ("", " , "):
+        rc = main(["guideline", "--instance", str(inst_path), "--beta-pair", "0.2,0.2",
+                   "--models", models, "--seeds", "1", "--out", str(out)])
+        assert rc == 1, models
+        assert "--models: no model to sweep" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_guideline_rejects_empty_config_beta_pairs(inst, tmp_path, capsys):
+    net, inst_path = inst
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beta_pair": []}))
+    out = tmp_path / "s.csv"
+    rc = main(["--config", str(cfg), "guideline", "--instance", str(inst_path),
+               "--seeds", "1", "--out", str(out)])
+    assert rc == 1
+    assert "--beta-pair: no BL,BU pair to sweep" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_beta_pairs_yield_to_flags(inst, tmp_path):
     # explicit --beta-pair flags replace the config's list, not extend it
     net, inst_path = inst
