@@ -288,7 +288,14 @@ def _cmd_guideline(args) -> int:
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     if not models:
         raise ValueError("--models: no model to sweep")
-    seeds = [int(s) for s in str(args.seeds).split(",")]
+    if len(set(models)) < len(models):
+        raise ValueError(f"--models: a model is repeated in {args.models!r}")
+    try:
+        seeds = [int(s) for s in str(args.seeds).split(",")]
+    except ValueError:
+        raise ValueError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from None
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"--seeds: a seed is repeated in {args.seeds!r}")
     if args.q_train < 1 or args.q_test < 1:
         raise ValueError("--q-train and --q-test must be >= 1")
     rows = guideline_sweep(

@@ -10,19 +10,24 @@ finished tour.  Two searches are provided on purpose:
   pricing each customer as it is placed, and compares every complete
   tour.  Slow, simple, and used as the reference.
 * ``branch_and_bound`` extends partial paths along existing arcs,
-  cheapest arc first, with incremental arrival bookkeeping, a structural
-  prune (a child must leave every unplaced customer reachable from it
-  and able to reach the depot), an admissible budget bound, incumbent
-  pruning and a completion bound.
+  cheapest arc first until it has a tour and then least completion bound
+  first, with incremental arrival bookkeeping, a structural prune (a
+  child must leave every unplaced customer reachable from it and able to
+  reach the depot), an admissible budget bound, incumbent pruning and a
+  completion bound.
   The completion bound is built from the same cuts as below, anchored
   at the search node's arrival state: every unplaced customer arrives
   later along a path of arcs inside the unplaced set, and its cost is
   convex in the arrival, so the cut at the node plus the cheapest
   weighted arc into the customer (and (u - 2) times the most negative
-  arc weight, u customers unplaced) underestimates it.  The proof is in
-  ``branch_and_bound``.  It is one pass: until a tour fits the budget
-  it also chases the cheapest tour budget, which infeasibility reports
-  quote exactly.
+  arc weight, u customers unplaced) underestimates it.  Where the
+  unplaced customers share one cut scale, the cuts also add up to a
+  cumulative (delivery-man) cost, in which the arc into the customer in
+  position p counts u - p times; the cheapest arcs into the customers,
+  sorted ascending and weighted u - 1, ..., 1, underestimate that sum.
+  The proofs are in ``branch_and_bound``.  It is one pass: until a tour
+  fits the budget it also chases the cheapest tour budget, which
+  infeasibility reports quote exactly.
 
 Both respect the duration budget exactly as defined in ``routing``.
 Both take each complete tour's budget from its arcs and build a
@@ -49,7 +54,9 @@ anchor, as references.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
@@ -282,24 +289,55 @@ def _completion_bounds(ctx, net: Network, state, rest: list[int], kids) -> tuple
                    s_k max(0, c + w_a + into_k + (u - 2) min(0, w_min))
 
     where into_k is the least weight of an arc into k from ``rest`` and
-    w_min the least weight of an arc within ``rest``.  ``branch_and_bound``
-    gives the proof.  A customer with no arc into it from ``rest`` has no
-    completion, and its bound is +inf.
+    w_min the least weight of an arc within ``rest``.  When u >= 3 and
+    every customer of ``rest`` has the same scale s > 0 (one ``sm``
+    weight triple, or ``rm`` with equal gamma), the cut's share of
+    others_j is the larger of that sum and the positional term
+
+        s ((u - 1)(c + w_a) + S_j),
+        S_j = sum over p of (u - p) v_p  -  (u - r_j) v_{r_j}
+              + sum over p > r_j of v_p
+
+    where v_1 <= ... <= v_u are the into_k sorted ascending and r_j is
+    j's rank: S_j pairs the into_k of the customers other than j,
+    ascending, with the multipliers u - 1, ..., 1.  One sort and prefix
+    sums of v serve every child.  ``branch_and_bound`` gives the
+    proofs.  A customer with no arc into it from ``rest`` has no
+    completion, and its bound is +inf; an infinite into_k sorts last,
+    where its multiplier is 0, and a child whose sum is already +inf
+    keeps it.
     """
     members = set(rest)
     in_arcs = net.in_arcs
+    u = len(rest)
     own = [0.0] * len(kids)
     others = [0.0] * len(kids)
     for scale, intercept, weights in ctx.subgradients(state, np.array(rest)):
         w = weights.tolist()
         scale = scale.tolist()
         into = [min((w[a] for i, a in in_arcs[k] if i in members), default=np.inf) for k in rest]
-        detour = (len(rest) - 2) * min(0.0, min(into))
+        detour = (u - 2) * min(0.0, min(into))
         base = [(k, scale[k], intercept + into_k + detour) for k, into_k in zip(rest, into) if scale[k] > 0]
+        s = scale[rest[0]]
+        positional = u >= 3 and s > 0 and all(scale[k] == s for k in rest)
+        if positional:
+            # v ascending, an infinite into_k last (its multiplier is 0);
+            # pre[r] = v[0] + ... + v[r], and the sum of (u - 1 - r) v[r]
+            # is the sum of pre[r] over r < u - 1
+            v = sorted(into)
+            pre = list(accumulate(v))
+            total = sum(pre[:-1])
         for c, (j, arc) in enumerate(kids):
             step = w[arc]
             own[c] += scale[j] * max(0.0, intercept + step)
-            others[c] += sum(s_k * max(0.0, b + step) for k, s_k, b in base if k != j)
+            bound = sum(s_k * max(0.0, b + step) for k, s_k, b in base if k != j)
+            if positional and bound < np.inf:
+                # every into_k but j's own is finite here; an into_k equal
+                # to j's gives the same sum without it, so any rank will do
+                r = bisect_left(v, into[rest.index(j)])
+                S_j = total - (u - 1 - r) * v[r] + pre[-1] - pre[r] if r < u - 1 else total
+                bound = max(bound, s * ((u - 1) * (intercept + step) + S_j))
+            others[c] += bound
     return own, others
 
 
@@ -320,20 +358,23 @@ def _spans(seed: int, adj: list[int], within: int) -> bool:
 def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
     """Depth-first search over partial visit sequences from the depot.
 
-    Children are tried cheapest linear arc first (ties by node id).  A
-    child j is discarded when the arcs leave no completion through it:
-    some other unplaced customer cannot be reached from j, or cannot
-    reach the depot, along arcs between the unplaced customers other
-    than j (skipped on complete graphs, where every completion exists).
-    A child is also discarded when the cost placed so far plus the
-    completion bound (``_completion_bounds``, computed once per node
-    from the cuts at the node's state, once an incumbent exists and a
-    child survives the first test) reaches the incumbent by more than
-    ``COMPLETION_PRUNE_SLACK``, first with a bound on the child's own
-    cost and, once priced, with its exact cost; when its exact cost
-    alone reaches the incumbent; or when its budget bound is infinite
-    (no way home, or no arc into an unplaced customer) or exceeds the
-    limit.  Offers every complete tour it reaches to the incumbent
+    Until an incumbent exists, children are tried cheapest linear arc
+    first (ties by node id).  Once one exists, a node computes its
+    completion bounds before its first child and tries the children in
+    ascending own + others bound, a stable sort, so ties keep the arc
+    order.  A child j is discarded when the arcs leave no completion
+    through it: some other unplaced customer cannot be reached from j,
+    or cannot reach the depot, along arcs between the unplaced customers
+    other than j (skipped on complete graphs, where every completion
+    exists).  A child is also discarded when the cost placed so far plus
+    the completion bound (``_completion_bounds``, computed once per node
+    from the cuts at the node's state: before the first child when an
+    incumbent exists, else as soon as one does) reaches the incumbent by
+    more than ``COMPLETION_PRUNE_SLACK``, first with a bound on the
+    child's own cost and, once priced, with its exact cost; when its
+    exact cost alone reaches the incumbent; or when its budget bound is
+    infinite (no way home, or no arc into an unplaced customer) or
+    exceeds the limit.  Offers every complete tour it reaches to the incumbent
     ``inc`` and returns the nodes visited and the children pruned.  The
     budget limit is max(time budget, cheapest tour budget offered so
     far) + ``BUDGET_PRUNE_SLACK``, refreshed after each offer: until a
@@ -380,7 +421,14 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
             pruned += len(kids) - len(live)
             kids = live
         bounds = None
-        for c, (j, arc) in enumerate(kids):
+        order = range(len(kids))
+        if kids and len(rest) > 1 and inc.cost < np.inf:
+            # best bound first (a stable sort keeps the arc order on ties):
+            # a cheaper incumbent found sooner tightens every later test
+            bounds = _completion_bounds(ctx, net, state, rest, kids)
+            order = sorted(order, key=[o + t for o, t in zip(*bounds)].__getitem__)
+        for c in order:
+            j, arc = kids[c]
             if bounds is None and len(rest) > 1 and inc.cost < np.inf:
                 bounds = _completion_bounds(ctx, net, state, rest, kids)
             if bounds is not None:
@@ -462,28 +510,54 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     U, at least into_k, and the up to u - 2 others are arcs within U,
     each at least w_min, which can only lower the sum when w_min < 0:
     hence the (u - 2) min(0, w_min) term.  A cost is never negative, so
-    each customer's bound is also clipped at zero.  A child is pruned when
-    the placed cost plus these bounds reaches the incumbent by more than
-    ``COMPLETION_PRUNE_SLACK`` (relative), which covers the rounding of
-    the cut arithmetic: no strictly cheaper tour is discarded, and the
-    search keeps the same incumbents, in the same order, as without the
-    bound.
+    each customer's bound is also clipped at zero.
 
-    Single-threaded and fully deterministic: children are explored
-    cheapest linear arc first (ties by node id), so the first tour
-    reached is the nearest-neighbour tour when that walk does not
-    dead-end (or break the budget bound), and among exactly tied tours
-    the search keeps the first it completes.  Measured on a 2-core Xeon
-    VM (Python 3.11, numpy 2.4) at q=1000 and beta=0.05, complete
-    graphs with ten customers solve in 0.08-0.29 s (``sm``) and
-    0.03-0.09 s (``rm``) on instances 0-3, and with twelve customers in
-    0.6-1.4 s and 0.2-0.4 s on instances 0-2.  Sparse graphs (three
-    arcs a customer, ``random_network``'s default) with 22 customers
-    solve in 0.07-0.27 s (``sm``) and 0.03-0.08 s (``rm``) on instances
-    0-3, and with 26 customers in 0.05-0.70 s and 0.02-0.34 s, where
-    without the structural prune they took 0.7-1.4 s and 2.6-7.9 s
-    (``sm``).  The worst case still grows factorially with the customer
-    count.
+    Where every customer of U has the same scale s > 0 (one ``sm``
+    weight triple, or ``rm`` with equal gamma_k) and u >= 3, the other
+    customers' cuts can also be summed before bounding the arcs, as in
+    the lower bounds for the delivery-man (minimum-latency) problem of
+    Lucena (1990) and Fischetti, Laporte & Martello (1993).  Let a
+    completion visit U as j = k_1, k_2, ..., k_u, with e_i the arc into
+    k_i from k_(i-1), an arc inside U.  Customer k_i arrives at tau +
+    t_a + t_(e_2) + ... + t_(e_i), so the other customers' costs sum to
+    at least s ((u - 1)(c + w_a) + sum over i = 2..u of (u - i + 1)
+    w_(e_i)): the arc into the customer in position i counts for it and
+    for every later one.  Each multiplier is positive and w_(e_i) >=
+    into_(k_i), and by the rearrangement inequality the sum of
+    multipliers u - 1, ..., 1 times the into_k of U minus j is least
+    when the into_k are taken in ascending order.  That is S_j of
+    ``_completion_bounds``, a bound on the sum of the costs (not clipped
+    per customer), and each cut's share of the bound is the larger of it
+    and the clipped sum.  A child is pruned when the placed cost plus
+    these bounds reaches the incumbent by more than
+    ``COMPLETION_PRUNE_SLACK`` (relative), which covers the rounding of
+    the cut arithmetic: no strictly cheaper tour is discarded.
+
+    Single-threaded and fully deterministic.  A node entered before the
+    first tour tries its children cheapest linear arc first (ties by node
+    id), so the first tour reached is the nearest-neighbour tour when that
+    walk does not dead-end (or break the budget bound).  A node entered
+    after it tries them in ascending completion bound (own + others),
+    ties in arc order: best-bound-first child selection inside a
+    depth-first search, so a cheaper incumbent arrives sooner and every
+    later test is against it.  Every tour strictly cheaper than the
+    incumbent survives every prune, so the objective is the minimum in
+    any order; among exactly tied tours the search keeps the first it
+    completes.
+
+    Measured on a 2-core Xeon VM (Python 3.11, numpy 2.4) at q=1000 and
+    beta=0.05, complete graphs with ten customers solve in 0.04-0.15 s
+    (``sm``) and 0.01-0.06 s (``rm``) on instances 0-3, with twelve in
+    0.12-0.23 s and 0.06-0.11 s, and with fourteen in 0.13-0.49 s and
+    0.08-0.21 s on instances 0-2.  Without the positional term and the
+    bound order they took 0.07-0.29 s and 0.02-0.09 s (ten), 0.4-1.0 s
+    and 0.14-0.32 s (twelve) and 0.7-4.6 s and 0.3-1.9 s (fourteen).
+    Sparse graphs (three arcs a customer, ``random_network``'s default)
+    with 22 customers solve in 0.04-0.25 s (``sm``) and 0.02-0.10 s
+    (``rm``) on instances 0-3, and with 26 customers in 0.06-0.45 s and
+    0.03-0.27 s, where without the structural prune they took 0.7-1.4 s
+    and 2.6-7.9 s (``sm``).  The worst case still grows factorially with
+    the customer count.
 
     One pass both solves and, when no tour fits, finds the exact cheapest
     tour budget that ``InfeasibleError.min_budget`` quotes.  The budget

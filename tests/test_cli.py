@@ -469,6 +469,30 @@ def test_guideline_rejects_empty_models(inst, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_guideline_rejects_bad_or_repeated_seeds_and_models(inst, tmp_path, capsys):
+    # each error names its flag, and a repeat is refused rather than
+    # written as the same cell twice
+    net, inst_path = inst
+    out = tmp_path / "s.csv"
+    cases = [
+        ("sm", "", "--seeds expects comma-separated integers, got ''"),
+        ("sm", "1,", "--seeds expects comma-separated integers, got '1,'"),
+        ("sm", "1,x", "--seeds expects comma-separated integers, got '1,x'"),
+        ("sm", "1.5", "--seeds expects comma-separated integers, got '1.5'"),
+        ("sm", "1,2,1", "--seeds: a seed is repeated in '1,2,1'"),
+        ("sm", "1, 01", "--seeds: a seed is repeated in '1, 01'"),
+        ("sm,rm,sm", "1", "--models: a model is repeated in 'sm,rm,sm'"),
+        ("sm, sm", "1,2", "--models: a model is repeated in 'sm, sm'"),
+    ]
+    for models, seeds, message in cases:
+        rc = main(["guideline", "--instance", str(inst_path), "--beta-pair", "0.2,0.2",
+                   "--models", models, "--seeds", seeds, "--q-train", "20", "--q-test", "20",
+                   "--out", str(out)])
+        assert rc == 1, (models, seeds)
+        assert message in capsys.readouterr().err, (models, seeds)
+        assert not out.exists(), (models, seeds)
+
+
 def test_guideline_rejects_empty_config_beta_pairs(inst, tmp_path, capsys):
     net, inst_path = inst
     cfg = tmp_path / "cfg.json"

@@ -31,7 +31,7 @@ from twdesign import (
     sample_travel_times,
     substream,
 )
-from twdesign.solver import _completion_bounds, build_model, checked_context
+from twdesign.solver import _completion_bounds, _spans, build_model, checked_context
 from twdesign.window_design import SaaPricer
 
 
@@ -50,6 +50,22 @@ def outcome(solver, net, model, pen):
     except ValueError as exc:
         return "invalid", str(exc)
     return "solved", res.route.seq, res.objective
+
+
+def assert_budgets_match_enumeration(net, model, pen, label):
+    """Both searches agree on ``net`` as given (a tour fits), at budget
+    5.0 (no tour fits) and at the cheapest tour budget quoted there."""
+    got = outcome(branch_and_bound, net, model, pen)
+    assert got == outcome(enumerate_exact, net, model, pen), label
+    assert got[0] == "solved", label
+    shut = Network(net.node_count, net.arcs, net.mean, net.cov, 5.0)
+    got = outcome(branch_and_bound, shut, model, pen)
+    assert got == outcome(enumerate_exact, shut, model, pen), label
+    assert got[0] == "infeasible", label
+    tight = Network(net.node_count, net.arcs, net.mean, net.cov, got[2])
+    got = outcome(branch_and_bound, tight, model, pen)
+    assert got == outcome(enumerate_exact, tight, model, pen), label
+    assert got[0] == "solved", label
 
 
 def both_models(samples):
@@ -177,27 +193,15 @@ def test_structural_prune_matches_enumeration():
     # the structural prune discards only subtrees that hold no tour, so on
     # sparse arcs both searches agree on the tour, its cost, and, with no
     # tour in budget, on the error and the cheapest budget it quotes
-    checked = {"solved": 0, "infeasible": 0}
+    checked = 0
     for n in (5, 6, 7, 8):
         for seed in range(6):
             net = random_network(n, seed=seed)
             pen = penalties_from_beta(0.05, 0.05, n)
             for model in both_models(sample_travel_times(net, 50, seed=seed)):
-                label = (n, seed, model.name)
-                got = outcome(branch_and_bound, net, model, pen)
-                assert got == outcome(enumerate_exact, net, model, pen), label
-                assert got[0] == "solved", label
-                shut = Network(net.node_count, net.arcs, net.mean, net.cov, 5.0)
-                got = outcome(branch_and_bound, shut, model, pen)
-                assert got == outcome(enumerate_exact, shut, model, pen), label
-                assert got[0] == "infeasible", label
-                tight = Network(net.node_count, net.arcs, net.mean, net.cov, got[2])
-                got = outcome(branch_and_bound, tight, model, pen)
-                assert got == outcome(enumerate_exact, tight, model, pen), label
-                assert got[0] == "solved", label
-                checked["solved"] += 2
-                checked["infeasible"] += 1
-    assert checked == {"solved": 96, "infeasible": 48}
+                assert_budgets_match_enumeration(net, model, pen, (n, seed, model.name))
+                checked += 1
+    assert checked == 48
 
 
 def test_structural_prune_cuts_a_stranding_dive():
@@ -225,21 +229,45 @@ def test_structural_prune_cuts_a_stranding_dive():
         assert res.nodes <= structural < filterless, model.name
 
 
-def test_complete_graphs_skip_the_structural_prune():
-    # every arc exists, so every child has a completion and the search is
-    # the one without the structural prune, node for node
+def test_complete_graphs_skip_the_structural_prune(monkeypatch):
+    # every arc exists, so every child has a completion and the structural
+    # test never runs; the counts pin the search with the positional
+    # completion bound and its children in bound order
     pinned = {
-        (0, "sm"): (167, 292), (0, "rm"): (174, 284),
-        (1, "sm"): (113, 248), (1, "rm"): (99, 216),
-        (2, "sm"): (158, 294), (2, "rm"): (154, 288),
-        (3, "sm"): (71, 143), (3, "rm"): (73, 147),
+        (0, "sm"): (72, 143), (0, "rm"): (76, 139),
+        (1, "sm"): (71, 163), (1, "rm"): (57, 128),
+        (2, "sm"): (121, 227), (2, "rm"): (107, 210),
+        (3, "sm"): (52, 109), (3, "rm"): (49, 111),
     }
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _spans(*args)
+
+    monkeypatch.setattr("twdesign.solver._spans", counting)
     pen = penalties_from_beta(0.05, 0.05, 7)
     for seed in range(4):
         net = random_network(7, seed=seed, complete=True)
         for name in ("sm", "rm"):
             res = branch_and_bound(net, build_model(name, net, seed, 200), pen)
             assert (res.nodes, res.pruned) == pinned[seed, name], (seed, name)
+    assert calls == []
+    sparse = random_network(7, seed=0)
+    branch_and_bound(sparse, build_model("rm", sparse, 0, 200), pen)
+    assert calls, "the counter does not see the structural test"
+
+
+def test_complete_graphs_match_enumeration():
+    # one weight triple, so the positional completion bound is on: the
+    # search keeps every tour strictly cheaper than its incumbent, hence
+    # the enumeration's tour, its cost and, with no tour in budget, its
+    # error and the cheapest budget it quotes
+    for n, seed in [(7, s) for s in range(6)] + [(8, 0)]:
+        net = random_network(n, seed=seed, complete=True)
+        pen = penalties_from_beta(0.05, 0.05, n)
+        for model in both_models(sample_travel_times(net, 50, seed=seed)):
+            assert_budgets_match_enumeration(net, model, pen, (n, seed, model.name))
 
 
 def test_one_route_per_solve(monkeypatch):
@@ -280,6 +308,21 @@ def completions(ctx, net, state, j, arc, rest):
     return ctx.place_cost(at_j, j), best
 
 
+def clipped_bounds(ctx, net, state, rest, kids):
+    """The per-customer part of ``_completion_bounds``' others_j alone:
+    each other customer's cut, clipped at zero, through the cheapest arc
+    into it plus (u - 2) times the most negative weight."""
+    others = [0.0] * len(kids)
+    for scale, intercept, w in ctx.subgradients(state, np.array(rest)):
+        into = {k: min((w[a] for i, a in net.in_arcs[k] if i in rest), default=np.inf) for k in rest}
+        detour = (len(rest) - 2) * min(0.0, min(into.values()))
+        for c, (j, arc) in enumerate(kids):
+            others[c] += sum(
+                scale[k] * max(0.0, intercept + w[arc] + into[k] + detour) for k in rest if k != j and scale[k] > 0
+            )
+    return others
+
+
 def test_completion_bound_is_admissible():
     def cases():
         for n in (6, 7):
@@ -301,15 +344,28 @@ def test_completion_bound_is_admissible():
                 b = np.array([3.0 if i == 0 else -0.3 for i, _ in net.arcs])
                 line = Network(net.node_count, net.arcs, 10 * net.mean, np.outer(b, b), net.time_budget)
                 yield line, DroModel(), pen, "rm rank one"
+        # one weight triple: every cut has one scale, so the positional
+        # (delivery-man) term applies wherever three or more are unplaced;
+        # on sparse arcs a child may have no arc into it from the others
+        for n in (7, 8):
+            for complete in (True, False):
+                net = random_network(n, seed=n, complete=complete)
+                pen = penalties_from_beta(0.05, 0.05, n)
+                for q in (7, 200):
+                    yield net, SaaModel(sample_travel_times(net, q, seed=q)), pen, "sm uniform"
+                yield net, DroModel(alpha2=0.3), pen, "rm uniform"
 
     rng = np.random.default_rng(0)
-    checked = positive = 0
+    checked = positive = uniform = positional = 0
     for net, model, pen, label in cases():
         ctx = model.context(net, pen)
+        # a random partial path from the depot leaving two or more
+        # customers (three to six with one weight triple)
+        n = net.n_customers
+        steps = (max(0, n - 6), n - 2) if label.endswith("uniform") else (0, n - 1)
         for _ in range(4):
-            # a random partial path from the depot leaving two or more customers
             state, node, rest = ctx.root_state(), 0, list(net.customers)
-            for _ in range(rng.integers(0, len(rest) - 1)):
+            for _ in range(rng.integers(*steps)):
                 nxt = [(j, a) for j, a in net.out_arcs[node] if j in rest]
                 if not nxt:
                     break
@@ -328,14 +384,23 @@ def test_completion_bound_is_admissible():
                         want = ctx.place_cost(state, k) * (scale[k] > 0)
                     assert scale[k] * intercept == pytest.approx(want, rel=1e-9, abs=1e-9), label
             own, others = _completion_bounds(ctx, net, state, rest, kids)
+            clipped = clipped_bounds(ctx, net, state, rest, kids)
             for c, (j, arc) in enumerate(kids):
                 true_own, true_others = completions(ctx, net, state, j, arc, rest)
                 assert own[c] <= true_own + 1e-9 * max(1.0, true_own), (label, j)
                 assert others[c] <= true_others + 1e-9 * max(1.0, true_others), (label, j)
+                slack = 1e-9 * max(1.0, clipped[c]) if clipped[c] < np.inf else 0.0
+                assert others[c] >= clipped[c] - slack, (label, j)
                 checked += 1
                 positive += 0 < others[c] < np.inf
-    assert checked > 200
+                if label.endswith("uniform"):
+                    uniform += 1
+                    positional += others[c] > clipped[c] + slack
+    assert checked > 300
     assert positive > checked // 4
+    # the positional term is the larger one on a fair share of children
+    assert uniform > 100
+    assert positional > uniform // 2, (positional, uniform)
 
 
 def test_search_cuts_match_benders_and_oa_cuts():
