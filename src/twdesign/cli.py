@@ -6,7 +6,9 @@ guideline (service-level sweep).  Exit codes: 0 success, 1 bad input,
 2 proven infeasibility.  All randomness flows from one --seed, split
 into named substreams (covgen, sampling-train, sampling-test), so reruns
 are byte-identical; --no-timestamp drops the only non-deterministic
-output fields.
+output fields.  --config names a JSON object of option values that
+fills in, for the chosen command, each option the command line leaves
+out; a typed flag wins.
 """
 
 from __future__ import annotations
@@ -47,14 +49,6 @@ class _Parser(argparse.ArgumentParser):
     # infeasibility here, so bad flags exit 1 instead.
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-class _Pairs(argparse.Action):
-    """A repeatable flag whose command-line values replace its --config list."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        items = getattr(namespace, self.dest)
-        setattr(namespace, self.dest, [*([] if items is self.default else items), values])
 
 
 def _require(args, *names) -> None:
@@ -141,7 +135,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("guideline", help="sweep service levels across models and seeds")
     p.add_argument("--instance", type=Path)
-    p.add_argument("--beta-pair", action=_Pairs,
+    p.add_argument("--beta-pair", action="append",
                    metavar="BL,BU", help="repeatable, e.g. --beta-pair 0.05,0.05")
     p.add_argument("--models", default="sm,rm")
     p.add_argument("--seeds", help="comma-separated master seeds")
@@ -282,7 +276,10 @@ def _cmd_guideline(args) -> int:
         parts = str(pair).split(",")
         if len(parts) != 2:
             raise ValueError(f"--beta-pair expects BL,BU, got {pair!r}")
-        grid.append((float(parts[0]), float(parts[1])))
+        bl_bu = (float(parts[0]), float(parts[1]))
+        if bl_bu in grid:
+            raise ValueError(f"--beta-pair: {pair!r} repeats an earlier pair")
+        grid.append(bl_bu)
     if not grid:
         raise ValueError("--beta-pair: no BL,BU pair to sweep")
     models = [m.strip() for m in args.models.split(",") if m.strip()]
@@ -328,10 +325,11 @@ def _config_value(action, value):
     text: a JSON number or string goes through the option's ``type`` as
     text (so 2.5 is no int), a boolean is no number, a switch takes only
     a boolean, a repeatable flag a list of strings, and the value must be
-    one of the option's choices."""
+    one of the option's choices.  Every value for the chosen command is
+    checked, also one whose flag was typed and so is not used."""
     if value is None and action.default is None:
         return value
-    if isinstance(action, _Pairs):
+    if isinstance(action, argparse._AppendAction):
         if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
             raise ValueError(f"{action.dest}: expected a list of strings, got {json.dumps(value)}")
         return value
@@ -347,59 +345,53 @@ def _config_value(action, value):
     return converted
 
 
+def _commands(parser) -> dict:
+    return parser._subparsers._group_actions[0].choices
+
+
 @functools.cache
-def _parsers():
-    """The command parser and the --config pre-scan, built once a process."""
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", type=Path)
-    return build_parser(), pre
+def _parsers(typed: bool = False):
+    """The command parser, built once a process on first use.  With
+    ``typed``, a copy in which every option defaults to SUPPRESS, so that
+    parsing argv with it keeps only the options the command line gave."""
+    parser = build_parser()
+    if typed:
+        for p in _commands(parser).values():
+            for action in p._actions:
+                action.default = argparse.SUPPRESS
+    return parser
+
+
+def _fill_from_config(args, argv) -> None:
+    """Set on ``args`` each --config value for an option of the chosen
+    command that ``argv`` left out."""
+    with open(args.config) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("expected a JSON object")
+    commands = _commands(_parsers())
+    # the keys are the dests that store a value; help stores none
+    known = {a.dest for p in commands.values() for a in p._actions if a.default is not argparse.SUPPRESS}
+    unknown = set(cfg) - known
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)}")
+    typed = vars(_parsers(typed=True).parse_args(argv))
+    for action in commands[args.command]._actions:
+        if action.dest in cfg:
+            value = _config_value(action, cfg[action.dest])
+            if action.dest not in typed:
+                setattr(args, action.dest, value)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, pre = _parsers()
-    subparsers = parser._subparsers._group_actions[0].choices
-    # --config values become subcommand defaults for this call only
-    saved = [(p, dict(p._defaults), [(a, a.default) for a in p._actions]) for p in subparsers.values()]
-    try:
-        return _run(parser, subparsers, pre.parse_known_args(argv)[0].config, argv)
-    finally:
-        for p, defaults, actions in saved:
-            p._defaults.clear()
-            p._defaults.update(defaults)
-            for a, default in actions:
-                a.default = default
-
-
-def _run(parser, subparsers, config, argv) -> int:
-    config_errors: dict[str, ValueError] = {}
-    if config is not None:
+    args = _parsers().parse_args(argv)
+    if args.config is not None:
         try:
-            with open(config) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            _fill_from_config(args, argv)
+        except (OSError, ValueError) as exc:
             print(f"twdesign: error: --config: {exc}", file=sys.stderr)
             return 1
-        if not isinstance(cfg, dict):
-            print("twdesign: error: --config: expected a JSON object", file=sys.stderr)
-            return 1
-        known: set[str] = set()
-        for p in subparsers.values():
-            known |= {a.dest for a in p._actions}
-        unknown = set(cfg) - known
-        if unknown:
-            print(f"twdesign: error: --config: unknown keys {sorted(unknown)}", file=sys.stderr)
-            return 1
-        for name, p in subparsers.items():
-            try:
-                p.set_defaults(**{a.dest: _config_value(a, cfg[a.dest]) for a in p._actions if a.dest in cfg})
-            except ValueError as exc:
-                # a value matters only to the commands that take the option
-                config_errors[name] = exc
-    args = parser.parse_args(argv)
-    if args.command in config_errors:
-        print(f"twdesign: error: --config: {config_errors[args.command]}", file=sys.stderr)
-        return 1
     try:
         return _COMMANDS[args.command](args)
     except InfeasibleError as exc:

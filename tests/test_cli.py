@@ -493,6 +493,24 @@ def test_guideline_rejects_bad_or_repeated_seeds_and_models(inst, tmp_path, caps
         assert not out.exists(), (models, seeds)
 
 
+def test_guideline_rejects_repeated_beta_pairs(inst, tmp_path, capsys):
+    # pairs compare as numbers, from flags or from a config list
+    net, inst_path = inst
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beta_pair": ["0.2,0.2", "0.2,0.2"]}))
+    out = tmp_path / "s.csv"
+    argv = ["guideline", "--instance", str(inst_path), "--models", "sm", "--seeds", "1",
+            "--q-train", "20", "--q-test", "20", "--out", str(out)]
+    calls = [
+        (argv + ["--beta-pair", "0.2,0.2", "--beta-pair", "0.20,0.2"], "'0.20,0.2'"),
+        (["--config", str(cfg)] + argv, "'0.2,0.2'"),
+    ]
+    for call, pair in calls:
+        assert main(call) == 1, call
+        assert f"--beta-pair: {pair} repeats an earlier pair" in capsys.readouterr().err, call
+        assert not out.exists(), call
+
+
 def test_guideline_rejects_empty_config_beta_pairs(inst, tmp_path, capsys):
     net, inst_path = inst
     cfg = tmp_path / "cfg.json"
@@ -554,6 +572,19 @@ def test_config_file_supplies_defaults(inst, tmp_path):
     train = sample_travel_times(net, 60, substream(0, "sampling-train"))
     ref = enumerate_exact(net, SaaModel(train), penalties_from_beta(0.1, 0.1, 3))
     assert doc["objective"] == pytest.approx(ref.objective, abs=1e-9)
+    # a typed flag wins over the config, also when abbreviated
+    rc = main(
+        [
+            "--config", str(cfg), "solve", "--instance", str(inst_path), "--q-tr", "50",
+            "--model", "sm", "--out-dir", str(out_dir), "--no-timestamp",
+        ]
+    )
+    assert rc == 0
+    doc = json.loads((out_dir / "solve.json").read_text())
+    train = sample_travel_times(net, 50, substream(0, "sampling-train"))
+    ref50 = enumerate_exact(net, SaaModel(train), penalties_from_beta(0.1, 0.1, 3))
+    assert ref50.objective != pytest.approx(ref.objective, abs=1e-9)
+    assert doc["objective"] == pytest.approx(ref50.objective, abs=1e-9)
 
 
 def test_config_file_supplies_paths(inst, tmp_path):
@@ -584,6 +615,11 @@ def test_config_file_rejects_unknown_keys(inst, tmp_path, capsys):
     rc = main(["--config", str(cfg), "gen", "--customers", "2", "--out", "x.json"])
     assert rc == 1
     assert "expected a JSON object" in capsys.readouterr().err
+    # help stores no value, so it is no key
+    cfg.write_text(json.dumps({"help": True}))
+    rc = main(["--config", str(cfg), "gen", "--customers", "2", "--out", "x.json"])
+    assert rc == 1
+    assert "--config: unknown keys ['help']" in capsys.readouterr().err
 
 
 def test_config_values_use_option_types(inst, tmp_path, capsys):
@@ -616,6 +652,19 @@ def test_config_values_use_option_types(inst, tmp_path, capsys):
         ]
     )
     assert rc == 0
+    # a bad value for an option that only gen takes stops gen, not solve
+    cfg.write_text(json.dumps({"cv_min": "abc"}))
+    rc = main(
+        [
+            "--config", str(cfg), "solve", "--instance", str(inst_path), "--model", "sm", "--q-train", "20",
+            "--beta-l", "0.1", "--beta-u", "0.1", "--out-dir", str(tmp_path / "run"), "--no-timestamp",
+        ]
+    )
+    assert rc == 0
+    rc = main(["--config", str(cfg), "gen", "--customers", "2", "--out", str(tmp_path / "g.json")])
+    assert rc == 1
+    assert "--config: cv_min: expected float" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_bad_flag_exits_one(capsys):
@@ -667,8 +716,35 @@ def test_config_defaults_last_one_call(inst, tmp_path, capsys):
     # the next call without --config sees the built-in defaults again
     assert main(argv) == 1
     assert "--model is required" in capsys.readouterr().err
-    args = cli._parsers()[0].parse_args(["solve"])
+    args = cli._parsers().parse_args(["solve"])
     assert (args.model, args.q_train, args.beta_l, args.beta_u) == (None, 1000, None, None)
+    # so does the next call after a --config call that failed on a bad value
+    cfg.write_text(json.dumps({"model": "rm", "beta_l": 0.05, "beta_u": 0.05, "q_train": 2.5}))
+    assert main(["--config", str(cfg)] + argv) == 1
+    assert "--config: q_train" in capsys.readouterr().err
+    assert main(argv) == 1
+    assert "--model is required" in capsys.readouterr().err
+
+
+def test_config_does_not_leak_into_another_call(inst, tmp_path, monkeypatch, capsys):
+    # a call that starts while a --config call runs (from another thread,
+    # or here from inside its command) sees none of that call's values
+    net, inst_path = inst
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "sm", "beta_l": 0.05, "beta_u": 0.05}))
+    out_dir = tmp_path / "inner"
+    gen = cli._COMMANDS["gen"]
+    inner = []
+
+    def gen_and_solve(args):
+        inner.append(main(["solve", "--instance", str(inst_path), "--out-dir", str(out_dir)]))
+        return gen(args)
+
+    monkeypatch.setitem(cli._COMMANDS, "gen", gen_and_solve)
+    assert main(["--config", str(cfg), "gen", "--customers", "2", "--out", str(tmp_path / "g.json")]) == 0
+    assert inner == [1]
+    assert "--model is required" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_parser_built_once(tmp_path, monkeypatch):
