@@ -197,6 +197,7 @@ def _cmd_design(args) -> int:
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_plan(plan, args.out, extra=_timestamp_extra(args))
     if args.cost_csv is not None:
+        args.cost_csv.parent.mkdir(parents=True, exist_ok=True)
         write_cost_csv(plan, args.cost_csv)
     print(f"wrote {plan.kind} window plan (total cost {plan.total_cost:.6g}) to {args.out}")
     return 0
@@ -234,6 +235,7 @@ def _cmd_solve(args) -> int:
     save_plan(res.plan, args.out_dir / "plan.json", extra=_timestamp_extra(args))
     save_route(res.route.seq, args.out_dir / "route.json")
     if args.cut_log is not None:
+        args.cut_log.parent.mkdir(parents=True, exist_ok=True)
         _write_cut_log(args.cut_log, route_cuts(checked_context(net, model, pen), res.route), net)
     print(
         f"solved {res.model}: objective {res.objective:.6g}, route {list(res.route.seq)}, "

@@ -142,17 +142,6 @@ def validate_membership(x, y, net: Network) -> list[str]:
     return msgs
 
 
-def arrival_matrix(route: Route, values: np.ndarray) -> np.ndarray:
-    """Scenario arrival times at the route's customers, in visit order.
-
-    Column p holds the partial sums of the first p+1 arc travel times,
-    i.e. the arrival of each scenario at the (p+1)-th visited customer.
-    """
-    values = np.asarray(values, dtype=float)
-    cols = values[:, list(route.path_arcs)]
-    return np.cumsum(cols, axis=1)
-
-
 def budget_saa(x, samples: SampleSet) -> float:
     """Average tour duration over the scenarios."""
     x = np.asarray(x, dtype=float)

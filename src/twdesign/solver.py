@@ -549,15 +549,11 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     beta=0.05, complete graphs with ten customers solve in 0.04-0.15 s
     (``sm``) and 0.01-0.06 s (``rm``) on instances 0-3, with twelve in
     0.12-0.23 s and 0.06-0.11 s, and with fourteen in 0.13-0.49 s and
-    0.08-0.21 s on instances 0-2.  Without the positional term and the
-    bound order they took 0.07-0.29 s and 0.02-0.09 s (ten), 0.4-1.0 s
-    and 0.14-0.32 s (twelve) and 0.7-4.6 s and 0.3-1.9 s (fourteen).
-    Sparse graphs (three arcs a customer, ``random_network``'s default)
-    with 22 customers solve in 0.04-0.25 s (``sm``) and 0.02-0.10 s
-    (``rm``) on instances 0-3, and with 26 customers in 0.06-0.45 s and
-    0.03-0.27 s, where without the structural prune they took 0.7-1.4 s
-    and 2.6-7.9 s (``sm``).  The worst case still grows factorially with
-    the customer count.
+    0.08-0.21 s on instances 0-2.  Sparse graphs (three arcs a customer,
+    ``random_network``'s default) with 22 customers solve in 0.04-0.25 s
+    (``sm``) and 0.02-0.10 s (``rm``) on instances 0-3, and with 26
+    customers in 0.06-0.45 s and 0.03-0.27 s.  The worst case still grows
+    factorially with the customer count.
 
     One pass both solves and, when no tour fits, finds the exact cheapest
     tour budget that ``InfeasibleError.min_budget`` quotes.  The budget

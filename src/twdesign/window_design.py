@@ -353,11 +353,23 @@ def _plan_field(value, key: str, integer: bool = False):
 # A pricer carries the arrival state of a path from the depot and prices
 # the customer at its end; it is the model's one pricing kernel, and also
 # builds the model's plan (``plan``) and its cuts (``subgradients``).  The
-# searches extend it one arc at a time; every route-level design (the
-# plans, ``design_stochastic``, ``brute_force_windows`` and
-# ``design_fixed_width``) walks a finished route with the same recurrence
-# and sums in the same visit order, so the objective a search reports
-# equals the cost of the plan built for its route bit for bit.
+# searches extend it one arc at a time; the plans and ``design_stochastic``
+# walk a finished route with the same recurrence and sum in the same visit
+# order, so the objective a search reports equals the cost of the plan
+# built for its route bit for bit.  ``arrival_matrix`` adds the arcs in the
+# same order, so the designs that read it see the same arrivals.
+
+
+def arrival_matrix(route, values: np.ndarray) -> np.ndarray:
+    """Scenario arrival times at the route's customers, in visit order.
+
+    Column p holds the partial sums of the first p+1 arc travel times,
+    i.e. the arrival of each scenario at the (p+1)-th visited customer.
+    ``route`` is any object with the ``path_arcs`` of a ``Route``.
+    """
+    values = np.asarray(values, dtype=float)
+    cols = values[:, list(route.path_arcs)]
+    return np.cumsum(cols, axis=1)
 
 
 def _prefix_states(pricer, route):
@@ -377,11 +389,22 @@ def _visit_sum(costs) -> float:
     return float(total)
 
 
-def _window_plan(kind: str, route, windows, **fields) -> WindowPlan:
+def _window_plan(kind: str, route, windows, arrivals=None, **fields) -> WindowPlan:
     """The plan of a route from one (lower, upper, cost) window per
     customer, in visit order, and the plan's other ``fields``; the total
-    is summed in visit order."""
+    is summed in visit order.
+
+    ``arrivals``, one row of scenario arrival times per customer in visit
+    order, gives the plan its in-sample rates: the share of a customer's
+    scenarios strictly before its window (``early_rate``) and strictly
+    after it (``late_rate``), as ``evaluate_plan`` counts them, so an
+    arrival exactly on an edge is on time.
+    """
     lower, upper, cost = np.array(windows, dtype=float).reshape(-1, 3).T
+    if arrivals is not None:
+        q = arrivals.shape[1]
+        fields["early_rate"] = np.count_nonzero(arrivals < lower[:, None], axis=1) / q
+        fields["late_rate"] = np.count_nonzero(arrivals > upper[:, None], axis=1) / q
     return WindowPlan(
         kind=kind,
         route_seq=route.seq,
@@ -428,16 +451,13 @@ class SaaPricer:
 
     def plan(self, route) -> WindowPlan:
         """The route's ``saa`` plan: each customer's ``_order_stat_window``
-        at its arrival samples, with the in-sample rates of its ranks,
-        (p1 - 1)/q early and (q - p2)/q late."""
-        q = self.values.shape[0]
-        windows, early, late = [], [], []
-        for k, state in _prefix_states(self, route):
-            p1, p2 = self.terms[k][:2]
-            windows.append(_order_stat_window(state, *self.terms[k]))
-            early.append((p1 - 1) / q)
-            late.append((q - p2) / q)
-        return _window_plan("saa", route, windows, early_rate=np.array(early), late_rate=np.array(late))
+        at its arrival samples, with the in-sample rates of those samples
+        (``_window_plan``).  Without ties at the window edges these are the
+        rank rates (p1 - 1)/q early and (q - p2)/q late; samples tied with
+        an edge are on time."""
+        rows = np.array([state for _, state in _prefix_states(self, route)])
+        windows = [_order_stat_window(row, *self.terms[k]) for k, row in zip(route.customers, rows)]
+        return _window_plan("saa", route, windows, rows)
 
     def subgradients(self, state, unplaced: np.ndarray):
         """Linear underestimates of the unplaced customers' costs beyond
@@ -489,8 +509,8 @@ def brute_force_windows(route, samples, pen: PenaltyConfig) -> WindowPlan:
     q = samples.q
     if q > BRUTE_FORCE_MAX_Q:
         raise ValueError(f"brute-force design limited to q <= {BRUTE_FORCE_MAX_Q}")
-    arr = np.column_stack([state for _, state in _prefix_states(SaaPricer(samples, pen), route)])
-    windows, early, late = [], [], []
+    arr = arrival_matrix(route, samples.values)
+    windows = []
     for pos, k in enumerate(route.customers):
         a_w, a_l, a_u = pen.for_customer(k)
         col = arr[:, pos]
@@ -506,9 +526,7 @@ def brute_force_windows(route, samples, pen: PenaltyConfig) -> WindowPlan:
                     best = key
         cost, width, lo = best
         windows.append((lo, lo + width, cost))
-        early.append(float(np.mean(col < lo)))
-        late.append(float(np.mean(col > lo + width)))
-    return _window_plan("saa-brute", route, windows, early_rate=np.array(early), late_rate=np.array(late))
+    return _window_plan("saa-brute", route, windows, arr.T)
 
 
 FIXED_WIDTH_MAX_CANDIDATES = 10_000_000
@@ -581,7 +599,7 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
     if not np.all(pen.a_w == pen.a_w[0]):
         raise ValueError("shared-width design needs a customer-independent a_w")
     a_w = float(pen.a_w[0])
-    arr = np.column_stack([state for _, state in _prefix_states(SaaPricer(samples, pen), route)])
+    arr = arrival_matrix(route, samples.values)
     q = samples.q
     n = len(route.customers)
     raw_count = n * (q * (q + 1)) // 2 + 1
@@ -622,7 +640,7 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
     best_idx = min(range(lo, hi + 1), key=lambda i: (total_at(i), widths[i]))
     w = float(widths[best_idx])
 
-    windows, early, late = [], [], []
+    windows = []
     for pos, k in enumerate(route.customers):
         _, a_l, a_u = pen.for_customer(k)
         srt, cum = per_cust[pos]
@@ -634,16 +652,7 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
             + (a_u / q) * float(np.maximum(col - l_best - w, 0.0).sum())
         )
         windows.append((l_best, l_best + w, cost))
-        early.append(float(np.mean(col < l_best)))
-        late.append(float(np.mean(col > l_best + w)))
-    return _window_plan(
-        "saa-fixed",
-        route,
-        windows,
-        shared_width=w,
-        early_rate=np.array(early),
-        late_rate=np.array(late),
-    )
+    return _window_plan("saa-fixed", route, windows, arr.T, shared_width=w)
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,31 @@ def test_solve_cut_log(inst, tmp_path):
         assert list(csv.reader(fh)) == [["customer", "anchor_hash", "intercept", "nonzero_coeffs"]]
 
 
+def test_side_outputs_create_their_directory(inst, tmp_path):
+    # --cut-log and --cost-csv may name a directory that does not exist
+    # yet, as --out and --out-dir may
+    _, inst_path = inst
+    log = tmp_path / "logs" / "nested" / "cuts.csv"
+    rc = main(
+        [
+            "solve", "--instance", str(inst_path), "--model", "sm", "--beta-l", "0.1", "--beta-u", "0.1",
+            "--q-train", "50", "--out-dir", str(tmp_path / "run"), "--cut-log", str(log), "--no-timestamp",
+        ]
+    )
+    assert rc == 0
+    assert log.read_text().startswith("customer,anchor_hash,intercept,nonzero_coeffs")
+    costs = tmp_path / "costs" / "nested" / "c.csv"
+    rc = main(
+        [
+            "design", "--instance", str(inst_path), "--route", str(tmp_path / "run" / "route.json"),
+            "--model", "sm", "--beta-l", "0.1", "--beta-u", "0.1", "--fixed-width", "--q-train", "50",
+            "--out", str(tmp_path / "plan.json"), "--cost-csv", str(costs),
+        ]
+    )
+    assert rc == 0
+    assert costs.read_text().startswith("customer,lower,upper,width,cost_component")
+
+
 def test_solve_infeasible_exit_code(tmp_path, capsys):
     net = random_network(3, seed=2, complete=True, time_budget=0.5)
     path = tmp_path / "inst.json"

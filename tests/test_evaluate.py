@@ -14,7 +14,9 @@ from twdesign import (
     SaaModel,
     WindowPlan,
     branch_and_bound,
+    brute_force_windows,
     budget_saa,
+    design_fixed_width,
     design_stochastic,
     evaluate_plan,
     guideline_sweep,
@@ -95,6 +97,9 @@ def test_evaluate_requires_all_windows():
     )
     with pytest.raises(ValueError, match="no window for customer 2"):
         evaluate_plan(route, plan, samples)
+    # a plan on the route's own sequence that lacks the first customer
+    with pytest.raises(ValueError, match=r"^plan has no window for customer 1$"):
+        evaluate_plan(route, dataclasses.replace(plan, customers=(2,)), samples)
 
 
 def test_evaluate_rejects_plan_for_another_route():
@@ -119,6 +124,33 @@ def test_evaluate_in_sample_rates_match_design():
         for pos, k in enumerate(route.customers):
             assert rep.early_count[pos] == duals[k].p1 - 1
             assert rep.late_count[pos] == samples.q - duals[k].p2
+
+
+def test_plan_rates_are_the_evaluated_training_rates():
+    # every sample-based plan reports the share of its training draws
+    # strictly outside each window, the rule evaluate_plan counts by; with
+    # zero covariance every draw ties, all on the window edges, so no
+    # arrival is early or late although the saa ranks leave p1 - 1 below
+    q = 120
+    pen = penalties_from_beta(0.05, 0.05, 4)
+    cases = [random_network(4, seed=seed) for seed in range(5)]
+    flat = cases[0]
+    cases.append(Network(flat.node_count, flat.arcs, flat.mean, np.zeros_like(flat.cov), flat.time_budget))
+    for case, net in enumerate(cases):
+        train = sample_travel_times(net, q, substream(case, "sampling-train"))
+        res = branch_and_bound(net, SaaModel(train), pen)
+        plans = [
+            res.plan,
+            design_stochastic(res.route, train, pen)[0],
+            brute_force_windows(res.route, train, pen),
+            design_fixed_width(res.route, train, pen),
+        ]
+        for plan in plans:
+            rep = evaluate_plan(res.route, plan, train)
+            assert np.array_equal(plan.early_rate, rep.early_count / q), (case, plan.kind)
+            assert np.array_equal(plan.late_rate, rep.late_count / q), (case, plan.kind)
+            if case == len(cases) - 1:
+                assert not plan.early_rate.any() and not plan.late_rate.any(), plan.kind
 
 
 # ---------------------------------------------------------------------------
