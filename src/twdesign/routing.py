@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import Network, SampleSet, _is_json_int
-from .window_design import DroPricer, PenaltyConfig, SaaPricer
+from .window_design import DroPricer, PenaltyConfig, SaaPricer, _prefix_states, _visit_sum
 
 
 @dataclass(eq=False)
@@ -160,8 +160,11 @@ def budget_dro(x, mean, cov, alpha1: float) -> float:
 
 
 def route_cost_sm(route: Route, samples: SampleSet, pen: PenaltyConfig) -> float:
-    """Total optimal window cost of a route under the sample-average model."""
-    return SaaPricer(samples, pen).plan(route).total_cost
+    """Total optimal window cost of a route under the sample-average model:
+    each customer's ``place_cost`` at its arrival samples, summed in visit
+    order as the plan sums them, without building the plan."""
+    pricer = SaaPricer(samples, pen)
+    return _visit_sum(pricer.place_cost(state, k) for k, state in _prefix_states(pricer, route))
 
 
 def route_cost_rm(route: Route, mean, cov, alpha2: float, pen: PenaltyConfig) -> float:

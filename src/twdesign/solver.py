@@ -9,12 +9,12 @@ finished tour.  Two searches are provided on purpose:
 * ``enumerate_exact`` walks the arcs depth first without pruning,
   pricing each customer as it is placed, and compares every complete
   tour.  Slow, simple, and used as the reference.
-* ``branch_and_bound`` extends partial paths along existing arcs,
-  cheapest arc first until it has a tour and then least completion bound
-  first, with incremental arrival bookkeeping, a structural prune (a
-  child must leave every unplaced customer reachable from it and able to
-  reach the depot), an admissible budget bound, incumbent pruning and a
-  completion bound.
+* ``branch_and_bound`` extends partial paths along existing arcs, least
+  completion bound first from the root (a lone child is not bounded
+  until there is a tour to prune against), with incremental arrival
+  bookkeeping, a structural prune (a child must leave every unplaced
+  customer reachable from it and able to reach the depot), an
+  admissible budget bound, incumbent pruning and a completion bound.
   The completion bound is built from the same cuts as below, anchored
   at the search node's arrival state: every unplaced customer arrives
   later along a path of arcs inside the unplaced set, and its cost is
@@ -358,28 +358,34 @@ def _spans(seed: int, adj: list[int], within: int) -> bool:
 def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
     """Depth-first search over partial visit sequences from the depot.
 
-    Until an incumbent exists, children are tried cheapest linear arc
-    first (ties by node id).  Once one exists, a node computes its
-    completion bounds before its first child and tries the children in
-    ascending own + others bound, a stable sort, so ties keep the arc
-    order.  A child j is discarded when the arcs leave no completion
-    through it: some other unplaced customer cannot be reached from j,
-    or cannot reach the depot, along arcs between the unplaced customers
-    other than j (skipped on complete graphs, where every completion
-    exists).  A child is also discarded when the cost placed so far plus
-    the completion bound (``_completion_bounds``, computed once per node
-    from the cuts at the node's state: before the first child when an
-    incumbent exists, else as soon as one does) reaches the incumbent by
-    more than ``COMPLETION_PRUNE_SLACK``, first with a bound on the
-    child's own cost and, once priced, with its exact cost; when its
-    exact cost alone reaches the incumbent; or when its budget bound is
-    infinite (no way home, or no arc into an unplaced customer) or
-    exceeds the limit.  Offers every complete tour it reaches to the incumbent
-    ``inc`` and returns the nodes visited and the children pruned.  The
-    budget limit is max(time budget, cheapest tour budget offered so
-    far) + ``BUDGET_PRUNE_SLACK``, refreshed after each offer: until a
-    tour fits, the search chases the cheapest budget, and once one fits
-    the limit is the time budget.
+    Children are listed cheapest linear arc first (ties by node id).  A
+    node with two children or more and two unplaced customers or more
+    computes its completion bounds before its first child, incumbent or
+    not, and tries the children in ascending own + others bound, a
+    stable sort, so ties keep the arc order.  A node with one child has
+    nothing to order: it computes the bound only once an incumbent
+    exists, for the prune.  A child j is discarded when the arcs leave
+    no completion through it: some other unplaced customer cannot be
+    reached from j, or cannot reach the depot, along arcs between the
+    unplaced customers other than j (skipped on complete graphs, where
+    every completion exists).  A child is also discarded when the cost
+    placed so far plus the completion bound (``_completion_bounds``,
+    computed at most once per node from the cuts at the node's state)
+    reaches the incumbent by more than ``COMPLETION_PRUNE_SLACK``, first
+    with a bound on the child's own cost and, once priced, with its
+    exact cost; before the first tour that cutoff is +inf, and only a
+    child whose bound is +inf (an unplaced customer with no arc into it
+    from the unplaced ones) is discarded.  A child is also discarded
+    when its exact cost alone reaches the incumbent, or when its budget
+    bound is infinite (no way home, or no arc into an unplaced customer)
+    or exceeds the limit.  A child is priced just before it is entered,
+    so its own bound reads the ranks of that pricing (``SaaPricer``).
+    Offers every complete tour it reaches to the incumbent ``inc`` and
+    returns the nodes visited and the children pruned.  The budget limit
+    is max(time budget, cheapest tour budget offered so far) +
+    ``BUDGET_PRUNE_SLACK``, refreshed after each offer: until a tour
+    fits, the search chases the cheapest budget, and once one fits the
+    limit is the time budget.
     """
     ctx = inc.ctx
     linear = ctx.linear.tolist()
@@ -422,9 +428,10 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
             kids = live
         bounds = None
         order = range(len(kids))
-        if kids and len(rest) > 1 and inc.cost < np.inf:
+        if len(kids) > 1 and len(rest) > 1:
             # best bound first (a stable sort keeps the arc order on ties):
-            # a cheaper incumbent found sooner tightens every later test
+            # the first tour is found sooner and cheaper, and a cheaper
+            # incumbent found sooner tightens every later test
             bounds = _completion_bounds(ctx, net, state, rest, kids)
             order = sorted(order, key=[o + t for o, t in zip(*bounds)].__getitem__)
         for c in order:
@@ -533,26 +540,30 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     ``COMPLETION_PRUNE_SLACK`` (relative), which covers the rounding of
     the cut arithmetic: no strictly cheaper tour is discarded.
 
-    Single-threaded and fully deterministic.  A node entered before the
-    first tour tries its children cheapest linear arc first (ties by node
-    id), so the first tour reached is the nearest-neighbour tour when that
-    walk does not dead-end (or break the budget bound).  A node entered
-    after it tries them in ascending completion bound (own + others),
-    ties in arc order: best-bound-first child selection inside a
-    depth-first search, so a cheaper incumbent arrives sooner and every
-    later test is against it.  Every tour strictly cheaper than the
-    incumbent survives every prune, so the objective is the minimum in
-    any order; among exactly tied tours the search keeps the first it
-    completes.
+    Single-threaded and fully deterministic.  From the root on, a node
+    with two children or more tries them in ascending completion bound
+    (own + others), ties in arc order (cheapest linear arc first, then
+    node id): best-bound-first child selection inside a depth-first
+    search, so the first tour is already a cheap one, and every later
+    test is against it.  On complete n=8 graphs (q=1000, instances 0-15)
+    the first tour costs 1.0-2.2 times the optimum, against 1.3-5.8 for
+    the nearest-neighbour tour a cheapest-arc-first dive reaches.
+    Before the first tour the bound prunes only children with no
+    completion.  A node with one child bounds it only once a tour
+    exists: before that the bound would order nothing, and on sparse
+    graphs, where lone children are common, it cost more than it saved.
+    Every tour strictly cheaper than the incumbent survives every prune,
+    so the objective is the minimum in any order; among exactly tied
+    tours the search keeps the first it completes.
 
     Measured on a 2-core Xeon VM (Python 3.11, numpy 2.4) at q=1000 and
-    beta=0.05, complete graphs with ten customers solve in 0.04-0.15 s
-    (``sm``) and 0.01-0.06 s (``rm``) on instances 0-3, with twelve in
-    0.12-0.23 s and 0.06-0.11 s, and with fourteen in 0.13-0.49 s and
-    0.08-0.21 s on instances 0-2.  Sparse graphs (three arcs a customer,
-    ``random_network``'s default) with 22 customers solve in 0.04-0.25 s
-    (``sm``) and 0.02-0.10 s (``rm``) on instances 0-3, and with 26
-    customers in 0.06-0.45 s and 0.03-0.27 s.  The worst case still grows
+    beta=0.05, complete graphs with ten customers solve in 0.02-0.11 s
+    (``sm``) and 0.01-0.04 s (``rm``) on instances 0-3, with twelve in
+    0.05-0.18 s and 0.03-0.09 s, and with fourteen in 0.11-0.61 s and
+    0.06-0.24 s on instances 0-2.  Sparse graphs (three arcs a customer,
+    ``random_network``'s default) with 22 customers solve in 0.06-0.21 s
+    (``sm``) and 0.03-0.12 s (``rm``) on instances 0-3, and with 26
+    customers in 0.07-0.40 s and 0.03-0.24 s.  The worst case still grows
     factorially with the customer count.
 
     One pass both solves and, when no tour fits, finds the exact cheapest

@@ -151,22 +151,21 @@ class SaaWindow:
 
 def _order_stat_window(arr: np.ndarray, p1: int, p2: int, a_w: float, a_l: float, a_u: float):
     """The sample-average pricing kernel: (lower, upper, cost) of the
-    optimal window, whose edges are the order statistics of ranks p1, p2.
+    optimal window, whose edges are the order statistics of ranks p1, p2,
+    and the ranking it read them from (``_ranks``).
 
-    A partial sort places the p1 - 1 earliest and the q - p2 latest
+    The partial sort places the p1 - 1 earliest and the q - p2 latest
     arrivals on either side of the two ranks, which is all the earliness
-    and tardiness sums need.
+    and tardiness sums need, and its indices are all the rank duals need.
     """
     q = arr.size
-    if p1 == p2:
-        part = np.partition(arr, p1 - 1)
-    else:
-        part = np.partition(arr, (p1 - 1, p2 - 1))
+    ranked = _ranks(arr, p1, p2)
+    part = arr[ranked]
     lower = float(part[p1 - 1])
     upper = float(part[p2 - 1])
     early = lower * (p1 - 1) - part[: p1 - 1].sum()
     late = part[p2:].sum() - upper * (q - p2)
-    return lower, upper, float(a_w * (upper - lower) + (a_l / q) * early + (a_u / q) * late)
+    return lower, upper, float(a_w * (upper - lower) + (a_l / q) * early + (a_u / q) * late), ranked
 
 
 def saa_window(arrivals, a_w: float, a_l: float, a_u: float) -> SaaWindow:
@@ -180,26 +179,31 @@ def saa_window(arrivals, a_w: float, a_l: float, a_u: float) -> SaaWindow:
         raise ValueError("arrivals must be a non-empty 1-D array")
     if not np.all(np.isfinite(arr)):
         raise ValueError("arrivals must be finite")
-    return _saa_window(arr, *critical_indices(arr.size, a_w, a_l, a_u), a_w, a_l, a_u)
+    terms = (*critical_indices(arr.size, a_w, a_l, a_u), a_w, a_l, a_u)
+    return _saa_window(*_order_stat_window(arr, *terms), *terms)
 
 
-def _saa_window(arr: np.ndarray, p1: int, p2: int, a_w: float, a_l: float, a_u: float) -> SaaWindow:
-    """``saa_window`` at known ranks, unchecked, for arrivals walked from
-    validated samples."""
-    q = arr.size
-    lower, upper, cost = _order_stat_window(arr, p1, p2, a_w, a_l, a_u)
-    early, late = _rank_split(arr, p1, p2)
+def _saa_window(lower, upper, cost, ranked, p1, p2, a_w, a_l, a_u) -> SaaWindow:
+    """The ``SaaWindow`` of one ``_order_stat_window`` result at ranks p1,
+    p2 and weights (a_w, a_l, a_u): its duals sit on the kernel's ranking."""
+    q = ranked.size
+    early, late = _rank_split(ranked, p1, p2)
     rho1 = np.zeros(q)
     rho2 = np.zeros(q)
     rho1[early], rho2[late] = _rank_duals(q, p1, p2, a_w, a_l, a_u)
     return SaaWindow(lower, upper, cost, rho1, rho2, p1, p2)
 
 
-def _rank_split(arr: np.ndarray, p1: int, p2: int):
-    """Indices of the samples of ranks 1..p1 (rank p1 last) and p2..q
-    (rank p2 first) of ``arr``, from one partial sort; ties are ranked
-    either way."""
-    ranked = np.argpartition(arr, p1 - 1 if p1 == p2 else (p1 - 1, p2 - 1))
+def _ranks(arr: np.ndarray, p1: int, p2: int) -> np.ndarray:
+    """Indices of ``arr`` from one partial sort, with the samples of ranks
+    p1 and p2 in place, the earlier ranks before them and the later ones
+    after; ties are ranked either way."""
+    return np.argpartition(arr, p1 - 1 if p1 == p2 else (p1 - 1, p2 - 1))
+
+
+def _rank_split(ranked: np.ndarray, p1: int, p2: int):
+    """The indices of the samples of ranks 1..p1 (rank p1 last) and p2..q
+    (rank p2 first) in a ranking from ``_ranks``."""
     return ranked[:p1], ranked[p2 - 1 :]
 
 
@@ -419,7 +423,15 @@ def _window_plan(kind: str, route, windows, arrivals=None, **fields) -> WindowPl
 
 class SaaPricer:
     """Sample-average pricing: the state is the vector of scenario arrival
-    times, and a customer costs its ``_order_stat_window``."""
+    times, and a customer costs its ``_order_stat_window``.
+
+    States are never changed in place: ``extend`` returns a new array.
+    So the pricer keeps the ranking of the state it priced last, with
+    that state and the weight triple it was priced for, and
+    ``subgradients`` at the same state object reads its duals' ranks from
+    it instead of ranking the state again.  The route search prices a
+    child and then computes the child's completion bound, so each node
+    ranks its state once."""
 
     def __init__(self, samples, pen: PenaltyConfig):
         self.values = samples.values
@@ -434,6 +446,8 @@ class SaaPricer:
             if terms not in self.groups:
                 self.groups[terms] = (np.zeros(pen.n_customers + 1), *_rank_duals(samples.q, *terms))
             self.groups[terms][0][k] = 1.0
+        # (state, terms, ranking) of the last ``place_cost``
+        self._ranked = (None, None, None)
 
     @cached_property
     def linear(self) -> np.ndarray:
@@ -447,7 +461,16 @@ class SaaPricer:
         return state + self.values[:, arc]
 
     def place_cost(self, state, k: int) -> float:
-        return _order_stat_window(state, *self.terms[k])[2]
+        terms = self.terms[k]
+        *_, cost, ranked = _order_stat_window(state, *terms)
+        self._ranked = (state, terms, ranked)
+        return cost
+
+    def _walk(self, route):
+        """The route's arrival states, one row per customer in visit order,
+        and each customer's ``_order_stat_window`` at its row."""
+        rows = np.array([state for _, state in _prefix_states(self, route)])
+        return rows, [_order_stat_window(row, *self.terms[k]) for k, row in zip(route.customers, rows)]
 
     def plan(self, route) -> WindowPlan:
         """The route's ``saa`` plan: each customer's ``_order_stat_window``
@@ -455,9 +478,8 @@ class SaaPricer:
         (``_window_plan``).  Without ties at the window edges these are the
         rank rates (p1 - 1)/q early and (q - p2)/q late; samples tied with
         an edge are on time."""
-        rows = np.array([state for _, state in _prefix_states(self, route)])
-        windows = [_order_stat_window(row, *self.terms[k]) for k, row in zip(route.customers, rows)]
-        return _window_plan("saa", route, windows, rows)
+        rows, windows = self._walk(route)
+        return _window_plan("saa", route, [w[:3] for w in windows], rows)
 
     def subgradients(self, state, unplaced: np.ndarray):
         """Linear underestimates of the unplaced customers' costs beyond
@@ -470,13 +492,17 @@ class SaaPricer:
         of ``state`` (``_rank_duals``), the window cost is at least g' x
         at every arrival vector x, with equality at ``state``: weights =
         values' g (the coefficients of ``benders_cut``) and intercept =
-        g' state, the cost at the state.
+        g' state, the cost at the state.  The ranks are those of the last
+        ``place_cost`` when it priced this state for this triple.
         """
+        priced, priced_terms, priced_ranks = self._ranked
         cuts = []
-        for (p1, p2, *_), (scale, rho1, rho2) in self.groups.items():
+        for terms, (scale, rho1, rho2) in self.groups.items():
             if not scale[unplaced].any():
                 continue
-            early, late = _rank_split(state, p1, p2)
+            p1, p2 = terms[:2]
+            ranked = priced_ranks if state is priced and terms == priced_terms else _ranks(state, p1, p2)
+            early, late = _rank_split(ranked, p1, p2)
             intercept = float(rho2 @ state[late] - rho1 @ state[early])
             cuts.append((scale, intercept, rho2 @ self.values[late] - rho1 @ self.values[early]))
         return cuts
@@ -488,11 +514,13 @@ def design_stochastic(route, samples, pen: PenaltyConfig):
     Returns the plan (``SaaPricer.plan``) together with each customer's
     ``SaaWindow``, keyed by customer id.  A window's optimal duals
     ``rho1``/``rho2`` and ranks ``p1``/``p2`` are what optimality cuts
-    for the routing master problem are built from.
+    for the routing master problem are built from.  Both come from one
+    walk of the route and one ``_order_stat_window`` per customer.
     """
     pricer = SaaPricer(samples, pen)
-    windows = {k: _saa_window(arrivals, *pricer.terms[k]) for k, arrivals in _prefix_states(pricer, route)}
-    return pricer.plan(route), windows
+    rows, windows = pricer._walk(route)
+    duals = {k: _saa_window(*w, *pricer.terms[k]) for k, w in zip(route.customers, windows)}
+    return _window_plan("saa", route, [w[:3] for w in windows], rows), duals
 
 
 BRUTE_FORCE_MAX_Q = 500

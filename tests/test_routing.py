@@ -6,8 +6,10 @@ import pytest
 from twdesign import (
     Network,
     PenaltyConfig,
+    SaaModel,
     SampleSet,
     arrival_matrix,
+    branch_and_bound,
     budget_dro,
     budget_saa,
     design_dro,
@@ -178,6 +180,32 @@ def test_route_cost_sm_matches_design():
     pen = penalties_from_beta(0.1, 0.05, 3)
     plan, _ = design_stochastic(route, samples, pen)
     assert route_cost_sm(route, samples, pen) == pytest.approx(plan.total_cost, abs=1e-12)
+
+
+def test_route_cost_sm_is_plan_cost_bitwise():
+    # route_cost_sm sums the pricer's place_cost in visit order and builds
+    # no plan; the plan sums the same kernel's costs in the same order.
+    # Desk-like routes (sparse n=10, the solve's tour, q=1000, both
+    # targets) and dense-like ones (complete n=8, any tour, mixed weights)
+    rng = np.random.default_rng(5)
+    cases = []
+    for seed in range(3):
+        net = random_network(10, seed=seed)
+        train = sample_travel_times(net, 1000, seed=seed)
+        for beta in (0.05, 0.025):
+            pen = penalties_from_beta(beta, beta, 10)
+            cases.append((branch_and_bound(net, SaaModel(train), pen).route, train, pen))
+    for seed in range(3):
+        net = random_network(8, seed=seed, complete=True)
+        train = sample_travel_times(net, 1000, seed=seed)
+        a_l, a_u = rng.uniform(0.3, 1.0, 8), rng.uniform(0.3, 1.0, 8)
+        pen = PenaltyConfig(rng.uniform(0.05, 0.5, 8) * a_l * a_u / (a_l + a_u), a_l, a_u)
+        for _ in range(3):
+            seq = [0, *(int(k) for k in rng.permutation(np.arange(1, 9))), 0]
+            cases.append((route_to_xy(seq, net), train, pen))
+    for route, train, pen in cases:
+        plan, _ = design_stochastic(route, train, pen)
+        assert route_cost_sm(route, train, pen) == plan.total_cost, route.seq
 
 
 def test_route_cost_rm_matches_design_and_identity():

@@ -215,6 +215,29 @@ def test_saa_window_duals_certify_cost():
     assert win.p1 == win.p2 == 5
 
 
+def test_saa_window_duals_sit_on_one_argpartition():
+    # the pricing kernel's ranking is np.argpartition at the critical
+    # ranks, the one the duals were always placed on: rho1 and rho2 are
+    # unchanged bit for bit, with ties and with p1 == p2, and the edges
+    # are the order statistics of those ranks
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        q = int(rng.integers(1, 1200))
+        arr = rng.normal(50.0, 10.0, q)
+        if trial % 3 == 0:
+            arr = np.round(arr)
+        a_l, a_u = float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.3, 1.0))
+        a_w = (a_l * a_u) / (a_l + a_u) * (1.0 if trial % 5 == 0 else float(rng.uniform(0.01, 1.0)))
+        win = saa_window(arr, a_w, a_l, a_u)
+        p1, p2 = win.p1, win.p2
+        ranked = np.argpartition(arr, p1 - 1 if p1 == p2 else (p1 - 1, p2 - 1))
+        rho1, rho2 = np.zeros(q), np.zeros(q)
+        rho1[ranked[:p1]], rho2[ranked[p2 - 1:]] = window_design._rank_duals(q, p1, p2, a_w, a_l, a_u)
+        assert np.array_equal(win.rho1, rho1) and np.array_equal(win.rho2, rho2), trial
+        srt = np.sort(arr)
+        assert (win.lower, win.upper) == (srt[p1 - 1], srt[p2 - 1]), trial
+
+
 def test_saa_window_beats_grid_of_alternatives():
     rng = np.random.default_rng(7)
     for trial in range(20):
