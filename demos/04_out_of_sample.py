@@ -35,8 +35,8 @@ for label, model in (("scenario", SaaModel(train)), ("moment", DroModel())):
     print(f"{label:8s}: early {rep.early_rate:.3f}  late {rep.late_rate:.3f}  "
           f"mean width {rep.mean_length:.2f}  (target {beta})")
 
-# early arrivals wait for the window to open; the recursion and the
-# unrolled simulation agree to the last bit
+# early arrivals wait for the window to open: each stop's service starts
+# at the later of the arrival and the window's lower edge
 res = branch_and_bound(net, SaaModel(train), pen)
 lowers = {k: res.plan.window_for(k)[0] for k in res.route.customers}
 waits = simulate_waiting(res.route, lowers, test)

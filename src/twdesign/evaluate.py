@@ -18,7 +18,7 @@ import numpy as np
 from .instance import Network, SampleSet, sample_travel_times, substream
 from .routing import Route
 from .solver import DroModel, branch_and_bound, build_model
-from .window_design import PenaltyConfig, WindowPlan, arrival_matrix, penalties_from_beta
+from .window_design import WindowPlan, arrival_matrix, penalties_from_beta
 
 REPORT_COLUMNS = [
     "model",
@@ -110,6 +110,8 @@ def simulate_waiting(route: Route, lowers: Mapping[int, float], samples: SampleS
     for k in route.customers:
         if k not in lowers:
             raise ValueError(f"lower bound missing for customer {k}")
+        if not np.isfinite(lowers[k]):
+            raise ValueError(f"lower bound for customer {k} must be finite, got {lowers[k]!r}")
     t = samples.values
     q = samples.q
     out = np.empty((q, len(route.customers)))
@@ -117,38 +119,6 @@ def simulate_waiting(route: Route, lowers: Mapping[int, float], samples: SampleS
     for pos, k in enumerate(route.customers):
         cur = np.maximum(cur + t[:, route.path_arcs[pos]], lowers[k])
         out[:, pos] = cur
-    return out
-
-
-def simulate_waiting_unrolled(route: Route, lowers: Mapping[int, float], samples: SampleSet) -> np.ndarray:
-    """Reference for the waiting recursion, written as the explicit max.
-
-    The start time at stop p is the best over all release points r <= p
-    of (release time at r) plus the travel on arcs r..p, accumulated
-    left to right.  Interchanging max with the monotone additions keeps
-    this bit-identical to the recursion; any mismatch is a bug.
-    """
-    for k in route.customers:
-        if k not in lowers:
-            raise ValueError(f"lower bound missing for customer {k}")
-    t = samples.values
-    q = samples.q
-    n = len(route.customers)
-    arcs = route.path_arcs
-    out = np.empty((q, n))
-    for s in range(q):
-        for pos in range(n):
-            acc = 0.0
-            for tpos in range(pos + 1):
-                acc = acc + t[s, arcs[tpos]]
-            best = acc
-            for r in range(pos + 1):
-                accr = float(lowers[route.customers[r]])
-                for tpos in range(r + 1, pos + 1):
-                    accr = accr + t[s, arcs[tpos]]
-                if accr > best:
-                    best = accr
-            out[s, pos] = best
     return out
 
 

@@ -11,9 +11,10 @@ along a route strongly dependent.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,17 @@ def substream(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def _is_finite_real(value) -> bool:
+    """True for a finite real number that is not a bool; an integer too
+    large for a float counts as non-finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class CovGenParams:
     """Parameters for topology-driven covariance generation."""
@@ -43,6 +55,12 @@ class CovGenParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("cv_min", "cv_max", "neg_flip_prob"):
+            value = getattr(self, name)
+            if not _is_finite_real(value):
+                raise ValueError(f"cov_gen: {name} must be a finite number, got {value!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"cov_gen: seed must be an integer >= 0, got {self.seed!r}")
         if not 0.0 <= self.cv_min <= self.cv_max:
             raise ValueError("cov_gen: need 0 <= cv_min <= cv_max")
         if not 0.0 <= self.neg_flip_prob <= 1.0:
@@ -436,37 +454,3 @@ def load_instance(path) -> Network:
     cov = generate_covariance(skeleton, params)
     return Network(nodes, tuple(arcs), np.asarray(means), cov, float(tb))
 
-
-def save_samples(samples: SampleSet, net: Network, path) -> None:
-    """Write draws as CSV, one column per arc labelled ``i->j``."""
-    if samples.n_arcs != net.n_arcs:
-        raise ValueError("sample set does not match the network's arc count")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(net.arc_labels())
-        for row in samples.values:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def load_samples(path, net: Network) -> SampleSet:
-    """Read a sample CSV, checking the header against the network's arcs."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("sample file is empty") from None
-        expected = net.arc_labels()
-        if header != expected:
-            raise ValueError("sample file header does not match the network's arc order")
-        rows = []
-        for r, row in enumerate(reader):
-            if len(row) != len(expected):
-                raise ValueError(f"sample row {r}: expected {len(expected)} values, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise ValueError(f"sample row {r}: non-numeric value") from None
-    if not rows:
-        raise ValueError("sample file has no data rows")
-    return SampleSet(q=len(rows), values=np.asarray(rows), seed=None)

@@ -27,7 +27,6 @@ class Route:
     x: np.ndarray
     y: np.ndarray
     path_arcs: tuple[int, ...] = field(repr=False)
-    return_arc: int = field(repr=False)
 
     @property
     def customers(self) -> tuple[int, ...]:
@@ -67,79 +66,10 @@ def route_to_xy(seq, net: Network) -> Route:
     for pos, k in enumerate(interior):
         prefix.append(arc_ids[pos])
         y[k - 1, prefix] = 1
-    route = Route(
-        seq=seq,
-        x=x,
-        y=y,
-        path_arcs=tuple(arc_ids[:-1]),
-        return_arc=arc_ids[-1],
-    )
+    route = Route(seq=seq, x=x, y=y, path_arcs=tuple(arc_ids[:-1]))
     route.x.setflags(write=False)
     route.y.setflags(write=False)
     return route
-
-
-def seq_from_x(x, net: Network) -> tuple[int, ...]:
-    """Recover the visit sequence from an arc incidence vector."""
-    x = np.asarray(x)
-    succ: dict[int, int] = {}
-    for a, v in enumerate(x):
-        if v:
-            i, j = net.arcs[a]
-            if i in succ:
-                raise ValueError(f"x has two outgoing arcs at node {i}")
-            succ[i] = j
-    seq = [0]
-    node = 0
-    for _ in range(net.node_count):
-        if node not in succ:
-            raise ValueError(f"x has no outgoing arc at node {node}")
-        node = succ[node]
-        seq.append(node)
-        if node == 0:
-            break
-    if seq[-1] != 0 or len(seq) != net.node_count + 1:
-        raise ValueError("x does not encode a single tour through all customers")
-    return tuple(seq)
-
-
-def validate_membership(x, y, net: Network) -> list[str]:
-    """Structural diagnostics for an (x, y) pair; empty list means valid.
-
-    Checks the tour encoding constraint by constraint: unit out-degree
-    (a) and in-degree (b) at every node, per-customer path flow
-    conservation (c) with +1 at the depot and -1 at the customer, and
-    the coupling y <= x (d).
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    msgs: list[str] = []
-    if x.shape != (net.n_arcs,):
-        return [f"x: expected shape ({net.n_arcs},), got {x.shape}"]
-    if y.shape != (net.n_customers, net.n_arcs):
-        return [f"y: expected shape ({net.n_customers}, {net.n_arcs}), got {y.shape}"]
-    if not np.isin(x, (0, 1)).all() or not np.isin(y, (0, 1)).all():
-        msgs.append("x and y must be binary")
-    for i in range(net.node_count):
-        out_sum = int(sum(x[a] for _, a in net.out_arcs[i]))
-        in_sum = int(sum(x[a] for _, a in net.in_arcs[i]))
-        if out_sum != 1:
-            msgs.append(f"degree (a) violated at node {i}: out-degree {out_sum}")
-        if in_sum != 1:
-            msgs.append(f"degree (b) violated at node {i}: in-degree {in_sum}")
-    for k in net.customers:
-        yk = y[k - 1]
-        for i in range(net.node_count):
-            outflow = int(sum(yk[a] for _, a in net.out_arcs[i]))
-            inflow = int(sum(yk[a] for _, a in net.in_arcs[i]))
-            rhs = 1 if i == 0 else (-1 if i == k else 0)
-            if outflow - inflow != rhs:
-                msgs.append(f"flow (c) violated for customer {k} at node {i}")
-        over = np.nonzero(yk > x)[0]
-        for a in over:
-            i, j = net.arcs[a]
-            msgs.append(f"coupling (d) violated for customer {k} at arc ({i}, {j})")
-    return msgs
 
 
 def budget_saa(x, samples: SampleSet) -> float:

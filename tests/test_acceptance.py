@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from reference import simulate_waiting_unrolled
 from twdesign import (
     CovGenParams,
     DroModel,
@@ -38,7 +39,6 @@ from twdesign import (
     scarf_earliness,
     scarf_tardiness,
     simulate_waiting,
-    simulate_waiting_unrolled,
     substream,
 )
 

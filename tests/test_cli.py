@@ -63,6 +63,50 @@ def test_gen_requires_flags(tmp_path, capsys):
     assert "--out is required" in capsys.readouterr().err
 
 
+# an instance file's cov_gen value as JSON text, and the gen flags that pass
+# the same kind of value, where gen has a flag that can
+COV_GEN_CASES = [
+    ("seed", "1.5", None),
+    ("seed", '"a"', None),
+    ("seed", "true", None),
+    ("seed", "-1", None),
+    ("cv_min", '"0.1"', None),
+    ("neg_flip_prob", "null", None),
+    ("cv_max", "1e400", ["--cv-max", "inf"]),
+    ("cv_min", "NaN", ["--cv-min", "nan"]),
+    ("neg_flip_prob", "Infinity", ["--neg-flip-prob", "inf"]),
+]
+
+
+@pytest.mark.parametrize("key,raw,gen_flags", COV_GEN_CASES)
+def test_cov_gen_values_are_checked(inst, tmp_path, capsys, key, raw, gen_flags):
+    net, _ = inst
+    arcs = [{"from": i, "to": j, "mean": float(net.mean[a])} for a, (i, j) in enumerate(net.arcs)]
+    head = json.dumps({"nodes": net.node_count, "arcs": arcs, "time_budget": net.time_budget})
+    path = tmp_path / "gen_inst.json"
+    # spliced in as text, so that 1e400 reaches the loader as written
+    path.write_text(head[:-1] + f', "cov_gen": {{"{key}": {raw}}}}}')
+    with pytest.raises(ValueError, match=f"cov_gen: {key} must be"):
+        load_instance(path)
+    route_path = tmp_path / "route.json"
+    save_route((0, 1, 2, 3, 0), route_path)
+    out = tmp_path / "plan.json"
+    rc = main(
+        [
+            "design", "--instance", str(path), "--route", str(route_path), "--model", "rm",
+            "--beta-l", "0.1", "--beta-u", "0.1", "--out", str(out),
+        ]
+    )
+    assert rc == 1
+    assert f"twdesign: error: cov_gen: {key} must be" in capsys.readouterr().err
+    assert not out.exists()
+    if gen_flags is not None:
+        out = tmp_path / "gen.json"
+        assert main(["gen", "--customers", "3", "--out", str(out), *gen_flags]) == 1
+        assert f"twdesign: error: cov_gen: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_design_sm_matches_library(inst, tmp_path):
     net, inst_path = inst
     route_path = tmp_path / "route.json"

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from reference import simulate_waiting_unrolled
 from twdesign import (
     DroModel,
     Network,
@@ -26,7 +27,6 @@ from twdesign import (
     route_to_xy,
     sample_travel_times,
     simulate_waiting,
-    simulate_waiting_unrolled,
     substream,
     write_report_csv,
 )
@@ -186,6 +186,13 @@ def test_waiting_missing_lower():
         simulate_waiting(route, {1: 0.0}, samples)
     with pytest.raises(ValueError, match="lower bound missing for customer 2"):
         simulate_waiting_unrolled(route, {1: 0.0}, samples)
+
+
+def test_waiting_rejects_non_finite_lower():
+    route, samples = line_route_with_samples([[1.0, 1.0, 1.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="lower bound for customer 2 must be finite"):
+            simulate_waiting(route, {1: 0.0, 2: bad}, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,9 @@ from twdesign import (
     covariance_parts,
     generate_covariance,
     load_instance,
-    load_samples,
     random_network,
     sample_travel_times,
     save_instance,
-    save_samples,
     substream,
 )
 
@@ -481,53 +479,3 @@ def test_instance_cov_entries_must_be_numbers(tmp_path):
         cov[row][row] = bad
         with pytest.raises(ValueError, match=rf"cov\[{row}\]: expected numbers, got {json.dumps(bad)}"):
             load_instance(write_doc(tmp_path, dict(base, cov=cov)))
-
-
-# ---------------------------------------------------------------------------
-# sample files
-
-
-def test_samples_round_trip(tmp_path):
-    cov = 0.04 * np.eye(6)
-    net = small_net(cov=cov)
-    s = sample_travel_times(net, 25, seed=1)
-    path = tmp_path / "draws.csv"
-    save_samples(s, net, path)
-    back = load_samples(path, net)
-    assert back.q == 25
-    # repr round-trips floats exactly
-    assert np.array_equal(back.values, s.values)
-
-
-def test_samples_header_mismatch(tmp_path):
-    net = small_net()
-    other = Network(
-        3,
-        ((0, 1), (1, 2), (2, 0)),
-        np.ones(3),
-        np.zeros((3, 3)),
-        10.0,
-    )
-    s = sample_travel_times(other, 4, seed=0)
-    path = tmp_path / "draws.csv"
-    save_samples(s, other, path)
-    with pytest.raises(ValueError, match="header does not match"):
-        load_samples(path, net)
-
-
-def test_samples_bad_rows(tmp_path):
-    net = small_net()
-    path = tmp_path / "draws.csv"
-    path.write_text(",".join(net.arc_labels()) + "\n1,2,3\n")
-    with pytest.raises(ValueError, match="sample row 0: expected 6 values, got 3"):
-        load_samples(path, net)
-    path.write_text(",".join(net.arc_labels()) + "\n1,2,3,4,x,6\n")
-    with pytest.raises(ValueError, match="sample row 0: non-numeric"):
-        load_samples(path, net)
-    path.write_text("")
-    with pytest.raises(ValueError, match="sample file is empty"):
-        load_samples(path, net)
-    for bad in ("nan", "inf"):
-        path.write_text(",".join(net.arc_labels()) + f"\n1,2,3,4,{bad},6\n")
-        with pytest.raises(ValueError, match="finite"):
-            load_samples(path, net)

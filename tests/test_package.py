@@ -40,3 +40,19 @@ def test_readme_quick_start_runs():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
+
+
+def test_all_lists_exactly_the_imported_names():
+    import twdesign
+
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+    assert len(twdesign.__all__) == len(set(twdesign.__all__))
+    for name in twdesign.__all__:
+        getattr(twdesign, name)
+    assert set(twdesign.__all__) == imported

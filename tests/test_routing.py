@@ -22,8 +22,6 @@ from twdesign import (
     route_to_xy,
     sample_travel_times,
     save_route,
-    seq_from_x,
-    validate_membership,
     write_cost_csv,
 )
 
@@ -55,10 +53,23 @@ def test_route_encoding_structure():
         net.arc_index[(3, 1)],
         net.arc_index[(1, 2)],
     )
-    assert route.return_arc == net.arc_index[(2, 0)]
     assert not route.x.flags.writeable
-    # a valid encoding produces no diagnostics
-    assert validate_membership(route.x, route.y, net) == []
+    # on random complete and sparse networks, x is the tour's arcs and the
+    # row of the customer at position p is exactly path_arcs[:p+1]
+    for seed in range(4):
+        for complete in (True, False):
+            net = random_network(5, seed=seed, complete=complete)
+            model = SaaModel(sample_travel_times(net, 20, seed))
+            route = branch_and_bound(net, model, penalties_from_beta(0.1, 0.1, 5)).route
+            tour = [net.arc_index[arc] for arc in zip(route.seq, route.seq[1:])]
+            want_x = np.zeros(net.n_arcs, dtype=np.int8)
+            want_x[tour] = 1
+            assert np.array_equal(route.x, want_x), (seed, complete)
+            assert route.path_arcs == tuple(tour[:-1])
+            for pos, k in enumerate(route.customers):
+                want_y = np.zeros(net.n_arcs, dtype=np.int8)
+                want_y[tour[: pos + 1]] = 1
+                assert np.array_equal(route.y[k - 1], want_y), (seed, complete, k)
 
 
 def test_route_encoding_rejections():
@@ -82,56 +93,6 @@ def test_route_encoding_requires_arcs():
     net = Network(3, arcs, np.ones(4), np.zeros((4, 4)), 100.0)
     with pytest.raises(ValueError, match=r"arc \(2, 1\) not in network"):
         route_to_xy([0, 2, 1, 0], net)
-
-
-def test_seq_round_trip_and_bad_x():
-    net = three_net()
-    for seq in ([0, 1, 2, 3, 0], [0, 3, 2, 1, 0], [0, 2, 1, 3, 0]):
-        route = route_to_xy(seq, net)
-        assert seq_from_x(route.x, net) == tuple(seq)
-    # two disjoint cycles cover all degrees but are not one tour
-    x = np.zeros(net.n_arcs, dtype=int)
-    x[net.arc_index[(0, 1)]] = 1
-    x[net.arc_index[(1, 0)]] = 1
-    x[net.arc_index[(2, 3)]] = 1
-    x[net.arc_index[(3, 2)]] = 1
-    with pytest.raises(ValueError, match="single tour"):
-        seq_from_x(x, net)
-
-
-def test_membership_diagnostics():
-    net = three_net()
-    route = route_to_xy([0, 1, 2, 3, 0], net)
-    x = route.x.copy()
-    y = route.y.copy()
-    # drop the return arc: depot in-degree and node 3 out-degree break
-    x[net.arc_index[(3, 0)]] = 0
-    msgs = validate_membership(x, y, net)
-    assert "degree (b) violated at node 0: in-degree 0" in msgs
-    assert "degree (a) violated at node 3: out-degree 0" in msgs
-    # coupling: y uses an arc x does not
-    x2 = route.x.copy()
-    y2 = route.y.copy()
-    y2[0, net.arc_index[(2, 1)]] = 1
-    msgs = validate_membership(x2, y2, net)
-    assert any(m.startswith("coupling (d) violated for customer 1") for m in msgs)
-    # flow: reroute customer 1's path through the wrong arc
-    y3 = route.y.copy()
-    y3[0, net.arc_index[(0, 1)]] = 0
-    y3[0, net.arc_index[(0, 2)]] = 1
-    msgs = validate_membership(route.x, y3, net)
-    assert any("flow (c) violated for customer 1" in m for m in msgs)
-    # subtour-style y: a detached loop conserves flow nowhere near the rhs
-    y4 = route.y.copy()
-    y4[2, net.arc_index[(1, 2)]] = 0
-    y4[2, net.arc_index[(2, 1)]] = 1
-    msgs = validate_membership(route.x, y4, net)
-    assert any("flow (c) violated for customer 3" in m for m in msgs)
-    # non-binary entries
-    xf = route.x.astype(float).copy()
-    xf[0] = 0.5
-    msgs = validate_membership(xf, route.y, net)
-    assert "x and y must be binary" in msgs
 
 
 def test_arrival_matrix_cumulative_sums():
