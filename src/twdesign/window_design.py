@@ -560,43 +560,101 @@ def brute_force_windows(route, samples, pen: PenaltyConfig) -> WindowPlan:
 FIXED_WIDTH_MAX_CANDIDATES = 10_000_000
 
 
-def _inner_fixed_cost(srt, cum, a_l, a_u, q, width):
-    """Min over the start time l >= 0 of the earliness/tardiness cost at
-    a given width, by scanning the kinks of the piecewise-linear cost."""
-    cands = np.concatenate((srt, srt - width, [0.0]))
-    cands = np.maximum(cands, 0.0)
-    cands = np.unique(cands)
-    m1 = np.searchsorted(srt, cands, side="right")
-    early = cands * m1 - cum[m1]
-    ups = cands + width
-    m2 = np.searchsorted(srt, ups, side="right")
-    late = (cum[q] - cum[m2]) - ups * (q - m2)
-    f = (a_l / q) * early + (a_u / q) * late
-    best = int(np.argmin(f))
-    return float(f[best]), float(cands[best])
+class _WidthPricer:
+    """Each customer's least earliness/tardiness cost over its start l >= 0
+    at one shared width w, and the smallest start that attains it, for all
+    customers at once.
+
+    A customer's cost at start l is (a_l/q) sum (l - tau)+ +
+    (a_u/q) sum (tau - l - w)+, piecewise linear in l with its kinks among
+    zero, the arrivals and the arrivals less w, so the least cost over
+    l >= 0 is attained there.  Each candidate is priced with the ranks of l
+    and l + w among the sorted arrivals and the prefix sums at those ranks.
+    The candidates split into two sorted lists: zero and the clamped
+    arrivals, whose ranks and earliness do not depend on w and are computed
+    once, and the clamped arrivals less w.  A candidate's cost depends on
+    its value alone, so the first least cost of each list, the lower of the
+    two and on a tie the smaller start, is the first least cost over the
+    sorted candidates without repeats: the result is bit for bit that of
+    scanning them one customer at a time.
+    """
+
+    def __init__(self, srt, a_l, a_u):
+        n, q = srt.shape
+        self.srt = srt
+        self.q = q
+        self.cum = np.zeros((n, q + 1))
+        np.cumsum(srt, axis=1, out=self.cum[:, 1:])
+        self.row_starts = np.arange(0, n * (q + 1), q + 1)[:, None]  # in cum.ravel()
+        self.rate_l = (a_l / q)[:, None]
+        self.rate_u = (a_u / q)[:, None]
+        self.fixed = np.zeros((n, q + 1))
+        np.maximum(srt, 0.0, out=self.fixed[:, 1:])
+        self.fixed_early = self._early(self.fixed)
+
+    def _ranks(self, needles):
+        """Per customer, how many of its arrivals are at or below each
+        needle, and the sum of those arrivals."""
+        ranks = np.empty(needles.shape, dtype=np.intp)
+        for srt, row, out in zip(self.srt, needles, ranks):
+            out[:] = np.searchsorted(srt, row, side="right")
+        return ranks, self.cum.ravel().take(ranks + self.row_starts)
+
+    def _early(self, starts):
+        m1, below = self._ranks(starts)
+        return self.rate_l * (starts * m1 - below)
+
+    def _late(self, ups):
+        m2, below = self._ranks(ups)
+        return self.rate_u * ((self.cum[:, -1:] - below) - ups * (self.q - m2))
+
+    @staticmethod
+    def _first_least(f, starts):
+        """Per customer, the first least cost of a sorted candidate list
+        and its start."""
+        best = f.argmin(axis=1)[:, None]
+        return np.take_along_axis(f, best, axis=1)[:, 0], np.take_along_axis(starts, best, axis=1)[:, 0]
+
+    def __call__(self, width: float):
+        """Per customer, in visit order, the least cost and its smallest start."""
+        shifted = np.maximum(self.srt - width, 0.0)
+        cost, start = self._first_least(self.fixed_early + self._late(self.fixed + width), self.fixed)
+        cost_s, start_s = self._first_least(self._early(shifted) + self._late(shifted + width), shifted)
+        take = (cost_s < cost) | ((cost_s == cost) & (start_s < start))
+        return np.where(take, cost_s, cost), np.where(take, start_s, start)
 
 
 # the width grid drops its repeats this many entries at a time
 _GRID_BLOCK = 1 << 16
 
 
-def _width_grid(sorted_cols) -> np.ndarray:
-    """Zero and every difference ``srt[a] - srt[b]``, a > b, within each
-    sorted column, sorted and without repeats: ``np.unique`` of all the
-    columns' nonnegative pairwise differences plus zero, bit for bit (a
-    tie only yields 0, which entry 0 holds).
+def _width_grid(srt) -> np.ndarray:
+    """Zero and every difference ``srt[k, a] - srt[k, b]``, a > b, within
+    each customer's sorted arrivals (row k of ``srt``), sorted and without
+    repeats: ``np.unique`` of all the rows' nonnegative pairwise
+    differences plus zero, bit for bit (a tie only yields 0, which entry 0
+    holds).
 
-    The differences fill one buffer row by row, which is sorted in place;
-    repeats are then dropped one ``_GRID_BLOCK`` at a time by writing the
-    kept values forward, and the grid is the buffer's prefix.
+    The grid is one 8-byte buffer of 1 + n q (q - 1) / 2 entries, one per
+    candidate, which may not exceed ``FIXED_WIDTH_MAX_CANDIDATES``.  Row
+    index a of every customer fills it in one subtraction; the buffer is
+    sorted in place, repeats are then dropped one ``_GRID_BLOCK`` at a
+    time by writing the kept values forward, and the grid is the buffer's
+    prefix.
     """
-    buf = np.empty(1 + sum(len(srt) * (len(srt) - 1) // 2 for srt in sorted_cols))
+    n, q = srt.shape
+    size = 1 + n * (q * (q - 1) // 2)
+    if size > FIXED_WIDTH_MAX_CANDIDATES:
+        raise ValueError(
+            "fixed-width candidate set exceeds "
+            f"{FIXED_WIDTH_MAX_CANDIDATES}; subsample the scenarios first"
+        )
+    buf = np.empty(size)
     buf[0] = 0.0
     end = 1
-    for srt in sorted_cols:
-        for a in range(1, len(srt)):
-            np.subtract(srt[a], srt[:a], out=buf[end:end + a])
-            end += a
+    for a in range(1, q):
+        np.subtract(srt[:, a:a + 1], srt[:, :a], out=buf[end:end + n * a].reshape(n, a))
+        end += n * a
     buf.sort()
     kept, last = 0, np.nan  # nan differs from every value
     for start in range(0, len(buf), _GRID_BLOCK):
@@ -617,12 +675,18 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
     Minimises sum_k [a_w w + (a_l^k/q) sum (l_k - tau)+ +
     (a_u^k/q) sum (tau - l_k - w)+] over w >= 0 and l_k >= 0.  For fixed
     w the inner optimum per customer is found exactly on the kinks of
-    its cost; the outer objective is convex piecewise linear in w, so an
-    exact search over the candidate widths (all nonnegative pairwise
-    differences of each customer's arrival samples, plus zero) via
-    ternary search on the sorted grid suffices.  The grid (``_width_grid``)
-    takes one 8-byte buffer per candidate plus one ``_GRID_BLOCK``, so a
-    call holds about 8 n q (q - 1) / 2 bytes.
+    its cost by one ``_WidthPricer``, built once per call, which prices
+    every customer at a width together; the outer objective is convex
+    piecewise linear in w, so an exact search over the candidate widths
+    (all nonnegative pairwise differences of each customer's arrival
+    samples, plus zero) via ternary search on the sorted grid suffices.
+
+    At n = 10 and q = 1000 a call spends about two thirds of its time
+    building the grid (``_width_grid``, mostly its sort) and the rest
+    pricing some 70 widths, about 1.3 ms each.  The grid takes one 8-byte
+    buffer per candidate plus one ``_GRID_BLOCK``, so a call holds about
+    8 n q (q - 1) / 2 bytes; the pricer's few n x (q + 1) arrays add
+    little to that.
     """
     if not np.all(pen.a_w == pen.a_w[0]):
         raise ValueError("shared-width design needs a customer-independent a_w")
@@ -630,18 +694,9 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
     arr = arrival_matrix(route, samples.values)
     q = samples.q
     n = len(route.customers)
-    raw_count = n * (q * (q + 1)) // 2 + 1
-    if raw_count > FIXED_WIDTH_MAX_CANDIDATES:
-        raise ValueError(
-            "fixed-width candidate set exceeds "
-            f"{FIXED_WIDTH_MAX_CANDIDATES}; subsample the scenarios first"
-        )
-    per_cust = []
-    for pos in range(n):
-        srt = np.sort(arr[:, pos])
-        cum = np.concatenate(([0.0], np.cumsum(srt)))
-        per_cust.append((srt, cum))
-    widths = _width_grid([srt for srt, _ in per_cust])
+    srt = np.sort(arr.T, axis=1)
+    widths = _width_grid(srt)
+    price = _WidthPricer(srt, *np.array([pen.for_customer(k)[1:] for k in route.customers]).T)
 
     cache: dict[int, float] = {}
 
@@ -649,10 +704,7 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
         if idx not in cache:
             w = float(widths[idx])
             total = n * a_w * w
-            for pos, k in enumerate(route.customers):
-                _, a_l, a_u = pen.for_customer(k)
-                srt, cum = per_cust[pos]
-                val, _ = _inner_fixed_cost(srt, cum, a_l, a_u, q, w)
+            for val in price(w)[0].tolist():
                 total += val
             cache[idx] = total
         return cache[idx]
@@ -669,10 +721,8 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
     w = float(widths[best_idx])
 
     windows = []
-    for pos, k in enumerate(route.customers):
+    for pos, (k, l_best) in enumerate(zip(route.customers, price(w)[1].tolist())):
         _, a_l, a_u = pen.for_customer(k)
-        srt, cum = per_cust[pos]
-        _, l_best = _inner_fixed_cost(srt, cum, a_l, a_u, q, w)
         col = arr[:, pos]
         cost = (
             a_w * w

@@ -5,6 +5,7 @@ small sample sets (order statistics, kink enumeration) before the
 implementation existed.
 """
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import _inner_fixed_cost, _unique_differences, design_fixed_width_unrolled
 from twdesign import (
     Network,
     PenaltyConfig,
@@ -40,7 +42,7 @@ from twdesign import (
     substream,
 )
 from twdesign import window_design
-from twdesign.window_design import _width_grid
+from twdesign.window_design import _width_grid, _WidthPricer
 
 
 def line_net(n_customers, tb=1000.0):
@@ -394,7 +396,7 @@ def test_fixed_width_needs_shared_a_w():
 
 def test_fixed_width_candidate_limit():
     route, net = line_route(1)
-    q = 4473  # 1 * q(q+1)/2 + 1 crosses 10^7
+    q = 4473  # 1 * q(q-1)/2 + 1 crosses 10^7
     values = np.zeros((q, net.n_arcs))
     values[:, 0] = np.linspace(1.0, 2.0, q)
     samples = SampleSet(q=q, values=values)
@@ -403,14 +405,18 @@ def test_fixed_width_candidate_limit():
         design_fixed_width(route, samples, pen)
 
 
-def _unique_differences(cols):
-    """The grid as np.unique builds it: every nonnegative pairwise
-    difference within each column, plus zero."""
-    parts = [np.zeros(1)]
-    for col in cols:
-        diffs = np.subtract.outer(col, col).ravel()
-        parts.append(diffs[diffs >= 0])
-    return np.unique(np.concatenate(parts))
+def test_fixed_width_candidate_limit_counts_the_buffer():
+    # the grid holds zero and q(q-1)/2 differences per customer, so a cap
+    # of exactly that many entries admits the call and one less rejects it
+    route, net = line_route(2)
+    samples = sample_travel_times(net, 5, seed=0)
+    pen = penalties_from_beta(0.1, 0.1, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(window_design, "FIXED_WIDTH_MAX_CANDIDATES", 2 * 5 * 4 // 2 + 1)
+        design_fixed_width(route, samples, pen)
+        mp.setattr(window_design, "FIXED_WIDTH_MAX_CANDIDATES", 2 * 5 * 4 // 2)
+        with pytest.raises(ValueError, match="subsample the scenarios"):
+            design_fixed_width(route, samples, pen)
 
 
 # zero stands for a clamped arrival; a small pool of values makes ties
@@ -434,7 +440,7 @@ def test_width_grid_is_unique_of_differences(rows, block):
     cols = [np.sort(rows[:, pos]) for pos in range(rows.shape[1])]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(window_design, "_GRID_BLOCK", block)
-        grid = _width_grid(cols)
+        grid = _width_grid(np.array(cols))
     assert np.array_equal(grid, _unique_differences(cols))
 
 
@@ -443,7 +449,7 @@ def test_width_grid_spans_blocks():
     rng = np.random.default_rng(5)
     cols = [np.sort(np.round(rng.gamma(4.0, 10.0, 400), 1)) for _ in range(2)]
     assert 2 * 400 * 399 // 2 + 1 > 2 * window_design._GRID_BLOCK
-    assert np.array_equal(_width_grid(cols), _unique_differences(cols))
+    assert np.array_equal(_width_grid(np.array(cols)), _unique_differences(cols))
 
 
 def _desk_like(n, q, instance, beta):
@@ -473,6 +479,72 @@ def test_fixed_width_desk_instance_frozen():
     plan = design_fixed_width(route, train, pen)
     assert plan.shared_width == 33.046633564581285
     assert plan.total_cost == 22.463259071215965
+
+
+def test_fixed_width_desk_instance_frozen_tight_beta():
+    # the same instance at beta 0.025, as the np.unique grid chose
+    route, train, pen = _desk_like(10, 1000, 0, 0.025)
+    plan = design_fixed_width(route, train, pen)
+    assert plan.shared_width == 41.9294629790824
+    assert plan.total_cost == 13.221223884127435
+
+
+@st.composite
+def _priced_widths(draw):
+    """Arrival rows, a width and per-customer a_l, a_u: the width is zero,
+    a pairwise difference of one customer's arrivals, wider than every
+    customer's spread, or any width."""
+    rows = draw(_arrival_rows())
+    q, n = rows.shape
+    col = rows[:, draw(st.integers(0, n - 1))]
+    width = draw(st.one_of(
+        st.just(0.0),
+        st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)).map(lambda ab: abs(col[ab[0]] - col[ab[1]])),
+        st.floats(0.0, 50.0).map(lambda extra: float(np.ptp(rows, axis=0).max()) + extra),
+        st.floats(0.0, 150.0),
+    ))
+    weight = st.floats(0.05, 1.0)
+    a_l, a_u = (np.array(draw(st.lists(weight, min_size=n, max_size=n))) for _ in range(2))
+    return rows, width, a_l, a_u
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_priced_widths())
+@example(case=(np.array([[3.0, 0.0]]), 0.0, np.array([1.0, 0.5]), np.array([0.5, 1.0])))  # q = 1
+@example(case=(np.array([[3.0, 0.0]]), 4.0, np.array([1.0, 0.5]), np.array([0.5, 1.0])))
+@example(case=(np.array([[0.0], [0.0], [2.0], [2.0], [5.0]]), 2.0, np.array([0.3]), np.array([0.9])))
+def test_width_pricer_matches_inner_scan(case):
+    rows, width, a_l, a_u = case
+    q = rows.shape[0]
+    srt = np.sort(rows.T, axis=1)
+    costs, starts = _WidthPricer(srt, a_l, a_u)(width)
+    for k, row in enumerate(srt):
+        cum = np.concatenate(([0.0], np.cumsum(row)))
+        cost, start = _inner_fixed_cost(row, cum, float(a_l[k]), float(a_u[k]), q, width)
+        assert (repr(float(costs[k])), repr(float(starts[k]))) == (repr(cost), repr(start))
+
+
+def _assert_plans_identical(got, want):
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+        else:
+            assert repr(a) == repr(b), field.name
+
+
+def test_fixed_width_matches_unrolled_search():
+    # desk-like instances; the last config gives each customer its own
+    # a_l and a_u under the shared a_w
+    for seed in range(5):
+        n, q = 3 + seed % 4, 100 + 50 * seed
+        for beta in (0.05, 0.025):
+            route, train, pen = _desk_like(n, q, seed, beta)
+            _assert_plans_identical(design_fixed_width(route, train, pen),
+                                    design_fixed_width_unrolled(route, train, pen))
+        mixed = PenaltyConfig(np.full(n, 0.05), np.linspace(0.4, 1.0, n), np.linspace(1.0, 0.3, n))
+        _assert_plans_identical(design_fixed_width(route, train, mixed),
+                                design_fixed_width_unrolled(route, train, mixed))
 
 
 # ---------------------------------------------------------------------------
