@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -636,37 +637,80 @@ def _width_grid(srt) -> np.ndarray:
     holds).
 
     The grid is one 8-byte buffer of 1 + n q (q - 1) / 2 entries, one per
-    candidate, which may not exceed ``FIXED_WIDTH_MAX_CANDIDATES``.  Row
-    index a of every customer fills it in one subtraction; the buffer is
-    sorted in place, repeats are then dropped one ``_GRID_BLOCK`` at a
-    time by writing the kept values forward, and the grid is the buffer's
-    prefix.
+    candidate.  Row index a of every customer fills it in one
+    subtraction; the buffer is sorted in place, repeats are then found one
+    ``_GRID_BLOCK`` at a time, and the grid is the buffer's prefix.  Up to
+    the first repeat every value is already in place, so only the blocks
+    from the one holding it on write their kept values forward.
     """
     n, q = srt.shape
-    size = 1 + n * (q * (q - 1) // 2)
-    if size > FIXED_WIDTH_MAX_CANDIDATES:
-        raise ValueError(
-            "fixed-width candidate set exceeds "
-            f"{FIXED_WIDTH_MAX_CANDIDATES}; subsample the scenarios first"
-        )
-    buf = np.empty(size)
+    buf = np.empty(1 + n * (q * (q - 1) // 2))
     buf[0] = 0.0
     end = 1
     for a in range(1, q):
         np.subtract(srt[:, a:a + 1], srt[:, :a], out=buf[end:end + n * a].reshape(n, a))
         end += n * a
     buf.sort()
+    keep = np.empty(min(len(buf), _GRID_BLOCK), dtype=bool)
     kept, last = 0, np.nan  # nan differs from every value
     for start in range(0, len(buf), _GRID_BLOCK):
         block = buf[start:start + _GRID_BLOCK]
-        keep = np.empty(len(block), dtype=bool)
-        keep[0] = block[0] != last
-        np.not_equal(block[1:], block[:-1], out=keep[1:])
+        mask = keep[:len(block)]
+        mask[0] = block[0] != last
+        np.not_equal(block[1:], block[:-1], out=mask[1:])
         last = block[-1]
-        values = block[keep]
+        if kept == start and mask.all():
+            kept += len(block)
+            continue
+        values = block[mask]
         buf[kept:kept + len(values)] = values
         kept += len(values)
     return buf[:kept]
+
+
+class _WidthGrids:
+    """The penalty-free inputs of ``design_fixed_width`` for the last
+    (sample array, route) it designed: the arrival matrix, its sorted rows
+    and their ``_width_grid``, all read-only.  A study designs one route at
+    several penalties on the same samples, and the grid is most of a
+    call's time.
+
+    The one entry holds the sample array by weak reference, so it dies
+    with the samples; the reference's callback clears its own entry and
+    never a newer one.  A miss drops the old entry before it builds the
+    new grid, so the cache never adds a second grid to a call's peak.  A
+    read-only array can still be a view of memory written elsewhere, so a
+    hit also needs the same arrivals, bit for bit.  Concurrent callers
+    can at worst rebuild a grid or lose the entry, never read a wrong one.
+    """
+
+    def __init__(self):
+        self.entry = None  # (ref to sample values, path arcs, arrivals, sorted rows, grid)
+
+    def _forget(self, ref):
+        entry = self.entry
+        if entry is not None and entry[0] is ref:
+            self.entry = None
+
+    def __call__(self, route, values: np.ndarray):
+        arr = arrival_matrix(route, values)
+        arcs = tuple(route.path_arcs)
+        entry = self.entry
+        if (entry is not None and entry[0]() is values and entry[1] == arcs
+                and np.array_equal(entry[2].view(np.int64), arr.view(np.int64))):
+            return entry[2:]
+        self.entry = entry = None
+        srt = np.sort(arr.T, axis=1)
+        widths = _width_grid(srt)
+        for a in (arr, srt, widths):
+            a.setflags(write=False)
+        self.entry = (weakref.ref(values, self._forget), arcs, arr, srt, widths)
+        return arr, srt, widths
+
+
+# one process-wide entry: design_fixed_width keeps its signature, and the
+# entry's memory is bounded and dies with its samples
+_width_grids = _WidthGrids()
 
 
 def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
@@ -680,22 +724,34 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
     piecewise linear in w, so an exact search over the candidate widths
     (all nonnegative pairwise differences of each customer's arrival
     samples, plus zero) via ternary search on the sorted grid suffices.
+    The grid is built from 1 + n q (q - 1) / 2 candidates, which may not
+    exceed ``FIXED_WIDTH_MAX_CANDIDATES``.
 
-    At n = 10 and q = 1000 a call spends about two thirds of its time
-    building the grid (``_width_grid``, mostly its sort) and the rest
-    pricing some 70 widths, about 1.3 ms each.  The grid takes one 8-byte
-    buffer per candidate plus one ``_GRID_BLOCK``, so a call holds about
-    8 n q (q - 1) / 2 bytes; the pricer's few n x (q + 1) arrays add
-    little to that.
+    The grid depends on the arrivals alone, not on the penalties, so the
+    sorted arrivals and the grid of the last (samples, route) designed
+    are kept (``_WidthGrids``): designing the same route on the same
+    samples at other penalties builds neither again.  At n = 10 and
+    q = 1000 a miss spends about 60% of its time building the grid
+    (filling it, sorting it and dropping its repeats) and the rest
+    pricing some 70 widths, about 1.3 ms each; a hit does only the
+    pricing.  A miss takes one 8-byte buffer per candidate plus one
+    ``_GRID_BLOCK`` of flags; the pricer's few n x (q + 1) arrays add
+    little to that.  Between calls the cache holds that buffer,
+    8 (1 + n q (q - 1) / 2) bytes (about 40 MB at n = 10, q = 1000), and
+    the arrivals and their sorted rows, 16 n q bytes, until the samples
+    are freed or another (samples, route) is designed.
     """
     if not np.all(pen.a_w == pen.a_w[0]):
         raise ValueError("shared-width design needs a customer-independent a_w")
     a_w = float(pen.a_w[0])
-    arr = arrival_matrix(route, samples.values)
     q = samples.q
     n = len(route.customers)
-    srt = np.sort(arr.T, axis=1)
-    widths = _width_grid(srt)
+    if 1 + n * (q * (q - 1) // 2) > FIXED_WIDTH_MAX_CANDIDATES:
+        raise ValueError(
+            "fixed-width candidate set exceeds "
+            f"{FIXED_WIDTH_MAX_CANDIDATES}; subsample the scenarios first"
+        )
+    arr, srt, widths = _width_grids(route, samples.values)
     price = _WidthPricer(srt, *np.array([pen.for_customer(k)[1:] for k in route.customers]).T)
 
     cache: dict[int, float] = {}

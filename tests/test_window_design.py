@@ -6,6 +6,7 @@ implementation existed.
 """
 
 import dataclasses
+import gc
 import math
 import tracemalloc
 from fractions import Fraction
@@ -436,6 +437,7 @@ def _arrival_rows(draw):
 @given(rows=_arrival_rows(), block=st.integers(1, 9))
 @example(rows=np.array([[3.0, 0.0]]), block=1)  # q = 1: the grid is the zero width alone
 @example(rows=np.array([[0.0], [0.0], [2.0], [2.0], [5.0]]), block=2)
+@example(rows=np.array([[0.0], [1.0], [3.0], [4.0]]), block=2)  # grid 0 1 | 1 2 | 3 3 | 4: first repeat in block 2
 def test_width_grid_is_unique_of_differences(rows, block):
     cols = [np.sort(rows[:, pos]) for pos in range(rows.shape[1])]
     with pytest.MonkeyPatch.context() as mp:
@@ -459,18 +461,106 @@ def _desk_like(n, q, instance, beta):
     return branch_and_bound(net, SaaModel(train), pen).route, train, pen
 
 
+def _grid_entry_for(samples):
+    """The fixed-width grid cache's entry if it holds ``samples``, else None."""
+    entry = window_design._width_grids.entry
+    return entry if entry is not None and entry[0]() is samples.values else None
+
+
 def test_fixed_width_memory_per_candidate():
     # the grid is one 8-byte buffer per candidate plus one block; building
-    # it from q x q difference matrices took about 36 bytes per candidate
+    # it from q x q difference matrices took about 36 bytes per candidate.
+    # Both calls miss, and the second drops the first one's cached grid
+    # before it builds its own
     route, train, pen = _desk_like(6, 600, 3, 0.05)
+    copy = SampleSet(q=train.q, values=train.values.copy())
     candidates = 6 * 600 * 599 // 2 + 1
+    assert _grid_entry_for(train) is None
     tracemalloc.start()
     try:
         design_fixed_width(route, train, pen)
+        design_fixed_width(route, copy, pen)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak / candidates <= 16.0
+    # on a hit the grid step of the call allocates next to nothing
+    entry = _grid_entry_for(copy)
+    tracemalloc.start()
+    try:
+        hit = window_design._width_grids(route, copy.values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(a is b for a, b in zip(hit, entry[2:]))
+    assert peak < 0.01 * 8 * candidates
+
+
+def test_fixed_width_cache_hit_equals_miss():
+    # the second beta on the same samples and route reuses the grid; each
+    # design on a fresh draw of the same samples builds it again
+    route, train, _ = _desk_like(10, 1000, 0, 0.05)
+    pens = [penalties_from_beta(beta, beta, 10) for beta in (0.05, 0.025)]
+    assert _grid_entry_for(train) is None
+    got = [design_fixed_width(route, train, pens[0])]
+    entry = _grid_entry_for(train)
+    assert not any(a.flags.writeable for a in entry[2:])
+    got.append(design_fixed_width(route, train, pens[1]))
+    assert _grid_entry_for(train) is entry
+    net = random_network(10, seed=0)
+    for plan, pen in zip(got, pens):
+        fresh = sample_travel_times(net, 1000, substream(0, "sampling-train"))
+        _assert_plans_identical(plan, design_fixed_width(route, fresh, pen))
+        assert _grid_entry_for(fresh) is not None
+
+
+def test_fixed_width_cache_misses_on_another_route():
+    net = random_network(4, seed=1, complete=True)
+    samples = sample_travel_times(net, 120, seed=4)
+    pen = penalties_from_beta(0.05, 0.05, 4)
+    first = route_to_xy([0, 1, 2, 3, 4, 0], net)
+    other = route_to_xy([0, 4, 3, 2, 1, 0], net)
+    design_fixed_width(first, samples, pen)
+    entry = _grid_entry_for(samples)
+    got = design_fixed_width(other, samples, pen)
+    assert _grid_entry_for(samples) is not entry
+    assert _grid_entry_for(samples)[1] == other.path_arcs
+    _assert_plans_identical(got, design_fixed_width_unrolled(other, samples, pen))
+
+
+def test_fixed_width_cache_sees_writes_through_another_view():
+    # read-only sample values can be a view of memory written elsewhere
+    net = random_network(3, seed=2, complete=True)
+    route = route_to_xy([0, 1, 2, 3, 0], net)
+    pen = penalties_from_beta(0.05, 0.05, 3)
+    base = sample_travel_times(net, 80, seed=1).values.copy()
+    view = base.view()
+    view.setflags(write=False)
+    samples = SampleSet(q=80, values=view)
+    design_fixed_width(route, samples, pen)
+    base *= 1.5
+    _assert_plans_identical(design_fixed_width(route, samples, pen),
+                            design_fixed_width_unrolled(route, samples, pen))
+
+
+def test_fixed_width_cache_dies_with_its_samples():
+    net = random_network(3, seed=2, complete=True)
+    route = route_to_xy([0, 1, 2, 3, 0], net)
+    pen = penalties_from_beta(0.05, 0.05, 3)
+    older = sample_travel_times(net, 80, seed=1)
+    design_fixed_width(route, older, pen)
+    # keeping the older entry keeps its weak reference, whose callback then
+    # fires after a newer entry has replaced it
+    older_entry = _grid_entry_for(older)
+    newer = sample_travel_times(net, 80, seed=2)
+    design_fixed_width(route, newer, pen)
+    del older
+    gc.collect()
+    assert older_entry[0]() is None
+    assert _grid_entry_for(newer) is not None
+    del newer
+    gc.collect()
+    assert window_design._width_grids.entry is None
 
 
 def test_fixed_width_desk_instance_frozen():
