@@ -578,6 +578,26 @@ class _WidthPricer:
     two and on a tie the smaller start, is the first least cost over the
     sorted candidates without repeats: the result is bit for bit that of
     scanning them one customer at a time.
+
+    A width takes one ``searchsorted`` per customer, for the ranks of the
+    first list plus w.  The two other rank sets are read off ranks the
+    pricer already has:
+
+    * (s_j - w)+: how many arrivals s_i have s_i+ + w below s_j, counted
+      from the ranks just searched (one ``bincount`` and a cumsum), and at
+      least the rank of zero, which every clamped entry takes.  Each
+      counted s_i lies at or below s_j - w, so the count can fall short
+      (where s_i + w rounds up to s_j) but never overshoot.
+    * (s_j - w)+ + w: the rank of s_j itself, computed once, or the rank
+      of w where s_j <= w clamps.  The sum can round one ulp off s_j,
+      below it or onto the next arrival.
+
+    Rank r is the searched rank of x exactly when s[r - 1] <= x < s[r],
+    with s[-1] = -inf and s[q] = +inf.  So ``_settle`` checks every rank
+    read off against the sorted arrivals and searches again only those
+    that fail: every rank, and so every cost, is the one that searching all
+    three sets gives.  The per-width arrays are buffers allocated with the
+    pricer.
     """
 
     def __init__(self, srt, a_l, a_u):
@@ -586,41 +606,109 @@ class _WidthPricer:
         self.q = q
         self.cum = np.zeros((n, q + 1))
         np.cumsum(srt, axis=1, out=self.cum[:, 1:])
-        self.row_starts = np.arange(0, n * (q + 1), q + 1)[:, None]  # in cum.ravel()
+        # rank r of customer k indexes entry r + k (q + 1) of the raveled
+        # prefix sums and of the arrivals just below and above it, s[r - 1]
+        # and s[r]
+        self.row_starts = np.arange(0, n * (q + 1), q + 1)[:, None]
+        self.below = np.full((n, q + 1), -np.inf)
+        self.below[:, 1:] = srt
+        self.above = np.full((n, q + 1), np.inf)
+        self.above[:, :-1] = srt
         self.rate_l = (a_l / q)[:, None]
         self.rate_u = (a_u / q)[:, None]
+        self.rows = np.arange(n)
         self.fixed = np.zeros((n, q + 1))
         np.maximum(srt, 0.0, out=self.fixed[:, 1:])
-        self.fixed_early = self._early(self.fixed)
+        # per-width buffers, one entry per candidate of the first list or
+        # one per arrival
+        self.up, self.gather = np.empty((2, n, q + 1))
+        self.up_ranks, self.up_index = np.empty((2, n, q + 1), dtype=np.intp)
+        self.shifted, self.shifted_up, self.cost, self.gather_q = np.empty((4, n, q))
+        self.ranks, self.index = np.empty((2, n, q), dtype=np.intp)
+        self.bad, self.bad_hi = np.empty((2, n, q), dtype=bool)
+        # the first list's ranks: of zero, then of each arrival wherever it
+        # is positive
+        self.fixed_ranks = np.empty((n, q + 1), dtype=np.intp)
+        self._search(self.fixed, self.fixed_ranks, self.up_index)
+        self.fixed_early = np.empty((n, q + 1))
+        self._early(self.fixed, self.fixed_ranks, self.up_index, self.fixed_early, self.gather)
 
-    def _ranks(self, needles):
+    def _search(self, needles, ranks, index):
         """Per customer, how many of its arrivals are at or below each
-        needle, and the sum of those arrivals."""
-        ranks = np.empty(needles.shape, dtype=np.intp)
+        needle, into ``ranks``, and their ``index``."""
         for srt, row, out in zip(self.srt, needles, ranks):
             out[:] = np.searchsorted(srt, row, side="right")
-        return ranks, self.cum.ravel().take(ranks + self.row_starts)
+        np.add(ranks, self.row_starts, out=index)
 
-    def _early(self, starts):
-        m1, below = self._ranks(starts)
-        return self.rate_l * (starts * m1 - below)
+    def _settle(self, needles, ranks, index):
+        """Search again each rank r, and its ``index``, of a needle x that
+        fails s[r - 1] <= x < s[r]."""
+        gather, bad, bad_hi = self.gather_q, self.bad, self.bad_hi
+        self.below.take(index, out=gather, mode="clip")
+        np.greater(gather, needles, out=bad)
+        self.above.take(index, out=gather, mode="clip")
+        np.less_equal(gather, needles, out=bad_hi)
+        bad |= bad_hi
+        for k in np.flatnonzero(bad.any(axis=1)):
+            at = np.flatnonzero(bad[k])
+            ranks[k, at] = np.searchsorted(self.srt[k], needles[k, at], side="right")
+            index[k, at] = ranks[k, at] + self.row_starts[k, 0]
 
-    def _late(self, ups):
-        m2, below = self._ranks(ups)
-        return self.rate_u * ((self.cum[:, -1:] - below) - ups * (self.q - m2))
+    def _early(self, starts, ranks, index, out, gather):
+        """rate_l (l m - the sum of the m arrivals at or below l), into
+        ``out``; ``gather`` is scratch of its shape."""
+        self.cum.take(index, out=gather, mode="clip")
+        np.multiply(starts, ranks, out=out)
+        np.subtract(out, gather, out=out)
+        np.multiply(self.rate_l, out, out=out)
 
-    @staticmethod
-    def _first_least(f, starts):
+    def _late(self, ups, ranks, index, out, gather):
+        """rate_u (the sum of the arrivals above u - u (q - m)), into
+        ``out``, which may be ``ups``; it overwrites ``index``."""
+        self.cum.take(index, out=gather, mode="clip")
+        np.subtract(self.cum[:, -1:], gather, out=gather)
+        np.subtract(self.q, ranks, out=index)
+        np.multiply(ups, index, out=out)
+        np.subtract(gather, out, out=out)
+        np.multiply(self.rate_u, out, out=out)
+
+    def _first_least(self, f, starts):
         """Per customer, the first least cost of a sorted candidate list
         and its start."""
-        best = f.argmin(axis=1)[:, None]
-        return np.take_along_axis(f, best, axis=1)[:, 0], np.take_along_axis(starts, best, axis=1)[:, 0]
+        best = f.argmin(axis=1)
+        return f[self.rows, best], starts[self.rows, best]
 
     def __call__(self, width: float):
         """Per customer, in visit order, the least cost and its smallest start."""
-        shifted = np.maximum(self.srt - width, 0.0)
-        cost, start = self._first_least(self.fixed_early + self._late(self.fixed + width), self.fixed)
-        cost_s, start_s = self._first_least(self._early(shifted) + self._late(shifted + width), shifted)
+        n, q = self.srt.shape
+        up, up_ranks, up_index = self.up, self.up_ranks, self.up_index
+        shifted, shifted_up, ranks, index = self.shifted, self.shifted_up, self.ranks, self.index
+        np.add(self.fixed, width, out=up)
+        self._search(up, up_ranks, up_index)
+        # how many arrivals' s_i+ + w have each rank, per customer
+        np.copyto(index, up_index[:, 1:])
+        counts = np.bincount(index.ravel(), minlength=n * (q + 1)).reshape(n, q + 1)
+        # the first list's costs, in place of its needles
+        self._late(up, up_ranks, up_index, up, self.gather)
+        np.add(self.fixed_early, up, out=up)
+        cost, start = self._first_least(up, self.fixed)
+
+        np.subtract(self.srt, width, out=shifted)
+        np.maximum(shifted, 0.0, out=shifted)
+        # how many s_i+ + w rank at most j, i.e. lie below s_j
+        np.cumsum(counts, axis=1, out=up_index)
+        np.maximum(up_index[:, :q], self.fixed_ranks[:, :1], out=ranks)
+        np.add(ranks, self.row_starts[:, :q], out=index)
+        self._settle(shifted, ranks, index)
+        self._early(shifted, ranks, index, self.cost, self.gather_q)
+
+        np.add(shifted, width, out=shifted_up)
+        np.maximum(self.fixed_ranks[:, 1:], up_ranks[:, :1], out=ranks)
+        np.add(ranks, self.row_starts[:, :q], out=index)
+        self._settle(shifted_up, ranks, index)
+        self._late(shifted_up, ranks, index, shifted_up, self.gather_q)
+        np.add(self.cost, shifted_up, out=self.cost)
+        cost_s, start_s = self._first_least(self.cost, shifted)
         take = (cost_s < cost) | ((cost_s == cost) & (start_s < start))
         return np.where(take, cost_s, cost), np.where(take, start_s, start)
 
@@ -731,15 +819,16 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
     sorted arrivals and the grid of the last (samples, route) designed
     are kept (``_WidthGrids``): designing the same route on the same
     samples at other penalties builds neither again.  At n = 10 and
-    q = 1000 a miss spends about 60% of its time building the grid
+    q = 1000 a miss spends about two thirds of its time building the grid
     (filling it, sorting it and dropping its repeats) and the rest
-    pricing some 70 widths, about 1.3 ms each; a hit does only the
+    pricing some 70 widths, about 0.7 ms each; a hit does only the
     pricing.  A miss takes one 8-byte buffer per candidate plus one
-    ``_GRID_BLOCK`` of flags; the pricer's few n x (q + 1) arrays add
-    little to that.  Between calls the cache holds that buffer,
-    8 (1 + n q (q - 1) / 2) bytes (about 40 MB at n = 10, q = 1000), and
-    the arrivals and their sorted rows, 16 n q bytes, until the samples
-    are freed or another (samples, route) is designed.
+    ``_GRID_BLOCK`` of flags; the pricer's tables and buffers, some
+    sixteen n x (q + 1) arrays, add little to that.  Between calls the
+    cache holds that buffer, 8 (1 + n q (q - 1) / 2) bytes (about 40 MB
+    at n = 10, q = 1000), and the arrivals and their sorted rows, 16 n q
+    bytes, until the samples are freed or another (samples, route) is
+    designed.
     """
     if not np.all(pen.a_w == pen.a_w[0]):
         raise ValueError("shared-width design needs a customer-independent a_w")

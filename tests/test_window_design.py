@@ -7,6 +7,7 @@ implementation existed.
 
 import dataclasses
 import gc
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -22,6 +23,7 @@ from twdesign import (
     PenaltyConfig,
     SaaModel,
     SampleSet,
+    arrival_matrix,
     branch_and_bound,
     brute_force_windows,
     critical_indices,
@@ -277,8 +279,6 @@ def test_design_stochastic_matches_brute_force():
         assert plan.total_cost == pytest.approx(ref.total_cost, abs=1e-9)
         assert set(duals) == {1, 2, 3}
         # the closed-form windows themselves price out at the optimal cost
-        from twdesign import arrival_matrix
-
         arr = arrival_matrix(route, samples.values)
         for pos, k in enumerate(route.customers):
             a_w, a_l, a_u = pen.for_customer(k)
@@ -496,6 +496,27 @@ def test_fixed_width_memory_per_candidate():
     assert peak < 0.01 * 8 * candidates
 
 
+def test_width_pricing_memory():
+    # a pricer prices each width in buffers it allocated before: a width's
+    # own allocations (a bincount, numpy's cast and broadcast buffers and
+    # small per-customer arrays) peak near three n x (q + 1) float arrays,
+    # and allocating each per-width array afresh peaks near nine
+    route, train, pen = _desk_like(6, 600, 3, 0.05)
+    srt = np.sort(arrival_matrix(route, train.values).T, axis=1)
+    price = _WidthPricer(srt, *np.array([pen.for_customer(k)[1:] for k in route.customers]).T)
+    widths = [0.0, float(srt[0, 400] - srt[0, 100]), float(srt.max())]
+    price(widths[1])
+    array_bytes = 8 * srt.shape[0] * (srt.shape[1] + 1)
+    for width in widths:
+        tracemalloc.start()
+        try:
+            price(width)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * array_bytes, width
+
+
 def test_fixed_width_cache_hit_equals_miss():
     # the second beta on the same samples and route reuses the grid; each
     # design on a fresh draw of the same samples builds it again
@@ -563,12 +584,23 @@ def test_fixed_width_cache_dies_with_its_samples():
     assert window_design._width_grids.entry is None
 
 
+def _array_digests(plan):
+    """sha256 of the bytes of a plan's window edges and costs."""
+    return {name: hashlib.sha256(getattr(plan, name).tobytes()).hexdigest()
+            for name in ("lower", "upper", "cost_per_customer")}
+
+
 def test_fixed_width_desk_instance_frozen():
     # desk instance 0 at draw seed 0, beta 0.05, as the np.unique grid chose
     route, train, pen = _desk_like(10, 1000, 0, 0.05)
     plan = design_fixed_width(route, train, pen)
     assert plan.shared_width == 33.046633564581285
     assert plan.total_cost == 22.463259071215965
+    assert _array_digests(plan) == {
+        "lower": "503ba8272e21cde461d9596b129cb77733dbb869cc115a0ad7b2997c498e9883",
+        "upper": "b252ae2da963e3d6a9eac4c4c9428444e26ab6e3c1dd0323217e7557ec67dc64",
+        "cost_per_customer": "a26cef69cf8d0244d9e3776c72d33405da9007bfa35aca17a1036571847ec4c6",
+    }
 
 
 def test_fixed_width_desk_instance_frozen_tight_beta():
@@ -577,6 +609,11 @@ def test_fixed_width_desk_instance_frozen_tight_beta():
     plan = design_fixed_width(route, train, pen)
     assert plan.shared_width == 41.9294629790824
     assert plan.total_cost == 13.221223884127435
+    assert _array_digests(plan) == {
+        "lower": "e2f72854f3bb34cacfd116e4df9e9e78d4d36ddad239ec9ad6e9d5884af41e5e",
+        "upper": "35ca4c86a0d7ef59ace0895feb85ba847dcf0af3d9b3930f7a21c6e2dcf03390",
+        "cost_per_customer": "c7863cc22dfaa8580a0ccfedb410caafc401f7c18cd868515cc3463ce3b210d2",
+    }
 
 
 @st.composite
@@ -603,6 +640,19 @@ def _priced_widths(draw):
 @example(case=(np.array([[3.0, 0.0]]), 0.0, np.array([1.0, 0.5]), np.array([0.5, 1.0])))  # q = 1
 @example(case=(np.array([[3.0, 0.0]]), 4.0, np.array([1.0, 0.5]), np.array([0.5, 1.0])))
 @example(case=(np.array([[0.0], [0.0], [2.0], [2.0], [5.0]]), 2.0, np.array([0.3]), np.array([0.9])))
+# each example below reaches one correction of a read-off rank, at a
+# candidate that is the least cost, so skipping that check fails it.
+# fl(0.2 + 0.3) = 0.5 is not below 0.5, yet 0.2 <= fl(0.5 - 0.3): the
+# count puts (0.5 - 0.3)+ one rank too low
+@example(case=(np.array([[0.15], [0.2], [0.5]]), 0.3, np.array([0.4]), np.array([0.8])))
+# (s - w) + w lands one ulp below s = 43.80750676069152, a rank below s's own
+@example(case=(np.array([[17.1], [43.80750676069152], [50.0]]), 0.4434662043770068,
+               np.array([0.9]), np.array([0.5])))
+# (s - w) + w lands on the next arrival, a rank above s's own
+@example(case=(np.array([[7.5], [7.772553918630508], [7.772553918630509]]), 0.03997125280405944,
+               np.array([0.7]), np.array([0.6])))
+# wider than every arrival: every arrival clamps, and its l + w ranks as w
+@example(case=(np.array([[0.0], [1.0], [2.5], [2.5]]), 7.25, np.array([0.9]), np.array([0.2])))
 def test_width_pricer_matches_inner_scan(case):
     rows, width, a_l, a_u = case
     q = rows.shape[0]
