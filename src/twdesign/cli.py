@@ -27,6 +27,9 @@ import numpy as np
 from .evaluate import evaluate_plan, guideline_sweep, report_rows, write_report_csv
 from .instance import (
     CovGenParams,
+    _open_for_write,
+    _read_json,
+    _write_json,
     load_instance,
     random_network,
     sample_travel_times,
@@ -171,7 +174,6 @@ def _cmd_gen(args) -> int:
         tb_factor=args.tb_factor,
         time_budget=args.time_budget,
     )
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     save_instance(net, args.out)
     print(f"wrote instance with {net.n_customers} customers, {net.n_arcs} arcs to {args.out}")
     return 0
@@ -194,10 +196,8 @@ def _cmd_design(args) -> int:
         plan = design_fixed_width(route, model.samples, pen)
     else:
         plan = checked_context(net, model, pen).plan(route)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     save_plan(plan, args.out, extra=_timestamp_extra(args))
     if args.cost_csv is not None:
-        args.cost_csv.parent.mkdir(parents=True, exist_ok=True)
         write_cost_csv(plan, args.cost_csv)
     print(f"wrote {plan.kind} window plan (total cost {plan.total_cost:.6g}) to {args.out}")
     return 0
@@ -209,7 +209,7 @@ def _anchor_hash(anchor: np.ndarray) -> str:
 
 def _write_cut_log(path, cuts, net) -> None:
     labels = net.arc_labels()
-    with open(path, "w", newline="") as fh:
+    with _open_for_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["customer", "anchor_hash", "intercept", "nonzero_coeffs"])
         for cut in cuts:
@@ -226,16 +226,11 @@ def _cmd_solve(args) -> int:
     pen = _penalties(args, net.n_customers)
     model = _model(args, net)
     res = branch_and_bound(net, model, pen)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     doc = res.to_json_dict(include_timing=not args.no_timestamp)
-    doc.update(_timestamp_extra(args))
-    with open(args.out_dir / "solve.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json({**doc, **_timestamp_extra(args)}, args.out_dir / "solve.json")
     save_plan(res.plan, args.out_dir / "plan.json", extra=_timestamp_extra(args))
     save_route(res.route.seq, args.out_dir / "route.json")
     if args.cut_log is not None:
-        args.cut_log.parent.mkdir(parents=True, exist_ok=True)
         _write_cut_log(args.cut_log, route_cuts(checked_context(net, model, pen), res.route), net)
     print(
         f"solved {res.model}: objective {res.objective:.6g}, route {list(res.route.seq)}, "
@@ -261,7 +256,6 @@ def _cmd_eval(args) -> int:
         seed=args.seed,
         objective=plan.total_cost,
     )
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     write_report_csv(rows, args.out)
     print(
         f"evaluated plan on {args.q_test} draws: early rate {rep.early_rate:.4f}, "
@@ -307,7 +301,6 @@ def _cmd_guideline(args) -> int:
         alpha1=args.alpha1,
         alpha2=args.alpha2,
     )
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     write_report_csv(rows, args.out)
     print(f"wrote guideline sweep ({len(rows)} rows) to {args.out}")
     return 0
@@ -367,10 +360,7 @@ def _parsers(typed: bool = False):
 def _fill_from_config(args, argv) -> None:
     """Set on ``args`` each --config value for an option of the chosen
     command that ``argv`` left out."""
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("expected a JSON object")
+    cfg = _read_json(args.config, "config")
     commands = _commands(_parsers())
     # the keys are the dests that store a value; help stores none
     known = {a.dest for p in commands.values() for a in p._actions if a.default is not argparse.SUPPRESS}

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .instance import Network, SampleSet, sample_travel_times, substream
+from .instance import Network, SampleSet, _open_for_write, sample_travel_times, substream
 from .routing import Route
 from .solver import DroModel, branch_and_bound, build_model
 from .window_design import WindowPlan, arrival_matrix, penalties_from_beta
@@ -206,7 +206,7 @@ def report_rows(
 def write_report_csv(rows, path) -> None:
     """Write rows in the fixed report column order; a cell a row does not
     name is left blank."""
-    with open(path, "w", newline="") as fh:
+    with _open_for_write(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS, restval="", extrasaction="raise")
         writer.writeheader()
         for row in rows:

@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -349,6 +350,32 @@ def random_network(
 # file formats
 
 
+def _read_json(path, kind: str) -> dict:
+    """The JSON object a UTF-8 file holds; errors name the file ``kind``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer too long to read
+        raise ValueError(f"{kind} file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind} file: expected a JSON object at top level")
+    return doc
+
+
+def _open_for_write(path):
+    """``path`` opened for writing UTF-8 text, after making its directory;
+    newlines go out untranslated, as the csv module needs."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def _write_json(doc, path) -> None:
+    """Write ``doc`` as JSON indented by two spaces, with a trailing newline."""
+    with _open_for_write(path) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def save_instance(net: Network, path) -> None:
     """Write an instance as JSON with the covariance stored explicitly."""
     doc = {
@@ -360,19 +387,13 @@ def save_instance(net: Network, path) -> None:
         "cov": [[float(v) for v in row] for row in net.cov],
         "time_budget": net.time_budget,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def _is_json_int(value) -> bool:
     """True for a JSON integer; ``true``/``false`` load as ``bool``, which
     Python counts as ``int``, and are not ids or counts."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_json_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _parse_arcs(doc) -> tuple[list[tuple[int, int]], list[float]]:
@@ -391,7 +412,7 @@ def _parse_arcs(doc) -> tuple[list[tuple[int, int]], list[float]]:
         if not _is_json_int(i) or not _is_json_int(j):
             raise ValueError(f"arcs[{a}]: from/to must be integers")
         mean = entry["mean"]
-        if not _is_json_number(mean):
+        if not _is_finite_real(mean):
             raise ValueError(f"arcs[{a}].mean: expected a number")
         if mean < 0:
             raise ValueError(f"arcs[{a}].mean: negative mean travel time")
@@ -402,21 +423,18 @@ def _parse_arcs(doc) -> tuple[list[tuple[int, int]], list[float]]:
 
 def load_instance(path) -> Network:
     """Read an instance JSON file, generating the covariance if requested."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"instance file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("instance file: expected a JSON object at top level")
+    doc = _read_json(path, "instance")
     nodes = doc.get("nodes")
     if not _is_json_int(nodes) or nodes < 2:
         raise ValueError("nodes: expected an integer >= 2")
     arcs, means = _parse_arcs(doc)
+    m = len(arcs)
+    if nodes > m:  # each node needs an arc out, so the network is disconnected
+        raise ValueError(f"nodes: expected at most {m}, the number of arcs, got {nodes}")
     if "time_budget" not in doc:
         raise ValueError("time_budget: missing")
     tb = doc["time_budget"]
-    if not _is_json_number(tb) or not 0 < tb < np.inf:
+    if not _is_finite_real(tb) or tb <= 0:
         raise ValueError(f"time_budget: expected a positive number, got {json.dumps(tb)}")
     has_cov = "cov" in doc
     has_gen = "cov_gen" in doc
@@ -424,7 +442,6 @@ def load_instance(path) -> Network:
         raise ValueError("instance file: give either cov or cov_gen, not both")
     if not has_cov and not has_gen:
         raise ValueError("instance file: one of cov or cov_gen is required")
-    m = len(arcs)
     if has_cov:
         raw = doc["cov"]
         if not isinstance(raw, list) or len(raw) != m:
@@ -435,10 +452,14 @@ def load_instance(path) -> Network:
             if not isinstance(row, list) or len(row) != m:
                 got = len(row) if isinstance(row, list) else type(row).__name__
                 raise ValueError(f"cov[{r}]: expected {m} entries, got {got}")
-            if not set(map(type, row)) <= {int, float}:  # JSON numbers: no bool, str or null
-                bad = next(v for v in row if not _is_json_number(v))
-                raise ValueError(f"cov[{r}]: expected numbers, got {json.dumps(bad)}")
-            cov[r] = row
+            if set(map(type, row)) <= {int, float}:  # JSON numbers: no bool, str or null
+                try:
+                    cov[r] = row
+                    continue
+                except OverflowError:  # an integer too large for a float
+                    pass
+            bad = next(v for v in row if not _is_finite_real(v))
+            raise ValueError(f"cov[{r}]: expected numbers, got {json.dumps(bad)}")
         return Network(nodes, tuple(arcs), np.asarray(means), cov, float(tb))
     gen = doc["cov_gen"]
     if not isinstance(gen, dict):

@@ -10,12 +10,11 @@ tau^k = y^k . t, which is what both window designs consume.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import Network, SampleSet, _is_json_int
+from .instance import Network, SampleSet, _is_json_int, _open_for_write, _read_json, _write_json
 from .window_design import DroPricer, PenaltyConfig, SaaPricer, _prefix_states, _visit_sum
 
 
@@ -108,15 +107,12 @@ def route_cost_rm(route: Route, mean, cov, alpha2: float, pen: PenaltyConfig) ->
 
 
 def save_route(seq, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"seq": [int(v) for v in seq]}, fh, indent=2)
-        fh.write("\n")
+    _write_json({"seq": [int(v) for v in seq]}, path)
 
 
 def load_route(path) -> tuple[int, ...]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "seq" not in doc:
+    doc = _read_json(path, "route")
+    if "seq" not in doc:
         raise ValueError("route file: expected an object with a 'seq' list")
     seq = doc["seq"]
     if not isinstance(seq, list) or not all(_is_json_int(v) for v in seq):
@@ -126,7 +122,7 @@ def load_route(path) -> tuple[int, ...]:
 
 def write_cost_csv(plan, path) -> None:
     """Per-customer cost report: customer, lower, upper, width, cost_component."""
-    with open(path, "w", newline="") as fh:
+    with _open_for_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["customer", "lower", "upper", "width", "cost_component"])
         for pos, k in enumerate(plan.customers):

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .instance import _is_json_int, _is_json_number
+from .instance import _is_finite_real, _is_json_int, _read_json, _write_json
 
 CMP_TOL = 1e-12
 SINGULAR_QUAD = 1e-18  # a path variance y' C y at or below this counts as zero
@@ -295,19 +295,11 @@ class WindowPlan:
 
 
 def save_plan(plan: WindowPlan, path, extra: dict | None = None) -> None:
-    doc = plan.to_json_dict()
-    if extra:
-        doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json({**plan.to_json_dict(), **(extra or {})}, path)
 
 
 def load_plan(path) -> WindowPlan:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("window plan file: expected a JSON object")
+    doc = _read_json(path, "window plan")
     for key in ("route", "windows", "cost"):
         if key not in doc:
             raise ValueError(f"window plan file: missing key {key!r}")
@@ -323,11 +315,14 @@ def load_plan(path) -> WindowPlan:
     elif not (isinstance(per, list) and len(per) == len(windows) and all(isinstance(e, dict) for e in per)):
         raise ValueError(f"window plan file: per_customer: expected a list of {len(windows)} objects, one per window")
     customers = tuple(_plan_field(w["customer"], "customer", integer=True) for w in windows)
+    n = len(doc["route"]) - 2  # a route visits each of the customers 1..n once
+    if sorted(customers) != list(range(1, n + 1)):
+        raise ValueError(f"window plan file: windows: expected one for each customer 1..{n}, got {list(customers)}")
     lower = np.array([_plan_field(w["lower"], "lower") for w in windows], dtype=float)
     upper = np.array([_plan_field(w["upper"], "upper") for w in windows], dtype=float)
     costs = np.array([_plan_field(e.get("cost", 0.0), "cost") for e in per], dtype=float)
     shared_width = doc.get("shared_width")
-    if shared_width is not None and not (_is_json_number(shared_width) and 0 <= shared_width < np.inf):
+    if shared_width is not None and not (_is_finite_real(shared_width) and shared_width >= 0):
         raise ValueError("window plan file: shared_width: expected null or a finite number >= 0")
     return WindowPlan(
         kind=str(doc.get("kind", "unknown")),
@@ -337,17 +332,14 @@ def load_plan(path) -> WindowPlan:
         upper=upper,
         cost_per_customer=costs,
         total_cost=float(_plan_field(doc["cost"], "cost")),
-        shared_width=shared_width,
+        shared_width=None if shared_width is None else float(shared_width),
     )
 
 
 def _plan_field(value, key: str, integer: bool = False):
     """A plan file's number, rejecting JSON booleans, strings and non-finite values."""
-    if integer:
-        valid, expected = _is_json_int(value), "an integer"
-    else:
-        valid, expected = _is_json_number(value) and math.isfinite(value), "a finite number"
-    if not valid:
+    if not (_is_json_int(value) if integer else _is_finite_real(value)):
+        expected = "an integer" if integer else "a finite number"
         raise ValueError(f"window plan file: {key}: expected {expected}, got {json.dumps(value)}")
     return value
 

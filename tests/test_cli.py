@@ -404,15 +404,31 @@ def test_eval_rejects_bad_plan_values(inst, tmp_path, capsys):
     with open(out_dir / "plan.json") as fh:
         good = json.load(fh)
     nan = float("nan")
+    huge = 10**400  # a JSON integer too large for a float
+
+    def add_window(customer):
+        def edit(d):
+            d["windows"].append({"customer": customer, "lower": 0.0, "upper": 1e6})
+            d["per_customer"].append({})
+        return edit
+
     edits = [
         ("lower", lambda d: d["windows"][0].update(lower=nan, upper=nan)),
         ("lower", lambda d: d["windows"][0].update(lower=True)),
+        ("lower", lambda d: d["windows"][0].update(lower=huge)),
         ("upper", lambda d: d["windows"][1].update(upper=float("inf"))),
+        ("upper", lambda d: d["windows"][1].update(upper=huge)),
         ("customer", lambda d: d["windows"][0].update(customer=True)),
         ("cost", lambda d: d["per_customer"][0].update(cost="0.5")),
+        ("cost", lambda d: d["per_customer"][0].update(cost=huge)),
         ("cost", lambda d: d.update(cost=None)),
+        ("cost", lambda d: d.update(cost=huge)),
         ("shared_width", lambda d: d.update(shared_width=-1.0)),
         ("shared_width", lambda d: d.update(shared_width=True)),
+        ("shared_width", lambda d: d.update(shared_width=huge)),
+        # eval would score only the first of two windows for a customer
+        ("windows", add_window(1)),
+        ("windows", add_window(99)),
         # a plan of the wrong shape is a usage error, not a TypeError traceback
         ("windows", lambda d: d.update(windows=5)),
         ("windows", lambda d: d.update(windows=[5])),
@@ -840,3 +856,20 @@ def test_missing_instance_file_exits_one(tmp_path, capsys):
         ]
     )
     assert rc == 1
+    # a file that is not UTF-8 JSON is an error naming its kind, not a traceback
+    inst_path, route_path, bad = tmp_path / "inst.json", tmp_path / "route.json", tmp_path / "bad.json"
+    save_instance(random_network(2, seed=1, complete=True), inst_path)
+    save_route((0, 1, 2, 0), route_path)
+    calls = {
+        "instance": ["eval", "--instance", str(bad), "--route", str(route_path), "--plan", str(bad)],
+        "route": ["eval", "--instance", str(inst_path), "--route", str(bad), "--plan", str(bad)],
+        "window plan": ["eval", "--instance", str(inst_path), "--route", str(route_path), "--plan", str(bad)],
+        "config": ["--config", str(bad), "gen", "--customers", "2"],
+    }
+    for data in (b"{not json", b"\xff{}"):
+        bad.write_bytes(data)
+        for kind, argv in calls.items():
+            argv = argv + ["--out", str(tmp_path / "out.csv")]
+            capsys.readouterr()
+            assert main(argv) == 1, (data, kind)
+            assert f"{kind} file is not valid JSON" in capsys.readouterr().err, (data, kind)

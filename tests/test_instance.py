@@ -453,16 +453,23 @@ def test_instance_load_rejects_json_booleans(tmp_path):
         doc["arcs"] = [dict(base["arcs"][0], **{key: value}), base["arcs"][1]]
         with pytest.raises(ValueError, match=r"arcs\[0\]: from/to must be integers"):
             load_instance(write_doc(tmp_path, doc))
-    doc = dict(base)
-    doc["arcs"] = [dict(base["arcs"][0], mean=True), base["arcs"][1]]
-    with pytest.raises(ValueError, match=r"arcs\[0\].mean: expected a number"):
-        load_instance(write_doc(tmp_path, doc))
+    # an integer too large for a float is no number either, and two arcs
+    # cannot connect three nodes
+    for mean in (True, 10**400):
+        doc = dict(base)
+        doc["arcs"] = [dict(base["arcs"][0], mean=mean), base["arcs"][1]]
+        with pytest.raises(ValueError, match=r"arcs\[0\].mean: expected a number"):
+            load_instance(write_doc(tmp_path, doc))
     doc = dict(base, nodes=True)
     with pytest.raises(ValueError, match="nodes: expected an integer >= 2"):
         load_instance(write_doc(tmp_path, doc))
-    doc = dict(base, time_budget=True)
-    with pytest.raises(ValueError, match="time_budget: expected a positive number"):
-        load_instance(write_doc(tmp_path, doc))
+    for nodes in (3, 10**400):
+        with pytest.raises(ValueError, match="nodes: expected at most 2, the number of arcs"):
+            load_instance(write_doc(tmp_path, dict(base, nodes=nodes)))
+    for tb in (True, 10**400):
+        doc = dict(base, time_budget=tb)
+        with pytest.raises(ValueError, match="time_budget: expected a positive number"):
+            load_instance(write_doc(tmp_path, doc))
 
 
 def test_instance_cov_entries_must_be_numbers(tmp_path):
@@ -474,7 +481,7 @@ def test_instance_cov_entries_must_be_numbers(tmp_path):
         "time_budget": 10.0,
     }
     assert load_instance(write_doc(tmp_path, base)).cov.tolist() == [[1.0, 0.0], [0.0, 2.0]]
-    for row, bad in ((0, True), (1, "2.0"), (1, False)):
+    for row, bad in ((0, True), (1, "2.0"), (1, False), (1, 10**400)):
         cov = [list(r) for r in base["cov"]]
         cov[row][row] = bad
         with pytest.raises(ValueError, match=rf"cov\[{row}\]: expected numbers, got {json.dumps(bad)}"):

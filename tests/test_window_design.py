@@ -889,7 +889,7 @@ def test_plan_round_trip(tmp_path):
     samples = sample_travel_times(net, 30, seed=2)
     pen = penalties_from_beta(0.1, 0.1, 2)
     plan, _ = design_stochastic(route, samples, pen)
-    path = tmp_path / "plan.json"
+    path = tmp_path / "new" / "plan.json"  # save_plan makes the directory
     save_plan(plan, path)
     back = load_plan(path)
     assert back.kind == plan.kind
@@ -898,6 +898,10 @@ def test_plan_round_trip(tmp_path):
     np.testing.assert_allclose(back.lower, plan.lower, rtol=0, atol=0)
     np.testing.assert_allclose(back.upper, plan.upper, rtol=0, atol=0)
     assert back.total_cost == plan.total_cost
+    # a JSON integer shared width loads as a float, as the plan holds it
+    path.write_text(path.read_text().replace('"shared_width": null', '"shared_width": 2'))
+    width = load_plan(path).shared_width
+    assert type(width) is float and width == 2.0
 
 
 def test_plan_rejects_inverted_window():
