@@ -60,6 +60,22 @@ def _require(args, *names) -> None:
             raise ValueError(f"--{name} is required")
 
 
+# a draw keeps q x arcs float64 values and peaks near 24 bytes a value
+# while it is drawn: about 86 MB at q = 100,000 on 36 arcs
+_MAX_SCENARIOS = 100_000
+
+
+def _scenario_count(text) -> int:
+    """The type of --q-train and --q-test: an integer from 1 to _MAX_SCENARIOS."""
+    try:
+        q = int(text)
+    except (TypeError, ValueError):
+        q = 0
+    if not 1 <= q <= _MAX_SCENARIOS:
+        raise argparse.ArgumentTypeError(f"expected an integer from 1 to {_MAX_SCENARIOS}")
+    return q
+
+
 def _add_penalty_flags(p):
     p.add_argument("--beta-l", type=float, help="target early-arrival tolerance")
     p.add_argument("--beta-u", type=float, help="target late-arrival tolerance")
@@ -70,7 +86,7 @@ def _add_penalty_flags(p):
 
 def _add_model_flags(p):
     p.add_argument("--model", choices=("sm", "rm"))
-    p.add_argument("--q-train", type=int, default=1000)
+    p.add_argument("--q-train", type=_scenario_count, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha2", type=float, default=0.0)
 
@@ -129,7 +145,7 @@ def build_parser() -> _Parser:
     p.add_argument("--instance", type=Path)
     p.add_argument("--route", type=Path)
     p.add_argument("--plan", type=Path)
-    p.add_argument("--q-test", type=int, default=1000)
+    p.add_argument("--q-test", type=_scenario_count, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", default="")
     p.add_argument("--beta-l", type=float, default=None)
@@ -142,8 +158,8 @@ def build_parser() -> _Parser:
                    metavar="BL,BU", help="repeatable, e.g. --beta-pair 0.05,0.05")
     p.add_argument("--models", default="sm,rm")
     p.add_argument("--seeds", help="comma-separated master seeds")
-    p.add_argument("--q-train", type=int, default=1000)
-    p.add_argument("--q-test", type=int, default=1000)
+    p.add_argument("--q-train", type=_scenario_count, default=1000)
+    p.add_argument("--q-test", type=_scenario_count, default=1000)
     p.add_argument("--alpha1", type=float, default=0.0)
     p.add_argument("--alpha2", type=float, default=0.0)
     p.add_argument("--out", type=Path)
@@ -241,8 +257,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_eval(args) -> int:
     _require(args, "instance", "route", "plan", "out")
-    if args.q_test < 1:
-        raise ValueError("--q-test must be >= 1")
     net = load_instance(args.instance)
     route = route_to_xy(load_route(args.route), net)
     plan = load_plan(args.plan)
@@ -289,8 +303,6 @@ def _cmd_guideline(args) -> int:
         raise ValueError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from None
     if len(set(seeds)) < len(seeds):
         raise ValueError(f"--seeds: a seed is repeated in {args.seeds!r}")
-    if args.q_train < 1 or args.q_test < 1:
-        raise ValueError("--q-train and --q-test must be >= 1")
     rows = guideline_sweep(
         net,
         grid,
@@ -320,8 +332,10 @@ def _config_value(action, value):
     text: a JSON number or string goes through the option's ``type`` as
     text (so 2.5 is no int), a boolean is no number, a switch takes only
     a boolean, a repeatable flag a list of strings, and the value must be
-    one of the option's choices.  Every value for the chosen command is
-    checked, also one whose flag was typed and so is not used."""
+    one of the option's choices; a type that explains its refusal
+    (``argparse.ArgumentTypeError``) is quoted.  Every value for the
+    chosen command is checked, also one whose flag was typed and so is
+    not used."""
     if value is None and action.default is None:
         return value
     if isinstance(action, argparse._AppendAction):
@@ -333,6 +347,8 @@ def _config_value(action, value):
     text = str(value) if isinstance(value, (str, int, float)) and not isinstance(value, bool) else None
     try:
         converted = value if action.type is None else action.type(text)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{action.dest}: {exc}, got {json.dumps(value)}") from None
     except (TypeError, ValueError):
         raise ValueError(f"{action.dest}: expected {action.type.__name__}, got {json.dumps(value)}") from None
     if action.choices is not None and converted not in action.choices:

@@ -516,6 +516,17 @@ def design_stochastic(route, samples, pen: PenaltyConfig):
     return _window_plan("saa", route, [w[:3] for w in windows], rows), duals
 
 
+def _window_cost(arrivals, lower, upper, a_w, a_l, a_u):
+    """The sample-average cost of the window [lower, upper] at one
+    customer's ``arrivals``: a_w (u - l) + (a_l/q) sum (l - tau)+ +
+    (a_u/q) sum (tau - u)+.  ``upper`` may be an array of upper edges,
+    priced together with one earliness sum; the costs are then an array."""
+    q = len(arrivals)
+    early = float(np.maximum(lower - arrivals, 0.0).sum())
+    late = np.maximum(arrivals - np.expand_dims(upper, -1), 0.0).sum(axis=-1)
+    return a_w * (upper - lower) + (a_l / q) * early + (a_u / q) * late
+
+
 BRUTE_FORCE_MAX_Q = 500
 
 
@@ -533,18 +544,17 @@ def brute_force_windows(route, samples, pen: PenaltyConfig) -> WindowPlan:
     arr = arrival_matrix(route, samples.values)
     windows = []
     for pos, k in enumerate(route.customers):
-        a_w, a_l, a_u = pen.for_customer(k)
+        weights = pen.for_customer(k)
         col = arr[:, pos]
         values = np.unique(col)
         best = None
         for i, lo in enumerate(values):
-            early_sum = float(np.maximum(lo - col, 0.0).sum())
-            for up in values[i:]:
-                late_sum = float(np.maximum(col - up, 0.0).sum())
-                cost = a_w * (up - lo) + (a_l / q) * early_sum + (a_u / q) * late_sum
-                key = (cost, up - lo, lo)
-                if best is None or key < best:
-                    best = key
+            # upper edges ascend, so the first least cost has the least width
+            costs = _window_cost(col, lo, values[i:], *weights)
+            j = int(np.argmin(costs))
+            key = (costs[j], values[i + j] - lo, lo)
+            if best is None or key < best:
+                best = key
         cost, width, lo = best
         windows.append((lo, lo + width, cost))
     return _window_plan("saa-brute", route, windows, arr.T)
@@ -828,9 +838,11 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
     q = samples.q
     n = len(route.customers)
     if 1 + n * (q * (q - 1) // 2) > FIXED_WIDTH_MAX_CANDIDATES:
+        # the largest q_max with q_max (q_max - 1) <= 2 (cap - 1) / n
+        q_max = (1 + math.isqrt(1 + 4 * (2 * (FIXED_WIDTH_MAX_CANDIDATES - 1) // n))) // 2
         raise ValueError(
-            "fixed-width candidate set exceeds "
-            f"{FIXED_WIDTH_MAX_CANDIDATES}; subsample the scenarios first"
+            f"fixed-width design of {n} customers takes at most {q_max} scenarios, "
+            f"got {q}: subsample the scenarios first"
         )
     arr, srt, widths = _width_grids(route, samples.values)
     price = _WidthPricer(srt, *np.array([pen.for_customer(k)[1:] for k in route.customers]).T)
@@ -859,14 +871,8 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
 
     windows = []
     for pos, (k, l_best) in enumerate(zip(route.customers, price(w)[1].tolist())):
-        _, a_l, a_u = pen.for_customer(k)
-        col = arr[:, pos]
-        cost = (
-            a_w * w
-            + (a_l / q) * float(np.maximum(l_best - col, 0.0).sum())
-            + (a_u / q) * float(np.maximum(col - l_best - w, 0.0).sum())
-        )
-        windows.append((l_best, l_best + w, cost))
+        window = (l_best, l_best + w)
+        windows.append((*window, _window_cost(arr[:, pos], *window, *pen.for_customer(k))))
     return _window_plan("saa-fixed", route, windows, arr.T, shared_width=w)
 
 

@@ -5,7 +5,7 @@ from typing import Mapping
 import numpy as np
 
 from twdesign import PenaltyConfig, Route, SampleSet, WindowPlan
-from twdesign.window_design import _window_plan, arrival_matrix
+from twdesign.window_design import _window_cost, _window_plan, arrival_matrix
 
 
 def simulate_waiting_unrolled(route: Route, lowers: Mapping[int, float], samples: SampleSet) -> np.ndarray:
@@ -107,13 +107,7 @@ def design_fixed_width_unrolled(route: Route, samples: SampleSet, pen: PenaltyCo
 
     windows = []
     for pos, k in enumerate(route.customers):
-        _, a_l, a_u = pen.for_customer(k)
         l_best = inner(pos, w)[1]
-        col = arr[:, pos]
-        cost = (
-            a_w * w
-            + (a_l / q) * float(np.maximum(l_best - col, 0.0).sum())
-            + (a_u / q) * float(np.maximum(col - l_best - w, 0.0).sum())
-        )
-        windows.append((l_best, l_best + w, cost))
+        window = (l_best, l_best + w)
+        windows.append((*window, _window_cost(arr[:, pos], *window, *pen.for_customer(k))))
     return _window_plan("saa-fixed", route, windows, arr.T, shared_width=w)

@@ -379,16 +379,47 @@ def test_eval_leaves_budget_used_empty(inst, tmp_path):
     assert [r["budget_used"] for r in rows] == [""] * len(rows)
 
 
-def test_eval_rejects_zero_draws(inst, tmp_path, capsys):
+@pytest.mark.parametrize("source", ["argv", "config"])
+@pytest.mark.parametrize("value", ["0", "-1", "2.5", "true", "100001", "100000000000000000000"])
+def test_scenario_counts_are_bounded(inst, tmp_path, capsys, value, source):
+    # every --q-train and --q-test takes an integer from 1 to 100000, for
+    # either model and also where the model never reads it; anything else
+    # is one line naming the flag and the range, before anything is drawn
     net, inst_path = inst
-    rc = main(
-        [
-            "eval", "--instance", str(inst_path), "--route", "r.json",
-            "--plan", "p.json", "--q-test", "0", "--out", str(tmp_path / "x.csv"),
-        ]
-    )
-    assert rc == 1
-    assert "--q-test must be >= 1" in capsys.readouterr().err
+    out = tmp_path / "out"
+    given = ["--instance", str(inst_path), "--route", "r.json"]
+    pen = ["--beta-l", "0.1", "--beta-u", "0.1"]
+    calls = {
+        ("solve", "q_train"): ["solve", *given[:2], *pen, "--out-dir", str(out)],
+        ("design", "q_train"): ["design", *given, *pen, "--out", str(out / "plan.json")],
+        ("eval", "q_test"): ["eval", *given, "--plan", "p.json", "--out", str(out / "r.csv")],
+        ("guideline", "q_train"): ["guideline", *given[:2], "--beta-pair", "0.1,0.1", "--seeds", "1",
+                                   "--out", str(out / "g.csv")],
+    }
+    calls["guideline", "q_test"] = calls["guideline", "q_train"]
+    cfg = tmp_path / "cfg.json"
+    for (command, dest), argv in calls.items():
+        flag = "--" + dest.replace("_", "-")
+        for model in ("sm", "rm"):
+            argv_m = argv + (["--models", model] if command == "guideline" else ["--model", model])
+            capsys.readouterr()
+            if source == "argv":
+                with pytest.raises(SystemExit) as exc:
+                    main(argv_m + [flag, value])
+                assert exc.value.code == 1
+                want = f"argument {flag}: expected an integer from 1 to 100000\n"
+            else:
+                cfg.write_text(f'{{"{dest}": {value}}}')
+                assert main(["--config", str(cfg)] + argv_m) == 1
+                want = f"--config: {dest}: expected an integer from 1 to 100000, got {value}\n"
+            err = capsys.readouterr().err
+            assert err.endswith(want) and err.count("\n") == 1, (command, flag, model, err)
+            assert not out.exists()
+    # the range's ends parse
+    for edge in ("1", "100000"):
+        for command, dest in calls:
+            args = cli._parsers().parse_args([command, "--" + dest.replace("_", "-"), edge])
+            assert getattr(args, dest) == int(edge)
 
 
 def test_eval_rejects_bad_plan_values(inst, tmp_path, capsys):

@@ -45,7 +45,7 @@ from twdesign import (
     substream,
 )
 from twdesign import window_design
-from twdesign.window_design import _width_grid, _WidthPricer
+from twdesign.window_design import _width_grid, _window_cost, _WidthPricer
 
 
 def line_net(n_customers, tb=1000.0):
@@ -59,6 +59,11 @@ def line_net(n_customers, tb=1000.0):
 def line_route(n_customers, net=None):
     net = net or line_net(n_customers)
     return route_to_xy(list(range(n_customers + 1)) + [0], net), net
+
+
+def _digest(value):
+    """sha256 of an array's bytes, or the repr of any other value."""
+    return hashlib.sha256(value.tobytes()).hexdigest() if isinstance(value, np.ndarray) else repr(value)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +296,30 @@ def test_design_stochastic_matches_brute_force():
             assert direct == pytest.approx(ref.cost_per_customer[pos], abs=1e-9)
 
 
+def test_brute_force_frozen():
+    # every field of one plan, bit for bit, with each customer's own
+    # weights: ties keep the least cost, then width, then lower edge
+    net = random_network(5, seed=2, complete=True)
+    route = route_to_xy([0, 3, 1, 5, 2, 4, 0], net)
+    samples = sample_travel_times(net, 120, seed=7)
+    pen = PenaltyConfig(np.linspace(0.05, 0.2, 5), np.linspace(1.0, 0.5, 5), np.linspace(0.5, 1.0, 5))
+    plan = brute_force_windows(route, samples, pen)
+    digests = {f.name: _digest(getattr(plan, f.name)) for f in dataclasses.fields(plan)}
+    assert digests == {
+        "kind": "'saa-brute'",
+        "route_seq": "(0, 3, 1, 5, 2, 4, 0)",
+        "customers": "(3, 1, 5, 2, 4)",
+        "lower": "1e305fa44176aee54c641c1411545577f07f44288133d60b8775f561bdb76eae",
+        "upper": "90cf659b512ef149c2ad0926307366c3fb54f1fef1e73eb29a199bfc1a59610d",
+        "cost_per_customer": "3945a36c99da202a23d111d5deafd9121169b0a56dadf38d78659e3709097913",
+        "total_cost": "8.535776774379716",
+        "shared_width": "None",
+        "early_rate": "31023135dc9e9fe95f4f6bf332656b6c36a807233138cf115e914fb36b40b2bf",
+        "late_rate": "b0ced6ebba498ec8ce2bda9a5ce84faa64719c1c6e068d66090f04820fd49729",
+        "clamped": "None",
+    }
+
+
 def test_brute_force_refuses_large_q():
     route, net = line_route(1)
     samples = sample_travel_times(net, 501, seed=0)
@@ -402,7 +431,7 @@ def test_fixed_width_candidate_limit():
     values[:, 0] = np.linspace(1.0, 2.0, q)
     samples = SampleSet(q=q, values=values)
     pen = penalties_from_beta(0.1, 0.1, 1)
-    with pytest.raises(ValueError, match="subsample the scenarios"):
+    with pytest.raises(ValueError, match="of 1 customers takes at most 4472 scenarios, got 4473: subsample the scenarios"):
         design_fixed_width(route, samples, pen)
 
 
@@ -416,7 +445,7 @@ def test_fixed_width_candidate_limit_counts_the_buffer():
         mp.setattr(window_design, "FIXED_WIDTH_MAX_CANDIDATES", 2 * 5 * 4 // 2 + 1)
         design_fixed_width(route, samples, pen)
         mp.setattr(window_design, "FIXED_WIDTH_MAX_CANDIDATES", 2 * 5 * 4 // 2)
-        with pytest.raises(ValueError, match="subsample the scenarios"):
+        with pytest.raises(ValueError, match="of 2 customers takes at most 4 scenarios, got 5: subsample the scenarios"):
             design_fixed_width(route, samples, pen)
 
 
@@ -586,34 +615,44 @@ def test_fixed_width_cache_dies_with_its_samples():
 
 def _array_digests(plan):
     """sha256 of the bytes of a plan's window edges and costs."""
-    return {name: hashlib.sha256(getattr(plan, name).tobytes()).hexdigest()
-            for name in ("lower", "upper", "cost_per_customer")}
+    return {name: _digest(getattr(plan, name)) for name in ("lower", "upper", "cost_per_customer")}
+
+
+def _assert_costs_price_the_stored_windows(plan, route, samples, pen):
+    """Each customer's cost is, bit for bit, the cost of its window as stored."""
+    arr = arrival_matrix(route, samples.values)
+    for pos, k in enumerate(route.customers):
+        cost = _window_cost(arr[:, pos], plan.lower[pos], plan.upper[pos], *pen.for_customer(k))
+        assert repr(float(cost)) == repr(float(plan.cost_per_customer[pos])), k
 
 
 def test_fixed_width_desk_instance_frozen():
-    # desk instance 0 at draw seed 0, beta 0.05, as the np.unique grid chose
+    # desk instance 0 at draw seed 0, beta 0.05: the window edges as the
+    # np.unique grid chose them, each priced as stored
     route, train, pen = _desk_like(10, 1000, 0, 0.05)
     plan = design_fixed_width(route, train, pen)
     assert plan.shared_width == 33.046633564581285
-    assert plan.total_cost == 22.463259071215965
+    assert plan.total_cost == 22.46325907121597
     assert _array_digests(plan) == {
         "lower": "503ba8272e21cde461d9596b129cb77733dbb869cc115a0ad7b2997c498e9883",
         "upper": "b252ae2da963e3d6a9eac4c4c9428444e26ab6e3c1dd0323217e7557ec67dc64",
-        "cost_per_customer": "a26cef69cf8d0244d9e3776c72d33405da9007bfa35aca17a1036571847ec4c6",
+        "cost_per_customer": "6b970888cd3e0fe0989f51a5868371c0c82b04cbcda85f396aab16822871a3c2",
     }
+    _assert_costs_price_the_stored_windows(plan, route, train, pen)
 
 
 def test_fixed_width_desk_instance_frozen_tight_beta():
-    # the same instance at beta 0.025, as the np.unique grid chose
+    # the same instance at beta 0.025
     route, train, pen = _desk_like(10, 1000, 0, 0.025)
     plan = design_fixed_width(route, train, pen)
     assert plan.shared_width == 41.9294629790824
-    assert plan.total_cost == 13.221223884127435
+    assert plan.total_cost == 13.221223884127433
     assert _array_digests(plan) == {
         "lower": "e2f72854f3bb34cacfd116e4df9e9e78d4d36ddad239ec9ad6e9d5884af41e5e",
         "upper": "35ca4c86a0d7ef59ace0895feb85ba847dcf0af3d9b3930f7a21c6e2dcf03390",
-        "cost_per_customer": "c7863cc22dfaa8580a0ccfedb410caafc401f7c18cd868515cc3463ce3b210d2",
+        "cost_per_customer": "5ee820e53a377cd2374050377015b21e0062ffb6873cb935adda44ce0e4b4f95",
     }
+    _assert_costs_price_the_stored_windows(plan, route, train, pen)
 
 
 @st.composite
