@@ -330,7 +330,8 @@ _COMMANDS = {
 def _config_value(action, value):
     """A --config value checked and converted as argparse treats the flag's
     text: a JSON number or string goes through the option's ``type`` as
-    text (so 2.5 is no int), a boolean is no number, a switch takes only
+    text (so 2.5 is no int), or is kept as that text when the option has
+    no ``type``; a boolean is no number or text, a switch takes only
     a boolean, a repeatable flag a list of strings, and the value must be
     one of the option's choices; a type that explains its refusal
     (``argparse.ArgumentTypeError``) is quoted.  Every value for the
@@ -345,8 +346,10 @@ def _config_value(action, value):
     if action.nargs == 0 and not isinstance(value, bool):
         raise ValueError(f"{action.dest}: expected true or false, got {json.dumps(value)}")
     text = str(value) if isinstance(value, (str, int, float)) and not isinstance(value, bool) else None
+    if action.type is None and text is None:
+        raise ValueError(f"{action.dest}: expected a string or number, got {json.dumps(value)}")
     try:
-        converted = value if action.type is None else action.type(text)
+        converted = text if action.type is None else action.type(text)
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"{action.dest}: {exc}, got {json.dumps(value)}") from None
     except (TypeError, ValueError):

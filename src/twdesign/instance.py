@@ -22,6 +22,9 @@ import numpy as np
 
 PSD_JITTER = 1e-8
 SYM_TOL = 1e-12
+# a network keeps two m x m float64 matrices, its covariance and that
+# covariance's factor: 8 * 2000**2 = 32 MB each at this many arcs
+_MAX_ARCS = 2_000
 
 
 def substream(seed: int, label: str) -> int:
@@ -44,6 +47,17 @@ def _is_finite_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _finite_array(value, name: str, shape: tuple) -> np.ndarray:
+    """``value`` as a float array of ``shape`` with finite entries; errors
+    name the input."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name}: entries must be finite")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -74,6 +88,12 @@ class Network:
 
     Instances are treated as immutable after construction; the numpy
     arrays are marked read-only so shared use across threads is safe.
+
+    ``factor``, the F with F F' = ``cov`` that every draw uses, is made
+    once by the PSD check: zero for a zero ``cov``, else the Cholesky
+    factor of ``cov``, or of ``cov + PSD_JITTER * I`` when ``cov`` is PSD
+    only up to floating noise, as every generated one is (rank <= nodes).
+    A ``cov`` that fails both is refused as not PSD.
     """
 
     node_count: int
@@ -84,6 +104,7 @@ class Network:
     arc_index: dict[tuple[int, int], int] = field(init=False, repr=False)
     out_arcs: dict[int, tuple[tuple[int, int], ...]] = field(init=False, repr=False)
     in_arcs: dict[int, tuple[tuple[int, int], ...]] = field(init=False, repr=False)
+    factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.node_count = int(self.node_count)
@@ -91,9 +112,9 @@ class Network:
         self.mean = np.array(self.mean, dtype=float)
         self.cov = np.array(self.cov, dtype=float)
         self.time_budget = float(self.time_budget)
-        _validate_network(self)
-        self.mean.setflags(write=False)
-        self.cov.setflags(write=False)
+        self.factor = _validate_network(self)
+        for array in (self.mean, self.cov, self.factor):
+            array.setflags(write=False)
         self.arc_index = {arc: a for a, arc in enumerate(self.arcs)}
         out: dict[int, list] = {i: [] for i in range(self.node_count)}
         inc: dict[int, list] = {i: [] for i in range(self.node_count)}
@@ -120,7 +141,17 @@ class Network:
         return [f"{i}->{j}" for i, j in self.arcs]
 
 
-def _validate_network(net: Network) -> None:
+def _check_arc_count(m: int) -> None:
+    """Refuse more than ``_MAX_ARCS`` arcs, before an m x m matrix is made."""
+    if m > _MAX_ARCS:
+        raise ValueError(
+            f"network has {m} arcs, more than the {_MAX_ARCS} supported: its covariance would take {8 * m * m:,} bytes"
+        )
+
+
+def _validate_network(net: Network) -> np.ndarray:
+    """Raise ``ValueError`` on the first fault of ``net``; return the
+    covariance factor that its PSD check computes (see ``Network``)."""
     n_nodes = net.node_count
     if n_nodes < 2:
         raise ValueError("network needs a depot and at least one customer")
@@ -136,6 +167,7 @@ def _validate_network(net: Network) -> None:
     m = len(net.arcs)
     if m == 0:
         raise ValueError("network has no arcs")
+    _check_arc_count(m)
     if net.mean.shape != (m,):
         raise ValueError(f"mean: expected {m} entries, got {net.mean.shape}")
     if not np.all(np.isfinite(net.mean)):
@@ -152,10 +184,16 @@ def _validate_network(net: Network) -> None:
         raise ValueError(f"cov: asymmetric beyond tolerance ({asym:.3e} > {SYM_TOL:g})")
     if np.any(np.diag(net.cov) < 0):
         raise ValueError("cov: negative diagonal entry")
-    try:
-        np.linalg.cholesky(net.cov + PSD_JITTER * np.eye(m))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance not PSD within jitter tolerance") from exc
+    if not net.cov.any():
+        factor = np.zeros((m, m))
+    else:
+        try:
+            factor = np.linalg.cholesky(net.cov)
+        except np.linalg.LinAlgError:
+            try:
+                factor = np.linalg.cholesky(net.cov + PSD_JITTER * np.eye(m))
+            except np.linalg.LinAlgError as exc:
+                raise ValueError("covariance not PSD within jitter tolerance") from exc
     if not 0 < net.time_budget < np.inf:
         raise ValueError("time_budget must be positive and finite")
     reachable = _hops_from(0, n_nodes, net.arcs)
@@ -165,6 +203,7 @@ def _validate_network(net: Network) -> None:
             raise ValueError(f"disconnected network: customer {k} unreachable from depot")
         if reaching[k] < 0:
             raise ValueError(f"disconnected network: customer {k} cannot reach depot")
+    return factor
 
 
 def _hops_from(src: int, n_nodes: int, edges) -> list[int]:
@@ -259,30 +298,18 @@ class SampleSet:
 
 
 def sample_travel_times(net: Network, q: int, seed: int) -> SampleSet:
-    """Draw ``q`` i.i.d. joint travel-time vectors from Normal(mean, cov).
+    """Draw ``q`` i.i.d. joint travel-time vectors from Normal(mean, cov),
+    as mean + F z with the network's ``factor`` F and z standard normal.
 
-    The factor comes from a Cholesky decomposition; when the matrix is
-    only PSD up to floating noise a jitter of ``PSD_JITTER`` on the
-    diagonal is added before factorising.  A zero covariance matrix
-    yields the degenerate distribution, every row equal to the mean.
-    Negative draws are clamped to zero and the clamp rate recorded.
+    A zero covariance matrix yields the degenerate distribution, every
+    row equal to the mean.  Negative draws are clamped to zero and the
+    clamp rate recorded.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    m = net.n_arcs
-    if not net.cov.any():
-        factor = np.zeros((m, m))
-    else:
-        try:
-            factor = np.linalg.cholesky(net.cov)
-        except np.linalg.LinAlgError:
-            try:
-                factor = np.linalg.cholesky(net.cov + PSD_JITTER * np.eye(m))
-            except np.linalg.LinAlgError as exc:
-                raise ValueError("covariance not PSD") from exc
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((q, m))
-    values = net.mean + z @ factor.T
+    z = rng.standard_normal((q, net.n_arcs))
+    values = net.mean + z @ net.factor.T
     clamp_rate = float(np.mean(values < 0))
     np.maximum(values, 0.0, out=values)
     values.setflags(write=False)
@@ -308,14 +335,15 @@ def random_network(
     """
     if n_customers < 1:
         raise ValueError("n_customers must be >= 1")
-    rng = np.random.default_rng(substream(seed, "topology"))
     n_nodes = n_customers + 1
+    m = n_nodes * n_customers if complete else min(3 * n_customers, n_nodes * n_customers)
+    _check_arc_count(m)
+    rng = np.random.default_rng(substream(seed, "topology"))
     perm = [0] + [int(v) for v in rng.permutation(np.arange(1, n_nodes))]
     cycle = [(perm[t], perm[(t + 1) % n_nodes]) for t in range(n_nodes)]
     if complete:
         arcs = [(i, j) for i in range(n_nodes) for j in range(n_nodes) if i != j]
     else:
-        target = min(3 * n_customers, n_nodes * (n_nodes - 1))
         chosen = set(cycle)
         pool = sorted(
             (i, j)
@@ -323,7 +351,7 @@ def random_network(
             for j in range(n_nodes)
             if i != j and (i, j) not in chosen
         )
-        extra = max(0, target - len(chosen))
+        extra = max(0, m - len(chosen))
         if extra:
             picks = rng.choice(len(pool), size=extra, replace=False)
             chosen.update(pool[p] for p in picks)
@@ -332,18 +360,16 @@ def random_network(
     arc_pos = {arc: a for a, arc in enumerate(arcs)}
     cycle_mean = float(sum(mean[arc_pos[arc]] for arc in cycle))
     tb = float(time_budget) if time_budget is not None else tb_factor * cycle_mean
-    skeleton = Network(
-        node_count=n_nodes,
-        arcs=tuple(arcs),
-        mean=mean,
-        cov=np.zeros((len(arcs), len(arcs))),
-        time_budget=tb,
-    )
     params = cov_params or CovGenParams(seed=substream(seed, "covgen"))
-    cov = generate_covariance(skeleton, params)
-    return Network(
-        node_count=n_nodes, arcs=tuple(arcs), mean=mean, cov=cov, time_budget=tb
-    )
+    return _generated_network(n_nodes, tuple(arcs), mean, tb, params)
+
+
+def _generated_network(nodes, arcs, mean, time_budget, params: CovGenParams) -> Network:
+    """The network whose covariance ``generate_covariance`` makes from its
+    topology, drawn from a zero-covariance skeleton of it."""
+    m = len(arcs)
+    skeleton = Network(nodes, arcs, mean, np.zeros((m, m)), time_budget)
+    return Network(nodes, arcs, mean, generate_covariance(skeleton, params), time_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +455,7 @@ def load_instance(path) -> Network:
         raise ValueError("nodes: expected an integer >= 2")
     arcs, means = _parse_arcs(doc)
     m = len(arcs)
+    _check_arc_count(m)
     if nodes > m:  # each node needs an arc out, so the network is disconnected
         raise ValueError(f"nodes: expected at most {m}, the number of arcs, got {nodes}")
     if "time_budget" not in doc:
@@ -468,10 +495,5 @@ def load_instance(path) -> Network:
     unknown = set(gen) - allowed
     if unknown:
         raise ValueError(f"cov_gen: unknown keys {sorted(unknown)}")
-    params = CovGenParams(**gen)
-    skeleton = Network(
-        nodes, tuple(arcs), np.asarray(means), np.zeros((m, m)), float(tb)
-    )
-    cov = generate_covariance(skeleton, params)
-    return Network(nodes, tuple(arcs), np.asarray(means), cov, float(tb))
+    return _generated_network(nodes, tuple(arcs), np.asarray(means), float(tb), CovGenParams(**gen))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import Network, SampleSet, _is_json_int, _open_for_write, _read_json, _write_json
+from .instance import Network, SampleSet, _finite_array, _is_json_int, _open_for_write, _read_json, _write_json
 from .window_design import DroPricer, PenaltyConfig, SaaPricer, _prefix_states, _visit_sum
 
 
@@ -73,7 +73,7 @@ def route_to_xy(seq, net: Network) -> Route:
 
 def budget_saa(x, samples: SampleSet) -> float:
     """Average tour duration over the scenarios."""
-    x = np.asarray(x, dtype=float)
+    x = _finite_array(x, "x", (samples.n_arcs,))
     return float(np.mean(samples.values @ x))
 
 
@@ -81,29 +81,34 @@ def budget_dro(x, mean, cov, alpha1: float) -> float:
     """Mean tour duration plus an alpha1-weighted dispersion term."""
     if not 0 <= alpha1 < np.inf:
         raise ValueError("alpha1 must be finite and nonnegative")
-    x = np.asarray(x, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
+    mean = _finite_array(mean, "mean", (np.size(mean),))
+    cov = _finite_array(cov, "cov", (len(mean), len(mean)))
+    x = _finite_array(x, "x", mean.shape)
     quad = float(x @ cov @ x)
     return float(mean @ x) + float(np.sqrt(alpha1 * max(quad, 0.0)))
 
 
-def route_cost_sm(route: Route, samples: SampleSet, pen: PenaltyConfig) -> float:
-    """Total optimal window cost of a route under the sample-average model:
-    each customer's ``place_cost`` at its arrival samples, summed in visit
-    order as the plan sums them, without building the plan."""
-    pricer = SaaPricer(samples, pen)
+def _route_cost(pricer, route: Route) -> float:
+    """Each customer's ``place_cost`` at its arrival state, summed in visit
+    order as the pricer's plan sums them, without building the plan."""
     return _visit_sum(pricer.place_cost(state, k) for k, state in _prefix_states(pricer, route))
 
 
+def route_cost_sm(route: Route, samples: SampleSet, pen: PenaltyConfig) -> float:
+    """Total optimal window cost of a route under the sample-average model
+    (``_route_cost`` of ``SaaPricer``)."""
+    return _route_cost(SaaPricer(samples, pen), route)
+
+
 def route_cost_rm(route: Route, mean, cov, alpha2: float, pen: PenaltyConfig) -> float:
-    """Total optimal window cost of a route under the moment-robust model.
+    """Total optimal window cost of a route under the moment-robust model
+    (``_route_cost`` of ``DroPricer``).
 
     Each customer contributes the cost of its ``dro_window``: (gamma_l +
     gamma_u) times the standard deviation of its arrival time under
     cov + alpha2 I, unless the window's lower edge is clamped at zero.
     """
-    return DroPricer(mean, cov, alpha2, pen).plan(route).total_cost
+    return _route_cost(DroPricer(mean, cov, alpha2, pen), route)
 
 
 def save_route(seq, path) -> None:

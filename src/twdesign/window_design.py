@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .instance import _is_finite_real, _is_json_int, _read_json, _write_json
+from .instance import _finite_array, _is_finite_real, _is_json_int, _read_json, _write_json
 
 CMP_TOL = 1e-12
 SINGULAR_QUAD = 1e-18  # a path variance y' C y at or below this counts as zero
@@ -969,9 +969,9 @@ class DroPricer:
             raise ValueError("coefficient domain: moment-robust design needs 2*a_w < min(a_l, a_u)")
         if not 0 <= alpha2 < math.inf:
             raise ValueError("alpha2 must be finite and nonnegative")
-        self.linear = np.asarray(mean, dtype=float)
-        cov = np.asarray(cov, dtype=float)
-        self.cbar = cov + alpha2 * np.eye(cov.shape[0])
+        self.linear = _finite_array(mean, "mean", (np.size(mean),))
+        m = len(self.linear)
+        self.cbar = _finite_array(cov, "cov", (m, m)) + alpha2 * np.eye(m)
         self.terms = {
             k: _dro_terms(*pen.for_customer(k)) for k in range(1, pen.n_customers + 1)
         }

@@ -63,6 +63,16 @@ def test_gen_requires_flags(tmp_path, capsys):
     assert "--out is required" in capsys.readouterr().err
 
 
+def test_gen_refuses_oversized_network(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--customers", "200", "--complete", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "twdesign: error: network has 40200 arcs, more than the 2000 supported: "
+        "its covariance would take 12,928,320,000 bytes\n"
+    )
+    assert not out.exists()
+
+
 # an instance file's cov_gen value as JSON text, and the gen flags that pass
 # the same kind of value, where gen has a flag that can
 COV_GEN_CASES = [
@@ -781,6 +791,50 @@ def test_config_values_use_option_types(inst, tmp_path, capsys):
     assert rc == 1
     assert "--config: cv_min: expected float" in capsys.readouterr().err
     assert not (tmp_path / "g.json").exists()
+
+
+def test_config_untyped_options_take_text(inst, tmp_path, capsys):
+    # an option without a type takes a JSON string or number as the text of
+    # its flag; a boolean, list, object or null (where the option has a
+    # default) is a one-line --config error, not a traceback or a value
+    # passed on unconverted
+    net, inst_path = inst
+    assert main(["solve", "--instance", str(inst_path), "--model", "rm", "--beta-l", "0.05",
+                 "--beta-u", "0.05", "--out-dir", str(tmp_path / "run"), "--no-timestamp"]) == 0
+    route_path, plan_path = tmp_path / "run" / "route.json", tmp_path / "run" / "plan.json"
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out.csv"
+    guideline = ["--config", str(cfg), "guideline", "--instance", str(inst_path), "--beta-pair", "0.2,0.2",
+                 "--q-train", "20", "--q-test", "20", "--out", str(out)]
+    evaluate = ["--config", str(cfg), "eval", "--instance", str(inst_path), "--route", str(route_path),
+                "--plan", str(plan_path), "--q-test", "20", "--out", str(out)]
+    for argv, doc in (
+        (guideline, {"seeds": "1", "models": True}),
+        (guideline, {"seeds": "1", "models": ["sm"]}),
+        (guideline, {"seeds": "1", "models": {"sm": 1}}),
+        (guideline, {"seeds": "1", "models": None}),
+        (guideline, {"models": "sm", "seeds": [1]}),
+        (evaluate, {"model": True}),
+        (evaluate, {"model": None}),
+    ):
+        key, value = list(doc.items())[-1]
+        cfg.write_text(json.dumps(doc))
+        assert main(argv) == 1, doc
+        err = capsys.readouterr().err
+        assert err == f"twdesign: error: --config: {key}: expected a string or number, got {json.dumps(value)}\n"
+        assert not out.exists(), doc
+    # a number is the text of the flag: 5 names no model, seeds 1 is seed 1
+    cfg.write_text(json.dumps({"seeds": "1", "models": 5}))
+    assert main(guideline) == 1
+    assert capsys.readouterr().err == "twdesign: error: unknown model '5'; expected 'sm' or 'rm'\n"
+    cfg.write_text(json.dumps({"models": "rm", "seeds": 1}))
+    assert main(guideline) == 0
+    with open(out, newline="") as fh:
+        assert {(r["model"], r["seed"]) for r in csv.DictReader(fh)} == {("rm", "1")}
+    cfg.write_text(json.dumps({"model": 7}))
+    assert main(evaluate) == 0
+    with open(out, newline="") as fh:
+        assert {r["model"] for r in csv.DictReader(fh)} == {"7"}
 
 
 def test_bad_flag_exits_one(capsys):

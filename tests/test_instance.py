@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -23,6 +24,8 @@ from twdesign import (
     save_instance,
     substream,
 )
+from twdesign import instance
+from twdesign.instance import PSD_JITTER
 
 
 def small_net(cov=None, tb=100.0):
@@ -287,6 +290,66 @@ def test_sampling_clamps_negatives():
     assert s.clamp_rate > 0.2
 
 
+def _two_step_draws(net, q, seed):
+    """Draws by the rule that factored the covariance at every draw: a zero
+    factor for a zero matrix, else the Cholesky factor of cov, or of cov +
+    PSD_JITTER I when that fails; and the branch the rule took."""
+    m = net.n_arcs
+    cov = np.array(net.cov)
+    if not cov.any():
+        branch, factor = "zero", np.zeros((m, m))
+    else:
+        try:
+            branch, factor = "plain", np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            branch, factor = "jitter", np.linalg.cholesky(cov + PSD_JITTER * np.eye(m))
+    values = net.mean + np.random.default_rng(seed).standard_normal((q, m)) @ factor.T
+    return values, branch
+
+
+def test_network_factors_its_covariance_once(monkeypatch):
+    # the network's PSD check leaves the factor every draw uses; the draws
+    # equal those of the rule that factored the covariance at each draw
+    base = [random_network(10, seed=0), random_network(8, seed=1, complete=True), random_network(12, seed=2)]
+    m = base[0].n_arcs
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((m, m))
+    covs = [net.cov for net in base] + [np.diag(np.linspace(1.0, 4.0, m)), a @ a.T, np.zeros((m, m))]
+    shapes = [*base] + [base[0]] * 3
+    calls = []
+    real = np.linalg.cholesky
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return real(matrix)
+
+    branches = set()
+    for seed, (shape, cov) in enumerate(zip(shapes, covs)):
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "cholesky", counting)
+            calls.clear()
+            net = Network(shape.node_count, shape.arcs, shape.mean, cov, shape.time_budget)
+            built = len(calls)
+            calls.clear()
+            s = sample_travel_times(net, 300, seed)
+            assert calls == [], seed
+        want, branch = _two_step_draws(net, 300, seed)
+        branches.add(branch)
+        assert built <= (0 if branch == "zero" else 2), branch
+        assert not net.factor.flags.writeable
+        assert s.values.tobytes() == np.maximum(want, 0.0).tobytes(), branch
+        assert s.clamp_rate == float(np.mean(want < 0)), branch
+    # generated covariances are rank-deficient and take the jitter branch
+    assert branches == {"zero", "plain", "jitter"}
+    # a generated network's zero-covariance skeleton is factored by no
+    # Cholesky call: building one calls it at most twice, for the final cov
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "cholesky", counting)
+        calls.clear()
+        random_network(8, seed=1, complete=True)
+        assert len(calls) <= 2
+
+
 def test_sample_set_validation():
     with pytest.raises(ValueError, match="2-D"):
         SampleSet(q=3, values=np.ones(3))
@@ -342,6 +405,42 @@ def test_random_network_explicit_budget():
 
 # ---------------------------------------------------------------------------
 # instance files
+
+
+def test_oversized_networks_are_refused_before_allocation(tmp_path):
+    # 40,200 arcs of a complete n=200 network need 12.9 GB per covariance;
+    # each refusal comes before any matrix or full arc list is made
+    n = 45  # 2,070 arcs, one covariance of 34 MB
+    arcs = [{"from": i, "to": j, "mean": 1.0} for i in range(n + 1) for j in range(n + 1) if i != j]
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"nodes": n + 1, "arcs": arcs, "cov_gen": {"seed": 0}, "time_budget": 100.0}))
+    calls = {
+        "complete": (lambda: random_network(200, seed=0, complete=True), 40200),
+        "sparse": (lambda: random_network(700, seed=0), 2100),
+        "cov_gen file": (lambda: load_instance(gen), 2070),
+    }
+    for name, (call, m) in calls.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"network has {m} arcs, more than the 2000 supported"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, (name, peak)
+
+
+def test_arc_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(instance, "_MAX_ARCS", 30)
+    assert random_network(10, seed=0).n_arcs == 30
+    assert random_network(5, seed=0, complete=True).n_arcs == 30
+    for call in (lambda: random_network(11, seed=0), lambda: random_network(6, seed=0, complete=True)):
+        with pytest.raises(ValueError, match="more than the 30 supported"):
+            call()
+    net = random_network(4, seed=0, complete=True)
+    monkeypatch.setattr(instance, "_MAX_ARCS", 19)
+    with pytest.raises(ValueError, match="network has 20 arcs, more than the 19 supported"):
+        Network(net.node_count, net.arcs, net.mean, net.cov, net.time_budget)
 
 
 def test_instance_round_trip(tmp_path):

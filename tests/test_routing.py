@@ -24,6 +24,7 @@ from twdesign import (
     save_route,
     write_cost_csv,
 )
+from twdesign.window_design import DroPricer
 
 
 def three_net():
@@ -134,6 +135,49 @@ def test_budgets():
             budget_dro(route.x, net.mean, cov, bad)
 
 
+def test_budgets_and_dro_pricing_reject_non_finite_input():
+    # each input is checked where it enters, and the error names it
+    net = three_net()
+    route = route_to_xy([0, 1, 2, 3, 0], net)
+    samples = SampleSet(q=2, values=np.ones((2, net.n_arcs)))
+    cov = np.diag(np.linspace(0.5, 2.0, net.n_arcs))
+    pen = penalties_from_beta(0.05, 0.05, 3)
+    x = route.x.astype(float)
+
+    def spoiled(array, value, index=0):
+        out = np.array(array, dtype=float)
+        out.flat[index] = value
+        return out
+
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^x: entries must be finite"):
+            budget_saa(spoiled(x, bad), samples)
+        for args, name in (
+            ((spoiled(x, bad), net.mean, cov), "x"),
+            ((x, spoiled(net.mean, bad, 5), cov), "mean"),
+            ((x, net.mean, spoiled(cov, bad, 7)), "cov"),
+        ):
+            with pytest.raises(ValueError, match=f"^{name}: entries must be finite"):
+                budget_dro(*args, 0.0)
+        for mean, c, name in ((spoiled(net.mean, bad, 5), cov, "mean"), (net.mean, spoiled(cov, bad, 7), "cov")):
+            for call in (
+                lambda: DroPricer(mean, c, 0.0, pen),
+                lambda: design_dro(route, mean, c, 0.0, pen),
+                lambda: route_cost_rm(route, mean, c, 0.0, pen),
+            ):
+                with pytest.raises(ValueError, match=f"^{name}: entries must be finite"):
+                    call()
+    m = net.n_arcs
+    with pytest.raises(ValueError, match=rf"^x: expected shape \({m},\), got \({m - 1},\)"):
+        budget_saa(x[1:], samples)
+    with pytest.raises(ValueError, match=rf"^x: expected shape \({m},\), got \(1, {m}\)"):
+        budget_dro(x[None], net.mean, cov, 0.0)
+    with pytest.raises(ValueError, match=rf"^cov: expected shape \({m}, {m}\), got \({m - 1}, {m - 1}\)"):
+        budget_dro(x, net.mean, cov[1:, 1:], 0.0)
+    with pytest.raises(ValueError, match=rf"^mean: expected shape \({m},\), got \(1, {m}\)"):
+        DroPricer(net.mean[None], cov, 0.0, pen)
+
+
 def test_route_cost_sm_matches_design():
     net = random_network(3, seed=2, complete=True)
     route = route_to_xy([0, 2, 3, 1, 0], net)
@@ -174,9 +218,7 @@ def test_route_cost_rm_matches_design_and_identity():
     route = route_to_xy([0, 1, 3, 2, 0], net)
     pen = penalties_from_beta(0.05, 0.05, 3)
     plan = design_dro(route, net.mean, net.cov, 0.7, pen)
-    assert route_cost_rm(route, net.mean, net.cov, 0.7, pen) == pytest.approx(
-        plan.total_cost, abs=1e-9
-    )
+    assert route_cost_rm(route, net.mean, net.cov, 0.7, pen) == plan.total_cost
     # with zero covariance the cost reduces to sum gamma * sqrt(alpha2 * k)
     zero = np.zeros_like(net.cov)
     from twdesign import gamma_coeffs
@@ -189,6 +231,23 @@ def test_route_cost_rm_matches_design_and_identity():
     assert route_cost_rm(route, net.mean, zero, alpha2, pen) == pytest.approx(
         float(want), abs=1e-9
     )
+    assert route_cost_rm(route, net.mean, zero, alpha2, pen) == design_dro(route, net.mean, zero, alpha2, pen).total_cost
+
+
+def test_route_cost_rm_is_plan_cost_bitwise():
+    # route_cost_rm sums the pricer's place_cost in visit order and builds
+    # no plan, on dense-like routes (complete n=8, any tour, mixed weights,
+    # some clamped windows at a large alpha2)
+    rng = np.random.default_rng(6)
+    for seed in range(3):
+        net = random_network(8, seed=seed, complete=True)
+        a_l, a_u = rng.uniform(0.3, 1.0, 8), rng.uniform(0.3, 1.0, 8)
+        pen = PenaltyConfig(rng.uniform(0.05, 0.5, 8) * a_l * a_u / (a_l + a_u), a_l, a_u)
+        for alpha2 in (0.0, 0.7, 400.0):
+            seq = [0, *(int(k) for k in rng.permutation(np.arange(1, 9))), 0]
+            route = route_to_xy(seq, net)
+            plan = design_dro(route, net.mean, net.cov, alpha2, pen)
+            assert route_cost_rm(route, net.mean, net.cov, alpha2, pen) == plan.total_cost, (seed, alpha2)
 
 
 def test_route_files_round_trip(tmp_path):
