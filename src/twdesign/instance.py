@@ -196,8 +196,8 @@ def _validate_network(net: Network) -> np.ndarray:
                 raise ValueError("covariance not PSD within jitter tolerance") from exc
     if not 0 < net.time_budget < np.inf:
         raise ValueError("time_budget must be positive and finite")
-    reachable = _hops_from(0, n_nodes, net.arcs)
-    reaching = _hops_from(0, n_nodes, [(j, i) for i, j in net.arcs])
+    reachable = _hops_from(0, _successors(n_nodes, net.arcs))
+    reaching = _hops_from(0, _successors(n_nodes, ((j, i) for i, j in net.arcs)))
     for k in range(1, n_nodes):
         if reachable[k] < 0:
             raise ValueError(f"disconnected network: customer {k} unreachable from depot")
@@ -206,20 +206,26 @@ def _validate_network(net: Network) -> np.ndarray:
     return factor
 
 
-def _hops_from(src: int, n_nodes: int, edges) -> list[int]:
-    """Hop counts from ``src`` along directed edges (i, j), -1 for nodes it
-    cannot reach; breadth first, one sweep over the edges per level."""
-    dist = [-1] * n_nodes
+def _successors(n_nodes: int, edges) -> list[list[int]]:
+    """Each node's successors along the directed edges (i, j)."""
+    succ = [[] for _ in range(n_nodes)]
+    for i, j in edges:
+        succ[i].append(j)
+    return succ
+
+
+def _hops_from(src: int, succ: list[list[int]]) -> list[int]:
+    """Hop counts from ``src`` along the ``_successors`` lists, -1 for nodes
+    it cannot reach; a queue breadth-first search, linear in the edges."""
+    dist = [-1] * len(succ)
     dist[src] = 0
-    level = 0
-    grew = True
-    while grew:
-        grew = False
-        for i, j in edges:
-            if dist[i] == level and dist[j] < 0:
-                dist[j] = level + 1
-                grew = True
-        level += 1
+    queue = [src]
+    for i in queue:  # the queue grows as it is read
+        hops = dist[i] + 1
+        for j in succ[i]:
+            if dist[j] < 0:
+                dist[j] = hops
+                queue.append(j)
     return dist
 
 
@@ -229,8 +235,8 @@ def arc_node_hops(net: Network) -> np.ndarray:
     Entry [a, k] is the smaller of the two endpoint-to-node shortest-path
     hop counts, so an arc incident to k has distance 0.
     """
-    both_ways = [*net.arcs, *((j, i) for i, j in net.arcs)]
-    dist = np.array([_hops_from(v, net.node_count, both_ways) for v in range(net.node_count)])
+    succ = _successors(net.node_count, [*net.arcs, *((j, i) for i, j in net.arcs)])
+    dist = np.array([_hops_from(v, succ) for v in range(net.node_count)])
     if np.any(dist < 0):
         raise ValueError("disconnected network: undirected skeleton is not connected")
     ends = np.asarray(net.arcs)

@@ -581,136 +581,159 @@ class _WidthPricer:
     sorted candidates without repeats: the result is bit for bit that of
     scanning them one customer at a time.
 
-    A width takes one ``searchsorted`` per customer, for the ranks of the
-    first list plus w.  The two other rank sets are read off ranks the
-    pricer already has:
+    A width prices each list in two stages, with those expressions and one
+    ``searchsorted`` per customer and stage:
 
-    * (s_j - w)+: how many arrivals s_i have s_i+ + w below s_j, counted
-      from the ranks just searched (one ``bincount`` and a cumsum), and at
-      least the rank of zero, which every clamped entry takes.  Each
-      counted s_i lies at or below s_j - w, so the count can fall short
-      (where s_i + w rounds up to s_j) but never overshoot.
-    * (s_j - w)+ + w: the rank of s_j itself, computed once, or the rank
-      of w where s_j <= w clamps.  The sum can round one ulp off s_j,
-      below it or onto the next arrival.
+    * coarse: every ceil(sqrt q)-th entry.  Call the least of these costs
+      g*.  The bracket runs from the nearest coarse entry before every
+      coarse entry that costs at most g* + 4 err to the nearest one after
+      them; either end may be open;
+    * exact: every entry inside the bracket, the zeros at the head of the
+      list counting as one.  Its first least cost is the list's.
 
-    Rank r is the searched rank of x exactly when s[r - 1] <= x < s[r],
-    with s[-1] = -inf and s[q] = +inf.  So ``_settle`` checks every rank
-    read off against the sorted arrivals and searches again only those
-    that fail: every rank, and so every cost, is the one that searching all
-    three sets gives.  The per-width arrays are buffers allocated with the
-    pricer.
+    The certificate.  The exact cost f is convex in l, and each computed
+    cost g lies within err = (a_l + a_u)(q + 8) eps (max |s| + w) of it: a
+    prefix sum of q arrivals is off by at most q^2 (eps/2) max |s|, a cost
+    reads one prefix sum in its earliness and two in its tardiness, and the
+    products, the differences, l + w and the rates add at most a few
+    q (eps/2) (max |s| + w) more.  Let c be the coarse entry that opens the
+    bracket and m the coarse entry of least cost.  Then g(c) > g* + 4 err, so
+    f(c) > g* + 3 err > f(m), and by convexity every start l <= c has
+    f(l) >= f(c) and g(l) > g* + 2 err: it costs more than m, so it is not
+    the list's least.  The same holds at and after the bracket's end.  The
+    exact stage prices every entry in between, and perhaps a few more, so
+    it finds the list's first least cost.  Its arrays, at most one entry per
+    candidate, are buffers allocated with the pricer.
     """
 
     def __init__(self, srt, a_l, a_u):
         n, q = srt.shape
         self.srt = srt
         self.q = q
+        self.step = step = math.isqrt(q - 1) + 1
         self.cum = np.zeros((n, q + 1))
         np.cumsum(srt, axis=1, out=self.cum[:, 1:])
-        # rank r of customer k indexes entry r + k (q + 1) of the raveled
-        # prefix sums and of the arrivals just below and above it, s[r - 1]
-        # and s[r]
-        self.row_starts = np.arange(0, n * (q + 1), q + 1)[:, None]
-        self.below = np.full((n, q + 1), -np.inf)
-        self.below[:, 1:] = srt
-        self.above = np.full((n, q + 1), np.inf)
-        self.above[:, :-1] = srt
         self.rate_l = (a_l / q)[:, None]
         self.rate_u = (a_u / q)[:, None]
+        # 4 err = slack (max_abs + w)
+        self.slack = (4 * (q + 8) * np.finfo(float).eps) * (a_l + a_u)[:, None]
+        self.max_abs = abs(srt[:, [0, -1]]).max(axis=1, keepdims=True)
+        # entry r of customer k in the first list, and in the arrivals, is
+        # entry r + k (q + 1), and r + k q, of the raveled one
         self.rows = np.arange(n)
+        self.row_starts = self.rows[:, None] * (q + 1), self.rows[:, None] * q
+        # the first list, its ranks and its earliness; adding 0.0 turns a
+        # clamped -0.0 into 0.0, so that the zeros at its head are one
+        # candidate, bit for bit
         self.fixed = np.zeros((n, q + 1))
         np.maximum(srt, 0.0, out=self.fixed[:, 1:])
-        # per-width buffers, one entry per candidate of the first list or
-        # one per arrival
-        self.up, self.gather = np.empty((2, n, q + 1))
-        self.up_ranks, self.up_index = np.empty((2, n, q + 1), dtype=np.intp)
-        self.shifted, self.shifted_up, self.cost, self.gather_q = np.empty((4, n, q))
-        self.ranks, self.index = np.empty((2, n, q), dtype=np.intp)
-        self.bad, self.bad_hi = np.empty((2, n, q), dtype=bool)
-        # the first list's ranks: of zero, then of each arrival wherever it
-        # is positive
-        self.fixed_ranks = np.empty((n, q + 1), dtype=np.intp)
-        self._search(self.fixed, self.fixed_ranks, self.up_index)
-        self.fixed_early = np.empty((n, q + 1))
-        self._early(self.fixed, self.fixed_ranks, self.up_index, self.fixed_early, self.gather)
+        self.fixed += 0.0
+        ranks = np.empty((n, q + 1), dtype=np.intp)
+        for row, needles, out in zip(srt, self.fixed, ranks):
+            out[:] = row.searchsorted(needles, "right")
+        self.last_zero = ranks[:, 0].copy()
+        self.fixed_early = self.fixed * ranks
+        self.fixed_early -= self.cum.take(ranks + self.row_starts[0])
+        self.fixed_early *= self.rate_l
+        self.coarse = (self.fixed[:, ::step].copy(), self.fixed_early[:, ::step].copy(),
+                       srt[:, ::step].copy())
+        # per-width buffers, raveled, with room for every entry
+        self.offsets = np.arange(q + 1)
+        self.index_a = np.empty(n * (q + 1), dtype=np.intp)
+        self.index_b = np.empty(n * q, dtype=np.intp)
+        self.start_a, self.early_a, self.cost_a, self.arrivals_b, self.cost_b = np.empty((5, n * (q + 1)))
+        self.needles, self.gather, self.scratch = np.empty((3, n * (3 * q + 1)))
+        self.ranks, self.index = np.empty((2, n * (3 * q + 1)), dtype=np.intp)
 
-    def _search(self, needles, ranks, index):
-        """Per customer, how many of its arrivals are at or below each
-        needle, into ``ranks``, and their ``index``."""
-        for srt, row, out in zip(self.srt, needles, ranks):
-            out[:] = np.searchsorted(srt, row, side="right")
-        np.add(ranks, self.row_starts, out=index)
+    @staticmethod
+    def _rows(buf, n, width):
+        return buf[:n * width].reshape(n, width)
 
-    def _settle(self, needles, ranks, index):
-        """Search again each rank r, and its ``index``, of a needle x that
-        fails s[r - 1] <= x < s[r]."""
-        gather, bad, bad_hi = self.gather_q, self.bad, self.bad_hi
-        self.below.take(index, out=gather, mode="clip")
-        np.greater(gather, needles, out=bad)
-        self.above.take(index, out=gather, mode="clip")
-        np.less_equal(gather, needles, out=bad_hi)
-        bad |= bad_hi
-        for k in np.flatnonzero(bad.any(axis=1)):
-            at = np.flatnonzero(bad[k])
-            ranks[k, at] = np.searchsorted(self.srt[k], needles[k, at], side="right")
-            index[k, at] = ranks[k, at] + self.row_starts[k, 0]
-
-    def _early(self, starts, ranks, index, out, gather):
-        """rate_l (l m - the sum of the m arrivals at or below l), into
-        ``out``; ``gather`` is scratch of its shape."""
+    def _price(self, start_a, early_a, arrivals_b, width):
+        """The costs of the first list's entries with starts ``start_a`` and
+        earliness ``early_a``, the starts and costs of the second list's
+        entries at ``arrivals_b``, all n-row arrays, and the ranks of the
+        needles, start_a + w first; all live in the pricer's buffers."""
+        n, la = start_a.shape
+        lb = arrivals_b.shape[1]
+        size = la + 2 * lb
+        needles, gather, scratch = (self._rows(b, n, size) for b in (self.needles, self.gather, self.scratch))
+        ranks, index = self._rows(self.ranks, n, size), self._rows(self.index, n, size)
+        cost_a, cost_b = self._rows(self.cost_a, n, la), self._rows(self.cost_b, n, lb)
+        # the needles: each start of the first list plus w, each start of
+        # the second list, and that plus w
+        start_b = needles[:, la:la + lb]
+        np.add(start_a, width, out=needles[:, :la])
+        np.subtract(arrivals_b, width, out=start_b)
+        np.maximum(start_b, 0.0, out=start_b)
+        np.add(start_b, width, out=needles[:, la + lb:])
+        for row, x, out in zip(self.srt, needles, ranks):
+            out[:] = row.searchsorted(x, "right")
+        np.add(ranks, self.row_starts[0], out=index)
         self.cum.take(index, out=gather, mode="clip")
-        np.multiply(starts, ranks, out=out)
-        np.subtract(out, gather, out=out)
-        np.multiply(self.rate_l, out, out=out)
-
-    def _late(self, ups, ranks, index, out, gather):
-        """rate_u (the sum of the arrivals above u - u (q - m)), into
-        ``out``, which may be ``ups``; it overwrites ``index``."""
-        self.cum.take(index, out=gather, mode="clip")
+        # the second list's earliness: rate_l (l m - the sum of the m
+        # arrivals at or below l)
+        np.multiply(start_b, ranks[:, la:la + lb], out=cost_b)
+        np.subtract(cost_b, gather[:, la:la + lb], out=cost_b)
+        np.multiply(self.rate_l, cost_b, out=cost_b)
+        # tardiness at each needle u, of which those at l + w count: rate_u
+        # (the sum of the arrivals above u - u (q - m))
         np.subtract(self.cum[:, -1:], gather, out=gather)
         np.subtract(self.q, ranks, out=index)
-        np.multiply(ups, index, out=out)
-        np.subtract(gather, out, out=out)
-        np.multiply(self.rate_u, out, out=out)
+        np.multiply(needles, index, out=scratch)
+        np.subtract(gather, scratch, out=gather)
+        np.multiply(self.rate_u, gather, out=gather)
+        np.add(early_a, gather[:, :la], out=cost_a)
+        np.add(cost_b, gather[:, la + lb:], out=cost_b)
+        return cost_a, start_b, cost_b, ranks
 
-    def _first_least(self, f, starts):
-        """Per customer, the first least cost of a sorted candidate list
-        and its start."""
-        best = f.argmin(axis=1)
-        return f[self.rows, best], starts[self.rows, best]
+    def _span(self, cost, slack, first, length):
+        """Per customer, the entries lo..end - 1 of a list that the exact
+        stage prices, from the coarse entries' ``cost``: from the one after
+        the last coarse entry before the bracket, or ``first``, the list's
+        last zero, if that comes later, to the one before the first coarse
+        entry after it.  The range is never empty."""
+        step = self.step
+        near = cost <= cost.min(axis=1, keepdims=True) + slack
+        lo = near.argmax(axis=1) * step - (step - 1)
+        np.maximum(lo, first, out=lo)
+        end = (near.shape[1] - near[:, ::-1].argmax(axis=1)) * step
+        np.minimum(end, length, out=end)
+        np.maximum(end, lo + 1, out=end)
+        return lo, end
+
+    def _entries(self, buf, lo, end, row_starts):
+        """The raveled indices of entries lo..end - 1 of each row, the last
+        repeated up to the longest range's length, in ``buf``."""
+        offsets = self.offsets[:int((end - lo).max())]
+        index = self._rows(buf, len(lo), len(offsets))
+        np.add(lo[:, None], offsets, out=index)
+        np.minimum(index, (end - 1)[:, None], out=index)
+        np.add(index, row_starts, out=index)
+        return index
+
+    def _take(self, table, index, buf):
+        return table.take(index, out=self._rows(buf, *index.shape), mode="clip")
 
     def __call__(self, width: float):
         """Per customer, in visit order, the least cost and its smallest start."""
         n, q = self.srt.shape
-        up, up_ranks, up_index = self.up, self.up_ranks, self.up_index
-        shifted, shifted_up, ranks, index = self.shifted, self.shifted_up, self.ranks, self.index
-        np.add(self.fixed, width, out=up)
-        self._search(up, up_ranks, up_index)
-        # how many arrivals' s_i+ + w have each rank, per customer
-        np.copyto(index, up_index[:, 1:])
-        counts = np.bincount(index.ravel(), minlength=n * (q + 1)).reshape(n, q + 1)
-        # the first list's costs, in place of its needles
-        self._late(up, up_ranks, up_index, up, self.gather)
-        np.add(self.fixed_early, up, out=up)
-        cost, start = self._first_least(up, self.fixed)
-
-        np.subtract(self.srt, width, out=shifted)
-        np.maximum(shifted, 0.0, out=shifted)
-        # how many s_i+ + w rank at most j, i.e. lie below s_j
-        np.cumsum(counts, axis=1, out=up_index)
-        np.maximum(up_index[:, :q], self.fixed_ranks[:, :1], out=ranks)
-        np.add(ranks, self.row_starts[:, :q], out=index)
-        self._settle(shifted, ranks, index)
-        self._early(shifted, ranks, index, self.cost, self.gather_q)
-
-        np.add(shifted, width, out=shifted_up)
-        np.maximum(self.fixed_ranks[:, 1:], up_ranks[:, :1], out=ranks)
-        np.add(ranks, self.row_starts[:, :q], out=index)
-        self._settle(shifted_up, ranks, index)
-        self._late(shifted_up, ranks, index, shifted_up, self.gather_q)
-        np.add(self.cost, shifted_up, out=self.cost)
-        cost_s, start_s = self._first_least(self.cost, shifted)
+        start_a, early_a, arrivals_b = self.coarse
+        cost_a, start_b, cost_b, ranks = self._price(start_a, early_a, arrivals_b, width)
+        # the first needle, zero plus w, ranks after the second list's zeros
+        last_zero_b = np.maximum(ranks[:, 0] - 1, 0)
+        slack = self.slack * (self.max_abs + width)
+        lo_a, end_a = self._span(cost_a, slack, self.last_zero, q + 1)
+        lo_b, end_b = self._span(cost_b, slack, last_zero_b, q)
+        index = self._entries(self.index_a, lo_a, end_a, self.row_starts[0])
+        start_a = self._take(self.fixed, index, self.start_a)
+        early_a = self._take(self.fixed_early, index, self.early_a)
+        index = self._entries(self.index_b, lo_b, end_b, self.row_starts[1])
+        arrivals_b = self._take(self.srt, index, self.arrivals_b)
+        cost_a, start_b, cost_b, _ = self._price(start_a, early_a, arrivals_b, width)
+        best_a, best_b = cost_a.argmin(axis=1), cost_b.argmin(axis=1)
+        cost, start = cost_a[self.rows, best_a], start_a[self.rows, best_a]
+        cost_s, start_s = cost_b[self.rows, best_b], start_b[self.rows, best_b]
         take = (cost_s < cost) | ((cost_s == cost) & (start_s < start))
         return np.where(take, cost_s, cost), np.where(take, start_s, start)
 
@@ -821,12 +844,12 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
     sorted arrivals and the grid of the last (samples, route) designed
     are kept (``_WidthGrids``): designing the same route on the same
     samples at other penalties builds neither again.  At n = 10 and
-    q = 1000 a miss spends about two thirds of its time building the grid
+    q = 1000 a miss spends about four fifths of its time building the grid
     (filling it, sorting it and dropping its repeats) and the rest
-    pricing some 70 widths, about 0.7 ms each; a hit does only the
-    pricing.  A miss takes one 8-byte buffer per candidate plus one
-    ``_GRID_BLOCK`` of flags; the pricer's tables and buffers, some
-    sixteen n x (q + 1) arrays, add little to that.  Between calls the
+    pricing some 70 widths, about 0.25 ms each (on a 2-core VM); a hit
+    does only the pricing.  A miss takes one 8-byte buffer per candidate
+    plus one ``_GRID_BLOCK`` of flags; the pricer's tables and buffers,
+    about 25 n x (q + 1) arrays, add little to that.  Between calls the
     cache holds that buffer, 8 (1 + n q (q - 1) / 2) bytes (about 40 MB
     at n = 10, q = 1000), and the arrivals and their sorted rows, 16 n q
     bytes, until the samples are freed or another (samples, route) is

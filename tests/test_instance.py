@@ -125,14 +125,15 @@ def bfs_hops(n_nodes, undirected_edges, src):
 
 
 def test_arc_node_hops_matches_bfs_oracle():
-    for seed in range(8):
-        net = random_network(6, seed=seed)
+    # small networks, and one sparse network of 200 customers (600 arcs)
+    for n_customers, seed in [*((6, seed) for seed in range(8)), (200, 0)]:
+        net = random_network(n_customers, seed=seed)
         hops = arc_node_hops(net)
         per_node = [bfs_hops(net.node_count, net.arcs, v) for v in range(net.node_count)]
         for a, (i, j) in enumerate(net.arcs):
             for k in range(net.node_count):
                 want = min(per_node[i][k], per_node[j][k])
-                assert hops[a, k] == want, (seed, a, k)
+                assert hops[a, k] == want, (n_customers, seed, a, k)
 
 
 def random_arcs(rng, n_nodes, complete):

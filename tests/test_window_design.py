@@ -527,9 +527,8 @@ def test_fixed_width_memory_per_candidate():
 
 def test_width_pricing_memory():
     # a pricer prices each width in buffers it allocated before: a width's
-    # own allocations (a bincount, numpy's cast and broadcast buffers and
-    # small per-customer arrays) peak near three n x (q + 1) float arrays,
-    # and allocating each per-width array afresh peaks near nine
+    # own allocations (each customer's searched ranks and small
+    # per-customer arrays) peak under half of one n x (q + 1) float array
     route, train, pen = _desk_like(6, 600, 3, 0.05)
     srt = np.sort(arrival_matrix(route, train.values).T, axis=1)
     price = _WidthPricer(srt, *np.array([pen.for_customer(k)[1:] for k in route.customers]).T)
@@ -679,10 +678,10 @@ def _priced_widths(draw):
 @example(case=(np.array([[3.0, 0.0]]), 0.0, np.array([1.0, 0.5]), np.array([0.5, 1.0])))  # q = 1
 @example(case=(np.array([[3.0, 0.0]]), 4.0, np.array([1.0, 0.5]), np.array([0.5, 1.0])))
 @example(case=(np.array([[0.0], [0.0], [2.0], [2.0], [5.0]]), 2.0, np.array([0.3]), np.array([0.9])))
-# each example below reaches one correction of a read-off rank, at a
-# candidate that is the least cost, so skipping that check fails it.
-# fl(0.2 + 0.3) = 0.5 is not below 0.5, yet 0.2 <= fl(0.5 - 0.3): the
-# count puts (0.5 - 0.3)+ one rank too low
+# in each example below the least cost is at a candidate whose rank does
+# not follow from the ranks of the arrivals it was computed from.
+# fl(0.2 + 0.3) = 0.5 is not below 0.5, yet 0.2 <= fl(0.5 - 0.3): counting
+# the arrivals s with s + w below 0.5 puts (0.5 - 0.3)+ one rank too low
 @example(case=(np.array([[0.15], [0.2], [0.5]]), 0.3, np.array([0.4]), np.array([0.8])))
 # (s - w) + w lands one ulp below s = 43.80750676069152, a rank below s's own
 @example(case=(np.array([[17.1], [43.80750676069152], [50.0]]), 0.4434662043770068,
@@ -692,6 +691,27 @@ def _priced_widths(draw):
                np.array([0.7]), np.array([0.6])))
 # wider than every arrival: every arrival clamps, and its l + w ranks as w
 @example(case=(np.array([[0.0], [1.0], [2.5], [2.5]]), 7.25, np.array([0.9]), np.array([0.2])))
+# the examples below reach each end of the bracket of the pricer's coarse
+# pass, which prices every ceil(sqrt q)-th candidate.  Wider than every
+# arrival: the least cost, 0, is at start 0 and again at the first arrival
+@example(case=(np.array([[0.5], [1.5], [2.0], [3.25], [4.0], [5.5], [6.0], [7.75], [9.0]]), 12.5,
+               np.array([0.6]), np.array([0.3])))
+# the least cost is at the largest arrival, the first list's last (coarse)
+# entry, so the bracket is open after it
+@example(case=(np.array([[0.5], [1.5], [2.0], [3.25], [4.0], [5.5], [6.0], [7.75], [9.0]]), 0.0,
+               np.array([0.05]), np.array([1.0])))
+# the cost is flat from 2.0 to 3.5, the first list's entries 2 and 3, and
+# entry 3 is coarse: the least cost is at 2.0, before the coarse entry
+@example(case=(np.array([[1.0], [2.0], [3.5], [6.25], [7.0], [8.0], [9.0], [9.5]]), 0.0,
+               np.array([0.9]), np.array([0.3])))
+# ceil(sqrt q) steps up at q = 4 and q = 9 and stays at q = 3 and q = 8
+@example(case=(np.array([[4.5, 0.0], [1.25, 3.0], [7.0, 0.0]]), 3.0, np.array([0.7, 0.4]), np.array([0.3, 0.9])))
+@example(case=(np.array([[4.5, 0.0], [1.25, 3.0], [7.0, 0.0], [2.75, 5.5]]), 1.75,
+               np.array([0.7, 0.4]), np.array([0.3, 0.9])))
+@example(case=(np.array([[9.5], [1.25], [3.0], [7.0], [0.0], [2.75], [5.5], [4.0]]), 2.25,
+               np.array([0.35]), np.array([0.8])))
+@example(case=(np.array([[9.5], [1.25], [3.0], [7.0], [0.0], [2.75], [5.5], [4.0], [6.5]]), 2.25,
+               np.array([0.35]), np.array([0.8])))
 def test_width_pricer_matches_inner_scan(case):
     rows, width, a_l, a_u = case
     q = rows.shape[0]
@@ -701,6 +721,46 @@ def test_width_pricer_matches_inner_scan(case):
         cum = np.concatenate(([0.0], np.cumsum(row)))
         cost, start = _inner_fixed_cost(row, cum, float(a_l[k]), float(a_u[k]), q, width)
         assert (repr(float(costs[k])), repr(float(starts[k]))) == (repr(cost), repr(start))
+
+
+def test_width_pricer_matches_inner_scan_on_clustered_arrivals():
+    # arrivals a few ulps apart: neighbouring candidates' costs differ by
+    # less than their rounding, so the coarse pass's least cost may sit
+    # several coarse entries from the first least cost, and only the slack
+    # of 4 err keeps that in the bracket
+    rng = np.random.default_rng(0)
+    for q in (36, 100, 400):
+        for _ in range(50):
+            base = float(rng.uniform(100.0, 1000.0))
+            ulp = float(np.spacing(base))
+            srt = np.sort(base + rng.integers(0, 40, (1, q)) * ulp * int(rng.integers(1, 4)), axis=1)
+            a_l, a_u = rng.uniform(0.05, 1.0, (2, 1))
+            width = float(rng.choice([0.0, ulp * int(rng.integers(1, 30)), rng.uniform(0.0, 1e-10)]))
+            (cost,), (start,) = _WidthPricer(srt, a_l, a_u)(width)
+            cum = np.concatenate(([0.0], np.cumsum(srt[0])))
+            want = _inner_fixed_cost(srt[0], cum, float(a_l[0]), float(a_u[0]), q, width)
+            assert (repr(float(cost)), repr(float(start))) == tuple(map(repr, want)), (q, base, width)
+
+
+def test_width_pricer_matches_inner_scan_at_large_q():
+    # q = 5,000: the coarse pass prices every 71st candidate.  The arrivals
+    # are rounded to one decimal, so they tie, and a tenth of them are zero
+    rng = np.random.default_rng(8)
+    q = 5000
+    for n in (1, 2, 3):
+        srt = np.round(rng.gamma(4.0, 10.0, (n, q)), 1)
+        srt[rng.random((n, q)) < 0.1] = 0.0
+        srt.sort(axis=1)
+        a_l, a_u = rng.uniform(0.05, 1.0, (2, n))
+        price = _WidthPricer(srt, a_l, a_u)
+        cums = [np.concatenate(([0.0], np.cumsum(row))) for row in srt]
+        a, b = rng.integers(0, q, 2)
+        spread = float(np.ptp(srt, axis=1).max())
+        for width in (0.0, abs(float(srt[-1, a] - srt[-1, b])), spread + 0.5, *rng.uniform(0.0, spread, 6)):
+            costs, starts = price(width)
+            for k, row in enumerate(srt):
+                cost, start = _inner_fixed_cost(row, cums[k], float(a_l[k]), float(a_u[k]), q, width)
+                assert (repr(float(costs[k])), repr(float(starts[k]))) == (repr(cost), repr(start)), (n, width, k)
 
 
 def _assert_plans_identical(got, want):
