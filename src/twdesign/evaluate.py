@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .instance import Network, SampleSet, _open_for_write, sample_travel_times, substream
+from .instance import Network, SampleSet, _check_sizes, _open_for_write, sample_travel_times, substream
 from .routing import Route
 from .solver import DroModel, branch_and_bound, build_model
 from .window_design import WindowPlan, arrival_matrix, penalties_from_beta
@@ -67,6 +67,7 @@ def evaluate_plan(route: Route, plan: WindowPlan, test_samples: SampleSet) -> Ev
     """Score a window plan on scenarios it was not designed against."""
     if plan.route_seq != route.seq:
         raise ValueError(f"plan was made for route {list(plan.route_seq)}, not {list(route.seq)}")
+    _check_sizes(len(route.x), len(route.customers), samples=test_samples)
     n = len(route.customers)
     lower = np.empty(n)
     upper = np.empty(n)
@@ -107,6 +108,7 @@ def simulate_waiting(route: Route, lowers: Mapping[int, float], samples: SampleS
     the forward recursion T_k = max(T_prev + travel, lower_k) with the
     depot released at time zero.
     """
+    _check_sizes(len(route.x), len(route.customers), samples=samples)
     for k in route.customers:
         if k not in lowers:
             raise ValueError(f"lower bound missing for customer {k}")

@@ -60,6 +60,19 @@ def _finite_array(value, name: str, shape: tuple) -> np.ndarray:
     return arr
 
 
+def _check_sizes(n_arcs: int, n_customers: int, samples=None, mean=None, pen=None) -> None:
+    """Refuse an input made for another network: a sample set or an arc
+    mean over another number of arcs, or a penalty config for another
+    number of customers.  The sizes are a network's, or a route's
+    (``len(route.x)`` and ``len(route.customers)``)."""
+    if samples is not None and samples.n_arcs != n_arcs:
+        raise ValueError("sample set does not match the network's arc count")
+    if mean is not None and np.size(mean) != n_arcs:
+        raise ValueError("mean does not match the network's arc count")
+    if pen is not None and pen.n_customers != n_customers:
+        raise ValueError("penalty config does not match the network's customer count")
+
+
 @dataclass(frozen=True)
 class CovGenParams:
     """Parameters for topology-driven covariance generation."""

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import Network, SampleSet, _finite_array, _is_json_int, _open_for_write, _read_json, _write_json
+from .instance import (
+    Network, SampleSet, _check_sizes, _finite_array, _is_json_int, _open_for_write, _read_json, _write_json,
+)
 from .window_design import DroPricer, PenaltyConfig, SaaPricer, _prefix_states, _visit_sum
 
 
@@ -97,6 +99,7 @@ def _route_cost(pricer, route: Route) -> float:
 def route_cost_sm(route: Route, samples: SampleSet, pen: PenaltyConfig) -> float:
     """Total optimal window cost of a route under the sample-average model
     (``_route_cost`` of ``SaaPricer``)."""
+    _check_sizes(len(route.x), len(route.customers), samples=samples, pen=pen)
     return _route_cost(SaaPricer(samples, pen), route)
 
 
@@ -108,6 +111,7 @@ def route_cost_rm(route: Route, mean, cov, alpha2: float, pen: PenaltyConfig) ->
     gamma_u) times the standard deviation of its arrival time under
     cov + alpha2 I, unless the window's lower edge is clamped at zero.
     """
+    _check_sizes(len(route.x), len(route.customers), mean=mean, pen=pen)
     return _route_cost(DroPricer(mean, cov, alpha2, pen), route)
 
 

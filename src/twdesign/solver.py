@@ -61,7 +61,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .instance import Network, SampleSet, sample_travel_times, substream
+from .instance import Network, SampleSet, _check_sizes, sample_travel_times, substream
 from .routing import Route, budget_dro, budget_saa, route_to_xy
 from .window_design import (
     SINGULAR_QUAD,
@@ -100,8 +100,7 @@ class SaaModel:
         return budget_saa(x, self.samples)
 
     def context(self, net: Network, pen: PenaltyConfig) -> SaaPricer:
-        if self.samples.n_arcs != net.n_arcs:
-            raise ValueError("sample set does not match the network's arc count")
+        _check_sizes(net.n_arcs, net.n_customers, samples=self.samples)
         return SaaPricer(self.samples, pen)
 
 
@@ -171,8 +170,7 @@ def checked_context(net: Network, model, pen: PenaltyConfig):
     """The model's pricer (``model.context`` applies the model's rules)."""
     if not hasattr(model, "context"):
         raise TypeError(f"unknown model type {type(model).__name__}")
-    if pen.n_customers != net.n_customers:
-        raise ValueError("penalty config does not match the network's customer count")
+    _check_sizes(net.n_arcs, net.n_customers, pen=pen)
     return model.context(net, pen)
 
 

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .instance import _finite_array, _is_finite_real, _is_json_int, _read_json, _write_json
+from .instance import _check_sizes, _finite_array, _is_finite_real, _is_json_int, _read_json, _write_json
 
 CMP_TOL = 1e-12
 SINGULAR_QUAD = 1e-18  # a path variance y' C y at or below this counts as zero
@@ -324,8 +324,11 @@ def load_plan(path) -> WindowPlan:
     shared_width = doc.get("shared_width")
     if shared_width is not None and not (_is_finite_real(shared_width) and shared_width >= 0):
         raise ValueError("window plan file: shared_width: expected null or a finite number >= 0")
+    kind = doc.get("kind", "unknown")
+    if not isinstance(kind, str):
+        raise ValueError(f"window plan file: kind: expected a string, got {json.dumps(kind)}")
     return WindowPlan(
-        kind=str(doc.get("kind", "unknown")),
+        kind=kind,
         route_seq=tuple(doc["route"]),
         customers=customers,
         lower=lower,
@@ -510,6 +513,7 @@ def design_stochastic(route, samples, pen: PenaltyConfig):
     for the routing master problem are built from.  Both come from one
     walk of the route and one ``_order_stat_window`` per customer.
     """
+    _check_sizes(len(route.x), len(route.customers), samples=samples, pen=pen)
     pricer = SaaPricer(samples, pen)
     rows, windows = pricer._walk(route)
     duals = {k: _saa_window(*w, *pricer.terms[k]) for k, w in zip(route.customers, windows)}
@@ -538,6 +542,7 @@ def brute_force_windows(route, samples, pen: PenaltyConfig) -> WindowPlan:
     smaller width, then the smaller lower bound.  Quadratic in Q, meant
     as an oracle for small sample sets.
     """
+    _check_sizes(len(route.x), len(route.customers), samples=samples, pen=pen)
     q = samples.q
     if q > BRUTE_FORCE_MAX_Q:
         raise ValueError(f"brute-force design limited to q <= {BRUTE_FORCE_MAX_Q}")
@@ -602,8 +607,10 @@ class _WidthPricer:
     f(l) >= f(c) and g(l) > g* + 2 err: it costs more than m, so it is not
     the list's least.  The same holds at and after the bracket's end.  The
     exact stage prices every entry in between, and perhaps a few more, so
-    it finds the list's first least cost.  Its arrays, at most one entry per
-    candidate, are buffers allocated with the pricer.
+    it finds the list's first least cost.  The pricer keeps its tables, the
+    prefix sums and the first list with its earliness (three n x (q + 1)
+    arrays), and their coarse entries; a width allocates arrays of its
+    coarse entries and its brackets alone.
     """
 
     def __init__(self, srt, a_l, a_u):
@@ -620,120 +627,71 @@ class _WidthPricer:
         self.max_abs = abs(srt[:, [0, -1]]).max(axis=1, keepdims=True)
         # entry r of customer k in the first list, and in the arrivals, is
         # entry r + k (q + 1), and r + k q, of the raveled one
-        self.rows = np.arange(n)
-        self.row_starts = self.rows[:, None] * (q + 1), self.rows[:, None] * q
+        rows = np.arange(n)[:, None]
+        self.row_starts = rows * (q + 1), rows * q
         # the first list, its ranks and its earliness; adding 0.0 turns a
         # clamped -0.0 into 0.0, so that the zeros at its head are one
         # candidate, bit for bit
         self.fixed = np.zeros((n, q + 1))
         np.maximum(srt, 0.0, out=self.fixed[:, 1:])
         self.fixed += 0.0
-        ranks = np.empty((n, q + 1), dtype=np.intp)
-        for row, needles, out in zip(srt, self.fixed, ranks):
-            out[:] = row.searchsorted(needles, "right")
+        ranks = np.array([row.searchsorted(needles, "right") for row, needles in zip(srt, self.fixed)])
         self.last_zero = ranks[:, 0].copy()
-        self.fixed_early = self.fixed * ranks
-        self.fixed_early -= self.cum.take(ranks + self.row_starts[0])
-        self.fixed_early *= self.rate_l
+        self.fixed_early = self.rate_l * (self.fixed * ranks - self.cum.take(ranks + self.row_starts[0]))
         self.coarse = (self.fixed[:, ::step].copy(), self.fixed_early[:, ::step].copy(),
                        srt[:, ::step].copy())
-        # per-width buffers, raveled, with room for every entry
-        self.offsets = np.arange(q + 1)
-        self.index_a = np.empty(n * (q + 1), dtype=np.intp)
-        self.index_b = np.empty(n * q, dtype=np.intp)
-        self.start_a, self.early_a, self.cost_a, self.arrivals_b, self.cost_b = np.empty((5, n * (q + 1)))
-        self.needles, self.gather, self.scratch = np.empty((3, n * (3 * q + 1)))
-        self.ranks, self.index = np.empty((2, n * (3 * q + 1)), dtype=np.intp)
-
-    @staticmethod
-    def _rows(buf, n, width):
-        return buf[:n * width].reshape(n, width)
 
     def _price(self, start_a, early_a, arrivals_b, width):
         """The costs of the first list's entries with starts ``start_a`` and
         earliness ``early_a``, the starts and costs of the second list's
-        entries at ``arrivals_b``, all n-row arrays, and the ranks of the
-        needles, start_a + w first; all live in the pricer's buffers."""
-        n, la = start_a.shape
+        entries at ``arrivals_b``, all n-row arrays, and the rank of each
+        row's first start_a + w."""
         lb = arrivals_b.shape[1]
-        size = la + 2 * lb
-        needles, gather, scratch = (self._rows(b, n, size) for b in (self.needles, self.gather, self.scratch))
-        ranks, index = self._rows(self.ranks, n, size), self._rows(self.index, n, size)
-        cost_a, cost_b = self._rows(self.cost_a, n, la), self._rows(self.cost_b, n, lb)
-        # the needles: each start of the first list plus w, each start of
-        # the second list, and that plus w
-        start_b = needles[:, la:la + lb]
-        np.add(start_a, width, out=needles[:, :la])
-        np.subtract(arrivals_b, width, out=start_b)
-        np.maximum(start_b, 0.0, out=start_b)
-        np.add(start_b, width, out=needles[:, la + lb:])
-        for row, x, out in zip(self.srt, needles, ranks):
-            out[:] = row.searchsorted(x, "right")
-        np.add(ranks, self.row_starts[0], out=index)
-        self.cum.take(index, out=gather, mode="clip")
+        start_b = np.maximum(arrivals_b - width, 0.0)
+        # the needles: each start of the second list, then the upper edge
+        # l + w of each entry of the first list and of the second
+        needles = np.concatenate((start_b, start_a + width, start_b + width), axis=1)
+        ranks = np.array([row.searchsorted(x, "right") for row, x in zip(self.srt, needles)])
+        sums = self.cum.take(ranks + self.row_starts[0])
         # the second list's earliness: rate_l (l m - the sum of the m
         # arrivals at or below l)
-        np.multiply(start_b, ranks[:, la:la + lb], out=cost_b)
-        np.subtract(cost_b, gather[:, la:la + lb], out=cost_b)
-        np.multiply(self.rate_l, cost_b, out=cost_b)
-        # tardiness at each needle u, of which those at l + w count: rate_u
-        # (the sum of the arrivals above u - u (q - m))
-        np.subtract(self.cum[:, -1:], gather, out=gather)
-        np.subtract(self.q, ranks, out=index)
-        np.multiply(needles, index, out=scratch)
-        np.subtract(gather, scratch, out=gather)
-        np.multiply(self.rate_u, gather, out=gather)
-        np.add(early_a, gather[:, :la], out=cost_a)
-        np.add(cost_b, gather[:, la + lb:], out=cost_b)
-        return cost_a, start_b, cost_b, ranks
+        early_b = self.rate_l * (start_b * ranks[:, :lb] - sums[:, :lb])
+        # tardiness at each upper edge u: rate_u (the sum of the arrivals
+        # above u - u (q - m))
+        up, m = needles[:, lb:], ranks[:, lb:]
+        late = self.rate_u * ((self.cum[:, -1:] - sums[:, lb:]) - up * (self.q - m))
+        la = start_a.shape[1]
+        return early_a + late[:, :la], start_b, early_b + late[:, la:], m[:, 0]
 
-    def _span(self, cost, slack, first, length):
-        """Per customer, the entries lo..end - 1 of a list that the exact
-        stage prices, from the coarse entries' ``cost``: from the one after
-        the last coarse entry before the bracket, or ``first``, the list's
-        last zero, if that comes later, to the one before the first coarse
-        entry after it.  The range is never empty."""
+    def _span(self, cost, slack, first, length, row_starts):
+        """Per customer, the raveled indices of the entries lo..end - 1 of a
+        list that the exact stage prices, the last repeated up to the
+        longest range's length, from the coarse entries' ``cost``: from the
+        one after the last coarse entry before the bracket, or ``first``,
+        the list's last zero, if that comes later, to the one before the
+        first coarse entry after it.  The range is never empty."""
         step = self.step
         near = cost <= cost.min(axis=1, keepdims=True) + slack
-        lo = near.argmax(axis=1) * step - (step - 1)
-        np.maximum(lo, first, out=lo)
-        end = (near.shape[1] - near[:, ::-1].argmax(axis=1)) * step
-        np.minimum(end, length, out=end)
-        np.maximum(end, lo + 1, out=end)
-        return lo, end
-
-    def _entries(self, buf, lo, end, row_starts):
-        """The raveled indices of entries lo..end - 1 of each row, the last
-        repeated up to the longest range's length, in ``buf``."""
-        offsets = self.offsets[:int((end - lo).max())]
-        index = self._rows(buf, len(lo), len(offsets))
-        np.add(lo[:, None], offsets, out=index)
-        np.minimum(index, (end - 1)[:, None], out=index)
-        np.add(index, row_starts, out=index)
-        return index
-
-    def _take(self, table, index, buf):
-        return table.take(index, out=self._rows(buf, *index.shape), mode="clip")
+        lo = np.maximum(near.argmax(axis=1) * step - (step - 1), first)
+        end = np.minimum((near.shape[1] - near[:, ::-1].argmax(axis=1)) * step, length)
+        end = np.maximum(end, lo + 1)
+        return np.minimum(lo[:, None] + np.arange((end - lo).max()), (end - 1)[:, None]) + row_starts
 
     def __call__(self, width: float):
         """Per customer, in visit order, the least cost and its smallest start."""
         n, q = self.srt.shape
-        start_a, early_a, arrivals_b = self.coarse
-        cost_a, start_b, cost_b, ranks = self._price(start_a, early_a, arrivals_b, width)
+        cost_a, _, cost_b, first_rank = self._price(*self.coarse, width)
         # the first needle, zero plus w, ranks after the second list's zeros
-        last_zero_b = np.maximum(ranks[:, 0] - 1, 0)
+        last_zero_b = np.maximum(first_rank - 1, 0)
         slack = self.slack * (self.max_abs + width)
-        lo_a, end_a = self._span(cost_a, slack, self.last_zero, q + 1)
-        lo_b, end_b = self._span(cost_b, slack, last_zero_b, q)
-        index = self._entries(self.index_a, lo_a, end_a, self.row_starts[0])
-        start_a = self._take(self.fixed, index, self.start_a)
-        early_a = self._take(self.fixed_early, index, self.early_a)
-        index = self._entries(self.index_b, lo_b, end_b, self.row_starts[1])
-        arrivals_b = self._take(self.srt, index, self.arrivals_b)
-        cost_a, start_b, cost_b, _ = self._price(start_a, early_a, arrivals_b, width)
+        index_a = self._span(cost_a, slack, self.last_zero, q + 1, self.row_starts[0])
+        index_b = self._span(cost_b, slack, last_zero_b, q, self.row_starts[1])
+        start_a, early_a = self.fixed.take(index_a), self.fixed_early.take(index_a)
+        cost_a, start_b, cost_b, _ = self._price(start_a, early_a, self.srt.take(index_b), width)
+        rows = np.arange(n)
         best_a, best_b = cost_a.argmin(axis=1), cost_b.argmin(axis=1)
-        cost, start = cost_a[self.rows, best_a], start_a[self.rows, best_a]
-        cost_s, start_s = cost_b[self.rows, best_b], start_b[self.rows, best_b]
+        cost, start = cost_a[rows, best_a], start_a[rows, best_a]
+        cost_s, start_s = cost_b[rows, best_b], start_b[rows, best_b]
         take = (cost_s < cost) | ((cost_s == cost) & (start_s < start))
         return np.where(take, cost_s, cost), np.where(take, start_s, start)
 
@@ -848,13 +806,14 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
     (filling it, sorting it and dropping its repeats) and the rest
     pricing some 70 widths, about 0.25 ms each (on a 2-core VM); a hit
     does only the pricing.  A miss takes one 8-byte buffer per candidate
-    plus one ``_GRID_BLOCK`` of flags; the pricer's tables and buffers,
-    about 25 n x (q + 1) arrays, add little to that.  Between calls the
+    plus one ``_GRID_BLOCK`` of flags; the pricer's tables, three
+    n x (q + 1) arrays, add little to that.  Between calls the
     cache holds that buffer, 8 (1 + n q (q - 1) / 2) bytes (about 40 MB
     at n = 10, q = 1000), and the arrivals and their sorted rows, 16 n q
     bytes, until the samples are freed or another (samples, route) is
     designed.
     """
+    _check_sizes(len(route.x), len(route.customers), samples=samples, pen=pen)
     if not np.all(pen.a_w == pen.a_w[0]):
         raise ValueError("shared-width design needs a customer-independent a_w")
     a_w = float(pen.a_w[0])
@@ -1049,4 +1008,5 @@ def design_dro(route, mean, cov, alpha2: float, pen: PenaltyConfig) -> WindowPla
     Requires 2 a_w < min(a_l, a_u) (``PenaltyConfig.dro_valid``), the
     rule ``DroPricer`` applies for every rm caller.
     """
+    _check_sizes(len(route.x), len(route.customers), mean=mean, pen=pen)
     return DroPricer(mean, cov, alpha2, pen).plan(route)

@@ -479,6 +479,8 @@ def test_eval_rejects_bad_plan_values(inst, tmp_path, capsys):
         ("per_customer", lambda d: d["per_customer"].pop()),
         ("route", lambda d: d.update(route=[0, True, 2.0, 3, 0])),
         ("route", lambda d: d.update(route=7)),
+        ("kind", lambda d: d.update(kind=None)),
+        ("kind", lambda d: d.update(kind=[1, 2])),
     ]
 
     def edited(edit):

@@ -10,10 +10,13 @@ from twdesign import (
     SampleSet,
     arrival_matrix,
     branch_and_bound,
+    brute_force_windows,
     budget_dro,
     budget_saa,
     design_dro,
+    design_fixed_width,
     design_stochastic,
+    evaluate_plan,
     load_route,
     penalties_from_beta,
     random_network,
@@ -22,6 +25,7 @@ from twdesign import (
     route_to_xy,
     sample_travel_times,
     save_route,
+    simulate_waiting,
     write_cost_csv,
 )
 from twdesign.window_design import DroPricer
@@ -248,6 +252,45 @@ def test_route_cost_rm_is_plan_cost_bitwise():
             route = route_to_xy(seq, net)
             plan = design_dro(route, net.mean, net.cov, alpha2, pen)
             assert route_cost_rm(route, net.mean, net.cov, alpha2, pen) == plan.total_cost, (seed, alpha2)
+
+
+# each route-level entry point with the inputs it takes from the network:
+# a sample set, an arc mean with its covariance, a penalty config
+_ROUTE_INPUTS = {
+    "design_stochastic": (("samples", "pen"), lambda r, s, m, c, p: design_stochastic(r, s, p)),
+    "design_fixed_width": (("samples", "pen"), lambda r, s, m, c, p: design_fixed_width(r, s, p)),
+    "brute_force_windows": (("samples", "pen"), lambda r, s, m, c, p: brute_force_windows(r, s, p)),
+    "route_cost_sm": (("samples", "pen"), lambda r, s, m, c, p: route_cost_sm(r, s, p)),
+    "route_cost_rm": (("mean", "pen"), lambda r, s, m, c, p: route_cost_rm(r, m, c, 0.0, p)),
+    "design_dro": (("mean", "pen"), lambda r, s, m, c, p: design_dro(r, m, c, 0.0, p)),
+    "evaluate_plan": (("samples",), lambda r, s, m, c, p: evaluate_plan(r, design_dro(r, m, c, 0.0, p), s)),
+    "simulate_waiting": (("samples",), lambda r, s, m, c, p: simulate_waiting(r, dict.fromkeys(r.customers, 0.0), s)),
+}
+_MISMATCH = {
+    "samples": "sample set does not match the network's arc count",
+    "mean": "mean does not match the network's arc count",
+    "pen": "penalty config does not match the network's customer count",
+}
+
+
+@pytest.mark.parametrize("entry, foreign", [(e, f) for e, (inputs, _) in _ROUTE_INPUTS.items() for f in inputs])
+def test_route_inputs_must_match_the_route(entry, foreign):
+    # a route on 12 arcs (3 customers) refuses inputs made for a network
+    # of 4 customers on 20 arcs, which it would otherwise price on the
+    # wrong arcs
+    call = _ROUTE_INPUTS[entry][1]
+    own, other = (random_network(n, seed=1, complete=True) for n in (3, 4))
+    route = route_to_xy([0, 1, 2, 3, 0], own)
+
+    def inputs(net):
+        return {"samples": sample_travel_times(net, 40, seed=2), "mean": (net.mean, net.cov),
+                "pen": penalties_from_beta(0.05, 0.05, net.n_customers)}
+
+    got = inputs(own)
+    call(route, got["samples"], *got["mean"], got["pen"])
+    got[foreign] = inputs(other)[foreign]
+    with pytest.raises(ValueError, match=f"^{_MISMATCH[foreign]}$"):
+        call(route, got["samples"], *got["mean"], got["pen"])
 
 
 def test_route_files_round_trip(tmp_path):

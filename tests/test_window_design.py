@@ -526,9 +526,7 @@ def test_fixed_width_memory_per_candidate():
 
 
 def test_width_pricing_memory():
-    # a pricer prices each width in buffers it allocated before: a width's
-    # own allocations (each customer's searched ranks and small
-    # per-customer arrays) peak under half of one n x (q + 1) float array
+    # a width allocates arrays of its coarse entries and its brackets alone
     route, train, pen = _desk_like(6, 600, 3, 0.05)
     srt = np.sort(arrival_matrix(route, train.values).T, axis=1)
     price = _WidthPricer(srt, *np.array([pen.for_customer(k)[1:] for k in route.customers]).T)
@@ -543,6 +541,24 @@ def test_width_pricing_memory():
         finally:
             tracemalloc.stop()
         assert peak <= 4 * array_bytes, width
+
+
+def test_width_pricer_keeps_only_its_tables():
+    # after a width the pricer holds its tables, three n x (q + 1) arrays
+    # (the prefix sums, the first list and its earliness), and their coarse
+    # entries; buffers sized for pricing every entry held about 25 such arrays
+    route, _, pen = _desk_like(10, 1000, 0, 0.05)
+    q = 10_000
+    draws = sample_travel_times(random_network(10, seed=0), q, substream(0, "sampling-train"))
+    srt = np.sort(arrival_matrix(route, draws.values).T, axis=1)
+    tracemalloc.start()
+    try:
+        price = _WidthPricer(srt, *np.array([pen.for_customer(k)[1:] for k in route.customers]).T)
+        price(float(srt[0, q // 2] - srt[0, q // 4]))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 5 * 8 * 10 * (q + 1)
 
 
 def test_fixed_width_cache_hit_equals_miss():
