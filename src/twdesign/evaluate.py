@@ -18,7 +18,7 @@ import numpy as np
 from .instance import Network, SampleSet, _check_sizes, _open_for_write, sample_travel_times, substream
 from .routing import Route
 from .solver import DroModel, branch_and_bound, build_model
-from .window_design import WindowPlan, arrival_matrix, penalties_from_beta
+from .window_design import WindowPlan, _outside, arrival_matrix, penalties_from_beta
 
 REPORT_COLUMNS = [
     "model",
@@ -75,8 +75,7 @@ def evaluate_plan(route: Route, plan: WindowPlan, test_samples: SampleSet) -> Ev
         lower[pos], upper[pos] = plan.window_for(k)
     arr = arrival_matrix(route, test_samples.values)
     q = test_samples.q
-    early_mask = arr < lower
-    late_mask = arr > upper
+    early_mask, late_mask = _outside(arr, lower, upper)
     early_count = early_mask.sum(axis=0)
     late_count = late_mask.sum(axis=0)
     early_gap = np.where(early_mask, lower - arr, 0.0)

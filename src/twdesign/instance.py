@@ -364,16 +364,15 @@ def random_network(
         arcs = [(i, j) for i in range(n_nodes) for j in range(n_nodes) if i != j]
     else:
         chosen = set(cycle)
-        pool = sorted(
-            (i, j)
-            for i in range(n_nodes)
-            for j in range(n_nodes)
-            if i != j and (i, j) not in chosen
-        )
+        # the pool: every ordered pair (i, j) off the diagonal and off the
+        # cycle, as the code i (n + 1) + j, ascending
+        free = ~np.eye(n_nodes, dtype=bool)
+        free[tuple(zip(*cycle))] = False
+        pool = np.flatnonzero(free)
         extra = max(0, m - len(chosen))
         if extra:
             picks = rng.choice(len(pool), size=extra, replace=False)
-            chosen.update(pool[p] for p in picks)
+            chosen.update(divmod(int(code), n_nodes) for code in pool[picks])
         arcs = sorted(chosen)
     mean = rng.uniform(10.0, 30.0, len(arcs))
     arc_pos = {arc: a for a, arc in enumerate(arcs)}

@@ -368,7 +368,7 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
     unplaced customers other than j (skipped on complete graphs, where
     every completion exists).  A child is also discarded when the cost
     placed so far plus the completion bound (``_completion_bounds``,
-    computed at most once per node from the cuts at the node's state)
+    computed once before the first child, from the cuts at the node's state)
     reaches the incumbent by more than ``COMPLETION_PRUNE_SLACK``, first
     with a bound on the child's own cost and, once priced, with its
     exact cost; before the first tour that cutoff is +inf, and only a
@@ -402,21 +402,20 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
     limit = max(net.time_budget, inc.min_budget) + BUDGET_PRUNE_SLACK
     nodes = 0
     pruned = 0
-    n_customers = net.n_customers
-    unplaced = [False] + [True] * n_customers
+    customers = range(1, net.n_customers + 1)
 
-    def visit(node: int, depth: int, seq: list[int], state, acc_cost: float, acc_linear: float):
+    def visit(node: int, left: int, seq: list[int], state, acc_cost: float, acc_linear: float):
+        # ``left``: the unplaced customers as a bitmask (bit k is customer k)
         nonlocal nodes, pruned, limit
         nodes += 1
-        if depth == n_customers:
+        if not left:
             if (node, 0) in net.arc_index:
                 inc.offer((*seq, 0), acc_cost)
                 limit = max(net.time_budget, inc.min_budget) + BUDGET_PRUNE_SLACK
             return
-        kids = [(j, arc) for j, arc in successors[node] if unplaced[j]]
-        rest = [k for k in range(1, n_customers + 1) if unplaced[k]]
+        kids = [(j, arc) for j, arc in successors[node] if left >> j & 1]
+        rest = [k for k in customers if left >> k & 1]
         if structural and len(rest) > 1:
-            left = sum(1 << k for k in rest)
             live = [
                 (j, arc)
                 for j, arc in kids
@@ -426,7 +425,7 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
             kids = live
         bounds = None
         order = range(len(kids))
-        if len(kids) > 1 and len(rest) > 1:
+        if len(rest) > 1 and kids and (len(kids) > 1 or inc.cost < np.inf):
             # best bound first (a stable sort keeps the arc order on ties):
             # the first tour is found sooner and cheaper, and a cheaper
             # incumbent found sooner tightens every later test
@@ -434,8 +433,6 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
             order = sorted(order, key=[o + t for o, t in zip(*bounds)].__getitem__)
         for c in order:
             j, arc = kids[c]
-            if bounds is None and len(rest) > 1 and inc.cost < np.inf:
-                bounds = _completion_bounds(ctx, net, state, rest, kids)
             if bounds is not None:
                 others = bounds[1][c]
                 cutoff = inc.cost + COMPLETION_PRUNE_SLACK * max(1.0, inc.cost)
@@ -449,21 +446,17 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
                 continue
             child_linear = acc_linear + linear[arc]
             lb = child_linear + sum(min_in[k] for k in rest if k != j)
-            if len(rest) > 1:
-                closing = [linear[a] for jj, a in in_arcs[0] if unplaced[jj] and jj != j]
-            else:
-                closing = [linear[a] for jj, a in in_arcs[0] if jj == j]
+            ends = left ^ 1 << j or 1 << j  # who can close the tour: the others, or j last
+            closing = [linear[a] for i, a in in_arcs[0] if ends >> i & 1]
             lb += min(closing) if closing else np.inf
             if lb == np.inf or lb > limit:
                 pruned += 1
                 continue
-            unplaced[j] = False
             seq.append(j)
-            visit(j, depth + 1, seq, child_state, child_cost, child_linear)
+            visit(j, left ^ 1 << j, seq, child_state, child_cost, child_linear)
             seq.pop()
-            unplaced[j] = True
 
-    visit(0, 0, [0], ctx.root_state(), 0.0, 0.0)
+    visit(0, sum(1 << k for k in customers), [0], ctx.root_state(), 0.0, 0.0)
     # ``visit`` refers to itself through its closure: break that cycle, so
     # the pricer and the search tables are freed now, not at some later
     # garbage collection (they raised the peak memory of repeated solves)

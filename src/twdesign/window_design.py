@@ -24,8 +24,9 @@ from __future__ import annotations
 import json
 import math
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -108,24 +109,21 @@ def penalties_from_beta(beta_l: float, beta_u: float, n_customers: int) -> Penal
 def critical_indices(q: int, a_w: float, a_l: float, a_u: float) -> tuple[int, int]:
     """Order-statistic ranks (P1, P2) of the optimal sample-based window.
 
-    P1 is the smallest rank with a_w <= (P1/q) a_l and P2 the largest
-    rank with a_w <= ((q - P2 + 1)/q) a_u; comparisons treat values
-    within 1e-12 as equal, resolving toward <=.
+    P1 is the smallest rank r in 1..q with a_w <= (r/q) a_l + 1e-12 and P2
+    the largest with a_w <= ((q - r + 1)/q) a_u + 1e-12, in exactly those
+    float expressions.  Each right-hand side grows with r (with q - r + 1),
+    so a bisection over the ranks finds each.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if a_w > a_l + CMP_TOL or a_w > a_u + CMP_TOL:
+    # NaN fails this test too; past it, r = q satisfies both inequalities
+    if not (a_w <= a_l + CMP_TOL and a_w <= a_u + CMP_TOL):
         raise ValueError("no valid quantile index: a_w must not exceed min(a_l, a_u)")
-    p1 = min(q, max(1, math.ceil(q * a_w / a_l)))
-    while p1 > 1 and a_w <= (p1 - 1) / q * a_l + CMP_TOL:
-        p1 -= 1
-    while p1 < q and a_w > p1 / q * a_l + CMP_TOL:
-        p1 += 1
-    p2 = min(q, max(1, math.floor(q + 1 - q * a_w / a_u)))
-    while p2 < q and a_w <= (q - p2) / q * a_u + CMP_TOL:
-        p2 += 1
-    while p2 > 1 and a_w > (q - p2 + 1) / q * a_u + CMP_TOL:
-        p2 -= 1
+
+    def least(a_side):  # the least r in 1..q with a_w <= (r/q) a_side + CMP_TOL
+        return 1 + bisect_left(range(1, q), True, key=lambda r: a_w <= r / q * a_side + CMP_TOL)
+
+    p1, p2 = least(a_l), q + 1 - least(a_u)  # q - P2 + 1 is the least r for a_u
     if p1 > p2:
         raise ValueError("no valid quantile index: ranks crossed")
     return p1, p2
@@ -364,12 +362,15 @@ def arrival_matrix(route, values: np.ndarray) -> np.ndarray:
     """Scenario arrival times at the route's customers, in visit order.
 
     Column p holds the partial sums of the first p+1 arc travel times,
-    i.e. the arrival of each scenario at the (p+1)-th visited customer.
+    i.e. the arrival of each scenario at the (p+1)-th visited customer,
+    added one column at a time (a cumsum along the rows gives the same
+    bits, several times slower at q = 1000).
     ``route`` is any object with the ``path_arcs`` of a ``Route``.
     """
-    values = np.asarray(values, dtype=float)
-    cols = values[:, list(route.path_arcs)]
-    return np.cumsum(cols, axis=1)
+    arrivals = np.asarray(values, dtype=float)[:, list(route.path_arcs)]
+    for p in range(1, arrivals.shape[1]):
+        arrivals[:, p] += arrivals[:, p - 1]
+    return arrivals
 
 
 def _prefix_states(pricer, route):
@@ -389,22 +390,28 @@ def _visit_sum(costs) -> float:
     return float(total)
 
 
+def _outside(arrivals: np.ndarray, lower, upper):
+    """The on-time rule over a q x n arrival matrix and its n windows: the
+    arrivals strictly before their window, and strictly after it."""
+    return arrivals < lower, arrivals > upper
+
+
 def _window_plan(kind: str, route, windows, arrivals=None, **fields) -> WindowPlan:
     """The plan of a route from one (lower, upper, cost) window per
     customer, in visit order, and the plan's other ``fields``; the total
     is summed in visit order.
 
-    ``arrivals``, one row of scenario arrival times per customer in visit
-    order, gives the plan its in-sample rates: the share of a customer's
-    scenarios strictly before its window (``early_rate``) and strictly
-    after it (``late_rate``), as ``evaluate_plan`` counts them, so an
-    arrival exactly on an edge is on time.
+    ``arrivals``, the route's q x n ``arrival_matrix``, gives the plan its
+    in-sample rates: the share of a customer's scenarios strictly before
+    its window (``early_rate``) and strictly after it (``late_rate``), by
+    the rule ``evaluate_plan`` counts with (``_outside``), so an arrival
+    exactly on an edge is on time.
     """
     lower, upper, cost = np.array(windows, dtype=float).reshape(-1, 3).T
     if arrivals is not None:
-        q = arrivals.shape[1]
-        fields["early_rate"] = np.count_nonzero(arrivals < lower[:, None], axis=1) / q
-        fields["late_rate"] = np.count_nonzero(arrivals > upper[:, None], axis=1) / q
+        early, late = _outside(arrivals, lower, upper)
+        fields["early_rate"] = np.count_nonzero(early, axis=0) / len(arrivals)
+        fields["late_rate"] = np.count_nonzero(late, axis=0) / len(arrivals)
     return WindowPlan(
         kind=kind,
         route_seq=route.seq,
@@ -432,13 +439,13 @@ class SaaPricer:
     def __init__(self, samples, pen: PenaltyConfig):
         self.values = samples.values
         self.terms = {}
-        # customers sharing a weight triple share one window cost and its
-        # duals: per triple, membership over node ids and the rho1 (rho2)
-        # duals of the p1 earliest (q - p2 + 1 latest) ranks
+        # customers sharing a weight triple share its ranks, one window
+        # cost and its duals: per triple, membership over node ids and the
+        # rho1 (rho2) duals of the p1 earliest (q - p2 + 1 latest) ranks
         self.groups: dict[tuple, tuple] = {}
+        terms_of = cache(lambda weights: (*critical_indices(samples.q, *weights), *weights))
         for k in range(1, pen.n_customers + 1):
-            weights = pen.for_customer(k)
-            terms = self.terms[k] = (*critical_indices(samples.q, *weights), *weights)
+            terms = self.terms[k] = terms_of(pen.for_customer(k))
             if terms not in self.groups:
                 self.groups[terms] = (np.zeros(pen.n_customers + 1), *_rank_duals(samples.q, *terms))
             self.groups[terms][0][k] = 1.0
@@ -463,10 +470,11 @@ class SaaPricer:
         return cost
 
     def _walk(self, route):
-        """The route's arrival states, one row per customer in visit order,
-        and each customer's ``_order_stat_window`` at its row."""
-        rows = np.array([state for _, state in _prefix_states(self, route)])
-        return rows, [_order_stat_window(row, *self.terms[k]) for k, row in zip(route.customers, rows)]
+        """The route's ``arrival_matrix`` (the arcs added in ``extend``'s
+        order, one column per customer in visit order) and each customer's
+        ``_order_stat_window`` at its column."""
+        arrivals = arrival_matrix(route, self.values)
+        return arrivals, [_order_stat_window(col, *self.terms[k]) for k, col in zip(route.customers, arrivals.T)]
 
     def plan(self, route) -> WindowPlan:
         """The route's ``saa`` plan: each customer's ``_order_stat_window``
@@ -474,8 +482,8 @@ class SaaPricer:
         (``_window_plan``).  Without ties at the window edges these are the
         rank rates (p1 - 1)/q early and (q - p2)/q late; samples tied with
         an edge are on time."""
-        rows, windows = self._walk(route)
-        return _window_plan("saa", route, [w[:3] for w in windows], rows)
+        arrivals, windows = self._walk(route)
+        return _window_plan("saa", route, [w[:3] for w in windows], arrivals)
 
     def subgradients(self, state, unplaced: np.ndarray):
         """Linear underestimates of the unplaced customers' costs beyond
@@ -515,9 +523,9 @@ def design_stochastic(route, samples, pen: PenaltyConfig):
     """
     _check_sizes(len(route.x), len(route.customers), samples=samples, pen=pen)
     pricer = SaaPricer(samples, pen)
-    rows, windows = pricer._walk(route)
+    arrivals, windows = pricer._walk(route)
     duals = {k: _saa_window(*w, *pricer.terms[k]) for k, w in zip(route.customers, windows)}
-    return _window_plan("saa", route, [w[:3] for w in windows], rows), duals
+    return _window_plan("saa", route, [w[:3] for w in windows], arrivals), duals
 
 
 def _window_cost(arrivals, lower, upper, a_w, a_l, a_u):
@@ -562,7 +570,7 @@ def brute_force_windows(route, samples, pen: PenaltyConfig) -> WindowPlan:
                 best = key
         cost, width, lo = best
         windows.append((lo, lo + width, cost))
-    return _window_plan("saa-brute", route, windows, arr.T)
+    return _window_plan("saa-brute", route, windows, arr)
 
 
 FIXED_WIDTH_MAX_CANDIDATES = 10_000_000
@@ -829,16 +837,13 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
     arr, srt, widths = _width_grids(route, samples.values)
     price = _WidthPricer(srt, *np.array([pen.for_customer(k)[1:] for k in route.customers]).T)
 
-    cache: dict[int, float] = {}
+    totals: dict[int, float] = {}
 
     def total_at(idx: int) -> float:
-        if idx not in cache:
+        if idx not in totals:
             w = float(widths[idx])
-            total = n * a_w * w
-            for val in price(w)[0].tolist():
-                total += val
-            cache[idx] = total
-        return cache[idx]
+            totals[idx] = _visit_sum([n * a_w * w, *price(w)[0].tolist()])
+        return totals[idx]
 
     lo, hi = 0, len(widths) - 1
     while hi - lo > 2:
@@ -855,7 +860,7 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
     for pos, (k, l_best) in enumerate(zip(route.customers, price(w)[1].tolist())):
         window = (l_best, l_best + w)
         windows.append((*window, _window_cost(arr[:, pos], *window, *pen.for_customer(k))))
-    return _window_plan("saa-fixed", route, windows, arr.T, shared_width=w)
+    return _window_plan("saa-fixed", route, windows, arr, shared_width=w)
 
 
 # ---------------------------------------------------------------------------

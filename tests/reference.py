@@ -110,4 +110,4 @@ def design_fixed_width_unrolled(route: Route, samples: SampleSet, pen: PenaltyCo
         l_best = inner(pos, w)[1]
         window = (l_best, l_best + w)
         windows.append((*window, _window_cost(arr[:, pos], *window, *pen.for_customer(k))))
-    return _window_plan("saa-fixed", route, windows, arr.T, shared_width=w)
+    return _window_plan("saa-fixed", route, windows, arr, shared_width=w)

@@ -61,6 +61,9 @@ def test_gen_complete_flag(tmp_path):
 def test_gen_requires_flags(tmp_path, capsys):
     assert main(["gen", "--customers", "3"]) == 1
     assert "--out is required" in capsys.readouterr().err
+    assert main(["gen", "--customers", "0", "--out", str(tmp_path / "inst.json")]) == 1
+    assert capsys.readouterr().err == "twdesign: error: --customers must be >= 1\n"
+    assert not (tmp_path / "inst.json").exists()
 
 
 def test_gen_refuses_oversized_network(tmp_path, capsys):
@@ -215,6 +218,33 @@ def test_solve_agrees_with_enumeration(inst, tmp_path):
     assert plan.total_cost == pytest.approx(ref.plan.total_cost, abs=1e-9)
     seq_doc = json.loads((out_dir / "route.json").read_text())
     assert seq_doc["seq"] == doc["seq"]
+
+
+def test_solve_explicit_weights_match_betas(inst, tmp_path):
+    # --a-w/--a-l/--a-u give the same weights as the betas they imply
+    net, inst_path = inst
+    base = ["solve", "--instance", str(inst_path), "--model", "sm", "--q-train", "100", "--no-timestamp"]
+    explicit, betas = tmp_path / "explicit", tmp_path / "betas"
+    assert main(base + ["--a-w", "0.05", "--a-l", "1", "--a-u", "1", "--out-dir", str(explicit)]) == 0
+    assert main(base + ["--beta-l", "0.05", "--beta-u", "0.05", "--out-dir", str(betas)]) == 0
+    for name in ("solve.json", "plan.json", "route.json"):
+        assert (explicit / name).read_bytes() == (betas / name).read_bytes(), name
+
+
+def test_solve_rm_refuses_a_tolerance_ratio_that_rounds_away(inst, tmp_path, capsys):
+    # a_w / a_l = 1e-320 passes every weight check, but 1 - 2 beta rounds
+    # to 1 and the window's distance from the mean would divide by zero
+    net, inst_path = inst
+    out_dir = tmp_path / "r"
+    rc = main(
+        [
+            "solve", "--instance", str(inst_path), "--model", "rm",
+            "--a-w", "1e-320", "--a-l", "1", "--a-u", "1", "--out-dir", str(out_dir),
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "twdesign: error: coefficient domain: need 0 < a_w/a_side < 1\n"
+    assert not out_dir.exists()
 
 
 def test_solve_rerun_identical(inst, tmp_path):

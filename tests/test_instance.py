@@ -63,6 +63,10 @@ def test_network_rejects_bad_arcs():
         Network(3, ((0, 1), (0, 1)), mean, cov, 10.0)
     with pytest.raises(ValueError, match=r"arcs\[0\]: endpoint outside"):
         Network(3, ((0, 5), (1, 0)), mean, cov, 10.0)
+    with pytest.raises(ValueError, match="network needs a depot and at least one customer"):
+        Network(1, (), np.zeros(0), np.zeros((0, 0)), 10.0)
+    with pytest.raises(ValueError, match="network has no arcs"):
+        Network(3, (), np.zeros(0), np.zeros((0, 0)), 10.0)
 
 
 def test_network_rejects_bad_matrices():
@@ -71,6 +75,11 @@ def test_network_rejects_bad_matrices():
         Network(2, arcs, np.ones(3), np.zeros((2, 2)), 10.0)
     with pytest.raises(ValueError, match=r"mean\[1\]: negative"):
         Network(2, arcs, np.array([1.0, -1.0]), np.zeros((2, 2)), 10.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="mean: entries must be finite"):
+            Network(2, arcs, np.array([1.0, bad]), np.zeros((2, 2)), 10.0)
+        with pytest.raises(ValueError, match="cov: entries must be finite"):
+            Network(2, arcs, np.ones(2), np.array([[1.0, 0.0], [0.0, bad]]), 10.0)
     with pytest.raises(ValueError, match="cov: expected shape"):
         Network(2, arcs, np.ones(2), np.zeros((3, 3)), 10.0)
     with pytest.raises(ValueError, match="asymmetric"):
@@ -250,6 +259,18 @@ def test_cov_params_validation():
 
 # ---------------------------------------------------------------------------
 # sampling
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: sample_travel_times(small_net(), 0, seed=0), "q must be >= 1"),
+        (lambda: random_network(0, seed=0), "n_customers must be >= 1"),
+    ],
+)
+def test_generators_refuse_empty_sizes(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
 
 
 def test_sampling_zero_covariance_is_exact():
@@ -510,6 +531,21 @@ def test_instance_load_errors_name_the_field(tmp_path):
     doc["cov"] = [[0.0, 0.0], [0.0]]
     with pytest.raises(ValueError, match=r"cov\[1\]: expected 2 entries, got 1"):
         load_instance(write_doc(tmp_path, doc))
+
+    for arcs in ([], {}, None):
+        with pytest.raises(ValueError, match="arcs: expected a non-empty list"):
+            load_instance(write_doc(tmp_path, dict(base, arcs=arcs)))
+
+    for entry in (5, [0, 1, 1.0], None):
+        doc = dict(base, arcs=[base["arcs"][0], entry])
+        with pytest.raises(ValueError, match=r"arcs\[1\]: expected an object with from/to/mean"):
+            load_instance(write_doc(tmp_path, doc))
+
+    for gen in (5, [], None):
+        doc = dict(base, cov_gen=gen)
+        del doc["cov"]
+        with pytest.raises(ValueError, match="cov_gen: expected an object"):
+            load_instance(write_doc(tmp_path, doc))
 
     doc = dict(base)
     del doc["cov"]

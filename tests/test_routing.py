@@ -300,6 +300,9 @@ def test_route_files_round_trip(tmp_path):
     path.write_text('{"seq": "nope"}')
     with pytest.raises(ValueError, match="seq"):
         load_route(path)
+    path.write_text('{"route": [0, 2, 1, 0]}')
+    with pytest.raises(ValueError, match="route file: expected an object with a 'seq' list"):
+        load_route(path)
 
 
 def test_load_route_rejects_json_booleans(tmp_path):

@@ -8,7 +8,9 @@ implementation existed.
 import dataclasses
 import gc
 import hashlib
+import json
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -75,12 +77,17 @@ def test_penalty_config_basic():
     assert pen.n_customers == 2
     assert pen.for_customer(1) == (0.3, 1.0, 0.6)
     assert not pen.dro_valid  # 2*0.3 > 0.6 fails strict
+    for k in (0, 3):
+        with pytest.raises(ValueError, match=rf"^customer {k} outside 1\.\.2$"):
+            pen.for_customer(k)
     pen2 = PenaltyConfig(np.array([0.05]), np.array([1.0]), np.array([1.0]))
     assert pen2.dro_valid
 
 
 def test_penalty_config_rejects_bad_weights():
     one = np.ones(1)
+    with pytest.raises(ValueError, match="penalty arrays must have equal length"):
+        PenaltyConfig(one, np.ones(2), one)
     with pytest.raises(ValueError, match=r"lie in \(0, 1\]"):
         PenaltyConfig(0.0 * one, one, one)
     with pytest.raises(ValueError, match=r"lie in \(0, 1\]"):
@@ -152,6 +159,43 @@ def test_critical_indices_match_rational_arithmetic():
                 assert got == (p1, p2), (q, a_w, a_l, a_u)
 
 
+def _ranks_by_definition(q, a_w, a_l, a_u):
+    """(P1, P2) by testing every rank against the inequalities that define
+    them: P1 the smallest r with a_w <= (r/q) a_l + tol, P2 the largest r
+    with a_w <= ((q - r + 1)/q) a_u + tol."""
+    tol = window_design.CMP_TOL
+    p1 = min(r for r in range(1, q + 1) if a_w <= r / q * a_l + tol)
+    p2 = max(r for r in range(1, q + 1) if a_w <= (q - r + 1) / q * a_u + tol)
+    return p1, p2
+
+
+def test_critical_indices_match_their_definition():
+    # weights on a rank boundary r/q * a_side, 1e-13 or one ulp either side
+    # of it, and at random, at weight scales from 1e-3 to 1e6
+    rng = random.Random(0)
+    tol = window_design.CMP_TOL
+    checked = 0
+    for _ in range(3000):
+        q = rng.choice((1, 2, 3, 4, 5, 7, 10, 20, 64, 100, 333, 1000))
+        scale = rng.choice((1.0, 1.0, 1e-3, 1e3, 1e6))
+        a_l, a_u = (scale * rng.choice((1.0, 0.6, rng.uniform(0.05, 1.0))) for _ in range(2))
+        edge = rng.randint(1, q) / q * rng.choice((a_l, a_u))
+        a_w = rng.choice((edge, edge - 1e-13, edge + 1e-13, math.nextafter(edge, 0), math.nextafter(edge, 2 * edge),
+                          rng.uniform(0, 1) / (1 / a_l + 1 / a_u)))
+        if not (a_w <= a_l + tol and a_w <= a_u + tol):
+            with pytest.raises(ValueError, match="a_w must not exceed min"):
+                critical_indices(q, a_w, a_l, a_u)
+            continue
+        p1, p2 = _ranks_by_definition(q, a_w, a_l, a_u)
+        if p1 > p2:
+            with pytest.raises(ValueError, match="ranks crossed"):
+                critical_indices(q, a_w, a_l, a_u)
+            continue
+        assert critical_indices(q, a_w, a_l, a_u) == (p1, p2), (q, a_w, a_l, a_u)
+        checked += 1
+    assert checked > 1500
+
+
 def test_critical_indices_rejects_bad_weights():
     with pytest.raises(ValueError, match="no valid quantile"):
         critical_indices(10, 0.9, 0.5, 1.0)
@@ -164,6 +208,12 @@ def test_critical_indices_rejects_bad_weights():
 
 # ---------------------------------------------------------------------------
 # sample-based windows
+
+
+@pytest.mark.parametrize("arrivals", [[], [[8.0, 10.0]], 8.0])
+def test_saa_window_rejects_non_vector_arrivals(arrivals):
+    with pytest.raises(ValueError, match="^arrivals must be a non-empty 1-D array$"):
+        saa_window(arrivals, 0.3, 1.0, 1.0)
 
 
 def test_saa_window_worked_example():
@@ -1032,6 +1082,40 @@ def test_plan_rejects_inverted_window():
             cost_per_customer=np.array([0.0]),
             total_cost=0.0,
         )
+
+
+def test_plan_rejects_negative_lower_bound():
+    from twdesign import WindowPlan
+
+    with pytest.raises(ValueError, match="negative lower bound"):
+        WindowPlan(kind="saa", route_seq=(0, 1, 0), customers=(1,), lower=[-1.0], upper=[4.0],
+                   cost_per_customer=[0.0], total_cost=0.0)
+
+
+# the least plan file: a route, one window per customer and the cost
+PLAN_DOC = {
+    "route": [0, 2, 1, 0],
+    "windows": [{"customer": 2, "lower": 1.0, "upper": 2.0}, {"customer": 1, "lower": 3.0, "upper": 5.0}],
+    "cost": 0.5,
+}
+
+
+@pytest.mark.parametrize("key", ["route", "windows", "cost"])
+def test_load_plan_requires_route_windows_and_cost(tmp_path, key):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({k: v for k, v in PLAN_DOC.items() if k != key}))
+    with pytest.raises(ValueError, match=f"^window plan file: missing key '{key}'$"):
+        load_plan(path)
+
+
+def test_load_plan_without_per_customer_entries(tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(PLAN_DOC))
+    plan = load_plan(path)
+    assert (plan.kind, plan.route_seq, plan.customers) == ("unknown", (0, 2, 1, 0), (2, 1))
+    assert plan.lower.tolist() == [1.0, 3.0] and plan.upper.tolist() == [2.0, 5.0]
+    assert plan.cost_per_customer.tolist() == [0.0, 0.0]
+    assert plan.total_cost == 0.5 and plan.shared_width is None
 
 
 def test_plan_rejects_non_finite_values():
