@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -472,9 +471,9 @@ class SaaPricer:
     def _walk(self, route):
         """The route's ``arrival_matrix`` (the arcs added in ``extend``'s
         order, one column per customer in visit order) and each customer's
-        ``_order_stat_window`` at its column."""
+        ``_order_stat_window`` at its column, copied contiguous."""
         arrivals = arrival_matrix(route, self.values)
-        return arrivals, [_order_stat_window(col, *self.terms[k]) for k, col in zip(route.customers, arrivals.T)]
+        return arrivals, [_order_stat_window(c, *self.terms[k]) for k, c in zip(route.customers, arrivals.T.copy())]
 
     def plan(self, route) -> WindowPlan:
         """The route's ``saa`` plan: each customer's ``_order_stat_window``
@@ -571,9 +570,6 @@ def brute_force_windows(route, samples, pen: PenaltyConfig) -> WindowPlan:
         cost, width, lo = best
         windows.append((lo, lo + width, cost))
     return _window_plan("saa-brute", route, windows, arr)
-
-
-FIXED_WIDTH_MAX_CANDIDATES = 10_000_000
 
 
 class _WidthPricer:
@@ -704,92 +700,112 @@ class _WidthPricer:
         return np.where(take, cost_s, cost), np.where(take, start_s, start)
 
 
-# the width grid drops its repeats this many entries at a time
-_GRID_BLOCK = 1 << 16
+# the search lists and sorts its bracket once it holds at most this many widths
+_LISTED = 1 << 17
 
 
-def _width_grid(srt) -> np.ndarray:
-    """Zero and every difference ``srt[k, a] - srt[k, b]``, a > b, within
-    each customer's sorted arrivals (row k of ``srt``), sorted and without
-    repeats: ``np.unique`` of all the rows' nonnegative pairwise
-    differences plus zero, bit for bit (a tie only yields 0, which entry 0
-    holds).
+class _Widths:
+    """The candidate widths of ``design_fixed_width`` as an implicit sorted
+    list: zero, then every difference u[a] - u[b], a > b, of each
+    customer's distinct sorted arrivals u.  Two pairs whose differences
+    are equal bit for bit give two entries; otherwise the list is
+    ``np.unique`` of all the nonnegative pairwise differences.
 
-    The grid is one 8-byte buffer of 1 + n q (q - 1) / 2 entries, one per
-    candidate.  Row index a of every customer fills it in one
-    subtraction; the buffer is sorted in place, repeats are then found one
-    ``_GRID_BLOCK`` at a time, and the grid is the buffer's prefix.  Up to
-    the first repeat every value is already in place, so only the blocks
-    from the one holding it on write their kept values forward.
-    """
-    n, q = srt.shape
-    buf = np.empty(1 + n * (q * (q - 1) // 2))
-    buf[0] = 0.0
-    end = 1
-    for a in range(1, q):
-        np.subtract(srt[:, a:a + 1], srt[:, :a], out=buf[end:end + n * a].reshape(n, a))
-        end += n * a
-    buf.sort()
-    keep = np.empty(min(len(buf), _GRID_BLOCK), dtype=bool)
-    kept, last = 0, np.nan  # nan differs from every value
-    for start in range(0, len(buf), _GRID_BLOCK):
-        block = buf[start:start + _GRID_BLOCK]
-        mask = keep[:len(block)]
-        mask[0] = block[0] != last
-        np.not_equal(block[1:], block[:-1], out=mask[1:])
-        last = block[-1]
-        if kept == start and mask.all():
-            kept += len(block)
-            continue
-        values = block[mask]
-        buf[kept:kept + len(values)] = values
-        kept += len(values)
-    return buf[:kept]
-
-
-class _WidthGrids:
-    """The penalty-free inputs of ``design_fixed_width`` for the last
-    (sample array, route) it designed: the arrival matrix, its sorted rows
-    and their ``_width_grid``, all read-only.  A study designs one route at
-    several penalties on the same samples, and the grid is most of a
-    call's time.
-
-    The one entry holds the sample array by weak reference, so it dies
-    with the samples; the reference's callback clears its own entry and
-    never a newer one.  A miss drops the old entry before it builds the
-    new grid, so the cache never adds a second grid to a call's peak.  A
-    read-only array can still be a view of memory written elsewhere, so a
-    hit also needs the same arrivals, bit for bit.  Concurrent callers
-    can at worst rebuild a grid or lose the entry, never read a wrong one.
+    Rounding is monotone, so row a's differences do not increase in b and
+    those at most x run from one b on: ``_cut`` finds that b in every row,
+    one ``searchsorted`` per customer, and repairs the rows where
+    fl(u[a] - u[b]) <= x disagrees.  The entries between two cuts are
+    counted exactly and can be listed.  Entry i lies between two cuts
+    placed ``margin`` entries either side of it in a strided sample
+    (``_strided``) of the list, kept, or of a wider bracket; a cut on the
+    wrong side widens the margin.  Every array holds O(n q) entries.
     """
 
-    def __init__(self):
-        self.entry = None  # (ref to sample values, path arcs, arrivals, sorted rows, grid)
+    def __init__(self, srt):
+        fresh = np.ones(srt.shape, dtype=bool)
+        fresh[:, 1:] = srt[:, 1:] != srt[:, :-1]
+        self.u = u = srt[fresh]
+        counts = fresh.sum(axis=1)
+        ends = np.cumsum(counts)
+        self.parts = np.split(u, ends[:-1])
+        # each arrival but a customer's first heads a row; ``first`` is
+        # the index in u of the row's customer's first arrival
+        starts = np.repeat(ends - counts, counts)
+        self.rows = rows = np.flatnonzero(np.arange(len(u)) > starts)
+        self.first, self.head = starts[rows], u[rows]
+        self.size = 1 + int((rows - self.first).sum())
+        self.listed = (1, np.empty(0))
+        self.spread = math.isqrt(len(rows)) + 1
+        # the golden ratio spreads the rows' sampling phases evenly
+        self.phase = rows * 0.6180339887498949 % 1.0
+        # the list's own sample, about four entries a row, is kept
+        self.stride = -(-(self.size - 1) // max(1, 4 * len(rows)))
+        self.sample = np.sort(self._strided(self.first, rows, self.stride)) if self.size - 1 > _LISTED else None
 
-    def _forget(self, ref):
-        entry = self.entry
-        if entry is not None and entry[0] is ref:
-            self.entry = None
+    def _strided(self, cut_hi, cut_lo, stride: int):
+        """The entries between two cuts, unsorted: every ``stride``-th of
+        each row from its phase, or all of them at stride 1."""
+        top = cut_lo - 1 - (self.phase * stride).astype(np.intp)
+        per_row = np.maximum(top - cut_hi + stride, 0) // stride
+        b = np.repeat(top + stride * (np.cumsum(per_row) - per_row), per_row)
+        b -= stride * np.arange(len(b))
+        values = self.u[b]
+        del b  # an entry holds two 8-byte arrays at a time, not three
+        return np.subtract(np.repeat(self.head, per_row), values, out=values)
 
-    def __call__(self, route, values: np.ndarray):
-        arr = arrival_matrix(route, values)
-        arcs = tuple(route.path_arcs)
-        entry = self.entry
-        if (entry is not None and entry[0]() is values and entry[1] == arcs
-                and np.array_equal(entry[2].view(np.int64), arr.view(np.int64))):
-            return entry[2:]
-        self.entry = entry = None
-        srt = np.sort(arr.T, axis=1)
-        widths = _width_grid(srt)
-        for a in (arr, srt, widths):
-            a.setflags(write=False)
-        self.entry = (weakref.ref(values, self._forget), arcs, arr, srt, widths)
-        return arr, srt, widths
+    def _cut(self, x: float):
+        """Per row, the first b whose difference is at most ``x`` >= 0, and
+        the number of positive candidates at most ``x``."""
+        u, head, rows, first = self.u, self.head, self.rows, self.first
+        cut = np.concatenate([part.searchsorted(part[1:] - x) for part in self.parts])
+        cut += first
+        while True:
+            down = (cut > first) & (head - u[cut - 1] <= x)
+            up = head - u[cut] > x  # false at b = a, as x >= 0
+            if not (down.any() or up.any()):
+                return cut, int((rows - cut).sum())
+            cut += up
+            cut -= down
 
+    def _between(self, lo: int, hi: int):
+        """The positive candidates between two cuts that hold those of
+        ranks ``lo``..``hi`` (from 0), unsorted, and the rank of the least."""
+        low, high = (self.rows, 0), (self.first, self.size - 1)  # (cut, count) at 0 and at infinity
+        stride, sample = self.stride, self.sample
+        while high[1] - low[1] > hi - lo + _LISTED:
+            if sample is None:  # a bracket's sample, small enough to list the next bracket
+                stride = max(-(-(high[1] - low[1]) // (4 * len(self.rows))), _LISTED // (2 * self.spread))
+                sample = np.sort(self._strided(high[0], low[0], stride))
+            margin = stride * self.spread // 2
+            while True:
+                j = min((lo - low[1] - margin) // stride, len(sample)) - 1
+                new_low = self._cut(float(sample[j])) if j >= 0 else low
+                j = -(-(hi + 1 - low[1] + margin) // stride) - 1
+                new_high = self._cut(float(sample[j])) if j < len(sample) else high
+                if new_low[1] <= lo and hi < new_high[1]:
+                    break
+                margin = 4 * margin + stride
+            if new_high[1] - new_low[1] == high[1] - low[1]:
+                break  # no narrower bracket holds the ranks: a long run of equal widths
+            low, high, sample = new_low, new_high, None
+        return low[1], self._strided(high[0], low[0], 1)
 
-# one process-wide entry: design_fixed_width keeps its signature, and the
-# entry's memory is bounded and dies with its samples
-_width_grids = _WidthGrids()
+    def narrow(self, lo: int, hi: int) -> None:
+        """Lists and sorts entries ``lo``..``hi`` the first time they are
+        at most ``_LISTED`` apart; the search's later brackets lie inside."""
+        if hi - lo < _LISTED and not len(self.listed[1]):
+            below, values = self._between(max(lo - 1, 0), hi - 1)
+            values.sort()
+            self.listed = (below + 1, values)
+
+    def __getitem__(self, i: int) -> float:
+        if i == 0:
+            return 0.0
+        first, listed = self.listed
+        if first <= i < first + len(listed):
+            return float(listed[i - first])
+        below, values = self._between(i - 1, i - 1)
+        return float(np.partition(values, i - 1 - below)[i - 1 - below])
 
 
 def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
@@ -801,52 +817,37 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
     its cost by one ``_WidthPricer``, built once per call, which prices
     every customer at a width together; the outer objective is convex
     piecewise linear in w, so an exact search over the candidate widths
-    (all nonnegative pairwise differences of each customer's arrival
-    samples, plus zero) via ternary search on the sorted grid suffices.
-    The grid is built from 1 + n q (q - 1) / 2 candidates, which may not
-    exceed ``FIXED_WIDTH_MAX_CANDIDATES``.
+    (zero and the pairwise differences of each customer's distinct
+    arrival samples, ``_Widths``) by ternary search on their sorted
+    indices suffices.
 
-    The grid depends on the arrivals alone, not on the penalties, so the
-    sorted arrivals and the grid of the last (samples, route) designed
-    are kept (``_WidthGrids``): designing the same route on the same
-    samples at other penalties builds neither again.  At n = 10 and
-    q = 1000 a miss spends about four fifths of its time building the grid
-    (filling it, sorting it and dropping its repeats) and the rest
-    pricing some 70 widths, about 0.25 ms each (on a 2-core VM); a hit
-    does only the pricing.  A miss takes one 8-byte buffer per candidate
-    plus one ``_GRID_BLOCK`` of flags; the pricer's tables, three
-    n x (q + 1) arrays, add little to that.  Between calls the
-    cache holds that buffer, 8 (1 + n q (q - 1) / 2) bytes (about 40 MB
-    at n = 10, q = 1000), and the arrivals and their sorted rows, 16 n q
-    bytes, until the samples are freed or another (samples, route) is
-    designed.
+    The candidates are never all built, so a call holds O(n q) memory
+    and nothing outlives it.  At n = 10 and q = 1000 it takes about 35 ms
+    on a 2-core VM, most of it pricing some 70 widths (about 0.23 ms
+    each) and some 40 exact counts of the candidates below a width
+    (about 0.3 ms each).
     """
     _check_sizes(len(route.x), len(route.customers), samples=samples, pen=pen)
     if not np.all(pen.a_w == pen.a_w[0]):
         raise ValueError("shared-width design needs a customer-independent a_w")
     a_w = float(pen.a_w[0])
-    q = samples.q
     n = len(route.customers)
-    if 1 + n * (q * (q - 1) // 2) > FIXED_WIDTH_MAX_CANDIDATES:
-        # the largest q_max with q_max (q_max - 1) <= 2 (cap - 1) / n
-        q_max = (1 + math.isqrt(1 + 4 * (2 * (FIXED_WIDTH_MAX_CANDIDATES - 1) // n))) // 2
-        raise ValueError(
-            f"fixed-width design of {n} customers takes at most {q_max} scenarios, "
-            f"got {q}: subsample the scenarios first"
-        )
-    arr, srt, widths = _width_grids(route, samples.values)
+    arr = arrival_matrix(route, samples.values)
+    srt = np.sort(arr.T, axis=1)
+    widths = _Widths(srt)
     price = _WidthPricer(srt, *np.array([pen.for_customer(k)[1:] for k in route.customers]).T)
 
     totals: dict[int, float] = {}
 
     def total_at(idx: int) -> float:
         if idx not in totals:
-            w = float(widths[idx])
+            w = widths[idx]
             totals[idx] = _visit_sum([n * a_w * w, *price(w)[0].tolist()])
         return totals[idx]
 
-    lo, hi = 0, len(widths) - 1
+    lo, hi = 0, widths.size - 1
     while hi - lo > 2:
+        widths.narrow(lo, hi)
         m1 = lo + (hi - lo) // 3
         m2 = hi - (hi - lo) // 3
         if total_at(m1) <= total_at(m2):
@@ -854,12 +855,10 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
         else:
             lo = m1
     best_idx = min(range(lo, hi + 1), key=lambda i: (total_at(i), widths[i]))
-    w = float(widths[best_idx])
+    w = widths[best_idx]
 
-    windows = []
-    for pos, (k, l_best) in enumerate(zip(route.customers, price(w)[1].tolist())):
-        window = (l_best, l_best + w)
-        windows.append((*window, _window_cost(arr[:, pos], *window, *pen.for_customer(k))))
+    windows = [(l_best, l_best + w, _window_cost(arr[:, pos], l_best, l_best + w, *pen.for_customer(k)))
+               for pos, (k, l_best) in enumerate(zip(route.customers, price(w)[1].tolist()))]
     return _window_plan("saa-fixed", route, windows, arr, shared_width=w)
 
 

@@ -56,20 +56,27 @@ def _inner_fixed_cost(srt, cum, a_l, a_u, q, width):
     return float(f[best]), float(cands[best])
 
 
-def _unique_differences(cols):
-    """The grid as np.unique builds it: every nonnegative pairwise
-    difference within each column, plus zero."""
-    parts = [np.zeros(1)]
-    for col in cols:
-        diffs = np.subtract.outer(col, col).ravel()
-        parts.append(diffs[diffs >= 0])
-    return np.unique(np.concatenate(parts))
+def _candidate_widths(cols):
+    """The fixed-width search's candidate widths, sorted: zero, then one
+    difference u[a] - u[b], a > b, per pair of each column's distinct
+    values u.  A difference that two pairs give is listed twice.  Filled
+    row by row into one buffer, so that large q needs no q x q matrix."""
+    distinct = [np.unique(col) for col in cols]
+    widths = np.zeros(1 + sum(len(u) * (len(u) - 1) // 2 for u in distinct))
+    end = 1
+    for u in distinct:
+        for a in range(1, len(u)):
+            widths[end:end + a] = u[a] - u[:a]
+            end += a
+    widths.sort()
+    return widths
 
 
 def design_fixed_width_unrolled(route: Route, samples: SampleSet, pen: PenaltyConfig) -> WindowPlan:
     """Reference for ``design_fixed_width``: the same ternary search over
-    the ``np.unique`` width grid, pricing each customer at a width with
-    its own ``_inner_fixed_cost`` scan and summing in visit order."""
+    the materialised ``_candidate_widths``, pricing each customer at a
+    width with its own ``_inner_fixed_cost`` scan and summing in visit
+    order."""
     a_w = float(pen.a_w[0])
     arr = arrival_matrix(route, samples.values)
     q = samples.q
@@ -78,7 +85,7 @@ def design_fixed_width_unrolled(route: Route, samples: SampleSet, pen: PenaltyCo
     for pos in range(n):
         srt = np.sort(arr[:, pos])
         per_cust.append((srt, np.concatenate(([0.0], np.cumsum(srt)))))
-    widths = _unique_differences([srt for srt, _ in per_cust])
+    widths = _candidate_widths([srt for srt, _ in per_cust])
 
     def inner(pos, w):
         _, a_l, a_u = pen.for_customer(route.customers[pos])

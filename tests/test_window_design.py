@@ -6,7 +6,6 @@ implementation existed.
 """
 
 import dataclasses
-import gc
 import hashlib
 import json
 import math
@@ -19,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import _inner_fixed_cost, _unique_differences, design_fixed_width_unrolled
+from reference import _candidate_widths, _inner_fixed_cost, design_fixed_width_unrolled
 from twdesign import (
     Network,
     PenaltyConfig,
@@ -47,7 +46,7 @@ from twdesign import (
     substream,
 )
 from twdesign import window_design
-from twdesign.window_design import _width_grid, _window_cost, _WidthPricer
+from twdesign.window_design import _window_cost, _Widths, _WidthPricer
 
 
 def line_net(n_customers, tb=1000.0):
@@ -474,29 +473,43 @@ def test_fixed_width_needs_shared_a_w():
         design_fixed_width(route, samples, pen)
 
 
-def test_fixed_width_candidate_limit():
+@pytest.mark.parametrize("spacing", ["even", "drawn"])
+def test_fixed_width_large_q_matches_unrolled_search(spacing):
+    # n = 1, q = 4,473: 10,000,129 candidate widths, more than the q^2 grid
+    # of earlier versions could hold.  Evenly spaced arrivals give many
+    # pairs the same difference, bit for bit, and each pair is a candidate
     route, net = line_route(1)
-    q = 4473  # 1 * q(q-1)/2 + 1 crosses 10^7
+    q = 4473
     values = np.zeros((q, net.n_arcs))
-    values[:, 0] = np.linspace(1.0, 2.0, q)
+    rng = np.random.default_rng(4)
+    values[:, 0] = np.linspace(1.0, 2.0, q) if spacing == "even" else rng.gamma(4.0, 10.0, q)
     samples = SampleSet(q=q, values=values)
     pen = penalties_from_beta(0.1, 0.1, 1)
-    with pytest.raises(ValueError, match="of 1 customers takes at most 4472 scenarios, got 4473: subsample the scenarios"):
-        design_fixed_width(route, samples, pen)
+    _assert_plans_identical(design_fixed_width(route, samples, pen),
+                            design_fixed_width_unrolled(route, samples, pen))
 
 
-def test_fixed_width_candidate_limit_counts_the_buffer():
-    # the grid holds zero and q(q-1)/2 differences per customer, so a cap
-    # of exactly that many entries admits the call and one less rejects it
-    route, net = line_route(2)
-    samples = sample_travel_times(net, 5, seed=0)
-    pen = penalties_from_beta(0.1, 0.1, 2)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(window_design, "FIXED_WIDTH_MAX_CANDIDATES", 2 * 5 * 4 // 2 + 1)
-        design_fixed_width(route, samples, pen)
-        mp.setattr(window_design, "FIXED_WIDTH_MAX_CANDIDATES", 2 * 5 * 4 // 2)
-        with pytest.raises(ValueError, match="of 2 customers takes at most 4 scenarios, got 5: subsample the scenarios"):
-            design_fixed_width(route, samples, pen)
+def test_fixed_width_integer_arrivals_match_unrolled_search():
+    # integer arrivals: most differences are given by many pairs
+    route, net = line_route(3)
+    rng = np.random.default_rng(11)
+    values = np.zeros((60, net.n_arcs))
+    values[:, :3] = rng.integers(0, 12, (60, 3))
+    samples = SampleSet(q=60, values=values)
+    arr = arrival_matrix(route, values)
+    assert len(_candidate_widths(arr.T)) > 2 * len(np.unique(_candidate_widths(arr.T)))
+    for beta in (0.05, 0.2):
+        pen = penalties_from_beta(beta, beta, 3)
+        _assert_plans_identical(design_fixed_width(route, samples, pen),
+                                design_fixed_width_unrolled(route, samples, pen))
+
+
+def test_fixed_width_ten_customers_at_q_5000():
+    # n = 10, q = 5,000: 124,975,001 candidate widths
+    route, train, pen = _desk_like(10, 5000, 0, 0.05)
+    plan = design_fixed_width(route, train, pen)
+    assert plan.total_cost >= design_stochastic(route, train, pen)[0].total_cost
+    _assert_costs_price_the_stored_windows(plan, route, train, pen)
 
 
 # zero stands for a clamped arrival; a small pool of values makes ties
@@ -512,25 +525,65 @@ def _arrival_rows(draw):
     return np.array(rows + [rows[i] for i in repeats])
 
 
+@st.composite
+def _ulp_clusters(draw):
+    """Scenario rows of 1-2 customers' arrivals a few ulps apart."""
+    base = draw(st.floats(1.0, 1e4))
+    n = draw(st.integers(1, 2))
+    steps = draw(st.lists(st.lists(st.integers(0, 12), min_size=n, max_size=n), min_size=1, max_size=30))
+    return base + np.array(steps) * np.spacing(base)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(rows=_arrival_rows(), block=st.integers(1, 9))
-@example(rows=np.array([[3.0, 0.0]]), block=1)  # q = 1: the grid is the zero width alone
-@example(rows=np.array([[0.0], [0.0], [2.0], [2.0], [5.0]]), block=2)
-@example(rows=np.array([[0.0], [1.0], [3.0], [4.0]]), block=2)  # grid 0 1 | 1 2 | 3 3 | 4: first repeat in block 2
-def test_width_grid_is_unique_of_differences(rows, block):
-    cols = [np.sort(rows[:, pos]) for pos in range(rows.shape[1])]
+@given(rows=st.one_of(_arrival_rows(), _ulp_clusters()), span=st.tuples(st.floats(0, 1), st.floats(0, 1)))
+@example(rows=np.array([[3.0, 0.0]]), span=(0.0, 1.0))  # q = 1: zero alone
+@example(rows=np.array([[0.0], [0.0], [2.0], [2.0], [5.0]]), span=(0.0, 1.0))
+@example(rows=np.array([[-0.0], [0.0], [1.0]]), span=(0.0, 1.0))
+@example(rows=np.array([[0.0], [1.0], [3.0], [4.0]]), span=(0.2, 0.8))  # 1 1 2 3 3 4
+# at x = fl(0.7 - 0.15) = 0.5499999999999999 the guess for row 0.7 searches
+# fl(0.7 - x) = 0.15000000000000002 and leaves out 0.15, whose difference is x
+@example(rows=np.array([[0.1], [0.15], [0.3], [0.7], [1.1]]), span=(0.0, 1.0))
+def test_widths_are_the_sorted_candidates(rows, span):
+    srt = np.sort(rows.T, axis=1)
+    values = _candidate_widths(srt)
+    want = [repr(float(w)) for w in values]
+    # the count of positive widths at most x >= 0 is exact at widths and
+    # one ulp either side
+    widths = _Widths(srt)
+    for v in values[::max(1, len(values) // 20)]:
+        for x in (max(np.nextafter(v, -np.inf), 0.0), v, np.nextafter(v, np.inf)):
+            assert widths._cut(float(x))[1] == np.count_nonzero(values[1:] <= x), x
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(window_design, "_GRID_BLOCK", block)
-        grid = _width_grid(np.array(cols))
-    assert np.array_equal(grid, _unique_differences(cols))
+        # every entry is selected through samples of the list, down to
+        # brackets of one entry
+        mp.setattr(window_design, "_LISTED", 0)
+        widths = _Widths(srt)
+        assert [repr(widths[i]) for i in range(widths.size)] == want
+        # a listed bracket, which holds a positive width, holds the same entries
+        lo, hi = sorted(round(f * (len(want) - 1)) for f in span)
+        if hi:
+            mp.setattr(window_design, "_LISTED", hi - lo + 1)
+            widths.narrow(lo, hi)
+            first, listed = widths.listed
+            assert first <= max(lo, 1) and hi < first + len(listed)
+            assert [repr(widths[i]) for i in range(lo, hi + 1)] == want[lo:hi + 1]
 
 
-def test_width_grid_spans_blocks():
-    # 2 * 400 * 399 / 2 + 1 = 159,601 entries: three default blocks, with ties
+def test_widths_select_through_strided_samples():
+    # 3 customers, q = 600: the list's sample takes every 3rd difference,
+    # and a bracket wider than 1,000 entries is sampled again.  Rounded
+    # arrivals tie, and a tenth are zero
     rng = np.random.default_rng(5)
-    cols = [np.sort(np.round(rng.gamma(4.0, 10.0, 400), 1)) for _ in range(2)]
-    assert 2 * 400 * 399 // 2 + 1 > 2 * window_design._GRID_BLOCK
-    assert np.array_equal(_width_grid(np.array(cols)), _unique_differences(cols))
+    srt = np.round(rng.gamma(4.0, 10.0, (3, 600)), 2)
+    srt[rng.random(srt.shape) < 0.1] = 0.0
+    srt.sort(axis=1)
+    want = _candidate_widths(srt)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(window_design, "_LISTED", 1000)
+        widths = _Widths(srt)
+        assert widths.stride > 1 and widths.size == len(want)
+        for i in (0, 1, 2, *rng.integers(0, len(want), 200), len(want) - 2, len(want) - 1):
+            assert repr(widths[int(i)]) == repr(float(want[i])), i
 
 
 def _desk_like(n, q, instance, beta):
@@ -540,39 +593,18 @@ def _desk_like(n, q, instance, beta):
     return branch_and_bound(net, SaaModel(train), pen).route, train, pen
 
 
-def _grid_entry_for(samples):
-    """The fixed-width grid cache's entry if it holds ``samples``, else None."""
-    entry = window_design._width_grids.entry
-    return entry if entry is not None and entry[0]() is samples.values else None
-
-
-def test_fixed_width_memory_per_candidate():
-    # the grid is one 8-byte buffer per candidate plus one block; building
-    # it from q x q difference matrices took about 36 bytes per candidate.
-    # Both calls miss, and the second drops the first one's cached grid
-    # before it builds its own
+def test_fixed_width_memory_is_linear_in_the_arrivals():
+    # n = 6, q = 600: 1,078,201 candidate widths, whose q^2 grid alone
+    # traced 8.6 MB.  A call holds arrays of n q entries, a sample of about
+    # 32 sqrt(n q^2 / 2), and one listed bracket of at most 2^17 plus margins
     route, train, pen = _desk_like(6, 600, 3, 0.05)
-    copy = SampleSet(q=train.q, values=train.values.copy())
-    candidates = 6 * 600 * 599 // 2 + 1
-    assert _grid_entry_for(train) is None
     tracemalloc.start()
     try:
         design_fixed_width(route, train, pen)
-        design_fixed_width(route, copy, pen)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / candidates <= 16.0
-    # on a hit the grid step of the call allocates next to nothing
-    entry = _grid_entry_for(copy)
-    tracemalloc.start()
-    try:
-        hit = window_design._width_grids(route, copy.values)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert all(a is b for a, b in zip(hit, entry[2:]))
-    assert peak < 0.01 * 8 * candidates
+    assert peak <= 100 * 8 * 6 * 600
 
 
 def test_width_pricing_memory():
@@ -609,73 +641,6 @@ def test_width_pricer_keeps_only_its_tables():
     finally:
         tracemalloc.stop()
     assert held < 5 * 8 * 10 * (q + 1)
-
-
-def test_fixed_width_cache_hit_equals_miss():
-    # the second beta on the same samples and route reuses the grid; each
-    # design on a fresh draw of the same samples builds it again
-    route, train, _ = _desk_like(10, 1000, 0, 0.05)
-    pens = [penalties_from_beta(beta, beta, 10) for beta in (0.05, 0.025)]
-    assert _grid_entry_for(train) is None
-    got = [design_fixed_width(route, train, pens[0])]
-    entry = _grid_entry_for(train)
-    assert not any(a.flags.writeable for a in entry[2:])
-    got.append(design_fixed_width(route, train, pens[1]))
-    assert _grid_entry_for(train) is entry
-    net = random_network(10, seed=0)
-    for plan, pen in zip(got, pens):
-        fresh = sample_travel_times(net, 1000, substream(0, "sampling-train"))
-        _assert_plans_identical(plan, design_fixed_width(route, fresh, pen))
-        assert _grid_entry_for(fresh) is not None
-
-
-def test_fixed_width_cache_misses_on_another_route():
-    net = random_network(4, seed=1, complete=True)
-    samples = sample_travel_times(net, 120, seed=4)
-    pen = penalties_from_beta(0.05, 0.05, 4)
-    first = route_to_xy([0, 1, 2, 3, 4, 0], net)
-    other = route_to_xy([0, 4, 3, 2, 1, 0], net)
-    design_fixed_width(first, samples, pen)
-    entry = _grid_entry_for(samples)
-    got = design_fixed_width(other, samples, pen)
-    assert _grid_entry_for(samples) is not entry
-    assert _grid_entry_for(samples)[1] == other.path_arcs
-    _assert_plans_identical(got, design_fixed_width_unrolled(other, samples, pen))
-
-
-def test_fixed_width_cache_sees_writes_through_another_view():
-    # read-only sample values can be a view of memory written elsewhere
-    net = random_network(3, seed=2, complete=True)
-    route = route_to_xy([0, 1, 2, 3, 0], net)
-    pen = penalties_from_beta(0.05, 0.05, 3)
-    base = sample_travel_times(net, 80, seed=1).values.copy()
-    view = base.view()
-    view.setflags(write=False)
-    samples = SampleSet(q=80, values=view)
-    design_fixed_width(route, samples, pen)
-    base *= 1.5
-    _assert_plans_identical(design_fixed_width(route, samples, pen),
-                            design_fixed_width_unrolled(route, samples, pen))
-
-
-def test_fixed_width_cache_dies_with_its_samples():
-    net = random_network(3, seed=2, complete=True)
-    route = route_to_xy([0, 1, 2, 3, 0], net)
-    pen = penalties_from_beta(0.05, 0.05, 3)
-    older = sample_travel_times(net, 80, seed=1)
-    design_fixed_width(route, older, pen)
-    # keeping the older entry keeps its weak reference, whose callback then
-    # fires after a newer entry has replaced it
-    older_entry = _grid_entry_for(older)
-    newer = sample_travel_times(net, 80, seed=2)
-    design_fixed_width(route, newer, pen)
-    del older
-    gc.collect()
-    assert older_entry[0]() is None
-    assert _grid_entry_for(newer) is not None
-    del newer
-    gc.collect()
-    assert window_design._width_grids.entry is None
 
 
 def _array_digests(plan):
