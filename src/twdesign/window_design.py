@@ -850,12 +850,14 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
         widths.narrow(lo, hi)
         m1 = lo + (hi - lo) // 3
         m2 = hi - (hi - lo) // 3
-        if total_at(m1) <= total_at(m2):
-            hi = m2
+        tie = total_at(m1) == total_at(m2) and widths[m1] == widths[m2]
+        if tie:  # both probes in one run of a width say nothing: compare m1 with the first width past it
+            m2 = 1 + widths._cut(widths[m2])[1]
+        if m2 > hi or total_at(m1) <= total_at(m2):
+            hi = m1 if tie else m2
         else:
             lo = m1
-    best_idx = min(range(lo, hi + 1), key=lambda i: (total_at(i), widths[i]))
-    w = widths[best_idx]
+    w = widths[min(range(lo, hi + 1), key=lambda i: (total_at(i), widths[i]))]
 
     windows = [(l_best, l_best + w, _window_cost(arr[:, pos], l_best, l_best + w, *pen.for_customer(k)))
                for pos, (k, l_best) in enumerate(zip(route.customers, price(w)[1].tolist()))]

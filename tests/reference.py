@@ -72,9 +72,18 @@ def _candidate_widths(cols):
     return widths
 
 
+def _unique_differences(cols):
+    """The width grid as ``np.unique`` builds it: zero and every
+    nonnegative pairwise difference within each column, each value once.
+    Taken from the sorted ``_candidate_widths``, so that large q needs no
+    q x q matrix."""
+    widths = _candidate_widths(cols)
+    return widths[np.concatenate(([True], widths[1:] != widths[:-1]))]
+
+
 def design_fixed_width_unrolled(route: Route, samples: SampleSet, pen: PenaltyConfig) -> WindowPlan:
-    """Reference for ``design_fixed_width``: the same ternary search over
-    the materialised ``_candidate_widths``, pricing each customer at a
+    """Reference for ``design_fixed_width``: a plain ternary search over
+    the materialised ``_unique_differences``, pricing each customer at a
     width with its own ``_inner_fixed_cost`` scan and summing in visit
     order."""
     a_w = float(pen.a_w[0])
@@ -85,7 +94,7 @@ def design_fixed_width_unrolled(route: Route, samples: SampleSet, pen: PenaltyCo
     for pos in range(n):
         srt = np.sort(arr[:, pos])
         per_cust.append((srt, np.concatenate(([0.0], np.cumsum(srt)))))
-    widths = _candidate_widths([srt for srt, _ in per_cust])
+    widths = _unique_differences([srt for srt, _ in per_cust])
 
     def inner(pos, w):
         _, a_l, a_u = pen.for_customer(route.customers[pos])

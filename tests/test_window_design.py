@@ -504,6 +504,52 @@ def test_fixed_width_integer_arrivals_match_unrolled_search():
                                 design_fixed_width_unrolled(route, samples, pen))
 
 
+def test_fixed_width_steps_over_runs_of_equal_widths():
+    # arrivals {0, 1, 2} and {1, 1, 2}: the candidates are 0, 1, 1, 1, 2.
+    # Two probes inside the run of 1s tie, and a search that read the tie
+    # as a bracket kept the width 1 at cost 0.433 instead of 2 at cost 0.2
+    route, net = line_route(2)
+    values = np.zeros((3, net.n_arcs))
+    values[:, 0] = [0.0, 1.0, 2.0]
+    values[:, 1] = [1.0, 0.0, 0.0]
+    samples = SampleSet(q=3, values=values)
+    pen = penalties_from_beta(0.05, 0.05, 2)
+    assert _candidate_widths(arrival_matrix(route, values).T).tolist() == [0.0, 1.0, 1.0, 1.0, 2.0]
+    plan = design_fixed_width(route, samples, pen)
+    assert plan.shared_width == 2.0 and plan.total_cost == pytest.approx(0.2, abs=1e-12)
+    _assert_plans_identical(plan, design_fixed_width_unrolled(route, samples, pen))
+
+
+@st.composite
+def _tied_steps(draw):
+    """Travel times of 1-4 customers on a grid of halves, so that the
+    arrivals tie and most candidate widths come in runs."""
+    n = draw(st.integers(1, 4))
+    top = draw(st.integers(1, 12))
+    steps = draw(st.lists(st.lists(st.integers(0, top), min_size=n, max_size=n), min_size=1, max_size=30))
+    return 0.5 * np.array(steps, dtype=float)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(steps=_tied_steps(), beta=st.sampled_from([0.05, 0.1, 0.2, 0.3]))
+def test_fixed_width_on_tied_arrivals_matches_unrolled_search(steps, beta):
+    # the reference searches the np.unique grid, one index per width.  Where
+    # the total is flat over several widths the two searches may stop at
+    # different ones, so only the totals must agree there
+    q, n = steps.shape
+    route, net = line_route(n)
+    values = np.zeros((q, net.n_arcs))
+    values[:, :n] = steps
+    samples = SampleSet(q=q, values=values)
+    pen = penalties_from_beta(beta, beta, n)
+    plan = design_fixed_width(route, samples, pen)
+    want = design_fixed_width_unrolled(route, samples, pen)
+    assert plan.total_cost == pytest.approx(want.total_cost, rel=1e-12, abs=1e-12)
+    _assert_costs_price_the_stored_windows(plan, route, samples, pen)
+    if plan.shared_width == want.shared_width:
+        _assert_plans_identical(plan, want)
+
+
 def test_fixed_width_ten_customers_at_q_5000():
     # n = 10, q = 5,000: 124,975,001 candidate widths
     route, train, pen = _desk_like(10, 5000, 0, 0.05)
