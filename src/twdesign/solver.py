@@ -248,27 +248,28 @@ def enumerate_exact(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     inc = _Incumbent(net, model, ctx)
     if net.n_customers > ENUMERATE_MAX_CUSTOMERS:
         raise ValueError(f"enumeration limited to {ENUMERATE_MAX_CUSTOMERS} customers")
-    tours_priced = 0
-    seq = [0]
-
-    def walk(node: int, state, acc_cost: float):
-        nonlocal tours_priced
-        if len(seq) == net.node_count:
-            if (node, 0) in net.arc_index:
-                tours_priced += 1
-                inc.offer((*seq, 0), acc_cost)
-            return
-        for j, arc in net.out_arcs[node]:
-            if j not in seq:
-                child = ctx.extend(state, arc)
-                seq.append(j)
-                walk(j, child, acc_cost + ctx.place_cost(child, j))
-                seq.pop()
-
-    walk(0, ctx.root_state(), 0.0)
+    tours_priced = _walk(net, ctx, inc, (0,), ctx.root_state(), 0.0)
     if inc.seq is None:
         raise inc.infeasible()
     return inc.result(tours_priced, 0, start)
+
+
+def _walk(net: Network, ctx, inc: _Incumbent, seq: tuple[int, ...], state, acc_cost: float) -> int:
+    """Offer ``inc`` every tour that extends the open path ``seq`` (its last
+    node at arrival state ``state``) and return the tours priced.  Not a
+    closure, so no reference cycle keeps the pricer alive after the walk."""
+    node = seq[-1]
+    if len(seq) == net.node_count:
+        if (node, 0) not in net.arc_index:
+            return 0
+        inc.offer((*seq, 0), acc_cost)
+        return 1
+    priced = 0
+    for j, arc in net.out_arcs[node]:
+        if j not in seq:
+            child = ctx.extend(state, arc)
+            priced += _walk(net, ctx, inc, (*seq, j), child, acc_cost + ctx.place_cost(child, j))
+    return priced
 
 
 def _completion_bounds(ctx, net: Network, state, rest: list[int], kids) -> tuple[list, list]:
@@ -354,36 +355,42 @@ def _spans(seed: int, adj: list[int], within: int) -> bool:
 
 
 def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
-    """Depth-first search over partial visit sequences from the depot.
+    """Depth-first search over partial visit sequences from the depot;
+    offers every complete tour it reaches to the incumbent ``inc`` and
+    returns the nodes visited and the children pruned.
+
+    The open path is a list of frames, one per node on it: the node, its
+    unplaced customers (a bitmask, bit k is customer k), arrival state,
+    placed cost and linear sum, and from the node's entry on the unplaced
+    customers as a list, the children, their bounds and a cursor over
+    their order.  One loop enters the last frame's node once, then tries
+    its children until one survives the prunes and is pushed, and pops
+    the frame when none is left.  A tour's visit sequence is read off the
+    frames; the search's depth uses no Python stack.
 
     Children are listed cheapest linear arc first (ties by node id).  A
     node with two children or more and two unplaced customers or more
     computes its completion bounds before its first child, incumbent or
     not, and tries the children in ascending own + others bound, a
-    stable sort, so ties keep the arc order.  A node with one child has
-    nothing to order: it computes the bound only once an incumbent
-    exists, for the prune.  A child j is discarded when the arcs leave
-    no completion through it: some other unplaced customer cannot be
-    reached from j, or cannot reach the depot, along arcs between the
-    unplaced customers other than j (skipped on complete graphs, where
-    every completion exists).  A child is also discarded when the cost
-    placed so far plus the completion bound (``_completion_bounds``,
-    computed once before the first child, from the cuts at the node's state)
-    reaches the incumbent by more than ``COMPLETION_PRUNE_SLACK``, first
-    with a bound on the child's own cost and, once priced, with its
+    stable sort, so ties keep the arc order.  A node with one child
+    computes the bound only once an incumbent exists, for the prune.  A
+    child j is discarded when the arcs leave no completion through it:
+    some other unplaced customer cannot be reached from j, or cannot
+    reach the depot, along arcs between the unplaced customers other
+    than j (skipped on complete graphs, where every completion exists).
+    A child is also discarded when the cost placed so far plus the
+    completion bound (``_completion_bounds``, from the cuts at the node's
+    state) reaches the incumbent by more than ``COMPLETION_PRUNE_SLACK``,
+    first with a bound on the child's own cost and, once priced, with its
     exact cost; before the first tour that cutoff is +inf, and only a
     child whose bound is +inf (an unplaced customer with no arc into it
     from the unplaced ones) is discarded.  A child is also discarded
     when its exact cost alone reaches the incumbent, or when its budget
     bound is infinite (no way home, or no arc into an unplaced customer)
-    or exceeds the limit.  A child is priced just before it is entered,
-    so its own bound reads the ranks of that pricing (``SaaPricer``).
-    Offers every complete tour it reaches to the incumbent ``inc`` and
-    returns the nodes visited and the children pruned.  The budget limit
-    is max(time budget, cheapest tour budget offered so far) +
-    ``BUDGET_PRUNE_SLACK``, refreshed after each offer: until a tour
-    fits, the search chases the cheapest budget, and once one fits the
-    limit is the time budget.
+    or exceeds the limit, max(time budget, cheapest tour budget offered
+    so far) + ``BUDGET_PRUNE_SLACK``, refreshed after each offer.  A
+    child is priced just before it is entered, so its own bound reads the
+    ranks of that pricing (``SaaPricer``).
     """
     ctx = inc.ctx
     linear = ctx.linear.tolist()
@@ -403,35 +410,33 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
     nodes = 0
     pruned = 0
     customers = range(1, net.n_customers + 1)
-
-    def visit(node: int, left: int, seq: list[int], state, acc_cost: float, acc_linear: float):
-        # ``left``: the unplaced customers as a bitmask (bit k is customer k)
-        nonlocal nodes, pruned, limit
-        nodes += 1
-        if not left:
-            if (node, 0) in net.arc_index:
-                inc.offer((*seq, 0), acc_cost)
+    stack = [(0, sum(1 << k for k in customers), ctx.root_state(), 0.0, 0.0, None, None, None, None)]
+    while stack:
+        node, left, state, acc_cost, acc_linear, rest, kids, bounds, untried = stack[-1]
+        if untried is None:
+            nodes += 1
+            if not left:  # the budget bound let it in, so its arc home exists
+                inc.offer((*(frame[0] for frame in stack), 0), acc_cost)
                 limit = max(net.time_budget, inc.min_budget) + BUDGET_PRUNE_SLACK
-            return
-        kids = [(j, arc) for j, arc in successors[node] if left >> j & 1]
-        rest = [k for k in customers if left >> k & 1]
-        if structural and len(rest) > 1:
-            live = [
-                (j, arc)
-                for j, arc in kids
-                if _spans(succ[j], succ, left ^ 1 << j) and _spans(pred[0], pred, left ^ 1 << j)
-            ]
-            pruned += len(kids) - len(live)
-            kids = live
-        bounds = None
-        order = range(len(kids))
-        if len(rest) > 1 and kids and (len(kids) > 1 or inc.cost < np.inf):
-            # best bound first (a stable sort keeps the arc order on ties):
-            # the first tour is found sooner and cheaper, and a cheaper
-            # incumbent found sooner tightens every later test
-            bounds = _completion_bounds(ctx, net, state, rest, kids)
-            order = sorted(order, key=[o + t for o, t in zip(*bounds)].__getitem__)
-        for c in order:
+                stack.pop()
+                continue
+            kids = [(j, arc) for j, arc in successors[node] if left >> j & 1]
+            rest = [k for k in customers if left >> k & 1]
+            if structural and len(rest) > 1:
+                live = [
+                    (j, arc)
+                    for j, arc in kids
+                    if _spans(succ[j], succ, left ^ 1 << j) and _spans(pred[0], pred, left ^ 1 << j)
+                ]
+                pruned += len(kids) - len(live)
+                kids = live
+            order = range(len(kids))
+            if len(rest) > 1 and kids and (len(kids) > 1 or inc.cost < np.inf):
+                bounds = _completion_bounds(ctx, net, state, rest, kids)
+                order = sorted(order, key=[o + t for o, t in zip(*bounds)].__getitem__)
+            untried = iter(order)
+            stack[-1] = (node, left, state, acc_cost, acc_linear, rest, kids, bounds, untried)
+        for c in untried:
             j, arc = kids[c]
             if bounds is not None:
                 others = bounds[1][c]
@@ -452,15 +457,10 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
             if lb == np.inf or lb > limit:
                 pruned += 1
                 continue
-            seq.append(j)
-            visit(j, left ^ 1 << j, seq, child_state, child_cost, child_linear)
-            seq.pop()
-
-    visit(0, sum(1 << k for k in customers), [0], ctx.root_state(), 0.0, 0.0)
-    # ``visit`` refers to itself through its closure: break that cycle, so
-    # the pricer and the search tables are freed now, not at some later
-    # garbage collection (they raised the peak memory of repeated solves)
-    del visit
+            stack.append((j, left ^ 1 << j, child_state, child_cost, child_linear, None, None, None, None))
+            break
+        else:
+            stack.pop()
     return nodes, pruned
 
 

@@ -1,7 +1,9 @@
 """Tests for the exact solvers and the optimality cuts."""
 
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -328,6 +330,79 @@ def test_complete_graphs_skip_the_structural_prune(monkeypatch):
     sparse = random_network(7, seed=0)
     branch_and_bound(sparse, build_model("rm", sparse, 0, 200), pen)
     assert calls, "the counter does not see the structural test"
+
+
+def test_sparse_search_counts_are_pinned():
+    # the counts pin the search on sparse arcs, where the structural prune
+    # runs, at each instance's budget and at the cheapest tour budget that
+    # budget 5.0 quotes, where instances 1 and 2 also prune by the budget
+    # limit; recorded on the recursive search that the frame stack replaced
+    pinned = {
+        (0, "sm", "own"): ((0, 10, 1, 3, 11, 7, 5, 2, 12, 6, 9, 8, 4, 0), 20, 13),
+        (0, "sm", "tight"): ((0, 10, 1, 3, 11, 7, 5, 2, 12, 6, 9, 8, 4, 0), 20, 13),
+        (0, "rm", "own"): ((0, 10, 1, 3, 11, 7, 5, 2, 12, 6, 9, 8, 4, 0), 20, 13),
+        (0, "rm", "tight"): ((0, 10, 1, 3, 11, 7, 5, 2, 12, 6, 9, 8, 4, 0), 20, 13),
+        (1, "sm", "own"): ((0, 5, 4, 10, 3, 11, 8, 1, 2, 9, 12, 6, 7, 0), 93, 75),
+        (1, "sm", "tight"): ((0, 5, 4, 10, 3, 11, 2, 9, 12, 6, 7, 8, 1, 0), 121, 91),
+        (1, "rm", "own"): ((0, 5, 4, 10, 3, 11, 8, 1, 2, 9, 12, 6, 7, 0), 95, 76),
+        (1, "rm", "tight"): ((0, 5, 4, 10, 3, 11, 2, 9, 12, 6, 7, 8, 1, 0), 134, 92),
+        (2, "sm", "own"): ((0, 9, 11, 8, 3, 6, 12, 4, 7, 10, 5, 1, 2, 0), 27, 15),
+        (2, "sm", "tight"): ((0, 9, 11, 8, 1, 7, 10, 5, 4, 3, 6, 12, 2, 0), 17, 10),
+        (2, "rm", "own"): ((0, 9, 11, 8, 3, 6, 12, 4, 7, 10, 5, 1, 2, 0), 22, 13),
+        (2, "rm", "tight"): ((0, 9, 11, 8, 1, 7, 10, 5, 4, 3, 6, 12, 2, 0), 28, 15),
+    }
+    pen = penalties_from_beta(0.05, 0.05, 12)
+    for seed in range(3):
+        net = random_network(12, seed=seed)
+
+        def at(budget):
+            return Network(net.node_count, net.arcs, net.mean, net.cov, budget)
+
+        for model in (build_model("sm", net, seed, 200), DroModel(0.5, 0.2)):
+            with pytest.raises(InfeasibleError) as shut:
+                branch_and_bound(at(5.0), model, pen)
+            for label, budget in (("own", net.time_budget), ("tight", shut.value.min_budget)):
+                res = branch_and_bound(at(budget), model, pen)
+                assert (res.route.seq, res.nodes, res.pruned) == pinned[seed, model.name, label], (seed, label)
+
+
+def test_search_depth_uses_no_python_stack():
+    # a valid network whose only tour runs through 1,000 customers (the
+    # arc cap is 2,000): a Python frame per customer placed would pass the
+    # default recursion limit; the arc (0, 2) strands customer 1
+    n = 1000
+    arcs = [(i, (i + 1) % (n + 1)) for i in range(n + 1)] + [(0, 2)]
+    mean = np.full(len(arcs), 10.0)
+    net = Network(n + 1, arcs, mean, np.diag((0.2 * mean) ** 2), 1e9)
+    res = branch_and_bound(net, DroModel(), penalties_from_beta(0.05, 0.05, n))
+    assert res.route.seq == (*range(n + 1), 0)
+    assert (res.nodes, res.pruned) == (n + 1, 1)
+
+
+def test_searches_free_their_pricer_on_return(monkeypatch):
+    # neither search leaves a reference cycle that holds its pricer: with
+    # the garbage collector off, the pricer is freed as the search returns
+    pricers = []
+
+    def tracked(*args):
+        ctx = checked_context(*args)
+        pricers.append(weakref.ref(ctx))
+        return ctx
+
+    monkeypatch.setattr(solver, "checked_context", tracked)
+    net = random_network(6, seed=0)
+    pen = penalties_from_beta(0.05, 0.05, 6)
+    models = both_models(sample_travel_times(net, 50, seed=0))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for search in (enumerate_exact, branch_and_bound):
+            for model in models:
+                search(net, model, pen)
+                assert pricers.pop()() is None, (search.__name__, model.name)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_complete_graphs_match_enumeration():
