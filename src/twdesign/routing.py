@@ -17,7 +17,7 @@ import numpy as np
 from .instance import (
     Network, SampleSet, _check_sizes, _finite_array, _is_json_int, _open_for_write, _read_json, _write_json,
 )
-from .window_design import DroPricer, PenaltyConfig, SaaPricer, _prefix_states, _visit_sum
+from .window_design import DroPricer, PenaltyConfig, SaaPricer
 
 
 @dataclass(eq=False)
@@ -90,29 +90,23 @@ def budget_dro(x, mean, cov, alpha1: float) -> float:
     return float(mean @ x) + float(np.sqrt(alpha1 * max(quad, 0.0)))
 
 
-def _route_cost(pricer, route: Route) -> float:
-    """Each customer's ``place_cost`` at its arrival state, summed in visit
-    order as the pricer's plan sums them, without building the plan."""
-    return _visit_sum(pricer.place_cost(state, k) for k, state in _prefix_states(pricer, route))
-
-
 def route_cost_sm(route: Route, samples: SampleSet, pen: PenaltyConfig) -> float:
-    """Total optimal window cost of a route under the sample-average model
-    (``_route_cost`` of ``SaaPricer``)."""
+    """Total optimal window cost of a route under the sample-average model:
+    the ``total_cost`` of ``SaaPricer``'s plan."""
     _check_sizes(len(route.x), len(route.customers), samples=samples, pen=pen)
-    return _route_cost(SaaPricer(samples, pen), route)
+    return SaaPricer(samples, pen).plan(route).total_cost
 
 
 def route_cost_rm(route: Route, mean, cov, alpha2: float, pen: PenaltyConfig) -> float:
-    """Total optimal window cost of a route under the moment-robust model
-    (``_route_cost`` of ``DroPricer``).
+    """Total optimal window cost of a route under the moment-robust model:
+    the ``total_cost`` of ``DroPricer``'s plan.
 
     Each customer contributes the cost of its ``dro_window``: (gamma_l +
     gamma_u) times the standard deviation of its arrival time under
     cov + alpha2 I, unless the window's lower edge is clamped at zero.
     """
     _check_sizes(len(route.x), len(route.customers), mean=mean, pen=pen)
-    return _route_cost(DroPricer(mean, cov, alpha2, pen), route)
+    return DroPricer(mean, cov, alpha2, pen).plan(route).total_cost
 
 
 def save_route(seq, path) -> None:

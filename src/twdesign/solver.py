@@ -30,8 +30,8 @@ finished tour.  Two searches are provided on purpose:
   infeasibility reports quote exactly.
 
 Both respect the duration budget exactly as defined in ``routing``.
-Both take each complete tour's budget from its arcs and build a
-``Route`` only for the tour they return.
+Both price a complete tour's budget only when the tour could be kept,
+and build a ``Route`` only for the tour they return.
 
 A model (``SaaModel`` or ``DroModel``) is its pricer and its budget:
 ``name``, ``budget(net, x)`` and ``context(net, pen)``, which returns
@@ -176,10 +176,13 @@ def checked_context(net: Network, model, pen: PenaltyConfig):
 
 class _Incumbent:
     """The best tour a search has found, and the rule every complete tour
-    goes through: take its budget from its arcs, track the cheapest budget
-    seen, and keep the tour when it is within the time budget and strictly
-    cheaper than the best so far.  Only the kept tour becomes a ``Route``,
-    once, in ``result``."""
+    goes through: drop it unless strictly cheaper than the best so far,
+    else take its budget from its arcs, track the cheapest budget priced,
+    and keep the tour when it is within the time budget.  The best cost
+    is finite only once a kept tour fits, and from then on neither the
+    budget limit nor an infeasibility report reads a dearer tour's
+    budget; until then every tour is priced.  Only the kept tour becomes
+    a ``Route``, once, in ``result``."""
 
     def __init__(self, net: Network, model, ctx):
         self.net = net
@@ -192,16 +195,15 @@ class _Incumbent:
 
     def offer(self, seq, cost: float) -> None:
         """Consider the tour ``seq`` of window cost ``cost``."""
+        if not cost < self.cost:
+            return
         x = np.zeros(self.net.n_arcs, dtype=np.int8)
         x[[self.net.arc_index[arc] for arc in zip(seq, seq[1:])]] = 1
         budget = self.model.budget(self.net, x)
         self.min_budget = min(self.min_budget, budget)
         if budget > self.net.time_budget:
             return
-        if cost < self.cost:
-            self.cost = cost
-            self.seq = seq
-            self.budget = budget
+        self.cost, self.seq, self.budget = cost, seq, budget
 
     def infeasible(self) -> InfeasibleError:
         """The error for a search that found no feasible tour, quoting the
@@ -387,7 +389,7 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
     from the unplaced ones) is discarded.  A child is also discarded
     when its exact cost alone reaches the incumbent, or when its budget
     bound is infinite (no way home, or no arc into an unplaced customer)
-    or exceeds the limit, max(time budget, cheapest tour budget offered
+    or exceeds the limit, max(time budget, cheapest tour budget priced
     so far) + ``BUDGET_PRUNE_SLACK``, refreshed after each offer.  A
     child is priced just before it is entered, so its own bound reads the
     ranks of that pricing (``SaaPricer``).
@@ -559,17 +561,17 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
 
     One pass both solves and, when no tour fits, finds the exact cheapest
     tour budget that ``InfeasibleError.min_budget`` quotes.  The budget
-    limit is max(time budget, cheapest budget offered so far) (``_dfs``),
-    so until a tour fits, the search prunes only subtrees whose budget
-    bound exceeds a budget already seen or is infinite.  With no tour in
-    budget there is never an incumbent, hence no cost or completion
-    pruning, and every discarded subtree holds no tour or only tours
-    dearer than one already offered: the cheapest budget offered is the
-    minimum over all tours.
+    limit is max(time budget, cheapest tour budget priced so far)
+    (``_dfs``), so until a tour fits, the search prunes only subtrees
+    whose budget bound exceeds a budget already seen or is infinite.
+    With no tour in budget there is never an incumbent, hence no cost or
+    completion pruning; every tour offered is priced, and every discarded
+    subtree holds no tour or only tours over a budget already priced:
+    the cheapest budget priced is the minimum over all tours.
 
-    The returned ``objective`` equals ``plan.total_cost`` and the model's
-    route cost (``route_cost_sm``/``route_cost_rm``) exactly, not just to
-    a tolerance: all three sum the same pricer's costs in visit order.
+    The returned ``objective`` is ``plan.total_cost``, the model's route
+    cost (``route_cost_sm``/``route_cost_rm``), to the bit: the search
+    and the plan sum the same pricer's costs in visit order.
     """
     start = time.perf_counter()
     ctx = checked_context(net, model, pen)

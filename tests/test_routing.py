@@ -192,8 +192,8 @@ def test_route_cost_sm_matches_design():
 
 
 def test_route_cost_sm_is_plan_cost_bitwise():
-    # route_cost_sm sums the pricer's place_cost in visit order and builds
-    # no plan; the plan sums the same kernel's costs in the same order.
+    # route_cost_sm is the total of the pricer's plan, so it equals the
+    # designed plan's cost to the bit.
     # Desk-like routes (sparse n=10, the solve's tour, q=1000, both
     # targets) and dense-like ones (complete n=8, any tour, mixed weights)
     rng = np.random.default_rng(5)
@@ -239,9 +239,9 @@ def test_route_cost_rm_matches_design_and_identity():
 
 
 def test_route_cost_rm_is_plan_cost_bitwise():
-    # route_cost_rm sums the pricer's place_cost in visit order and builds
-    # no plan, on dense-like routes (complete n=8, any tour, mixed weights,
-    # some clamped windows at a large alpha2)
+    # route_cost_rm is the total of the pricer's plan, on dense-like routes
+    # (complete n=8, any tour, mixed weights, some clamped windows at a
+    # large alpha2)
     rng = np.random.default_rng(6)
     for seed in range(3):
         net = random_network(8, seed=seed, complete=True)

@@ -418,8 +418,9 @@ def test_complete_graphs_match_enumeration():
 
 
 def test_one_route_per_solve(monkeypatch):
-    # the searches price each tour's budget from its arcs and build the
-    # Route (x and the n x m path matrix y) only for the answer
+    # the searches price a tour's budget from its arcs, only for a tour
+    # that could be kept, and build the Route (x and the n x m path
+    # matrix y) only for the answer
     calls = []
 
     def counting(seq, net):
@@ -434,6 +435,34 @@ def test_one_route_per_solve(monkeypatch):
             calls.clear()
             res = search(net, model, pen)
             assert calls == [res.route.seq], (search.__name__, model.name)
+
+
+def test_incumbent_prices_only_tours_it_could_keep(monkeypatch):
+    # once a kept tour fits its budget, no tour that is not cheaper can
+    # change the answer, so the enumeration prices few of the 720 tours;
+    # with no tour in budget it prices all of them, for the exact quote
+    priced = []
+    budget = SaaModel.budget
+
+    def counting(self, net, x):
+        priced.append(x)
+        return budget(self, net, x)
+
+    monkeypatch.setattr(SaaModel, "budget", counting)
+    net = random_network(6, seed=0, complete=True)
+    model = SaaModel(sample_travel_times(net, 50, seed=0))
+    pen = penalties_from_beta(0.05, 0.05, 6)
+    got = outcome(enumerate_exact, net, model, pen)
+    assert got[0] == "solved" and len(priced) < 720
+    assert got == outcome(branch_and_bound, net, model, pen)
+    shut = Network(net.node_count, net.arcs, net.mean, net.cov, 5.0)
+    priced.clear()
+    got = outcome(enumerate_exact, shut, model, pen)
+    assert len(priced) == 720
+    tours = [(0, *order, 0) for order in itertools.permutations(range(1, 7))]
+    cheapest = min(budget(model, net, route_to_xy(seq, net).x) for seq in tours)
+    assert got[0] == "infeasible" and got[2] == cheapest
+    assert got == outcome(branch_and_bound, shut, model, pen)
 
 
 def completions(ctx, net, state, j, arc, rest):
