@@ -1,10 +1,11 @@
-"""Route encoding, structural checks, budgets, and route-level costs.
+"""Route encoding, structural checks, route-level costs and route files.
 
 A route is a single-vehicle tour: depot, every customer exactly once,
 depot.  Besides the visit sequence we keep the arc incidence vector x
 and, per customer k, the indicator y^k of the arcs on the path from the
 depot to k.  Arrival times are then linear in the scenario travel times,
-tau^k = y^k . t, which is what both window designs consume.
+tau^k = y^k . t, which is what both window designs consume.  A tour's
+duration budget is its model's ``budget`` (``solver``).
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import (
-    Network, SampleSet, _check_sizes, _finite_array, _is_json_int, _open_for_write, _read_json, _write_json,
-)
+from .instance import Network, SampleSet, _check_sizes, _is_json_int, _open_for_write, _read_json, _write_json
 from .window_design import DroPricer, PenaltyConfig, SaaPricer
 
 
@@ -71,23 +70,6 @@ def route_to_xy(seq, net: Network) -> Route:
     route.x.setflags(write=False)
     route.y.setflags(write=False)
     return route
-
-
-def budget_saa(x, samples: SampleSet) -> float:
-    """Average tour duration over the scenarios."""
-    x = _finite_array(x, "x", (samples.n_arcs,))
-    return float(np.mean(samples.values @ x))
-
-
-def budget_dro(x, mean, cov, alpha1: float) -> float:
-    """Mean tour duration plus an alpha1-weighted dispersion term."""
-    if not 0 <= alpha1 < np.inf:
-        raise ValueError("alpha1 must be finite and nonnegative")
-    mean = _finite_array(mean, "mean", (np.size(mean),))
-    cov = _finite_array(cov, "cov", (len(mean), len(mean)))
-    x = _finite_array(x, "x", mean.shape)
-    quad = float(x @ cov @ x)
-    return float(mean @ x) + float(np.sqrt(alpha1 * max(quad, 0.0)))
 
 
 def route_cost_sm(route: Route, samples: SampleSet, pen: PenaltyConfig) -> float:

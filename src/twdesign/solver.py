@@ -29,7 +29,8 @@ finished tour.  Two searches are provided on purpose:
   fits the budget it also chases the cheapest tour budget, which
   infeasibility reports quote exactly.
 
-Both respect the duration budget exactly as defined in ``routing``.
+Both respect the duration budget exactly as the model's ``budget``
+defines it.
 Both price a complete tour's budget only when the tour could be kept,
 and build a ``Route`` only for the tour they return.
 
@@ -61,8 +62,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .instance import Network, SampleSet, _check_sizes, sample_travel_times, substream
-from .routing import Route, budget_dro, budget_saa, route_to_xy
+from .instance import Network, SampleSet, _check_sizes, _finite_array, sample_travel_times, substream
+from .routing import Route, route_to_xy
 from .window_design import (
     SINGULAR_QUAD,
     DroPricer,
@@ -97,7 +98,9 @@ class SaaModel:
     name: ClassVar[str] = "sm"
 
     def budget(self, net: Network, x) -> float:
-        return budget_saa(x, self.samples)
+        """Average tour duration over the scenarios."""
+        x = _finite_array(x, "x", (self.samples.n_arcs,))
+        return float(np.mean(self.samples.values @ x))
 
     def context(self, net: Network, pen: PenaltyConfig) -> SaaPricer:
         _check_sizes(net.n_arcs, net.n_customers, samples=self.samples)
@@ -118,7 +121,9 @@ class DroModel:
             raise ValueError("alpha1 and alpha2 must be finite and nonnegative")
 
     def budget(self, net: Network, x) -> float:
-        return budget_dro(x, net.mean, net.cov, self.alpha1)
+        """Mean tour duration plus an alpha1-weighted dispersion term."""
+        x = _finite_array(x, "x", (net.n_arcs,))
+        return float(net.mean @ x) + float(np.sqrt(self.alpha1 * max(float(x @ net.cov @ x), 0.0)))
 
     def context(self, net: Network, pen: PenaltyConfig) -> DroPricer:
         return DroPricer(net.mean, net.cov, self.alpha2, pen)
@@ -211,8 +216,8 @@ class _Incumbent:
         if not np.isfinite(self.min_budget):
             return InfeasibleError("no feasible tour: network admits no full circuit")
         return InfeasibleError(
-            f"budget infeasible: cheapest tour needs {self.min_budget:.6g} "
-            f"but the budget is {self.net.time_budget:.6g}",
+            f"budget infeasible: cheapest tour needs {self.min_budget!r} "
+            f"but the budget is {self.net.time_budget!r}",
             min_budget=float(self.min_budget),
         )
 

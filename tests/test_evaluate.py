@@ -16,7 +16,6 @@ from twdesign import (
     WindowPlan,
     branch_and_bound,
     brute_force_windows,
-    budget_saa,
     design_fixed_width,
     design_stochastic,
     evaluate_plan,
@@ -215,7 +214,7 @@ def test_guideline_sweep_matches_manual_pipeline():
     assert row["early_rate"] == pytest.approx(rep.early_rate, abs=0)
     assert row["late_rate"] == pytest.approx(rep.late_rate, abs=0)
     assert row["width"] == pytest.approx(rep.mean_length, abs=0)
-    assert row["budget_used"] == pytest.approx(budget_saa(res.route.x, train), abs=0)
+    assert row["budget_used"] == pytest.approx(SaaModel(train).budget(net, res.route.x), abs=0)
 
 
 def test_guideline_sweep_rm_draws_only_test_scenarios(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twdesign import (
+    DroModel,
     Network,
     PenaltyConfig,
     SaaModel,
@@ -11,8 +12,6 @@ from twdesign import (
     arrival_matrix,
     branch_and_bound,
     brute_force_windows,
-    budget_dro,
-    budget_saa,
     design_dro,
     design_fixed_width,
     design_stochastic,
@@ -127,16 +126,17 @@ def test_budgets():
     samples = SampleSet(q=50, values=values)
     tour_cols = [net.arc_index[a] for a in ((0, 1), (1, 2), (2, 3), (3, 0))]
     want = float(values[:, tour_cols].sum(axis=1).mean())
-    assert budget_saa(route.x, samples) == pytest.approx(want, abs=1e-12)
+    assert SaaModel(samples).budget(net, route.x) == pytest.approx(want, abs=1e-12)
     # robust budget: mean part plus alpha1-scaled dispersion
     cov = np.diag(np.linspace(0.5, 2.0, net.n_arcs))
+    net = Network(4, net.arcs, net.mean, cov, net.time_budget)
     mean_part = float(net.mean[tour_cols].sum())
     disp = float(np.sqrt(np.diag(cov)[tour_cols].sum()))
-    assert budget_dro(route.x, net.mean, cov, 0.0) == pytest.approx(mean_part)
-    assert budget_dro(route.x, net.mean, cov, 4.0) == pytest.approx(mean_part + 2 * disp)
+    assert DroModel(0.0).budget(net, route.x) == pytest.approx(mean_part)
+    assert DroModel(4.0).budget(net, route.x) == pytest.approx(mean_part + 2 * disp)
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="alpha1"):
-            budget_dro(route.x, net.mean, cov, bad)
+            DroModel(bad)
 
 
 def test_budgets_and_dro_pricing_reject_non_finite_input():
@@ -153,16 +153,11 @@ def test_budgets_and_dro_pricing_reject_non_finite_input():
         out.flat[index] = value
         return out
 
+    models = (SaaModel(samples), DroModel())
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="^x: entries must be finite"):
-            budget_saa(spoiled(x, bad), samples)
-        for args, name in (
-            ((spoiled(x, bad), net.mean, cov), "x"),
-            ((x, spoiled(net.mean, bad, 5), cov), "mean"),
-            ((x, net.mean, spoiled(cov, bad, 7)), "cov"),
-        ):
-            with pytest.raises(ValueError, match=f"^{name}: entries must be finite"):
-                budget_dro(*args, 0.0)
+        for model in models:
+            with pytest.raises(ValueError, match="^x: entries must be finite"):
+                model.budget(net, spoiled(x, bad))
         for mean, c, name in ((spoiled(net.mean, bad, 5), cov, "mean"), (net.mean, spoiled(cov, bad, 7), "cov")):
             for call in (
                 lambda: DroPricer(mean, c, 0.0, pen),
@@ -172,12 +167,11 @@ def test_budgets_and_dro_pricing_reject_non_finite_input():
                 with pytest.raises(ValueError, match=f"^{name}: entries must be finite"):
                     call()
     m = net.n_arcs
-    with pytest.raises(ValueError, match=rf"^x: expected shape \({m},\), got \({m - 1},\)"):
-        budget_saa(x[1:], samples)
-    with pytest.raises(ValueError, match=rf"^x: expected shape \({m},\), got \(1, {m}\)"):
-        budget_dro(x[None], net.mean, cov, 0.0)
-    with pytest.raises(ValueError, match=rf"^cov: expected shape \({m}, {m}\), got \({m - 1}, {m - 1}\)"):
-        budget_dro(x, net.mean, cov[1:, 1:], 0.0)
+    for model in models:
+        with pytest.raises(ValueError, match=rf"^x: expected shape \({m},\), got \({m - 1},\)"):
+            model.budget(net, x[1:])
+        with pytest.raises(ValueError, match=rf"^x: expected shape \({m},\), got \(1, {m}\)"):
+            model.budget(net, x[None])
     with pytest.raises(ValueError, match=rf"^mean: expected shape \({m},\), got \(1, {m}\)"):
         DroPricer(net.mean[None], cov, 0.0, pen)
 

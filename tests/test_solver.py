@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import re
 import weakref
 
 import numpy as np
@@ -17,7 +18,6 @@ from twdesign import (
     SampleSet,
     benders_cut,
     branch_and_bound,
-    budget_saa,
     critical_indices,
     cut_check,
     design_dro,
@@ -735,7 +735,7 @@ def test_model_protocol_is_name_budget_and_context():
         name = "duck"
 
         def budget(self, net, x):
-            return budget_saa(x, samples)
+            return SaaModel(samples).budget(net, x)
 
         def context(self, net, pen):
             return SaaPricer(samples, pen)
@@ -818,8 +818,20 @@ def test_budget_infeasible_reports_cheapest_tour():
     assert e1.value.min_budget == pytest.approx(e2.value.min_budget, abs=1e-9)
     assert e1.value.min_budget > 1.0
     assert "budget infeasible" in str(e1.value)
-    assert f"{e1.value.min_budget:.6g}" in str(e1.value)
+    assert f"{e1.value.min_budget!r}" in str(e1.value)
 
+
+def test_infeasible_report_quotes_a_budget_that_solves():
+    # the quote is the cheapest budget itself: rounded to six digits it
+    # read 137.453 for 137.4531288..., a budget no tour fits
+    net = random_network(6, seed=8, time_budget=5.0)
+    pen = penalties_from_beta(0.05, 0.05, 6)
+    with pytest.raises(InfeasibleError) as err:
+        branch_and_bound(net, DroModel(), pen)
+    quoted = float(re.search(r"needs (\S+) but", str(err.value)).group(1))
+    assert quoted == err.value.min_budget
+    res = branch_and_bound(random_network(6, seed=8, time_budget=quoted), DroModel(), pen)
+    assert res.budget_value <= quoted
 
 def test_infeasible_budget_matches_enumeration_exactly():
     # with no tour in budget the search chases the cheapest tour budget,
