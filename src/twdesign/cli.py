@@ -31,12 +31,14 @@ from .instance import (
     _read_json,
     _write_json,
     load_instance,
+    load_route,
     random_network,
+    route_to_xy,
     sample_travel_times,
     save_instance,
+    save_route,
     substream,
 )
-from .routing import load_route, route_to_xy, save_route, write_cost_csv
 from .solver import InfeasibleError, branch_and_bound, build_model, checked_context, route_cuts
 from .window_design import (
     PenaltyConfig,
@@ -44,6 +46,7 @@ from .window_design import (
     load_plan,
     penalties_from_beta,
     save_plan,
+    write_cost_csv,
 )
 
 

@@ -15,8 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .instance import Network, SampleSet, _check_sizes, _open_for_write, sample_travel_times, substream
-from .routing import Route
+from .instance import Network, Route, SampleSet, _check_sizes, _open_for_write, sample_travel_times, substream
 from .solver import DroModel, branch_and_bound, build_model
 from .window_design import WindowPlan, _outside, arrival_matrix, penalties_from_beta
 
@@ -180,11 +179,11 @@ def report_rows(
     beta_u="",
     seed="",
     objective="",
-    budget_used="",
 ) -> list[dict]:
     """Flatten an evaluation into report-CSV rows, one per customer plus
     the aggregate row.  A row names only the cells it fills;
-    ``write_report_csv`` leaves the others blank."""
+    ``write_report_csv`` leaves the others blank, and the aggregate row's
+    ``budget_used``, which only the sweep knows, is blank too."""
     keys = {"model": model, "beta_l": beta_l, "beta_u": beta_u, "seed": seed}
     q = report.q_test
     rows = [
@@ -201,7 +200,7 @@ def report_rows(
         }
         for pos, k in enumerate(report.customers)
     ]
-    return rows + [_aggregate_row(report, keys, objective, budget_used)]
+    return rows + [_aggregate_row(report, keys, objective, "")]
 
 
 def write_report_csv(rows, path) -> None:

@@ -1,4 +1,4 @@
-"""Network data model, covariance generation, and travel-time sampling.
+"""Network data model, covariance generation, travel-time sampling, routes.
 
 A delivery instance is a directed graph with the depot at node 0 and
 customers 1..n, per-arc mean travel times (minutes), a full covariance
@@ -7,6 +7,12 @@ can be stored explicitly or generated from the network topology: arcs
 that are close to each other in the undirected skeleton receive highly
 correlated travel times, which is what makes consecutive arrival times
 along a route strongly dependent.
+
+A route is a single-vehicle tour: depot, every customer exactly once,
+depot.  Besides the visit sequence we keep the arc incidence vector x
+and, per customer k, the indicator y^k of the arcs on the path from the
+depot to k.  Arrival times are then linear in the scenario travel times,
+tau^k = y^k . t, which is what both window designs consume.
 """
 
 from __future__ import annotations
@@ -105,8 +111,11 @@ class Network:
     ``factor``, the F with F F' = ``cov`` that every draw uses, is made
     once by the PSD check: zero for a zero ``cov``, else the Cholesky
     factor of ``cov``, or of ``cov + PSD_JITTER * I`` when ``cov`` is PSD
-    only up to floating noise, as every generated one is (rank <= nodes).
-    A ``cov`` that fails both is refused as not PSD.
+    only up to floating noise, as every generated one is (rank <= nodes),
+    or of ``cov + PSD_JITTER * scale * I``.  A ``cov`` that fails all
+    three is refused as not PSD.  The checks are relative to ``scale`` =
+    max(1, max |cov|): ``cov`` may be asymmetric by ``SYM_TOL * scale``,
+    so the same instance passes them in minutes and in seconds.
     """
 
     node_count: int
@@ -192,21 +201,13 @@ def _validate_network(net: Network) -> np.ndarray:
         raise ValueError(f"cov: expected shape ({m}, {m}), got {net.cov.shape}")
     if not np.all(np.isfinite(net.cov)):
         raise ValueError("cov: entries must be finite")
+    scale = max(1.0, float(np.max(np.abs(net.cov))))
     asym = float(np.max(np.abs(net.cov - net.cov.T))) if m else 0.0
-    if asym > SYM_TOL:
-        raise ValueError(f"cov: asymmetric beyond tolerance ({asym:.3e} > {SYM_TOL:g})")
+    if asym > SYM_TOL * scale:
+        raise ValueError(f"cov: asymmetric beyond tolerance ({asym:.3e} > {SYM_TOL * scale:g})")
     if np.any(np.diag(net.cov) < 0):
         raise ValueError("cov: negative diagonal entry")
-    if not net.cov.any():
-        factor = np.zeros((m, m))
-    else:
-        try:
-            factor = np.linalg.cholesky(net.cov)
-        except np.linalg.LinAlgError:
-            try:
-                factor = np.linalg.cholesky(net.cov + PSD_JITTER * np.eye(m))
-            except np.linalg.LinAlgError as exc:
-                raise ValueError("covariance not PSD within jitter tolerance") from exc
+    factor = np.zeros((m, m)) if not net.cov.any() else _cov_factor(net.cov, scale)
     if not 0 < net.time_budget < np.inf:
         raise ValueError("time_budget must be positive and finite")
     reachable = _hops_from(0, _successors(n_nodes, net.arcs))
@@ -217,6 +218,17 @@ def _validate_network(net: Network) -> np.ndarray:
         if reaching[k] < 0:
             raise ValueError(f"disconnected network: customer {k} cannot reach depot")
     return factor
+
+
+def _cov_factor(cov: np.ndarray, scale: float) -> np.ndarray:
+    """The Cholesky factor of ``cov``, else of ``cov + PSD_JITTER * I``,
+    else of ``cov + PSD_JITTER * scale * I``; refuse a ``cov`` all three fail."""
+    for jitter in (None, PSD_JITTER, PSD_JITTER * scale):
+        try:
+            return np.linalg.cholesky(cov if jitter is None else cov + jitter * np.eye(len(cov)))
+        except np.linalg.LinAlgError:
+            pass
+    raise ValueError("covariance not PSD within jitter tolerance")
 
 
 def _successors(n_nodes: int, edges) -> list[list[int]]:
@@ -390,6 +402,59 @@ def _generated_network(nodes, arcs, mean, time_budget, params: CovGenParams) -> 
     return Network(nodes, arcs, mean, generate_covariance(skeleton, params), time_budget)
 
 
+@dataclass(eq=False)
+class Route:
+    """A tour with its incidence encodings against a fixed network."""
+
+    seq: tuple[int, ...]
+    x: np.ndarray
+    y: np.ndarray
+    path_arcs: tuple[int, ...] = field(repr=False)
+
+    @property
+    def customers(self) -> tuple[int, ...]:
+        return self.seq[1:-1]
+
+
+def route_to_xy(seq, net: Network) -> Route:
+    """Validate a visit sequence and build its (x, y) encoding."""
+    seq = tuple(int(v) for v in seq)
+    if len(seq) < 3 or seq[1:-1] == ():
+        raise ValueError("no customers on route")
+    if seq[0] != 0 or seq[-1] != 0:
+        raise ValueError("route must start and end at the depot (node 0)")
+    interior = seq[1:-1]
+    if 0 in interior:
+        raise ValueError("depot cannot appear mid-route")
+    seen = set()
+    for k in interior:
+        if not 1 <= k <= net.n_customers:
+            raise ValueError(f"unknown customer {k}")
+        if k in seen:
+            raise ValueError(f"repeated customer {k}")
+        seen.add(k)
+    if len(seen) != net.n_customers:
+        missing = sorted(set(net.customers) - seen)
+        raise ValueError(f"route must visit every customer exactly once; missing {missing}")
+    arc_ids = []
+    for t in range(len(seq) - 1):
+        arc = (seq[t], seq[t + 1])
+        if arc not in net.arc_index:
+            raise ValueError(f"arc ({arc[0]}, {arc[1]}) not in network")
+        arc_ids.append(net.arc_index[arc])
+    x = np.zeros(net.n_arcs, dtype=np.int8)
+    x[arc_ids] = 1
+    y = np.zeros((net.n_customers, net.n_arcs), dtype=np.int8)
+    prefix: list[int] = []
+    for pos, k in enumerate(interior):
+        prefix.append(arc_ids[pos])
+        y[k - 1, prefix] = 1
+    route = Route(seq=seq, x=x, y=y, path_arcs=tuple(arc_ids[:-1]))
+    route.x.setflags(write=False)
+    route.y.setflags(write=False)
+    return route
+
+
 # ---------------------------------------------------------------------------
 # file formats
 
@@ -515,3 +580,16 @@ def load_instance(path) -> Network:
         raise ValueError(f"cov_gen: unknown keys {sorted(unknown)}")
     return _generated_network(nodes, tuple(arcs), np.asarray(means), float(tb), CovGenParams(**gen))
 
+
+def save_route(seq, path) -> None:
+    _write_json({"seq": [int(v) for v in seq]}, path)
+
+
+def load_route(path) -> tuple[int, ...]:
+    doc = _read_json(path, "route")
+    if "seq" not in doc:
+        raise ValueError("route file: expected an object with a 'seq' list")
+    seq = doc["seq"]
+    if not isinstance(seq, list) or not all(_is_json_int(v) for v in seq):
+        raise ValueError("route file: 'seq' must be a list of integers")
+    return tuple(seq)

@@ -62,8 +62,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .instance import Network, SampleSet, _check_sizes, _finite_array, sample_travel_times, substream
-from .routing import Route, route_to_xy
+from .instance import Network, Route, SampleSet, _check_sizes, _finite_array, route_to_xy, sample_travel_times, substream
 from .window_design import (
     SINGULAR_QUAD,
     DroPricer,

@@ -16,11 +16,14 @@ is the customer's arrival time.
   the standard deviation.
 
 A third variant restricts all customers to one shared window width and
-optimises the width together with the per-customer start times.
+optimises the width together with the per-customer start times.  A
+route's cost under either model is its plan's total (``route_cost_sm``,
+``route_cost_rm``).
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from bisect import bisect_left
@@ -29,7 +32,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .instance import _check_sizes, _finite_array, _is_finite_real, _is_json_int, _read_json, _write_json
+from .instance import _check_sizes, _finite_array, _is_finite_real, _is_json_int, _open_for_write, _read_json, _write_json
 
 CMP_TOL = 1e-12
 SINGULAR_QUAD = 1e-18  # a path variance y' C y at or below this counts as zero
@@ -295,6 +298,23 @@ def save_plan(plan: WindowPlan, path, extra: dict | None = None) -> None:
     _write_json({**plan.to_json_dict(), **(extra or {})}, path)
 
 
+def write_cost_csv(plan, path) -> None:
+    """Per-customer cost report: customer, lower, upper, width, cost_component."""
+    with _open_for_write(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["customer", "lower", "upper", "width", "cost_component"])
+        for pos, k in enumerate(plan.customers):
+            writer.writerow(
+                [
+                    int(k),
+                    repr(float(plan.lower[pos])),
+                    repr(float(plan.upper[pos])),
+                    repr(float(plan.upper[pos] - plan.lower[pos])),
+                    repr(float(plan.cost_per_customer[pos])),
+                ]
+            )
+
+
 def load_plan(path) -> WindowPlan:
     doc = _read_json(path, "window plan")
     for key in ("route", "windows", "cost"):
@@ -509,6 +529,13 @@ class SaaPricer:
             intercept = float(rho2 @ state[late] - rho1 @ state[early])
             cuts.append((scale, intercept, rho2 @ self.values[late] - rho1 @ self.values[early]))
         return cuts
+
+
+def route_cost_sm(route, samples, pen: PenaltyConfig) -> float:
+    """Total optimal window cost of a route under the sample-average model:
+    the ``total_cost`` of ``SaaPricer``'s plan."""
+    _check_sizes(len(route.x), len(route.customers), samples=samples, pen=pen)
+    return SaaPricer(samples, pen).plan(route).total_cost
 
 
 def design_stochastic(route, samples, pen: PenaltyConfig):
@@ -1016,3 +1043,14 @@ def design_dro(route, mean, cov, alpha2: float, pen: PenaltyConfig) -> WindowPla
     """
     _check_sizes(len(route.x), len(route.customers), mean=mean, pen=pen)
     return DroPricer(mean, cov, alpha2, pen).plan(route)
+
+
+def route_cost_rm(route, mean, cov, alpha2: float, pen: PenaltyConfig) -> float:
+    """Total optimal window cost of a route under the moment-robust model:
+    the ``total_cost`` of its ``design_dro`` plan.
+
+    Each customer contributes the cost of its ``dro_window``: (gamma_l +
+    gamma_u) times the standard deviation of its arrival time under
+    cov + alpha2 I, unless the window's lower edge is clamped at zero.
+    """
+    return design_dro(route, mean, cov, alpha2, pen).total_cost

@@ -305,7 +305,7 @@ def test_report_rows_and_csv(tmp_path):
     )
     plan = plan_for(route, [8.0, 10.0], [12.0, 20.0])
     rep = evaluate_plan(route, plan, samples)
-    rows = report_rows(rep, model="sm", beta_l=0.1, beta_u=0.1, seed=3, objective=1.5, budget_used=20.0)
+    rows = report_rows(rep, model="sm", beta_l=0.1, beta_u=0.1, seed=3, objective=1.5)
     assert len(rows) == 3  # two customers plus the aggregate
     assert rows[0]["customer"] == 1
     assert "customer" not in rows[2]  # the aggregate row names no customer
@@ -334,6 +334,8 @@ def test_report_rows_and_csv(tmp_path):
     # per-customer rows leave the aggregate-only fields empty
     assert recs[1][recs[0].index("objective")] == ""
     assert recs[3][recs[0].index("lower")] == ""
+    # and so does the aggregate row's budget_used, which only the sweep fills
+    assert recs[3][recs[0].index("budget_used")] == ""
     # and its customer cell is written blank
     assert recs[3][recs[0].index("customer")] == ""
 

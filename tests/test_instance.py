@@ -1,6 +1,7 @@
 """Tests for networks, covariance generation, sampling, and instance IO."""
 
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -90,6 +91,42 @@ def test_network_rejects_bad_matrices():
         Network(2, arcs, np.ones(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 10.0)
     with pytest.raises(ValueError, match="time_budget must be positive"):
         Network(2, arcs, np.ones(2), np.zeros((2, 2)), 0.0)
+
+
+def test_network_checks_do_not_depend_on_the_time_unit():
+    # a covariance built by matrix products is symmetric only up to rounding
+    # that grows with its entries: in seconds (f = 60) and beyond, the
+    # absolute SYM_TOL refused every one of these
+    for f in (1.0, 60.0, 6e4):
+        for s in range(40):
+            net = random_network(8, seed=s)
+            rng = np.random.default_rng(s)
+            low = rng.standard_normal((net.n_arcs, 4))
+            corr = low @ low.T + np.eye(net.n_arcs)
+            sd = np.sqrt(np.diag(corr))
+            corr /= np.outer(sd, sd)
+            scaled = np.diag(0.1 * net.mean * f)
+            Network(net.node_count, net.arcs, net.mean * f, scaled @ corr @ scaled, net.time_budget * f)
+    # a generated covariance is PSD only up to rounding; from c = 1e3 on,
+    # the absolute PSD_JITTER refused some (at 1e4 and 1e5, all)
+    for c in (1.0, 1e3, 1e4, 1e5):
+        for n, complete in ((6, False), (10, False), (8, True), (12, True)):
+            for s in range(20):
+                net = random_network(n, seed=s, complete=complete)
+                params = CovGenParams(seed=substream(s, "covgen"))
+                instance._generated_network(net.node_count, net.arcs, net.mean * c, net.time_budget * c, params)
+    # truly asymmetric and truly indefinite matrices are refused at any scale,
+    # and the message quotes the tolerance applied
+    arcs = ((0, 1), (1, 0))
+    for scale in (1.0, 1e8):
+        with pytest.raises(ValueError, match=re.escape(f"tolerance ({0.4 * scale:.3e} > {1e-12 * scale:g})")):
+            Network(2, arcs, np.ones(2), np.array([[1.0, 0.5], [0.1, 1.0]]) * scale, 10.0)
+        with pytest.raises(ValueError, match="covariance not PSD"):
+            Network(2, arcs, np.ones(2), np.array([[1.0, 2.0], [2.0, 1.0]]) * scale, 10.0)
+    # the asymmetry allowed is relative: 1e-13 of the scale passes, 1e-11 does not
+    Network(2, arcs, np.ones(2), 1e8 * np.eye(2) + np.array([[0.0, 1e-5], [0.0, 0.0]]), 10.0)
+    with pytest.raises(ValueError, match="asymmetric"):
+        Network(2, arcs, np.ones(2), 1e8 * np.eye(2) + np.array([[0.0, 1e-3], [0.0, 0.0]]), 10.0)
 
 
 def test_network_rejects_disconnected():
@@ -315,7 +352,8 @@ def test_sampling_clamps_negatives():
 def _two_step_draws(net, q, seed):
     """Draws by the rule that factored the covariance at every draw: a zero
     factor for a zero matrix, else the Cholesky factor of cov, or of cov +
-    PSD_JITTER I when that fails; and the branch the rule took."""
+    PSD_JITTER I when that fails, or of cov + PSD_JITTER max(1, max |cov|) I
+    when that fails too; and the branch the rule took."""
     m = net.n_arcs
     cov = np.array(net.cov)
     if not cov.any():
@@ -324,7 +362,11 @@ def _two_step_draws(net, q, seed):
         try:
             branch, factor = "plain", np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
-            branch, factor = "jitter", np.linalg.cholesky(cov + PSD_JITTER * np.eye(m))
+            try:
+                branch, factor = "jitter", np.linalg.cholesky(cov + PSD_JITTER * np.eye(m))
+            except np.linalg.LinAlgError:
+                scale = max(1.0, np.abs(cov).max())
+                branch, factor = "scaled", np.linalg.cholesky(cov + PSD_JITTER * scale * np.eye(m))
     values = net.mean + np.random.default_rng(seed).standard_normal((q, m)) @ factor.T
     return values, branch
 
@@ -336,8 +378,11 @@ def test_network_factors_its_covariance_once(monkeypatch):
     m = base[0].n_arcs
     rng = np.random.default_rng(4)
     a = rng.standard_normal((m, m))
+    # a generated covariance times 1e8 (its means times 1e4) is PSD only
+    # within a jitter relative to its scale
     covs = [net.cov for net in base] + [np.diag(np.linspace(1.0, 4.0, m)), a @ a.T, np.zeros((m, m))]
-    shapes = [*base] + [base[0]] * 3
+    covs.append(base[0].cov * 1e8)
+    shapes = [*base] + [base[0]] * 4
     calls = []
     real = np.linalg.cholesky
 
@@ -357,12 +402,12 @@ def test_network_factors_its_covariance_once(monkeypatch):
             assert calls == [], seed
         want, branch = _two_step_draws(net, 300, seed)
         branches.add(branch)
-        assert built <= (0 if branch == "zero" else 2), branch
+        assert built <= {"zero": 0, "scaled": 3}.get(branch, 2), branch
         assert not net.factor.flags.writeable
         assert s.values.tobytes() == np.maximum(want, 0.0).tobytes(), branch
         assert s.clamp_rate == float(np.mean(want < 0)), branch
-    # generated covariances are rank-deficient and take the jitter branch
-    assert branches == {"zero", "plain", "jitter"}
+    # generated covariances are rank-deficient and take a jitter branch
+    assert branches == {"zero", "plain", "jitter", "scaled"}
     # a generated network's zero-covariance skeleton is factored by no
     # Cholesky call: building one calls it at most twice, for the final cov
     with monkeypatch.context() as mp:

@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "twdesign"
 # each module imports only from the modules before it; the package's
 # __init__ re-exports them all
-CHAIN = ["instance", "window_design", "routing", "solver", "evaluate", "cli", "__init__"]
+CHAIN = ["instance", "window_design", "solver", "evaluate", "cli", "__init__"]
 
 
 def _package_imports(path: Path) -> set[str]:
