@@ -26,6 +26,7 @@ import numpy as np
 
 from .evaluate import evaluate_plan, guideline_sweep, report_rows, write_report_csv
 from .instance import (
+    BUDGET_FACTOR,
     CovGenParams,
     _open_for_write,
     _read_json,
@@ -122,8 +123,8 @@ def build_parser() -> _Parser:
     p.add_argument("--cv-min", type=float, default=0.01)
     p.add_argument("--cv-max", type=float, default=0.2)
     p.add_argument("--neg-flip-prob", type=float, default=0.05)
-    p.add_argument("--tb-factor", type=float, default=1.5)
-    p.add_argument("--time-budget", type=float, default=None)
+    p.add_argument("--time-budget", type=float, default=None,
+                   help=f"route duration budget (default: {BUDGET_FACTOR} x the mean duration of the embedded cycle)")
 
     p = sub.add_parser("design", help="design windows for a fixed route")
     p.add_argument("--instance", type=Path)
@@ -190,7 +191,6 @@ def _cmd_gen(args) -> int:
         seed=args.seed,
         complete=args.complete,
         cov_params=params,
-        tb_factor=args.tb_factor,
         time_budget=args.time_budget,
     )
     save_instance(net, args.out)

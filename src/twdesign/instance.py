@@ -31,6 +31,9 @@ SYM_TOL = 1e-12
 # a network keeps two m x m float64 matrices, its covariance and that
 # covariance's factor: 8 * 2000**2 = 32 MB each at this many arcs
 _MAX_ARCS = 2_000
+# a generated network's default budget, as a multiple of the mean duration
+# of the cycle through every node that it embeds
+BUDGET_FACTOR = 1.5
 
 
 def substream(seed: int, label: str) -> int:
@@ -40,8 +43,26 @@ def substream(seed: int, label: str) -> int:
     test draws) gets its own stream, so adding or reordering stages never
     shifts the draws of another stage.
     """
+    _as_int(seed, "seed")
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
+
+
+def _is_int(value) -> bool:
+    """True for an integer that is not a bool: a Python or numpy integer.
+    Python counts ``True`` and ``False`` (JSON's ``true``/``false`` load
+    as them) as ``int``, but they are no ids, counts or seeds.  An exact
+    ``int`` is let through first, without the slower ABC check."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
+def _as_int(value, name: str, index: int | None = None) -> int:
+    """``value`` as an ``int``; a value ``_is_int`` refuses is a
+    ``ValueError`` that names the input, ``name`` or ``name[index]``."""
+    if not _is_int(value):
+        where = name if index is None else f"{name}[{index}]"
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
 
 
 def _is_finite_real(value) -> bool:
@@ -93,7 +114,7 @@ class CovGenParams:
             value = getattr(self, name)
             if not _is_finite_real(value):
                 raise ValueError(f"cov_gen: {name} must be a finite number, got {value!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"cov_gen: seed must be an integer >= 0, got {self.seed!r}")
         if not 0.0 <= self.cv_min <= self.cv_max:
             raise ValueError("cov_gen: need 0 <= cv_min <= cv_max")
@@ -129,8 +150,8 @@ class Network:
     factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.node_count = int(self.node_count)
-        self.arcs = tuple((int(i), int(j)) for i, j in self.arcs)
+        self.node_count = _as_int(self.node_count, "node_count")
+        self.arcs = tuple((_as_int(i, "arcs", a), _as_int(j, "arcs", a)) for a, (i, j) in enumerate(self.arcs))
         self.mean = np.array(self.mean, dtype=float)
         self.cov = np.array(self.cov, dtype=float)
         self.time_budget = float(self.time_budget)
@@ -336,6 +357,8 @@ def sample_travel_times(net: Network, q: int, seed: int) -> SampleSet:
     row equal to the mean.  Negative draws are clamped to zero and the
     clamp rate recorded.
     """
+    _as_int(q, "q")
+    _as_int(seed, "seed")
     if q < 1:
         raise ValueError("q must be >= 1")
     rng = np.random.default_rng(seed)
@@ -352,7 +375,6 @@ def random_network(
     seed: int,
     complete: bool = False,
     cov_params: CovGenParams | None = None,
-    tb_factor: float = 1.5,
     time_budget: float | None = None,
 ) -> Network:
     """Generate a routable random instance.
@@ -361,9 +383,11 @@ def random_network(
     set when fewer exist): a random permutation cycle through all nodes
     guarantees strong connectivity and at least one full tour, and the
     remaining arcs are drawn uniformly without replacement.  The default
-    budget is ``tb_factor`` times the mean duration of the embedded
-    cycle, so the instance is always budget-feasible.
+    budget is ``BUDGET_FACTOR`` (1.5) times the mean duration of the
+    embedded cycle, so the instance is always budget-feasible;
+    ``time_budget`` sets another.
     """
+    _as_int(n_customers, "n_customers")
     if n_customers < 1:
         raise ValueError("n_customers must be >= 1")
     n_nodes = n_customers + 1
@@ -389,7 +413,7 @@ def random_network(
     mean = rng.uniform(10.0, 30.0, len(arcs))
     arc_pos = {arc: a for a, arc in enumerate(arcs)}
     cycle_mean = float(sum(mean[arc_pos[arc]] for arc in cycle))
-    tb = float(time_budget) if time_budget is not None else tb_factor * cycle_mean
+    tb = float(time_budget) if time_budget is not None else BUDGET_FACTOR * cycle_mean
     params = cov_params or CovGenParams(seed=substream(seed, "covgen"))
     return _generated_network(n_nodes, tuple(arcs), mean, tb, params)
 
@@ -418,7 +442,7 @@ class Route:
 
 def route_to_xy(seq, net: Network) -> Route:
     """Validate a visit sequence and build its (x, y) encoding."""
-    seq = tuple(int(v) for v in seq)
+    seq = tuple(_as_int(v, "route", t) for t, v in enumerate(seq))
     if len(seq) < 3 or seq[1:-1] == ():
         raise ValueError("no customers on route")
     if seq[0] != 0 or seq[-1] != 0:
@@ -499,12 +523,6 @@ def save_instance(net: Network, path) -> None:
     _write_json(doc, path)
 
 
-def _is_json_int(value) -> bool:
-    """True for a JSON integer; ``true``/``false`` load as ``bool``, which
-    Python counts as ``int``, and are not ids or counts."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _parse_arcs(doc) -> tuple[list[tuple[int, int]], list[float]]:
     raw = doc.get("arcs")
     if not isinstance(raw, list) or not raw:
@@ -518,7 +536,7 @@ def _parse_arcs(doc) -> tuple[list[tuple[int, int]], list[float]]:
             if key not in entry:
                 raise ValueError(f"arcs[{a}].{key}: missing")
         i, j = entry["from"], entry["to"]
-        if not _is_json_int(i) or not _is_json_int(j):
+        if not _is_int(i) or not _is_int(j):
             raise ValueError(f"arcs[{a}]: from/to must be integers")
         mean = entry["mean"]
         if not _is_finite_real(mean):
@@ -534,7 +552,7 @@ def load_instance(path) -> Network:
     """Read an instance JSON file, generating the covariance if requested."""
     doc = _read_json(path, "instance")
     nodes = doc.get("nodes")
-    if not _is_json_int(nodes) or nodes < 2:
+    if not _is_int(nodes) or nodes < 2:
         raise ValueError("nodes: expected an integer >= 2")
     arcs, means = _parse_arcs(doc)
     m = len(arcs)
@@ -582,7 +600,7 @@ def load_instance(path) -> Network:
 
 
 def save_route(seq, path) -> None:
-    _write_json({"seq": [int(v) for v in seq]}, path)
+    _write_json({"seq": [_as_int(v, "route", t) for t, v in enumerate(seq)]}, path)
 
 
 def load_route(path) -> tuple[int, ...]:
@@ -590,6 +608,6 @@ def load_route(path) -> tuple[int, ...]:
     if "seq" not in doc:
         raise ValueError("route file: expected an object with a 'seq' list")
     seq = doc["seq"]
-    if not isinstance(seq, list) or not all(_is_json_int(v) for v in seq):
+    if not isinstance(seq, list) or not all(_is_int(v) for v in seq):
         raise ValueError("route file: 'seq' must be a list of integers")
     return tuple(seq)

@@ -32,7 +32,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .instance import _check_sizes, _finite_array, _is_finite_real, _is_json_int, _open_for_write, _read_json, _write_json
+from .instance import _as_int, _check_sizes, _finite_array, _is_finite_real, _is_int, _open_for_write, _read_json, _write_json
 
 CMP_TOL = 1e-12
 SINGULAR_QUAD = 1e-18  # a path variance y' C y at or below this counts as zero
@@ -199,7 +199,7 @@ def _ranks(arr: np.ndarray, p1: int, p2: int) -> np.ndarray:
     """Indices of ``arr`` from one partial sort, with the samples of ranks
     p1 and p2 in place, the earlier ranks before them and the later ones
     after; ties are ranked either way."""
-    return np.argpartition(arr, p1 - 1 if p1 == p2 else (p1 - 1, p2 - 1))
+    return np.argpartition(arr, (p1 - 1, p2 - 1))
 
 
 def _rank_split(ranked: np.ndarray, p1: int, p2: int):
@@ -245,6 +245,8 @@ class WindowPlan:
     clamped: np.ndarray | None = None
 
     def __post_init__(self):
+        self.route_seq = tuple(_as_int(v, "route", t) for t, v in enumerate(self.route_seq))
+        self.customers = tuple(_as_int(k, "customers", p) for p, k in enumerate(self.customers))
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
         self.cost_per_customer = np.asarray(self.cost_per_customer, dtype=float)
@@ -270,7 +272,7 @@ class WindowPlan:
     def to_json_dict(self) -> dict:
         per = []
         for pos, k in enumerate(self.customers):
-            entry: dict = {"customer": int(k), "cost": float(self.cost_per_customer[pos])}
+            entry: dict = {"customer": k, "cost": float(self.cost_per_customer[pos])}
             entry["early_rate"] = (
                 None if self.early_rate is None else float(self.early_rate[pos])
             )
@@ -282,9 +284,9 @@ class WindowPlan:
             )
             per.append(entry)
         return {
-            "route": [int(v) for v in self.route_seq],
+            "route": list(self.route_seq),
             "windows": [
-                {"customer": int(k), "lower": float(self.lower[p]), "upper": float(self.upper[p])}
+                {"customer": k, "lower": float(self.lower[p]), "upper": float(self.upper[p])}
                 for p, k in enumerate(self.customers)
             ],
             "shared_width": None if self.shared_width is None else float(self.shared_width),
@@ -306,7 +308,7 @@ def write_cost_csv(plan, path) -> None:
         for pos, k in enumerate(plan.customers):
             writer.writerow(
                 [
-                    int(k),
+                    k,
                     repr(float(plan.lower[pos])),
                     repr(float(plan.upper[pos])),
                     repr(float(plan.upper[pos] - plan.lower[pos])),
@@ -320,7 +322,7 @@ def load_plan(path) -> WindowPlan:
     for key in ("route", "windows", "cost"):
         if key not in doc:
             raise ValueError(f"window plan file: missing key {key!r}")
-    if not (isinstance(doc["route"], list) and all(_is_json_int(v) for v in doc["route"])):
+    if not (isinstance(doc["route"], list) and all(_is_int(v) for v in doc["route"])):
         raise ValueError(f"window plan file: route: expected a list of integers, got {json.dumps(doc['route'])}")
     windows = doc["windows"]
     if not (isinstance(windows, list)
@@ -358,7 +360,7 @@ def load_plan(path) -> WindowPlan:
 
 def _plan_field(value, key: str, integer: bool = False):
     """A plan file's number, rejecting JSON booleans, strings and non-finite values."""
-    if not (_is_json_int(value) if integer else _is_finite_real(value)):
+    if not (_is_int(value) if integer else _is_finite_real(value)):
         expected = "an integer" if integer else "a finite number"
         raise ValueError(f"window plan file: {key}: expected {expected}, got {json.dumps(value)}")
     return value

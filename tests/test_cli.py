@@ -58,6 +58,27 @@ def test_gen_complete_flag(tmp_path):
     assert load_instance(out).n_arcs == 12
 
 
+def test_gen_budget_is_the_default_or_time_budget(tmp_path, capsys):
+    # --time-budget is the one way to set a generated budget: there is no
+    # budget-factor flag or --config key
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--customers", "4", "--seed", "3", "--out", str(out)]) == 0
+    assert load_instance(out).time_budget == random_network(4, seed=3).time_budget
+    assert main(["gen", "--customers", "4", "--seed", "3", "--time-budget", "77.5", "--out", str(out)]) == 0
+    assert load_instance(out).time_budget == 77.5
+    capsys.readouterr()
+    out = tmp_path / "refused.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--customers", "4", "--tb-factor", "2", "--out", str(out)])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --tb-factor 2" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tb_factor": 2}))
+    assert main(["--config", str(cfg), "gen", "--customers", "4", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "twdesign: error: --config: unknown keys ['tb_factor']\n"
+    assert not out.exists()
+
+
 def test_gen_requires_flags(tmp_path, capsys):
     assert main(["gen", "--customers", "3"]) == 1
     assert "--out is required" in capsys.readouterr().err

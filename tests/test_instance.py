@@ -1,5 +1,6 @@
 """Tests for networks, covariance generation, sampling, and instance IO."""
 
+import hashlib
 import json
 import re
 import subprocess
@@ -68,6 +69,28 @@ def test_network_rejects_bad_arcs():
         Network(1, (), np.zeros(0), np.zeros((0, 0)), 10.0)
     with pytest.raises(ValueError, match="network has no arcs"):
         Network(3, (), np.zeros(0), np.zeros((0, 0)), 10.0)
+
+
+@pytest.mark.parametrize("bad", [1.0, 0.5, True, "1", float("inf")])
+def test_network_ids_are_integers(bad):
+    # a node count or an arc endpoint is refused unless it is an integer:
+    # arc (0.5, 1) is no arc (0, 1), and True is no node 1
+    net = small_net()
+    with pytest.raises(ValueError, match=rf"^node_count: expected an integer, got {re.escape(repr(bad))}$"):
+        Network(bad, net.arcs, net.mean, net.cov, 10.0)
+    for a, arc in ((0, (bad, 1)), (4, (2, bad))):
+        arcs = list(net.arcs)
+        arcs[a] = arc
+        with pytest.raises(ValueError, match=rf"^arcs\[{a}\]: expected an integer, got {re.escape(repr(bad))}$"):
+            Network(3, arcs, net.mean, net.cov, 10.0)
+
+
+def test_network_accepts_numpy_integers():
+    net = small_net()
+    ends = np.array(net.arcs, dtype=np.int32)
+    same = Network(np.int64(3), [tuple(row) for row in ends], net.mean, net.cov, 10.0)
+    assert same.node_count == 3 and same.arcs == net.arcs
+    assert type(same.node_count) is int and all(type(v) is int for arc in same.arcs for v in arc)
 
 
 def test_network_rejects_bad_matrices():
@@ -147,6 +170,22 @@ def test_substream_is_stable_and_label_sensitive():
     assert a != substream(42, "sampling-test")
     assert a != substream(43, "sampling-train")
     assert 0 <= a < 2**63
+    assert substream(np.int64(42), "sampling-train") == a
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1"])
+def test_seeds_and_counts_are_integers(bad):
+    # True would draw as seed 1, and 1.5 fail deep inside numpy
+    with pytest.raises(ValueError, match=rf"^seed: expected an integer, got {re.escape(repr(bad))}$"):
+        substream(bad, "sampling-train")
+    with pytest.raises(ValueError, match=rf"^seed: expected an integer, got {re.escape(repr(bad))}$"):
+        random_network(3, seed=bad)
+    with pytest.raises(ValueError, match=rf"^n_customers: expected an integer, got {re.escape(repr(bad))}$"):
+        random_network(bad, seed=0)
+    with pytest.raises(ValueError, match=rf"^q: expected an integer, got {re.escape(repr(bad))}$"):
+        sample_travel_times(small_net(), bad, seed=0)
+    with pytest.raises(ValueError, match=rf"^seed: expected an integer, got {re.escape(repr(bad))}$"):
+        sample_travel_times(small_net(), 3, seed=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +507,39 @@ def test_random_network_reproducible():
 def test_random_network_explicit_budget():
     net = random_network(3, seed=0, time_budget=77.5)
     assert net.time_budget == 77.5
+    # the default budget is a fixed factor of the embedded cycle's mean,
+    # and time_budget is the one way to set another
+    assert instance.BUDGET_FACTOR == 1.5
+    with pytest.raises(TypeError, match="tb_factor"):
+        random_network(3, seed=0, tb_factor=2)
+
+
+# (complete, n_customers, seed): time_budget.hex(), then the leading 32 hex
+# digits of the sha256 of repr(arcs) + mean bytes and of cov bytes; the cov
+# digest holds where the Gram product in covariance_parts rounds as here
+GENERATED = [
+    (False, 1, 0, "0x1.b8d3b778dbbd6p+5", "a48788830adcef1cda7fec1b14292fce", "82eaea82450244d517a89662e6584aba"),
+    (False, 5, 3, "0x1.41cf7d51cd385p+7", "06273bcb2cef8f51dc5d8c67a328265e", "824d97de1a5153d91f1a04984ddbf394"),
+    (False, 12, 7, "0x1.6877f01b2d4aep+8", "6ae912c611c0340b7c28bfced2e132db", "0bc39cdde9b7231e2c65b790584e6a06"),
+    (False, 30, 2, "0x1.e3852ef4943bcp+9", "d432fd9311ac7ff5b9af841acc064d6d", "eb1f4c00bb745e8027fe1e1a495debe6"),
+    (True, 2, 9, "0x1.54ec919c58fb0p+6", "52b7414cba1046d99259d6d8557b2584", "88c9c0b546a746a1c8ca8d7c606f54ab"),
+    (True, 4, 1, "0x1.2242e7f93e264p+7", "0a96a0bf7ee74636cee15dba8203c0d1", "3b06024ef06d67309c0833043a35a981"),
+    (True, 8, 5, "0x1.2a62831058e75p+8", "998a0120f32e22ce5b36954e4f48ebf8", "4aa6330ac7baf543865a779c721637f1"),
+]
+
+
+@pytest.mark.parametrize("complete, n, seed, budget, arcs_mean, cov", GENERATED)
+def test_random_network_is_pinned_bit_for_bit(complete, n, seed, budget, arcs_mean, cov):
+    def digest(*parts):
+        h = hashlib.sha256()
+        for part in parts:
+            h.update(part)
+        return h.hexdigest()[:32]
+
+    net = random_network(n, seed=seed, complete=complete)
+    assert net.time_budget.hex() == budget
+    assert digest(repr(net.arcs).encode(), net.mean.tobytes()) == arcs_mean
+    assert digest(net.cov.tobytes()) == cov
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for route encodings, arrival times, budgets, and route files."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,11 @@ def test_route_encoding_rejections():
         route_to_xy([0, 1, 1, 2, 0], net)
     with pytest.raises(ValueError, match=r"missing \[2, 3\]"):
         route_to_xy([0, 1, 0], net)
+    # an id is an integer: no float, bool or string stands in for one
+    for bad in (1.9, True, "1", float("inf")):
+        with pytest.raises(ValueError, match=rf"^route\[1\]: expected an integer, got {re.escape(repr(bad))}$"):
+            route_to_xy([0, bad, 2, 3, 0], net)
+    assert route_to_xy([np.int64(0), np.int32(1), 2, 3, 0], net).seq == (0, 1, 2, 3, 0)
 
 
 def test_route_encoding_requires_arcs():
@@ -297,6 +304,13 @@ def test_route_files_round_trip(tmp_path):
     path.write_text('{"route": [0, 2, 1, 0]}')
     with pytest.raises(ValueError, match="route file: expected an object with a 'seq' list"):
         load_route(path)
+    # save_route writes ids as they are or refuses them; numpy integers pass
+    save_route(np.array([0, 1, 2, 0]), path)
+    assert load_route(path) == (0, 1, 2, 0)
+    for bad in (1.5, True, "1"):
+        with pytest.raises(ValueError, match=rf"^route\[1\]: expected an integer, got {re.escape(repr(bad))}$"):
+            save_route((0, bad, 2, 0), path)
+    assert load_route(path) == (0, 1, 2, 0)
 
 
 def test_load_route_rejects_json_booleans(tmp_path):

@@ -275,10 +275,9 @@ def test_saa_window_duals_certify_cost():
 
 
 def test_saa_window_duals_sit_on_one_argpartition():
-    # the pricing kernel's ranking is np.argpartition at the critical
-    # ranks, the one the duals were always placed on: rho1 and rho2 are
-    # unchanged bit for bit, with ties and with p1 == p2, and the edges
-    # are the order statistics of those ranks
+    # the pricing kernel's ranking is one np.argpartition at both critical
+    # ranks, also when p1 == p2 (a repeated kth), and the duals sit on it,
+    # with ties too; the edges are the order statistics of those ranks
     rng = np.random.default_rng(11)
     for trial in range(200):
         q = int(rng.integers(1, 1200))
@@ -289,7 +288,7 @@ def test_saa_window_duals_sit_on_one_argpartition():
         a_w = (a_l * a_u) / (a_l + a_u) * (1.0 if trial % 5 == 0 else float(rng.uniform(0.01, 1.0)))
         win = saa_window(arr, a_w, a_l, a_u)
         p1, p2 = win.p1, win.p2
-        ranked = np.argpartition(arr, p1 - 1 if p1 == p2 else (p1 - 1, p2 - 1))
+        ranked = np.argpartition(arr, (p1 - 1, p2 - 1))
         rho1, rho2 = np.zeros(q), np.zeros(q)
         rho1[ranked[:p1]], rho2[ranked[p2 - 1:]] = window_design._rank_duals(q, p1, p2, a_w, a_l, a_u)
         assert np.array_equal(win.rho1, rho1) and np.array_equal(win.rho2, rho2), trial
@@ -1138,3 +1137,19 @@ def test_plan_rejects_non_finite_values():
             values = dict(good, **{name: [bad, 4.0]})
             with pytest.raises(ValueError, match=f"non-finite {name}"):
                 WindowPlan(kind="saa", route_seq=(0, 1, 2, 0), customers=(1, 2), total_cost=1.0, **values)
+
+
+def test_plan_ids_are_integers():
+    # a plan's route and customers are ids: a float, bool or string is
+    # refused, not rounded, and numpy integers pass as Python ints
+    from twdesign import WindowPlan
+
+    values = dict(kind="saa", lower=[1.0], upper=[3.0], cost_per_customer=[0.5], total_cost=0.5)
+    plan = WindowPlan(route_seq=np.array([0, 1, 0]), customers=(np.int64(1),), **values)
+    assert plan.route_seq == (0, 1, 0) and plan.customers == (1,)
+    assert all(type(v) is int for v in plan.route_seq + plan.customers)
+    for bad in (1.0, True, "1"):
+        with pytest.raises(ValueError, match=r"^route\[1\]: expected an integer"):
+            WindowPlan(route_seq=(0, bad, 0), customers=(1,), **values)
+        with pytest.raises(ValueError, match=r"^customers\[0\]: expected an integer"):
+            WindowPlan(route_seq=(0, 1, 0), customers=(bad,), **values)
