@@ -40,7 +40,7 @@ from .instance import (
     save_route,
     substream,
 )
-from .solver import InfeasibleError, branch_and_bound, build_model, checked_context, route_cuts
+from .solver import InfeasibleError, branch_and_bound, build_model, route_cuts
 from .window_design import (
     PenaltyConfig,
     design_fixed_width,
@@ -214,7 +214,7 @@ def _cmd_design(args) -> int:
     if args.fixed_width:
         plan = design_fixed_width(route, model.samples, pen)
     else:
-        plan = checked_context(net, model, pen).plan(route)
+        plan = model.context(net, pen).plan(route)
     save_plan(plan, args.out, extra=_timestamp_extra(args))
     if args.cost_csv is not None:
         write_cost_csv(plan, args.cost_csv)
@@ -250,7 +250,7 @@ def _cmd_solve(args) -> int:
     save_plan(res.plan, args.out_dir / "plan.json", extra=_timestamp_extra(args))
     save_route(res.route.seq, args.out_dir / "route.json")
     if args.cut_log is not None:
-        _write_cut_log(args.cut_log, route_cuts(checked_context(net, model, pen), res.route), net)
+        _write_cut_log(args.cut_log, route_cuts(model.context(net, pen), res.route), net)
     print(
         f"solved {res.model}: objective {res.objective:.6g}, route {list(res.route.seq)}, "
         f"{res.nodes} nodes, wrote {args.out_dir}"

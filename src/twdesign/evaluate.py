@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .instance import Network, Route, SampleSet, _check_sizes, _open_for_write, sample_travel_times, substream
-from .solver import DroModel, branch_and_bound, build_model
+from .solver import branch_and_bound, build_model
 from .window_design import WindowPlan, _outside, arrival_matrix, penalties_from_beta
 
 REPORT_COLUMNS = [
@@ -142,7 +142,6 @@ def guideline_sweep(
     Rows come back sorted by (model, beta_l, beta_u, seed).
     """
     rows = []
-    DroModel(alpha1, alpha2)  # bad alphas fail even when no rm cell reads them
     tests = {seed: sample_travel_times(net, q_test, substream(seed, "sampling-test")) for seed in seeds}
     for model_name in models:
         built = {seed: build_model(model_name, net, seed, q_train, alpha1, alpha2) for seed in tests}

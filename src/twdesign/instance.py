@@ -223,7 +223,7 @@ def _validate_network(net: Network) -> np.ndarray:
     if not np.all(np.isfinite(net.cov)):
         raise ValueError("cov: entries must be finite")
     scale = max(1.0, float(np.max(np.abs(net.cov))))
-    asym = float(np.max(np.abs(net.cov - net.cov.T))) if m else 0.0
+    asym = float(np.max(np.abs(net.cov - net.cov.T)))
     if asym > SYM_TOL * scale:
         raise ValueError(f"cov: asymmetric beyond tolerance ({asym:.3e} > {SYM_TOL * scale:g})")
     if np.any(np.diag(net.cov) < 0):
@@ -283,8 +283,6 @@ def arc_node_hops(net: Network) -> np.ndarray:
     """
     succ = _successors(net.node_count, [*net.arcs, *((j, i) for i, j in net.arcs)])
     dist = np.array([_hops_from(v, succ) for v in range(net.node_count)])
-    if np.any(dist < 0):
-        raise ValueError("disconnected network: undirected skeleton is not connected")
     ends = np.asarray(net.arcs)
     return np.minimum(dist[ends[:, 0]], dist[ends[:, 1]])
 
@@ -304,10 +302,7 @@ def covariance_parts(net: Network, params: CovGenParams) -> tuple[np.ndarray, np
     scores = 1.0 / (1.0 + hops.astype(float))
     flip = rng.random(scores.shape) < params.neg_flip_prob
     scores = np.where(flip, -scores, scores)
-    norms = np.linalg.norm(scores, axis=1, keepdims=True)
-    if not np.all(norms > 0):
-        raise RuntimeError("internal error: zero proximity row")
-    rows = scores / norms
+    rows = scores / np.linalg.norm(scores, axis=1, keepdims=True)
     corr = rows @ rows.T
     corr = (corr + corr.T) / 2.0
     cv = rng.uniform(params.cv_min, params.cv_max, net.n_arcs)

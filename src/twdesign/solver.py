@@ -37,8 +37,9 @@ and build a ``Route`` only for the tour they return.
 A model (``SaaModel`` or ``DroModel``) is its pricer and its budget:
 ``name``, ``budget(net, x)`` and ``context(net, pen)``, which returns
 the pricer (``SaaPricer`` or ``DroPricer`` from ``window_design``), the
-model's one way in: building it applies the model's rules, both searches
-price through it, the solve's plan is its ``plan(route)``, and its
+model's one way in.  ``_search``, the one entry to both searches, builds
+it (which applies the model's rules) and each search adds only its walk;
+both price through it, the solve's plan is its ``plan(route)``, and its
 ``subgradients`` give the completion bound and the cuts, so the
 searches, the plan and the cut log agree on every cost to the last bit.
 
@@ -170,14 +171,6 @@ class SolveResult:
         return doc
 
 
-def checked_context(net: Network, model, pen: PenaltyConfig):
-    """The model's pricer (``model.context`` applies the model's rules)."""
-    if not hasattr(model, "context"):
-        raise TypeError(f"unknown model type {type(model).__name__}")
-    _check_sizes(net.n_arcs, net.n_customers, pen=pen)
-    return model.context(net, pen)
-
-
 class _Incumbent:
     """The best tour a search has found, and the rule every complete tour
     goes through: drop it unless strictly cheaper than the best so far,
@@ -236,6 +229,21 @@ class _Incumbent:
         )
 
 
+def _search(net: Network, model, pen: PenaltyConfig, walk) -> SolveResult:
+    """Refuse a non-model, check the penalty config's size, build the pricer,
+    and report the tour that ``walk(net, inc)`` leaves in the incumbent
+    ``inc``; the walk returns the nodes visited and the children pruned."""
+    if not hasattr(model, "context"):
+        raise TypeError(f"unknown model type {type(model).__name__}")
+    _check_sizes(net.n_arcs, net.n_customers, pen=pen)
+    start = time.perf_counter()
+    inc = _Incumbent(net, model, model.context(net, pen))
+    nodes, pruned = walk(net, inc)
+    if inc.seq is None:
+        raise inc.infeasible()
+    return inc.result(nodes, pruned, start)
+
+
 ENUMERATE_MAX_CUSTOMERS = 9
 
 
@@ -249,21 +257,21 @@ def enumerate_exact(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     ``nodes`` counts the tours priced.  Limited to nine customers; beyond
     that use ``branch_and_bound``.
     """
-    start = time.perf_counter()
-    ctx = checked_context(net, model, pen)
-    inc = _Incumbent(net, model, ctx)
+    return _search(net, model, pen, _enumerate)
+
+
+def _enumerate(net: Network, inc: _Incumbent) -> tuple[int, int]:
+    """The enumeration's walk from the depot: the tours priced, none pruned."""
     if net.n_customers > ENUMERATE_MAX_CUSTOMERS:
         raise ValueError(f"enumeration limited to {ENUMERATE_MAX_CUSTOMERS} customers")
-    tours_priced = _walk(net, ctx, inc, (0,), ctx.root_state(), 0.0)
-    if inc.seq is None:
-        raise inc.infeasible()
-    return inc.result(tours_priced, 0, start)
+    return _walk(net, inc, (0,), inc.ctx.root_state(), 0.0), 0
 
 
-def _walk(net: Network, ctx, inc: _Incumbent, seq: tuple[int, ...], state, acc_cost: float) -> int:
+def _walk(net: Network, inc: _Incumbent, seq: tuple[int, ...], state, acc_cost: float) -> int:
     """Offer ``inc`` every tour that extends the open path ``seq`` (its last
     node at arrival state ``state``) and return the tours priced.  Not a
     closure, so no reference cycle keeps the pricer alive after the walk."""
+    ctx = inc.ctx
     node = seq[-1]
     if len(seq) == net.node_count:
         if (node, 0) not in net.arc_index:
@@ -274,7 +282,7 @@ def _walk(net: Network, ctx, inc: _Incumbent, seq: tuple[int, ...], state, acc_c
     for j, arc in net.out_arcs[node]:
         if j not in seq:
             child = ctx.extend(state, arc)
-            priced += _walk(net, ctx, inc, (*seq, j), child, acc_cost + ctx.place_cost(child, j))
+            priced += _walk(net, inc, (*seq, j), child, acc_cost + ctx.place_cost(child, j))
     return priced
 
 
@@ -577,13 +585,7 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     cost (``route_cost_sm``/``route_cost_rm``), to the bit: the search
     and the plan sum the same pricer's costs in visit order.
     """
-    start = time.perf_counter()
-    ctx = checked_context(net, model, pen)
-    inc = _Incumbent(net, model, ctx)
-    nodes, pruned = _dfs(net, inc)
-    if inc.seq is None:
-        raise inc.infeasible()
-    return inc.result(nodes, pruned, start)
+    return _search(net, model, pen, _dfs)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,7 @@ class PenaltyConfig:
         )
 
     def for_customer(self, k: int) -> tuple[float, float, float]:
+        k = _as_int(k, "customer")
         if not 1 <= k <= self.n_customers:
             raise ValueError(f"customer {k} outside 1..{self.n_customers}")
         return float(self.a_w[k - 1]), float(self.a_l[k - 1]), float(self.a_u[k - 1])
@@ -104,7 +105,7 @@ def penalties_from_beta(beta_l: float, beta_u: float, n_customers: int) -> Penal
             "infeasible confidence: need beta_l, beta_u > 0 with beta_l + beta_u <= 1"
         )
     a_w = min(beta_l, beta_u)
-    ones = np.ones(n_customers)
+    ones = np.ones(_as_int(n_customers, "n_customers"))
     return PenaltyConfig(a_w * ones, (a_w / beta_l) * ones, (a_w / beta_u) * ones)
 
 
@@ -116,6 +117,7 @@ def critical_indices(q: int, a_w: float, a_l: float, a_u: float) -> tuple[int, i
     float expressions.  Each right-hand side grows with r (with q - r + 1),
     so a bisection over the ranks finds each.
     """
+    q = _as_int(q, "q")
     if q < 1:
         raise ValueError("q must be >= 1")
     # NaN fails this test too; past it, r = q satisfies both inequalities
@@ -263,6 +265,7 @@ class WindowPlan:
         return self.upper - self.lower
 
     def window_for(self, k: int) -> tuple[float, float]:
+        k = _as_int(k, "customer")
         try:
             pos = self.customers.index(k)
         except ValueError:

@@ -1,10 +1,11 @@
-"""Slow reference implementations that the tests compare the library against."""
+"""Slow reference implementations that the tests compare the library
+against, and the small network that several test files share."""
 
 from typing import Mapping
 
 import numpy as np
 
-from twdesign import PenaltyConfig, Route, SampleSet, WindowPlan
+from twdesign import Network, PenaltyConfig, Route, SampleSet, WindowPlan
 from twdesign.window_design import _window_cost, _window_plan, arrival_matrix
 
 
@@ -127,3 +128,11 @@ def design_fixed_width_unrolled(route: Route, samples: SampleSet, pen: PenaltyCo
         window = (l_best, l_best + w)
         windows.append((*window, _window_cost(arr[:, pos], *window, *pen.for_customer(k))))
     return _window_plan("saa-fixed", route, windows, arr, shared_width=w)
+
+
+def three_net():
+    """Complete network on depot + 3 customers with distinct means."""
+    arcs = tuple((i, j) for i in range(4) for j in range(4) if i != j)
+    mean = np.arange(1.0, len(arcs) + 1)
+    cov = np.zeros((len(arcs), len(arcs)))
+    return Network(4, arcs, mean, cov, 1000.0)

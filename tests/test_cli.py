@@ -890,6 +890,30 @@ def test_config_untyped_options_take_text(inst, tmp_path, capsys):
         assert {r["model"] for r in csv.DictReader(fh)} == {"7"}
 
 
+def test_config_null_leaves_a_null_default_unset(inst, tmp_path, capsys):
+    # null sets an option whose default is null to that default, so the
+    # command runs as if the key were left out; an option with another
+    # default takes no null
+    net, inst_path = inst
+    cfg = tmp_path / "cfg.json"
+    gen = ["gen", "--customers", "4", "--seed", "3"]
+    assert main([*gen, "--out", str(tmp_path / "plain.json")]) == 0
+    cfg.write_text(json.dumps({"time_budget": None}))
+    assert main(["--config", str(cfg), *gen, "--out", str(tmp_path / "null.json")]) == 0
+    assert (tmp_path / "null.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    guideline = ["--config", str(cfg), "guideline", "--instance", str(inst_path), "--beta-pair", "0.2,0.2",
+                 "--q-train", "20", "--q-test", "20", "--out", str(out)]
+    cfg.write_text(json.dumps({"seeds": None}))
+    assert main(guideline) == 1
+    assert capsys.readouterr().err == "twdesign: error: --seeds is required\n"
+    cfg.write_text(json.dumps({"seeds": "1", "models": None}))
+    assert main(guideline) == 1
+    assert capsys.readouterr().err == "twdesign: error: --config: models: expected a string or number, got null\n"
+    assert not out.exists()
+
+
 def test_bad_flag_exits_one(capsys):
     # argparse usage errors come back as 1, not the default 2
     with pytest.raises(SystemExit) as exc:

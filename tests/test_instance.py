@@ -13,17 +13,24 @@ import numpy as np
 import pytest
 
 import twdesign
+from reference import three_net
 from twdesign import (
     CovGenParams,
     Network,
+    SaaModel,
     SampleSet,
     arc_node_hops,
+    branch_and_bound,
     covariance_parts,
     generate_covariance,
     load_instance,
+    load_route,
+    penalties_from_beta,
     random_network,
+    route_to_xy,
     sample_travel_times,
     save_instance,
+    save_route,
     substream,
 )
 from twdesign import instance
@@ -739,3 +746,102 @@ def test_instance_cov_entries_must_be_numbers(tmp_path):
         cov[row][row] = bad
         with pytest.raises(ValueError, match=rf"cov\[{row}\]: expected numbers, got {json.dumps(bad)}"):
             load_instance(write_doc(tmp_path, dict(base, cov=cov)))
+
+
+# ---------------------------------------------------------------------------
+# routes and route files
+
+
+def test_route_encoding_structure():
+    net = three_net()
+    route = route_to_xy([0, 3, 1, 2, 0], net)
+    assert route.seq == (0, 3, 1, 2, 0)
+    assert route.customers == (3, 1, 2)
+    # x marks exactly the four tour arcs
+    used = {net.arcs[a] for a in np.nonzero(route.x)[0]}
+    assert used == {(0, 3), (3, 1), (1, 2), (2, 0)}
+    # y rows hold prefixes: customer 3 sees one arc, customer 2 three
+    assert route.y[3 - 1].sum() == 1
+    assert route.y[1 - 1].sum() == 2
+    assert route.y[2 - 1].sum() == 3
+    assert route.y[2 - 1, net.arc_index[(0, 3)]] == 1
+    assert route.y[2 - 1, net.arc_index[(2, 0)]] == 0
+    assert route.path_arcs == (
+        net.arc_index[(0, 3)],
+        net.arc_index[(3, 1)],
+        net.arc_index[(1, 2)],
+    )
+    assert not route.x.flags.writeable
+    # on random complete and sparse networks, x is the tour's arcs and the
+    # row of the customer at position p is exactly path_arcs[:p+1]
+    for seed in range(4):
+        for complete in (True, False):
+            net = random_network(5, seed=seed, complete=complete)
+            model = SaaModel(sample_travel_times(net, 20, seed))
+            route = branch_and_bound(net, model, penalties_from_beta(0.1, 0.1, 5)).route
+            tour = [net.arc_index[arc] for arc in zip(route.seq, route.seq[1:])]
+            want_x = np.zeros(net.n_arcs, dtype=np.int8)
+            want_x[tour] = 1
+            assert np.array_equal(route.x, want_x), (seed, complete)
+            assert route.path_arcs == tuple(tour[:-1])
+            for pos, k in enumerate(route.customers):
+                want_y = np.zeros(net.n_arcs, dtype=np.int8)
+                want_y[tour[: pos + 1]] = 1
+                assert np.array_equal(route.y[k - 1], want_y), (seed, complete, k)
+
+
+def test_route_encoding_rejections():
+    net = three_net()
+    with pytest.raises(ValueError, match="no customers"):
+        route_to_xy([0, 0], net)
+    with pytest.raises(ValueError, match="start and end at the depot"):
+        route_to_xy([1, 2, 3, 0], net)
+    with pytest.raises(ValueError, match="depot cannot appear mid-route"):
+        route_to_xy([0, 1, 0, 2, 3, 0], net)
+    with pytest.raises(ValueError, match="unknown customer 9"):
+        route_to_xy([0, 1, 9, 2, 0], net)
+    with pytest.raises(ValueError, match="repeated customer 1"):
+        route_to_xy([0, 1, 1, 2, 0], net)
+    with pytest.raises(ValueError, match=r"missing \[2, 3\]"):
+        route_to_xy([0, 1, 0], net)
+    # an id is an integer: no float, bool or string stands in for one
+    for bad in (1.9, True, "1", float("inf")):
+        with pytest.raises(ValueError, match=rf"^route\[1\]: expected an integer, got {re.escape(repr(bad))}$"):
+            route_to_xy([0, bad, 2, 3, 0], net)
+    assert route_to_xy([np.int64(0), np.int32(1), 2, 3, 0], net).seq == (0, 1, 2, 3, 0)
+
+
+def test_route_encoding_requires_arcs():
+    arcs = ((0, 1), (1, 2), (2, 0), (0, 2))
+    net = Network(3, arcs, np.ones(4), np.zeros((4, 4)), 100.0)
+    with pytest.raises(ValueError, match=r"arc \(2, 1\) not in network"):
+        route_to_xy([0, 2, 1, 0], net)
+
+
+def test_route_files_round_trip(tmp_path):
+    path = tmp_path / "route.json"
+    save_route((0, 2, 1, 0), path)
+    assert load_route(path) == (0, 2, 1, 0)
+    path.write_text('{"seq": "nope"}')
+    with pytest.raises(ValueError, match="seq"):
+        load_route(path)
+    path.write_text('{"route": [0, 2, 1, 0]}')
+    with pytest.raises(ValueError, match="route file: expected an object with a 'seq' list"):
+        load_route(path)
+    # save_route writes ids as they are or refuses them; numpy integers pass
+    save_route(np.array([0, 1, 2, 0]), path)
+    assert load_route(path) == (0, 1, 2, 0)
+    for bad in (1.5, True, "1"):
+        with pytest.raises(ValueError, match=rf"^route\[1\]: expected an integer, got {re.escape(repr(bad))}$"):
+            save_route((0, bad, 2, 0), path)
+    assert load_route(path) == (0, 1, 2, 0)
+
+
+def test_load_route_rejects_json_booleans(tmp_path):
+    # json loads true as a bool, which Python counts as the integer 1, so
+    # [0, true, 2, 0] would otherwise read as the tour (0, 1, 2, 0)
+    path = tmp_path / "route.json"
+    for seq in ("[0, true, 2, 0]", "[false, 1, 2, 0]", "[0, 1, 2, false]"):
+        path.write_text('{"seq": %s}' % seq)
+        with pytest.raises(ValueError, match="'seq' must be a list of integers"):
+            load_route(path)

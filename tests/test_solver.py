@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+from reference import three_net
 from twdesign import (
     DroModel,
     InfeasibleError,
@@ -34,8 +35,8 @@ from twdesign import (
     substream,
 )
 from twdesign import solver, window_design
-from twdesign.solver import _completion_bounds, _spans, build_model, checked_context
-from twdesign.window_design import SaaPricer
+from twdesign.solver import _completion_bounds, _spans, build_model
+from twdesign.window_design import DroPricer, SaaPricer
 
 
 def solve_both(net, model, pen):
@@ -379,20 +380,29 @@ def test_search_depth_uses_no_python_stack():
     assert (res.nodes, res.pruned) == (n + 1, 1)
 
 
-def test_searches_free_their_pricer_on_return(monkeypatch):
+def test_searches_free_their_pricer_on_return():
     # neither search leaves a reference cycle that holds its pricer: with
     # the garbage collector off, the pricer is freed as the search returns
     pricers = []
 
-    def tracked(*args):
-        ctx = checked_context(*args)
-        pricers.append(weakref.ref(ctx))
-        return ctx
+    class Tracked:
+        """A model that records a weak reference to each pricer it builds."""
 
-    monkeypatch.setattr(solver, "checked_context", tracked)
+        def __init__(self, model):
+            self.model = model
+            self.name = model.name
+
+        def budget(self, net, x):
+            return self.model.budget(net, x)
+
+        def context(self, net, pen):
+            ctx = self.model.context(net, pen)
+            pricers.append(weakref.ref(ctx))
+            return ctx
+
     net = random_network(6, seed=0)
     pen = penalties_from_beta(0.05, 0.05, 6)
-    models = both_models(sample_travel_times(net, 50, seed=0))
+    models = [Tracked(model) for model in both_models(sample_travel_times(net, 50, seed=0))]
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -721,7 +731,7 @@ def test_dro_domain_rule_is_checked_before_search(monkeypatch):
     with pytest.raises(ValueError, match=domain):
         enumerate_exact(net, DroModel(), boundary)
     with pytest.raises(ValueError, match=domain):
-        checked_context(net, DroModel(), boundary)
+        DroModel().context(net, boundary)
 
 
 def test_model_protocol_is_name_budget_and_context():
@@ -989,3 +999,65 @@ def test_solve_result_json_shape():
     assert doc["model"] == "sm"
     assert "wall_time_s" in doc
     assert "wall_time_s" not in res.to_json_dict(include_timing=False)
+
+
+# ---------------------------------------------------------------------------
+# duration budgets
+
+
+def test_budgets():
+    net = three_net()
+    route = route_to_xy([0, 1, 2, 3, 0], net)
+    rng = np.random.default_rng(0)
+    values = rng.uniform(1.0, 5.0, (50, net.n_arcs))
+    samples = SampleSet(q=50, values=values)
+    tour_cols = [net.arc_index[a] for a in ((0, 1), (1, 2), (2, 3), (3, 0))]
+    want = float(values[:, tour_cols].sum(axis=1).mean())
+    assert SaaModel(samples).budget(net, route.x) == pytest.approx(want, abs=1e-12)
+    # robust budget: mean part plus alpha1-scaled dispersion
+    cov = np.diag(np.linspace(0.5, 2.0, net.n_arcs))
+    net = Network(4, net.arcs, net.mean, cov, net.time_budget)
+    mean_part = float(net.mean[tour_cols].sum())
+    disp = float(np.sqrt(np.diag(cov)[tour_cols].sum()))
+    assert DroModel(0.0).budget(net, route.x) == pytest.approx(mean_part)
+    assert DroModel(4.0).budget(net, route.x) == pytest.approx(mean_part + 2 * disp)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha1"):
+            DroModel(bad)
+
+
+def test_budgets_and_dro_pricing_reject_non_finite_input():
+    # each input is checked where it enters, and the error names it
+    net = three_net()
+    route = route_to_xy([0, 1, 2, 3, 0], net)
+    samples = SampleSet(q=2, values=np.ones((2, net.n_arcs)))
+    cov = np.diag(np.linspace(0.5, 2.0, net.n_arcs))
+    pen = penalties_from_beta(0.05, 0.05, 3)
+    x = route.x.astype(float)
+
+    def spoiled(array, value, index=0):
+        out = np.array(array, dtype=float)
+        out.flat[index] = value
+        return out
+
+    models = (SaaModel(samples), DroModel())
+    for bad in (np.nan, np.inf, -np.inf):
+        for model in models:
+            with pytest.raises(ValueError, match="^x: entries must be finite"):
+                model.budget(net, spoiled(x, bad))
+        for mean, c, name in ((spoiled(net.mean, bad, 5), cov, "mean"), (net.mean, spoiled(cov, bad, 7), "cov")):
+            for call in (
+                lambda: DroPricer(mean, c, 0.0, pen),
+                lambda: design_dro(route, mean, c, 0.0, pen),
+                lambda: route_cost_rm(route, mean, c, 0.0, pen),
+            ):
+                with pytest.raises(ValueError, match=f"^{name}: entries must be finite"):
+                    call()
+    m = net.n_arcs
+    for model in models:
+        with pytest.raises(ValueError, match=rf"^x: expected shape \({m},\), got \({m - 1},\)"):
+            model.budget(net, x[1:])
+        with pytest.raises(ValueError, match=rf"^x: expected shape \({m},\), got \(1, {m}\)"):
+            model.budget(net, x[None])
+    with pytest.raises(ValueError, match=rf"^mean: expected shape \({m},\), got \(1, {m}\)"):
+        DroPricer(net.mean[None], cov, 0.0, pen)

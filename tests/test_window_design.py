@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -18,12 +19,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import _candidate_widths, _inner_fixed_cost, design_fixed_width_unrolled
+from reference import _candidate_widths, _inner_fixed_cost, design_fixed_width_unrolled, three_net
 from twdesign import (
     Network,
     PenaltyConfig,
     SaaModel,
     SampleSet,
+    WindowPlan,
     arrival_matrix,
     branch_and_bound,
     brute_force_windows,
@@ -32,18 +34,23 @@ from twdesign import (
     design_fixed_width,
     design_stochastic,
     dro_window,
+    evaluate_plan,
     gamma_coeffs,
     load_plan,
     oa_cut,
     penalties_from_beta,
     random_network,
+    route_cost_rm,
+    route_cost_sm,
     route_to_xy,
     saa_window,
     sample_travel_times,
     save_plan,
     scarf_earliness,
     scarf_tardiness,
+    simulate_waiting,
     substream,
+    write_cost_csv,
 )
 from twdesign import window_design
 from twdesign.window_design import _window_cost, _Widths, _WidthPricer
@@ -1153,3 +1160,174 @@ def test_plan_ids_are_integers():
             WindowPlan(route_seq=(0, bad, 0), customers=(1,), **values)
         with pytest.raises(ValueError, match=r"^customers\[0\]: expected an integer"):
             WindowPlan(route_seq=(0, 1, 0), customers=(bad,), **values)
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, True, "2"])
+def test_counts_and_customer_ids_are_integers(bad):
+    # a count or a customer id is an integer: 2.0 and True once passed as
+    # 2 and 1, 2.5 failed inside numpy; numpy integers pass
+    message = rf"expected an integer, got {re.escape(repr(bad))}$"
+    pen = penalties_from_beta(0.05, 0.05, 3)
+    plan = WindowPlan("saa", (0, 1, 2, 0), (1, 2), [1.0, 2.0], [3.0, 4.0], [0.5, 0.5], 1.0)
+    with pytest.raises(ValueError, match=rf"^n_customers: {message}"):
+        penalties_from_beta(0.05, 0.05, bad)
+    with pytest.raises(ValueError, match=rf"^q: {message}"):
+        critical_indices(bad, 0.05, 1.0, 1.0)
+    with pytest.raises(ValueError, match=rf"^customer: {message}"):
+        pen.for_customer(bad)
+    with pytest.raises(ValueError, match=rf"^customer: {message}"):
+        plan.window_for(bad)
+    assert penalties_from_beta(0.05, 0.05, np.int64(3)).n_customers == 3
+    assert critical_indices(np.int32(20), 0.05, 1.0, 1.0) == critical_indices(20, 0.05, 1.0, 1.0)
+    assert pen.for_customer(np.int64(2)) == pen.for_customer(2)
+    assert plan.window_for(np.int64(2)) == (2.0, 4.0)
+
+
+# ---------------------------------------------------------------------------
+# arrivals, route costs and cost files
+
+
+def test_arrival_matrix_cumulative_sums():
+    net = three_net()
+    route = route_to_xy([0, 2, 1, 3, 0], net)
+    values = np.arange(2 * net.n_arcs, dtype=float).reshape(2, net.n_arcs)
+    arr = arrival_matrix(route, values)
+    a1 = net.arc_index[(0, 2)]
+    a2 = net.arc_index[(2, 1)]
+    a3 = net.arc_index[(1, 3)]
+    want = np.stack(
+        [
+            values[:, a1],
+            values[:, a1] + values[:, a2],
+            values[:, a1] + values[:, a2] + values[:, a3],
+        ],
+        axis=1,
+    )
+    assert np.array_equal(arr, want)
+
+
+def test_route_cost_sm_matches_design():
+    net = random_network(3, seed=2, complete=True)
+    route = route_to_xy([0, 2, 3, 1, 0], net)
+    samples = sample_travel_times(net, 120, seed=3)
+    pen = penalties_from_beta(0.1, 0.05, 3)
+    plan, _ = design_stochastic(route, samples, pen)
+    assert route_cost_sm(route, samples, pen) == pytest.approx(plan.total_cost, abs=1e-12)
+
+
+def test_route_cost_sm_is_plan_cost_bitwise():
+    # route_cost_sm is the total of the pricer's plan, so it equals the
+    # designed plan's cost to the bit.
+    # Desk-like routes (sparse n=10, the solve's tour, q=1000, both
+    # targets) and dense-like ones (complete n=8, any tour, mixed weights)
+    rng = np.random.default_rng(5)
+    cases = []
+    for seed in range(3):
+        net = random_network(10, seed=seed)
+        train = sample_travel_times(net, 1000, seed=seed)
+        for beta in (0.05, 0.025):
+            pen = penalties_from_beta(beta, beta, 10)
+            cases.append((branch_and_bound(net, SaaModel(train), pen).route, train, pen))
+    for seed in range(3):
+        net = random_network(8, seed=seed, complete=True)
+        train = sample_travel_times(net, 1000, seed=seed)
+        a_l, a_u = rng.uniform(0.3, 1.0, 8), rng.uniform(0.3, 1.0, 8)
+        pen = PenaltyConfig(rng.uniform(0.05, 0.5, 8) * a_l * a_u / (a_l + a_u), a_l, a_u)
+        for _ in range(3):
+            seq = [0, *(int(k) for k in rng.permutation(np.arange(1, 9))), 0]
+            cases.append((route_to_xy(seq, net), train, pen))
+    for route, train, pen in cases:
+        plan, _ = design_stochastic(route, train, pen)
+        assert route_cost_sm(route, train, pen) == plan.total_cost, route.seq
+
+
+def test_route_cost_rm_matches_design_and_identity():
+    net = random_network(3, seed=5, complete=True)
+    route = route_to_xy([0, 1, 3, 2, 0], net)
+    pen = penalties_from_beta(0.05, 0.05, 3)
+    plan = design_dro(route, net.mean, net.cov, 0.7, pen)
+    assert route_cost_rm(route, net.mean, net.cov, 0.7, pen) == plan.total_cost
+    # with zero covariance the cost reduces to sum gamma * sqrt(alpha2 * k)
+    zero = np.zeros_like(net.cov)
+    from twdesign import gamma_coeffs
+
+    gl, gu = gamma_coeffs(0.05, 1.0, 1.0)
+    alpha2 = 2.0
+    want = sum(
+        (gl + gu) * np.sqrt(alpha2 * route.y[k - 1].sum()) for k in route.customers
+    )
+    assert route_cost_rm(route, net.mean, zero, alpha2, pen) == pytest.approx(
+        float(want), abs=1e-9
+    )
+    assert route_cost_rm(route, net.mean, zero, alpha2, pen) == design_dro(route, net.mean, zero, alpha2, pen).total_cost
+
+
+def test_route_cost_rm_is_plan_cost_bitwise():
+    # route_cost_rm is the total of the pricer's plan, on dense-like routes
+    # (complete n=8, any tour, mixed weights, some clamped windows at a
+    # large alpha2)
+    rng = np.random.default_rng(6)
+    for seed in range(3):
+        net = random_network(8, seed=seed, complete=True)
+        a_l, a_u = rng.uniform(0.3, 1.0, 8), rng.uniform(0.3, 1.0, 8)
+        pen = PenaltyConfig(rng.uniform(0.05, 0.5, 8) * a_l * a_u / (a_l + a_u), a_l, a_u)
+        for alpha2 in (0.0, 0.7, 400.0):
+            seq = [0, *(int(k) for k in rng.permutation(np.arange(1, 9))), 0]
+            route = route_to_xy(seq, net)
+            plan = design_dro(route, net.mean, net.cov, alpha2, pen)
+            assert route_cost_rm(route, net.mean, net.cov, alpha2, pen) == plan.total_cost, (seed, alpha2)
+
+
+# each route-level entry point with the inputs it takes from the network:
+# a sample set, an arc mean with its covariance, a penalty config
+_ROUTE_INPUTS = {
+    "design_stochastic": (("samples", "pen"), lambda r, s, m, c, p: design_stochastic(r, s, p)),
+    "design_fixed_width": (("samples", "pen"), lambda r, s, m, c, p: design_fixed_width(r, s, p)),
+    "brute_force_windows": (("samples", "pen"), lambda r, s, m, c, p: brute_force_windows(r, s, p)),
+    "route_cost_sm": (("samples", "pen"), lambda r, s, m, c, p: route_cost_sm(r, s, p)),
+    "route_cost_rm": (("mean", "pen"), lambda r, s, m, c, p: route_cost_rm(r, m, c, 0.0, p)),
+    "design_dro": (("mean", "pen"), lambda r, s, m, c, p: design_dro(r, m, c, 0.0, p)),
+    "evaluate_plan": (("samples",), lambda r, s, m, c, p: evaluate_plan(r, design_dro(r, m, c, 0.0, p), s)),
+    "simulate_waiting": (("samples",), lambda r, s, m, c, p: simulate_waiting(r, dict.fromkeys(r.customers, 0.0), s)),
+}
+_MISMATCH = {
+    "samples": "sample set does not match the network's arc count",
+    "mean": "mean does not match the network's arc count",
+    "pen": "penalty config does not match the network's customer count",
+}
+
+
+@pytest.mark.parametrize("entry, foreign", [(e, f) for e, (inputs, _) in _ROUTE_INPUTS.items() for f in inputs])
+def test_route_inputs_must_match_the_route(entry, foreign):
+    # a route on 12 arcs (3 customers) refuses inputs made for a network
+    # of 4 customers on 20 arcs, which it would otherwise price on the
+    # wrong arcs
+    call = _ROUTE_INPUTS[entry][1]
+    own, other = (random_network(n, seed=1, complete=True) for n in (3, 4))
+    route = route_to_xy([0, 1, 2, 3, 0], own)
+
+    def inputs(net):
+        return {"samples": sample_travel_times(net, 40, seed=2), "mean": (net.mean, net.cov),
+                "pen": penalties_from_beta(0.05, 0.05, net.n_customers)}
+
+    got = inputs(own)
+    call(route, got["samples"], *got["mean"], got["pen"])
+    got[foreign] = inputs(other)[foreign]
+    with pytest.raises(ValueError, match=f"^{_MISMATCH[foreign]}$"):
+        call(route, got["samples"], *got["mean"], got["pen"])
+
+
+def test_cost_csv_columns(tmp_path):
+    net = random_network(2, seed=0, complete=True)
+    route = route_to_xy([0, 1, 2, 0], net)
+    samples = sample_travel_times(net, 40, seed=1)
+    pen = penalties_from_beta(0.1, 0.1, 2)
+    plan, _ = design_stochastic(route, samples, pen)
+    path = tmp_path / "costs.csv"
+    write_cost_csv(plan, path)
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "customer,lower,upper,width,cost_component"
+    assert len(lines) == 3
+    first = lines[1].split(",")
+    assert int(first[0]) == route.customers[0]
+    assert float(first[3]) == pytest.approx(float(first[2]) - float(first[1]))
