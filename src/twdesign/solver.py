@@ -39,9 +39,14 @@ A model (``SaaModel`` or ``DroModel``) is its pricer and its budget:
 the pricer (``SaaPricer`` or ``DroPricer`` from ``window_design``), the
 model's one way in.  ``_search``, the one entry to both searches, builds
 it (which applies the model's rules) and each search adds only its walk;
-both price through it, the solve's plan is its ``plan(route)``, and its
-``subgradients`` give the completion bound and the cuts, so the
-searches, the plan and the cut log agree on every cost to the last bit.
+both price through it, and its ``subgradients`` give the completion
+bound and the cuts.  A search carries each placed customer's window (the
+pricer's ``window`` after ``place_cost``) and arrival state along its
+path, and the solve's plan is assembled from the windows of the tour it
+keeps: the windows its search priced, with no second pricing.  That plan
+equals the pricer's ``plan(route)`` (``design_stochastic(...)[0]`` or
+``design_dro(...)``) field for field, so the searches, the plan and the
+cut log agree on every cost to the last bit.
 
 Cut generation for master-problem decompositions is also here: the
 sample-average window cost is convex in the path variables, with its
@@ -178,8 +183,11 @@ class _Incumbent:
     and keep the tour when it is within the time budget.  The best cost
     is finite only once a kept tour fits, and from then on neither the
     budget limit nor an infeasibility report reads a dearer tour's
-    budget; until then every tour is priced.  Only the kept tour becomes
-    a ``Route``, once, in ``result``."""
+    budget; until then every tour is priced.  The kept tour comes with
+    its customers' windows and arrival states, as its search priced them,
+    in visit order.  Only the kept tour becomes a ``Route``, once, in
+    ``result``, and its plan is assembled from those windows (the pricer's
+    ``_plan``), equal field for field to the pricer's ``plan(route)``."""
 
     def __init__(self, net: Network, model, ctx):
         self.net = net
@@ -187,11 +195,14 @@ class _Incumbent:
         self.ctx = ctx
         self.cost = np.inf
         self.seq: tuple[int, ...] | None = None
+        self.windows = self.states = None
         self.budget = np.inf
         self.min_budget = np.inf
 
-    def offer(self, seq, cost: float) -> None:
-        """Consider the tour ``seq`` of window cost ``cost``."""
+    def offer(self, seq, cost: float, windows, states) -> None:
+        """Consider the tour ``seq`` of window cost ``cost``, whose
+        customers' windows and arrival states are ``windows`` and
+        ``states``, in visit order."""
         if not cost < self.cost:
             return
         x = np.zeros(self.net.n_arcs, dtype=np.int8)
@@ -200,7 +211,7 @@ class _Incumbent:
         self.min_budget = min(self.min_budget, budget)
         if budget > self.net.time_budget:
             return
-        self.cost, self.seq, self.budget = cost, seq, budget
+        self.cost, self.seq, self.windows, self.states, self.budget = cost, seq, windows, states, budget
 
     def infeasible(self) -> InfeasibleError:
         """The error for a search that found no feasible tour, quoting the
@@ -217,7 +228,7 @@ class _Incumbent:
         route = route_to_xy(self.seq, self.net)
         return SolveResult(
             route=route,
-            plan=self.ctx.plan(route),
+            plan=self.ctx._plan(route, self.windows, self.states),
             objective=float(self.cost),
             budget_value=self.budget,
             budget_limit=self.net.time_budget,
@@ -264,25 +275,27 @@ def _enumerate(net: Network, inc: _Incumbent) -> tuple[int, int]:
     """The enumeration's walk from the depot: the tours priced, none pruned."""
     if net.n_customers > ENUMERATE_MAX_CUSTOMERS:
         raise ValueError(f"enumeration limited to {ENUMERATE_MAX_CUSTOMERS} customers")
-    return _walk(net, inc, (0,), inc.ctx.root_state(), 0.0), 0
+    return _walk(net, inc, (0,), inc.ctx.root_state(), 0.0, (), ()), 0
 
 
-def _walk(net: Network, inc: _Incumbent, seq: tuple[int, ...], state, acc_cost: float) -> int:
+def _walk(net: Network, inc: _Incumbent, seq: tuple[int, ...], state, acc_cost: float, windows, states) -> int:
     """Offer ``inc`` every tour that extends the open path ``seq`` (its last
-    node at arrival state ``state``) and return the tours priced.  Not a
+    node at arrival state ``state``, its customers' windows and states
+    ``windows`` and ``states``) and return the tours priced.  Not a
     closure, so no reference cycle keeps the pricer alive after the walk."""
     ctx = inc.ctx
     node = seq[-1]
     if len(seq) == net.node_count:
         if (node, 0) not in net.arc_index:
             return 0
-        inc.offer((*seq, 0), acc_cost)
+        inc.offer((*seq, 0), acc_cost, windows, states)
         return 1
     priced = 0
     for j, arc in net.out_arcs[node]:
         if j not in seq:
             child = ctx.extend(state, arc)
-            priced += _walk(net, inc, (*seq, j), child, acc_cost + ctx.place_cost(child, j))
+            cost = acc_cost + ctx.place_cost(child, j)
+            priced += _walk(net, inc, (*seq, j), child, cost, (*windows, ctx.window), (*states, child))
     return priced
 
 
@@ -375,12 +388,14 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
 
     The open path is a list of frames, one per node on it: the node, its
     unplaced customers (a bitmask, bit k is customer k), arrival state,
-    placed cost and linear sum, and from the node's entry on the unplaced
+    placed cost and linear sum, from the node's entry on the unplaced
     customers as a list, the children, their bounds and a cursor over
-    their order.  One loop enters the last frame's node once, then tries
-    its children until one survives the prunes and is pushed, and pops
-    the frame when none is left.  A tour's visit sequence is read off the
-    frames; the search's depth uses no Python stack.
+    their order, and the node's window as its pricing left it (the
+    pricer's ``window``; None at the depot).  One loop enters the last
+    frame's node once, then tries its children until one survives the
+    prunes and is pushed, and pops the frame when none is left.  A tour's
+    visit sequence, windows and states are read off the frames; the
+    search's depth uses no Python stack.
 
     Children are listed cheapest linear arc first (ties by node id).  A
     node with two children or more and two unplaced customers or more
@@ -424,13 +439,15 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
     nodes = 0
     pruned = 0
     customers = range(1, net.n_customers + 1)
-    stack = [(0, sum(1 << k for k in customers), ctx.root_state(), 0.0, 0.0, None, None, None, None)]
+    stack = [(0, sum(1 << k for k in customers), ctx.root_state(), 0.0, 0.0, None, None, None, None, None)]
     while stack:
-        node, left, state, acc_cost, acc_linear, rest, kids, bounds, untried = stack[-1]
+        node, left, state, acc_cost, acc_linear, rest, kids, bounds, untried, window = stack[-1]
         if untried is None:
             nodes += 1
             if not left:  # the budget bound let it in, so its arc home exists
-                inc.offer((*(frame[0] for frame in stack), 0), acc_cost)
+                path = stack[1:]
+                seq = (0, *(frame[0] for frame in path), 0)
+                inc.offer(seq, acc_cost, [frame[9] for frame in path], [frame[2] for frame in path])
                 limit = max(net.time_budget, inc.min_budget) + BUDGET_PRUNE_SLACK
                 stack.pop()
                 continue
@@ -449,7 +466,7 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
                 bounds = _completion_bounds(ctx, net, state, rest, kids)
                 order = sorted(order, key=[o + t for o, t in zip(*bounds)].__getitem__)
             untried = iter(order)
-            stack[-1] = (node, left, state, acc_cost, acc_linear, rest, kids, bounds, untried)
+            stack[-1] = (node, left, state, acc_cost, acc_linear, rest, kids, bounds, untried, window)
         for c in untried:
             j, arc = kids[c]
             if bounds is not None:
@@ -471,7 +488,7 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
             if lb == np.inf or lb > limit:
                 pruned += 1
                 continue
-            stack.append((j, left ^ 1 << j, child_state, child_cost, child_linear, None, None, None, None))
+            stack.append((j, left ^ 1 << j, child_state, child_cost, child_linear, None, None, None, None, ctx.window))
             break
         else:
             stack.pop()
@@ -581,9 +598,12 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     subtree holds no tour or only tours over a budget already priced:
     the cheapest budget priced is the minimum over all tours.
 
-    The returned ``objective`` is ``plan.total_cost``, the model's route
-    cost (``route_cost_sm``/``route_cost_rm``), to the bit: the search
-    and the plan sum the same pricer's costs in visit order.
+    The returned plan is assembled from the windows the search priced as
+    it placed the tour's customers, not priced again, and equals
+    ``design_stochastic(...)[0]`` or ``design_dro(...)`` on the returned
+    route field for field.  Its ``objective`` is ``plan.total_cost``, the
+    model's route cost (``route_cost_sm``/``route_cost_rm``), to the bit:
+    the search and the plan sum the same windows' costs in visit order.
     """
     return _search(net, model, pen, _dfs)
 

@@ -58,6 +58,8 @@ class PenaltyConfig:
         n = self.a_w.size
         if self.a_l.size != n or self.a_u.size != n:
             raise ValueError("penalty arrays must have equal length")
+        if n == 0:
+            raise ValueError("penalty arrays must not be empty: a config needs at least one customer")
         for name, arr in (("a_w", self.a_w), ("a_l", self.a_l), ("a_u", self.a_u)):
             # written so that NaN fails the test as well
             if not np.all((arr > 0) & (arr <= 1 + CMP_TOL)):
@@ -104,8 +106,11 @@ def penalties_from_beta(beta_l: float, beta_u: float, n_customers: int) -> Penal
         raise ValueError(
             "infeasible confidence: need beta_l, beta_u > 0 with beta_l + beta_u <= 1"
         )
+    n_customers = _as_int(n_customers, "n_customers")
+    if n_customers < 1:
+        raise ValueError("n_customers must be >= 1")
     a_w = min(beta_l, beta_u)
-    ones = np.ones(_as_int(n_customers, "n_customers"))
+    ones = np.ones(n_customers)
     return PenaltyConfig(a_w * ones, (a_w / beta_l) * ones, (a_w / beta_u) * ones)
 
 
@@ -374,9 +379,13 @@ def _plan_field(value, key: str, integer: bool = False):
 #
 # A pricer carries the arrival state of a path from the depot and prices
 # the customer at its end; it is the model's one pricing kernel, and also
-# builds the model's plan (``plan``) and its cuts (``subgradients``).  The
-# searches extend it one arc at a time; the plans and ``design_stochastic``
-# walk a finished route with the same recurrence and sum in the same visit
+# builds the model's plan (``plan``) and its cuts (``subgradients``).
+# ``place_cost`` keeps the whole window it priced in ``window``, and a plan
+# is assembled from those windows and their states (``_plan``).  The
+# searches extend a path one arc at a time and carry each placed
+# customer's window and state along it, so a solve's plan is the windows
+# its search priced; ``plan`` and ``design_stochastic`` walk a finished
+# route with the same recurrence (``_price_route``).  Both sum in visit
 # order, so the objective a search reports equals the cost of the plan
 # built for its route bit for bit.  ``arrival_matrix`` adds the arcs in the
 # same order, so the designs that read it see the same arrivals.
@@ -403,6 +412,17 @@ def _prefix_states(pricer, route):
     for arc, k in zip(route.path_arcs, route.customers):
         state = pricer.extend(state, arc)
         yield k, state
+
+
+def _price_route(pricer, route):
+    """Each customer's ``window`` and arrival state along a route, in visit
+    order, priced once by ``place_cost`` as the route search prices it."""
+    windows, states = [], []
+    for k, state in _prefix_states(pricer, route):
+        pricer.place_cost(state, k)
+        windows.append(pricer.window)
+        states.append(state)
+    return windows, states
 
 
 def _visit_sum(costs) -> float:
@@ -450,7 +470,8 @@ def _window_plan(kind: str, route, windows, arrivals=None, **fields) -> WindowPl
 
 class SaaPricer:
     """Sample-average pricing: the state is the vector of scenario arrival
-    times, and a customer costs its ``_order_stat_window``.
+    times, and a customer costs its ``_order_stat_window``, which
+    ``place_cost`` keeps as ``window`` (lower, upper, cost and ranking).
 
     States are never changed in place: ``extend`` returns a new array.
     So the pricer keeps the ranking of the state it priced last, with
@@ -473,8 +494,9 @@ class SaaPricer:
             if terms not in self.groups:
                 self.groups[terms] = (np.zeros(pen.n_customers + 1), *_rank_duals(samples.q, *terms))
             self.groups[terms][0][k] = 1.0
-        # (state, terms, ranking) of the last ``place_cost``
+        # (state, terms, ranking) and the window of the last ``place_cost``
         self._ranked = (None, None, None)
+        self.window = None
 
     @cached_property
     def linear(self) -> np.ndarray:
@@ -489,25 +511,24 @@ class SaaPricer:
 
     def place_cost(self, state, k: int) -> float:
         terms = self.terms[k]
-        *_, cost, ranked = _order_stat_window(state, *terms)
-        self._ranked = (state, terms, ranked)
-        return cost
-
-    def _walk(self, route):
-        """The route's ``arrival_matrix`` (the arcs added in ``extend``'s
-        order, one column per customer in visit order) and each customer's
-        ``_order_stat_window`` at its column, copied contiguous."""
-        arrivals = arrival_matrix(route, self.values)
-        return arrivals, [_order_stat_window(c, *self.terms[k]) for k, c in zip(route.customers, arrivals.T.copy())]
+        self.window = window = _order_stat_window(state, *terms)
+        self._ranked = (state, terms, window[3])
+        return window[2]
 
     def plan(self, route) -> WindowPlan:
         """The route's ``saa`` plan: each customer's ``_order_stat_window``
-        at its arrival samples, with the in-sample rates of those samples
-        (``_window_plan``).  Without ties at the window edges these are the
-        rank rates (p1 - 1)/q early and (q - p2)/q late; samples tied with
-        an edge are on time."""
-        arrivals, windows = self._walk(route)
-        return _window_plan("saa", route, [w[:3] for w in windows], arrivals)
+        at its arrival samples (``_price_route``, ``_plan``)."""
+        return self._plan(route, *_price_route(self, route))
+
+    def _plan(self, route, windows, states) -> WindowPlan:
+        """The ``saa`` plan of a route from each customer's ``window`` and
+        arrival samples ``states``, in visit order, with the in-sample
+        rates of those samples (``_window_plan``).  Without ties at the
+        window edges these are the rank rates (p1 - 1)/q early and
+        (q - p2)/q late; samples tied with an edge are on time.  The states
+        transposed are the route's ``arrival_matrix``, in its column-major
+        layout, where each customer's count reads contiguous samples."""
+        return _window_plan("saa", route, [w[:3] for w in windows], np.array(states).T)
 
     def subgradients(self, state, unplaced: np.ndarray):
         """Linear underestimates of the unplaced customers' costs beyond
@@ -554,9 +575,9 @@ def design_stochastic(route, samples, pen: PenaltyConfig):
     """
     _check_sizes(len(route.x), len(route.customers), samples=samples, pen=pen)
     pricer = SaaPricer(samples, pen)
-    arrivals, windows = pricer._walk(route)
+    windows, states = _price_route(pricer, route)
     duals = {k: _saa_window(*w, *pricer.terms[k]) for k, w in zip(route.customers, windows)}
-    return _window_plan("saa", route, [w[:3] for w in windows], arrivals), duals
+    return pricer._plan(route, windows, states), duals
 
 
 def _window_cost(arrivals, lower, upper, a_w, a_l, a_u):
@@ -980,7 +1001,8 @@ def dro_window(mean: float, variance: float, a_w: float, a_l: float, a_u: float)
 
 class DroPricer:
     """Moment-robust pricing: the state is (m, C y, y' C y) of the path
-    under C = cov + alpha2 I, and a customer costs its ``dro_window``.
+    under C = cov + alpha2 I, and a customer costs its ``dro_window``,
+    which ``place_cost`` keeps as ``window`` (lower, upper, cost, clamped).
     Building one applies the rm domain rule (``PenaltyConfig.dro_valid``)
     for every caller; only ``dro_window`` keeps the closed boundary."""
 
@@ -996,6 +1018,7 @@ class DroPricer:
             k: _dro_terms(*pen.for_customer(k)) for k in range(1, pen.n_customers + 1)
         }
         self.gamma = np.array([0.0] + [self.terms[k][3] for k in self.terms])
+        self.window = None
 
     def root_state(self):
         return 0.0, np.zeros(len(self.linear)), 0.0
@@ -1006,15 +1029,17 @@ class DroPricer:
 
     def place_cost(self, state, k: int) -> float:
         m, _, quad = state
-        return _dro_window(m, max(quad, 0.0), *self.terms[k])[2]
+        self.window = window = _dro_window(m, max(quad, 0.0), *self.terms[k])
+        return window[2]
 
     def plan(self, route) -> WindowPlan:
         """The route's ``dro`` plan: each customer's ``dro_window`` at its
-        arrival moments, with its clamp flag."""
-        windows = [
-            _dro_window(m, max(quad, 0.0), *self.terms[k])
-            for k, (m, _, quad) in _prefix_states(self, route)
-        ]
+        arrival moments (``_price_route``, ``_plan``)."""
+        return self._plan(route, *_price_route(self, route))
+
+    def _plan(self, route, windows, states) -> WindowPlan:
+        """The ``dro`` plan of a route from each customer's ``window``, in
+        visit order, with its clamp flag; the states are not needed."""
         return _window_plan(
             "dro", route, [w[:3] for w in windows], clamped=np.array([w[3] for w in windows], dtype=bool)
         )

@@ -1,5 +1,6 @@
 """Tests for the exact solvers and the optimality cuts."""
 
+import dataclasses
 import gc
 import itertools
 import math
@@ -141,6 +142,69 @@ def test_objective_is_plan_cost_bitwise():
                         assert np.array_equal(got, want), (seed, model.name, field)
 
 
+def test_solve_plan_is_the_route_plan(monkeypatch):
+    # a solve's plan is assembled from the windows its search priced, and
+    # equals the pricer's plan of the returned route field for field: the
+    # search prices each placed customer once and never the tour again
+    def cases():
+        for seed in range(3):
+            for complete in (True, False):
+                net = random_network(6, seed=seed, complete=complete)
+                samples = sample_travel_times(net, 200, seed=seed)
+                for pen in (penalties_from_beta(0.05, 0.05, 6), mixed_penalties(6, seed)):
+                    yield net, pen, SaaModel(samples), "sm"
+                    yield net, pen, DroModel(alpha1=0.5, alpha2=0.2), "rm"
+                # tied arrivals
+                rounded = SampleSet(200, np.round(samples.values))
+                yield net, mixed_penalties(6, seed), SaaModel(rounded), "sm ties"
+                flat = Network(net.node_count, net.arcs, net.mean, np.zeros_like(net.cov), net.time_budget)
+                pen = penalties_from_beta(0.05, 0.05, 6)
+                yield flat, pen, SaaModel(sample_travel_times(flat, 50, seed=seed)), "sm flat"
+                yield flat, pen, DroModel(), "rm flat"
+                # a tight target and a large inflation clamp the first window
+                yield net, penalties_from_beta(0.01, 0.01, 6), DroModel(alpha2=20.0), "rm clamped"
+
+    def fields(plan):
+        return [
+            (f.name, v.tobytes() if isinstance(v, np.ndarray) else repr(v))
+            for f in dataclasses.fields(plan)
+            for v in [getattr(plan, f.name)]
+        ]
+
+    solved = []
+    for net, pen, model, label in cases():
+        for search in (branch_and_bound, enumerate_exact):
+            res = search(net, model, pen)
+            assert fields(res.plan) == fields(model.context(net, pen).plan(res.route)), (label, search.__name__)
+            solved.append((label, res.plan))
+    assert any(plan.clamped[0] for label, plan in solved if label == "rm clamped")
+
+    # neither search builds a plan by pricing the route again, and each
+    # place_cost runs its model's kernel once
+    counts = {"kernel": 0, "place_cost": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def refused(self, route):
+        raise AssertionError("the search priced its tour again")
+
+    for pricer in (SaaPricer, DroPricer):
+        monkeypatch.setattr(pricer, "plan", refused)
+        monkeypatch.setattr(pricer, "place_cost", counted("place_cost", pricer.place_cost))
+    monkeypatch.setattr(window_design, "_order_stat_window", counted("kernel", window_design._order_stat_window))
+    monkeypatch.setattr(window_design, "_dro_window", counted("kernel", window_design._dro_window))
+    for net, pen, model, label in cases():
+        for search in (branch_and_bound, enumerate_exact):
+            counts.update(kernel=0, place_cost=0)
+            search(net, model, pen)
+            assert counts["kernel"] == counts["place_cost"] > 0, (label, search.__name__)
+
+
 def test_bnb_matches_enumeration_rm_clamped_windows():
     # a tight target and a large covariance inflation push the early
     # customers' lower edges below zero, where the window is clamped and
@@ -205,8 +269,8 @@ def test_single_child_nodes_wait_for_a_tour_to_bound(monkeypatch):
         calls.append((len(kids), state["tour"]))
         return _completion_bounds(ctx, net, node_state, rest, kids)
 
-    def offer(self, seq, cost):
-        offered(self, seq, cost)
+    def offer(self, seq, cost, windows, states):
+        offered(self, seq, cost, windows, states)
         state["tour"] = self.cost < np.inf
 
     offered = solver._Incumbent.offer

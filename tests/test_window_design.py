@@ -109,6 +109,19 @@ def test_penalty_config_rejects_bad_weights():
         PenaltyConfig(0.6 * one, one, one)
 
 
+def test_penalty_configs_have_a_customer():
+    # no customer count below one passes: penalties_from_beta names the
+    # input as random_network does, where numpy once refused -1 with a
+    # bare "negative dimensions" and 0 gave an empty config
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=r"^n_customers must be >= 1$"):
+            penalties_from_beta(0.05, 0.05, n)
+    for empty in ([], np.ones(0)):
+        with pytest.raises(ValueError, match=r"^penalty arrays must not be empty"):
+            PenaltyConfig(empty, empty, empty)
+    assert penalties_from_beta(0.05, 0.05, 1).n_customers == 1
+
+
 def test_penalty_scaling_preserves_ratios():
     pen = PenaltyConfig(np.array([0.04]), np.array([0.5]), np.array([0.5]))
     s = pen.scaled(2.0)
