@@ -10,8 +10,8 @@ finished tour.  Two searches are provided on purpose:
   pricing each customer as it is placed, and compares every complete
   tour.  Slow, simple, and used as the reference.
 * ``branch_and_bound`` extends partial paths along existing arcs, least
-  completion bound first from the root (a lone child is not bounded
-  until there is a tour to prune against), with incremental arrival
+  completion bound first from the root (a lone child is never bounded:
+  there is nothing to order it against), with incremental arrival
   bookkeeping, a structural prune (a child must leave every unplaced
   customer reachable from it and able to reach the depot), an
   admissible budget bound, incumbent pruning and a completion bound.
@@ -401,12 +401,12 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
     node with two children or more and two unplaced customers or more
     computes its completion bounds before its first child, incumbent or
     not, and tries the children in ascending own + others bound, a
-    stable sort, so ties keep the arc order.  A node with one child
-    computes the bound only once an incumbent exists, for the prune.  A
-    child j is discarded when the arcs leave no completion through it:
-    some other unplaced customer cannot be reached from j, or cannot
-    reach the depot, along arcs between the unplaced customers other
-    than j (skipped on complete graphs, where every completion exists).
+    stable sort, so ties keep the arc order.  A lone child is never
+    bounded, and the completion prune below skips it.  A child j is
+    discarded when the arcs leave no completion through it: some other
+    unplaced customer cannot be reached from j, or cannot reach the
+    depot, along arcs between the unplaced customers other than j
+    (skipped on complete graphs, where every completion exists).
     A child is also discarded when the cost placed so far plus the
     completion bound (``_completion_bounds``, from the cuts at the node's
     state) reaches the incumbent by more than ``COMPLETION_PRUNE_SLACK``,
@@ -462,7 +462,7 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
                 pruned += len(kids) - len(live)
                 kids = live
             order = range(len(kids))
-            if len(rest) > 1 and kids and (len(kids) > 1 or inc.cost < np.inf):
+            if len(rest) > 1 and len(kids) > 1:
                 bounds = _completion_bounds(ctx, net, state, rest, kids)
                 order = sorted(order, key=[o + t for o, t in zip(*bounds)].__getitem__)
             untried = iter(order)
@@ -571,9 +571,9 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     the first tour costs 1.0-2.2 times the optimum, against 1.3-5.8 for
     the nearest-neighbour tour a cheapest-arc-first dive reaches.
     Before the first tour the bound prunes only children with no
-    completion.  A node with one child bounds it only once a tour
-    exists: before that the bound would order nothing, and on sparse
-    graphs, where lone children are common, it cost more than it saved.
+    completion.  A lone child is never bounded, before or after the
+    first tour: the bound would order nothing, and on sparse graphs,
+    where lone children are common, its prune cost more than it saved.
     Every tour strictly cheaper than the incumbent survives every prune,
     so the objective is the minimum in any order; among exactly tied
     tours the search keeps the first it completes.

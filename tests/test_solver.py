@@ -257,16 +257,16 @@ def test_dead_ends_are_pruned_before_the_first_tour():
     assert res.nodes < 100
 
 
-def test_single_child_nodes_wait_for_a_tour_to_bound(monkeypatch):
-    # a node with two children or more bounds them before its first, tour
-    # or no tour, to try them in bound order; a node with one child has
-    # nothing to order, and computes its bound only once a tour is in
-    # budget, for the prune
+def test_only_nodes_with_children_to_order_are_bounded(monkeypatch):
+    # a node with two children or more and two unplaced customers or more
+    # bounds them before its first, tour or no tour, to try them in bound
+    # order; a lone child has nothing to order and is never bounded, also
+    # once a tour exists
     calls = []
     state = {"tour": False}
 
     def counting(ctx, net, node_state, rest, kids):
-        calls.append((len(kids), state["tour"]))
+        calls.append((len(rest), len(kids), state["tour"]))
         return _completion_bounds(ctx, net, node_state, rest, kids)
 
     def offer(self, seq, cost, windows, states):
@@ -280,11 +280,11 @@ def test_single_child_nodes_wait_for_a_tour_to_bound(monkeypatch):
         net = random_network(12, seed=seed)
         pen = penalties_from_beta(0.05, 0.05, 12)
         for name in ("sm", "rm"):
+            calls.clear()
             state["tour"] = False
             branch_and_bound(net, build_model(name, net, seed, 200), pen)
-    assert (1, False) not in calls
-    assert (1, True) in calls
-    assert any(kids > 1 and not tour for kids, tour in calls)
+            assert all(rest > 1 and kids > 1 for rest, kids, _ in calls), (seed, name)
+            assert {tour for *_, tour in calls} == {False, True}, (seed, name)
 
 
 def test_rank_reuse_changes_no_search(monkeypatch):
@@ -401,19 +401,20 @@ def test_sparse_search_counts_are_pinned():
     # the counts pin the search on sparse arcs, where the structural prune
     # runs, at each instance's budget and at the cheapest tour budget that
     # budget 5.0 quotes, where instances 1 and 2 also prune by the budget
-    # limit; recorded on the recursive search that the frame stack replaced
+    # limit; a lone child is never bounded, so only the prunes that need
+    # no completion bound can stop the search from entering it
     pinned = {
-        (0, "sm", "own"): ((0, 10, 1, 3, 11, 7, 5, 2, 12, 6, 9, 8, 4, 0), 20, 13),
+        (0, "sm", "own"): ((0, 10, 1, 3, 11, 7, 5, 2, 12, 6, 9, 8, 4, 0), 21, 15),
         (0, "sm", "tight"): ((0, 10, 1, 3, 11, 7, 5, 2, 12, 6, 9, 8, 4, 0), 20, 13),
-        (0, "rm", "own"): ((0, 10, 1, 3, 11, 7, 5, 2, 12, 6, 9, 8, 4, 0), 20, 13),
-        (0, "rm", "tight"): ((0, 10, 1, 3, 11, 7, 5, 2, 12, 6, 9, 8, 4, 0), 20, 13),
-        (1, "sm", "own"): ((0, 5, 4, 10, 3, 11, 8, 1, 2, 9, 12, 6, 7, 0), 93, 75),
-        (1, "sm", "tight"): ((0, 5, 4, 10, 3, 11, 2, 9, 12, 6, 7, 8, 1, 0), 121, 91),
-        (1, "rm", "own"): ((0, 5, 4, 10, 3, 11, 8, 1, 2, 9, 12, 6, 7, 0), 95, 76),
-        (1, "rm", "tight"): ((0, 5, 4, 10, 3, 11, 2, 9, 12, 6, 7, 8, 1, 0), 134, 92),
-        (2, "sm", "own"): ((0, 9, 11, 8, 3, 6, 12, 4, 7, 10, 5, 1, 2, 0), 27, 15),
+        (0, "rm", "own"): ((0, 10, 1, 3, 11, 7, 5, 2, 12, 6, 9, 8, 4, 0), 21, 15),
+        (0, "rm", "tight"): ((0, 10, 1, 3, 11, 7, 5, 2, 12, 6, 9, 8, 4, 0), 21, 15),
+        (1, "sm", "own"): ((0, 5, 4, 10, 3, 11, 8, 1, 2, 9, 12, 6, 7, 0), 122, 93),
+        (1, "sm", "tight"): ((0, 5, 4, 10, 3, 11, 2, 9, 12, 6, 7, 8, 1, 0), 122, 91),
+        (1, "rm", "own"): ((0, 5, 4, 10, 3, 11, 8, 1, 2, 9, 12, 6, 7, 0), 127, 94),
+        (1, "rm", "tight"): ((0, 5, 4, 10, 3, 11, 2, 9, 12, 6, 7, 8, 1, 0), 140, 95),
+        (2, "sm", "own"): ((0, 9, 11, 8, 3, 6, 12, 4, 7, 10, 5, 1, 2, 0), 33, 18),
         (2, "sm", "tight"): ((0, 9, 11, 8, 1, 7, 10, 5, 4, 3, 6, 12, 2, 0), 17, 10),
-        (2, "rm", "own"): ((0, 9, 11, 8, 3, 6, 12, 4, 7, 10, 5, 1, 2, 0), 22, 13),
+        (2, "rm", "own"): ((0, 9, 11, 8, 3, 6, 12, 4, 7, 10, 5, 1, 2, 0), 25, 15),
         (2, "rm", "tight"): ((0, 9, 11, 8, 1, 7, 10, 5, 4, 3, 6, 12, 2, 0), 28, 15),
     }
     pen = penalties_from_beta(0.05, 0.05, 12)
