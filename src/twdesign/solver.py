@@ -40,13 +40,14 @@ the pricer (``SaaPricer`` or ``DroPricer`` from ``window_design``), the
 model's one way in.  ``_search``, the one entry to both searches, builds
 it (which applies the model's rules) and each search adds only its walk;
 both price through it, and its ``subgradients`` give the completion
-bound and the cuts.  A search carries each placed customer's window (the
-pricer's ``window`` after ``place_cost``) and arrival state along its
-path, and the solve's plan is assembled from the windows of the tour it
-keeps: the windows its search priced, with no second pricing.  That plan
-equals the pricer's ``plan(route)`` (``design_stochastic(...)[0]`` or
-``design_dro(...)``) field for field, so the searches, the plan and the
-cut log agree on every cost to the last bit.
+bound and the cuts.  The pricer keeps no state: ``price`` returns a
+placed customer's window, a search carries each placed customer's window
+along its path, and the solve's plan is assembled from the windows of the
+tour it keeps: the windows its search priced, with no second pricing.
+That plan equals the pricer's ``plan(route)``
+(``design_stochastic(...)[0]`` or ``design_dro(...)``) field for field,
+so the searches, the plan and the cut log agree on every cost to the
+last bit.
 
 Cut generation for master-problem decompositions is also here: the
 sample-average window cost is convex in the path variables, with its
@@ -184,8 +185,8 @@ class _Incumbent:
     is finite only once a kept tour fits, and from then on neither the
     budget limit nor an infeasibility report reads a dearer tour's
     budget; until then every tour is priced.  The kept tour comes with
-    its customers' windows and arrival states, as its search priced them,
-    in visit order.  Only the kept tour becomes a ``Route``, once, in
+    its customers' windows, as its search priced them (``price``), in
+    visit order.  Only the kept tour becomes a ``Route``, once, in
     ``result``, and its plan is assembled from those windows (the pricer's
     ``_plan``), equal field for field to the pricer's ``plan(route)``."""
 
@@ -195,14 +196,13 @@ class _Incumbent:
         self.ctx = ctx
         self.cost = np.inf
         self.seq: tuple[int, ...] | None = None
-        self.windows = self.states = None
+        self.windows = None
         self.budget = np.inf
         self.min_budget = np.inf
 
-    def offer(self, seq, cost: float, windows, states) -> None:
+    def offer(self, seq, cost: float, windows) -> None:
         """Consider the tour ``seq`` of window cost ``cost``, whose
-        customers' windows and arrival states are ``windows`` and
-        ``states``, in visit order."""
+        customers' windows are ``windows``, in visit order."""
         if not cost < self.cost:
             return
         x = np.zeros(self.net.n_arcs, dtype=np.int8)
@@ -211,7 +211,7 @@ class _Incumbent:
         self.min_budget = min(self.min_budget, budget)
         if budget > self.net.time_budget:
             return
-        self.cost, self.seq, self.windows, self.states, self.budget = cost, seq, windows, states, budget
+        self.cost, self.seq, self.windows, self.budget = cost, seq, windows, budget
 
     def infeasible(self) -> InfeasibleError:
         """The error for a search that found no feasible tour, quoting the
@@ -228,7 +228,7 @@ class _Incumbent:
         route = route_to_xy(self.seq, self.net)
         return SolveResult(
             route=route,
-            plan=self.ctx._plan(route, self.windows, self.states),
+            plan=self.ctx._plan(route, self.windows),
             objective=float(self.cost),
             budget_value=self.budget,
             budget_limit=self.net.time_budget,
@@ -263,7 +263,7 @@ def enumerate_exact(net: Network, model, pen: PenaltyConfig) -> SolveResult:
 
     Walks the arcs depth first in ascending node order, without pruning,
     pricing each customer as the walk places it (one ``extend`` and one
-    ``place_cost`` per arc), so complete tours come in lexicographic
+    ``price`` per arc), so complete tours come in lexicographic
     order and ties go to the lexicographically first visit sequence.
     ``nodes`` counts the tours priced.  Limited to nine customers; beyond
     that use ``branch_and_bound``.
@@ -275,33 +275,34 @@ def _enumerate(net: Network, inc: _Incumbent) -> tuple[int, int]:
     """The enumeration's walk from the depot: the tours priced, none pruned."""
     if net.n_customers > ENUMERATE_MAX_CUSTOMERS:
         raise ValueError(f"enumeration limited to {ENUMERATE_MAX_CUSTOMERS} customers")
-    return _walk(net, inc, (0,), inc.ctx.root_state(), 0.0, (), ()), 0
+    return _walk(net, inc, (0,), inc.ctx.root_state(), 0.0, ()), 0
 
 
-def _walk(net: Network, inc: _Incumbent, seq: tuple[int, ...], state, acc_cost: float, windows, states) -> int:
+def _walk(net: Network, inc: _Incumbent, seq: tuple[int, ...], state, acc_cost: float, windows) -> int:
     """Offer ``inc`` every tour that extends the open path ``seq`` (its last
-    node at arrival state ``state``, its customers' windows and states
-    ``windows`` and ``states``) and return the tours priced.  Not a
-    closure, so no reference cycle keeps the pricer alive after the walk."""
+    node at arrival state ``state``, its customers' windows ``windows``)
+    and return the tours priced.  Not a closure, so no reference cycle
+    keeps the pricer alive after the walk."""
     ctx = inc.ctx
     node = seq[-1]
     if len(seq) == net.node_count:
         if (node, 0) not in net.arc_index:
             return 0
-        inc.offer((*seq, 0), acc_cost, windows, states)
+        inc.offer((*seq, 0), acc_cost, windows)
         return 1
     priced = 0
     for j, arc in net.out_arcs[node]:
         if j not in seq:
             child = ctx.extend(state, arc)
-            cost = acc_cost + ctx.place_cost(child, j)
-            priced += _walk(net, inc, (*seq, j), child, cost, (*windows, ctx.window), (*states, child))
+            window = ctx.price(child, j)
+            priced += _walk(net, inc, (*seq, j), child, acc_cost + window[2], (*windows, window))
     return priced
 
 
-def _completion_bounds(ctx, net: Network, state, rest: list[int], kids) -> tuple[list, list]:
+def _completion_bounds(ctx, net: Network, state, rest: list[int], kids, window) -> tuple[list, list]:
     """Lower bounds for the children of one search node, from the
-    pricer's cuts at the node's arrival state ``state``.
+    pricer's cuts at the node's arrival state ``state`` (``window`` is the
+    node's own window, priced at ``state``, or None at the depot).
 
     ``rest`` lists the unplaced customers (u of them, u >= 2) and
     ``kids`` the children as (customer j, arc a) pairs.  For each child
@@ -338,7 +339,7 @@ def _completion_bounds(ctx, net: Network, state, rest: list[int], kids) -> tuple
     u = len(rest)
     own = [0.0] * len(kids)
     others = [0.0] * len(kids)
-    for scale, intercept, weights in ctx.subgradients(state, np.array(rest)):
+    for scale, intercept, weights in ctx.subgradients(state, np.array(rest), window):
         w = weights.tolist()
         scale = scale.tolist()
         into = [min((w[a] for i, a in in_arcs[k] if i in members), default=np.inf) for k in rest]
@@ -390,12 +391,11 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
     unplaced customers (a bitmask, bit k is customer k), arrival state,
     placed cost and linear sum, from the node's entry on the unplaced
     customers as a list, the children, their bounds and a cursor over
-    their order, and the node's window as its pricing left it (the
-    pricer's ``window``; None at the depot).  One loop enters the last
-    frame's node once, then tries its children until one survives the
-    prunes and is pushed, and pops the frame when none is left.  A tour's
-    visit sequence, windows and states are read off the frames; the
-    search's depth uses no Python stack.
+    their order, and the node's window as ``price`` returned it (None at
+    the depot).  One loop enters the last frame's node once, then tries
+    its children until one survives the prunes and is pushed, and pops
+    the frame when none is left.  A tour's visit sequence and windows are
+    read off the frames; the search's depth uses no Python stack.
 
     Children are listed cheapest linear arc first (ties by node id).  A
     node with two children or more and two unplaced customers or more
@@ -418,8 +418,8 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
     bound is infinite (no way home, or no arc into an unplaced customer)
     or exceeds the limit, max(time budget, cheapest tour budget priced
     so far) + ``BUDGET_PRUNE_SLACK``, refreshed after each offer.  A
-    child is priced just before it is entered, so its own bound reads the
-    ranks of that pricing (``SaaPricer``).
+    node's completion bound is given the node's own window, so the cuts at
+    its state read the ranks of that pricing (``SaaPricer``).
     """
     ctx = inc.ctx
     linear = ctx.linear.tolist()
@@ -447,7 +447,7 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
             if not left:  # the budget bound let it in, so its arc home exists
                 path = stack[1:]
                 seq = (0, *(frame[0] for frame in path), 0)
-                inc.offer(seq, acc_cost, [frame[9] for frame in path], [frame[2] for frame in path])
+                inc.offer(seq, acc_cost, [frame[9] for frame in path])
                 limit = max(net.time_budget, inc.min_budget) + BUDGET_PRUNE_SLACK
                 stack.pop()
                 continue
@@ -463,7 +463,7 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
                 kids = live
             order = range(len(kids))
             if len(rest) > 1 and len(kids) > 1:
-                bounds = _completion_bounds(ctx, net, state, rest, kids)
+                bounds = _completion_bounds(ctx, net, state, rest, kids, window)
                 order = sorted(order, key=[o + t for o, t in zip(*bounds)].__getitem__)
             untried = iter(order)
             stack[-1] = (node, left, state, acc_cost, acc_linear, rest, kids, bounds, untried, window)
@@ -476,7 +476,8 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
                     pruned += 1
                     continue
             child_state = ctx.extend(state, arc)
-            child_cost = acc_cost + ctx.place_cost(child_state, j)
+            child_window = ctx.price(child_state, j)
+            child_cost = acc_cost + child_window[2]
             if child_cost >= inc.cost or (bounds is not None and child_cost + others >= cutoff):
                 pruned += 1
                 continue
@@ -488,7 +489,7 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
             if lb == np.inf or lb > limit:
                 pruned += 1
                 continue
-            stack.append((j, left ^ 1 << j, child_state, child_cost, child_linear, None, None, None, None, ctx.window))
+            stack.append((j, left ^ 1 << j, child_state, child_cost, child_linear, None, None, None, None, child_window))
             break
         else:
             stack.pop()

@@ -379,16 +379,16 @@ def _plan_field(value, key: str, integer: bool = False):
 #
 # A pricer carries the arrival state of a path from the depot and prices
 # the customer at its end; it is the model's one pricing kernel, and also
-# builds the model's plan (``plan``) and its cuts (``subgradients``).
-# ``place_cost`` keeps the whole window it priced in ``window``, and a plan
-# is assembled from those windows and their states (``_plan``).  The
+# builds the model's plan (``plan``) and its cuts (``subgradients``).  It
+# keeps no state between calls: ``price`` returns the whole window it
+# computed, and a plan is assembled from those windows (``_plan``).  The
 # searches extend a path one arc at a time and carry each placed
-# customer's window and state along it, so a solve's plan is the windows
-# its search priced; ``plan`` and ``design_stochastic`` walk a finished
-# route with the same recurrence (``_price_route``).  Both sum in visit
-# order, so the objective a search reports equals the cost of the plan
-# built for its route bit for bit.  ``arrival_matrix`` adds the arcs in the
-# same order, so the designs that read it see the same arrivals.
+# customer's window along it, so a solve's plan is the windows its search
+# priced; ``plan`` and ``design_stochastic`` walk a finished route with
+# the same recurrence (``_prefix_states``).  Both sum in visit order, so
+# the objective a search reports equals the cost of the plan built for
+# its route bit for bit.  ``arrival_matrix`` adds the arcs in the same
+# order, so the designs that read it see the same arrivals.
 
 
 def arrival_matrix(route, values: np.ndarray) -> np.ndarray:
@@ -412,17 +412,6 @@ def _prefix_states(pricer, route):
     for arc, k in zip(route.path_arcs, route.customers):
         state = pricer.extend(state, arc)
         yield k, state
-
-
-def _price_route(pricer, route):
-    """Each customer's ``window`` and arrival state along a route, in visit
-    order, priced once by ``place_cost`` as the route search prices it."""
-    windows, states = [], []
-    for k, state in _prefix_states(pricer, route):
-        pricer.place_cost(state, k)
-        windows.append(pricer.window)
-        states.append(state)
-    return windows, states
 
 
 def _visit_sum(costs) -> float:
@@ -470,16 +459,17 @@ def _window_plan(kind: str, route, windows, arrivals=None, **fields) -> WindowPl
 
 class SaaPricer:
     """Sample-average pricing: the state is the vector of scenario arrival
-    times, and a customer costs its ``_order_stat_window``, which
-    ``place_cost`` keeps as ``window`` (lower, upper, cost and ranking).
+    times, and ``price`` returns a customer's ``_order_stat_window``
+    (lower, upper, cost and ranking), then the customer's weight terms
+    (p1, p2, a_w, a_l, a_u) and the state it priced: all that a plan
+    (``_plan``), an ``SaaWindow`` (``design_stochastic``) and a cut at
+    that state (``subgradients``) need.
 
-    States are never changed in place: ``extend`` returns a new array.
-    So the pricer keeps the ranking of the state it priced last, with
-    that state and the weight triple it was priced for, and
-    ``subgradients`` at the same state object reads its duals' ranks from
-    it instead of ranking the state again.  The route search prices a
-    child and then computes the child's completion bound, so each node
-    ranks its state once."""
+    The pricer keeps nothing between calls.  A caller that priced a state
+    may hand the window to ``subgradients`` at that state, which then
+    reads its duals' ranks from the window instead of ranking the state
+    again.  The route search prices a child and bounds the child's
+    children with the child's window, so each node ranks its state once."""
 
     def __init__(self, samples, pen: PenaltyConfig):
         self.values = samples.values
@@ -494,9 +484,6 @@ class SaaPricer:
             if terms not in self.groups:
                 self.groups[terms] = (np.zeros(pen.n_customers + 1), *_rank_duals(samples.q, *terms))
             self.groups[terms][0][k] = 1.0
-        # (state, terms, ranking) and the window of the last ``place_cost``
-        self._ranked = (None, None, None)
-        self.window = None
 
     @cached_property
     def linear(self) -> np.ndarray:
@@ -509,28 +496,27 @@ class SaaPricer:
     def extend(self, state, arc: int):
         return state + self.values[:, arc]
 
-    def place_cost(self, state, k: int) -> float:
+    def price(self, state, k: int):
         terms = self.terms[k]
-        self.window = window = _order_stat_window(state, *terms)
-        self._ranked = (state, terms, window[3])
-        return window[2]
+        lower, upper, cost, ranked = _order_stat_window(state, *terms)
+        return lower, upper, cost, ranked, terms, state
 
     def plan(self, route) -> WindowPlan:
-        """The route's ``saa`` plan: each customer's ``_order_stat_window``
-        at its arrival samples (``_price_route``, ``_plan``)."""
-        return self._plan(route, *_price_route(self, route))
+        """The route's ``saa`` plan: each customer's window at its arrival
+        samples (``_prefix_states``, ``_plan``)."""
+        return self._plan(route, [self.price(state, k) for k, state in _prefix_states(self, route)])
 
-    def _plan(self, route, windows, states) -> WindowPlan:
-        """The ``saa`` plan of a route from each customer's ``window`` and
-        arrival samples ``states``, in visit order, with the in-sample
-        rates of those samples (``_window_plan``).  Without ties at the
-        window edges these are the rank rates (p1 - 1)/q early and
-        (q - p2)/q late; samples tied with an edge are on time.  The states
+    def _plan(self, route, windows) -> WindowPlan:
+        """The ``saa`` plan of a route from each customer's window, in visit
+        order, with the in-sample rates of the arrival samples the windows
+        were priced at (``_window_plan``).  Without ties at the window
+        edges these are the rank rates (p1 - 1)/q early and (q - p2)/q
+        late; samples tied with an edge are on time.  The samples
         transposed are the route's ``arrival_matrix``, in its column-major
         layout, where each customer's count reads contiguous samples."""
-        return _window_plan("saa", route, [w[:3] for w in windows], np.array(states).T)
+        return _window_plan("saa", route, [w[:3] for w in windows], np.array([w[5] for w in windows]).T)
 
-    def subgradients(self, state, unplaced: np.ndarray):
+    def subgradients(self, state, unplaced: np.ndarray, window=None):
         """Linear underestimates of the unplaced customers' costs beyond
         ``state``: one ``(scale, intercept, weights)`` per weight triple
         among the customers listed in ``unplaced``, such that
@@ -541,16 +527,16 @@ class SaaPricer:
         of ``state`` (``_rank_duals``), the window cost is at least g' x
         at every arrival vector x, with equality at ``state``: weights =
         values' g (the coefficients of ``benders_cut``) and intercept =
-        g' state, the cost at the state.  The ranks are those of the last
-        ``place_cost`` when it priced this state for this triple.
+        g' state, the cost at the state.  ``window``, if given, is a
+        ``price`` of ``state``; the triple it was priced for reads its
+        ranks from it.
         """
-        priced, priced_terms, priced_ranks = self._ranked
         cuts = []
         for terms, (scale, rho1, rho2) in self.groups.items():
             if not scale[unplaced].any():
                 continue
             p1, p2 = terms[:2]
-            ranked = priced_ranks if state is priced and terms == priced_terms else _ranks(state, p1, p2)
+            ranked = window[3] if window is not None and window[4] == terms else _ranks(state, p1, p2)
             early, late = _rank_split(ranked, p1, p2)
             intercept = float(rho2 @ state[late] - rho1 @ state[early])
             cuts.append((scale, intercept, rho2 @ self.values[late] - rho1 @ self.values[early]))
@@ -575,9 +561,9 @@ def design_stochastic(route, samples, pen: PenaltyConfig):
     """
     _check_sizes(len(route.x), len(route.customers), samples=samples, pen=pen)
     pricer = SaaPricer(samples, pen)
-    windows, states = _price_route(pricer, route)
-    duals = {k: _saa_window(*w, *pricer.terms[k]) for k, w in zip(route.customers, windows)}
-    return pricer._plan(route, windows, states), duals
+    windows = [pricer.price(state, k) for k, state in _prefix_states(pricer, route)]
+    duals = {k: _saa_window(*w[:4], *w[4]) for k, w in zip(route.customers, windows)}
+    return pricer._plan(route, windows), duals
 
 
 def _window_cost(arrivals, lower, upper, a_w, a_l, a_u):
@@ -1001,10 +987,11 @@ def dro_window(mean: float, variance: float, a_w: float, a_l: float, a_u: float)
 
 class DroPricer:
     """Moment-robust pricing: the state is (m, C y, y' C y) of the path
-    under C = cov + alpha2 I, and a customer costs its ``dro_window``,
-    which ``place_cost`` keeps as ``window`` (lower, upper, cost, clamped).
-    Building one applies the rm domain rule (``PenaltyConfig.dro_valid``)
-    for every caller; only ``dro_window`` keeps the closed boundary."""
+    under C = cov + alpha2 I, and ``price`` returns a customer's
+    ``dro_window`` (lower, upper, cost, clamped); the pricer keeps nothing
+    between calls.  Building one applies the rm domain rule
+    (``PenaltyConfig.dro_valid``) for every caller; only ``dro_window``
+    keeps the closed boundary."""
 
     def __init__(self, mean, cov, alpha2: float, pen: PenaltyConfig):
         if not pen.dro_valid:
@@ -1018,7 +1005,6 @@ class DroPricer:
             k: _dro_terms(*pen.for_customer(k)) for k in range(1, pen.n_customers + 1)
         }
         self.gamma = np.array([0.0] + [self.terms[k][3] for k in self.terms])
-        self.window = None
 
     def root_state(self):
         return 0.0, np.zeros(len(self.linear)), 0.0
@@ -1027,26 +1013,26 @@ class DroPricer:
         m, v, quad = state
         return m + self.linear[arc], v + self.cbar[:, arc], quad + 2.0 * v[arc] + self.cbar[arc, arc]
 
-    def place_cost(self, state, k: int) -> float:
+    def price(self, state, k: int):
         m, _, quad = state
-        self.window = window = _dro_window(m, max(quad, 0.0), *self.terms[k])
-        return window[2]
+        return _dro_window(m, max(quad, 0.0), *self.terms[k])
 
     def plan(self, route) -> WindowPlan:
         """The route's ``dro`` plan: each customer's ``dro_window`` at its
-        arrival moments (``_price_route``, ``_plan``)."""
-        return self._plan(route, *_price_route(self, route))
+        arrival moments (``_prefix_states``, ``_plan``)."""
+        return self._plan(route, [self.price(state, k) for k, state in _prefix_states(self, route)])
 
-    def _plan(self, route, windows, states) -> WindowPlan:
-        """The ``dro`` plan of a route from each customer's ``window``, in
-        visit order, with its clamp flag; the states are not needed."""
+    def _plan(self, route, windows) -> WindowPlan:
+        """The ``dro`` plan of a route from each customer's window, in visit
+        order, with its clamp flag."""
         return _window_plan(
             "dro", route, [w[:3] for w in windows], clamped=np.array([w[3] for w in windows], dtype=bool)
         )
 
-    def subgradients(self, state, unplaced: np.ndarray):
+    def subgradients(self, state, unplaced: np.ndarray, window=None):
         """Linear underestimates of the customers' costs beyond ``state``,
-        as ``SaaPricer.subgradients``: one gradient serves everyone.
+        as ``SaaPricer.subgradients``: one gradient serves everyone, and
+        ``window`` is not needed.
 
         A customer's cost is never below gamma_k * sigma (the clamped
         window is a feasible, not the optimal, point of the unclamped

@@ -77,6 +77,16 @@ def both_models(samples):
     return SaaModel(samples), DroModel(alpha1=0.5, alpha2=0.2)
 
 
+def fields(obj):
+    """A dataclass's fields in a form compared with ``==``: arrays by their
+    bytes, a nested dataclass field by field, anything else by ``repr``."""
+    return [
+        (f.name, fields(v) if dataclasses.is_dataclass(v) else v.tobytes() if isinstance(v, np.ndarray) else repr(v))
+        for f in dataclasses.fields(obj)
+        for v in [getattr(obj, f.name)]
+    ]
+
+
 def mixed_penalties(n, seed):
     """Per-customer weights with different tolerances, hence different
     critical ranks (p1, p2); inside the moment model's domain."""
@@ -164,13 +174,6 @@ def test_solve_plan_is_the_route_plan(monkeypatch):
                 # a tight target and a large inflation clamp the first window
                 yield net, penalties_from_beta(0.01, 0.01, 6), DroModel(alpha2=20.0), "rm clamped"
 
-    def fields(plan):
-        return [
-            (f.name, v.tobytes() if isinstance(v, np.ndarray) else repr(v))
-            for f in dataclasses.fields(plan)
-            for v in [getattr(plan, f.name)]
-        ]
-
     solved = []
     for net, pen, model, label in cases():
         for search in (branch_and_bound, enumerate_exact):
@@ -180,8 +183,8 @@ def test_solve_plan_is_the_route_plan(monkeypatch):
     assert any(plan.clamped[0] for label, plan in solved if label == "rm clamped")
 
     # neither search builds a plan by pricing the route again, and each
-    # place_cost runs its model's kernel once
-    counts = {"kernel": 0, "place_cost": 0}
+    # price runs its model's kernel once
+    counts = {"kernel": 0, "price": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -195,14 +198,14 @@ def test_solve_plan_is_the_route_plan(monkeypatch):
 
     for pricer in (SaaPricer, DroPricer):
         monkeypatch.setattr(pricer, "plan", refused)
-        monkeypatch.setattr(pricer, "place_cost", counted("place_cost", pricer.place_cost))
+        monkeypatch.setattr(pricer, "price", counted("price", pricer.price))
     monkeypatch.setattr(window_design, "_order_stat_window", counted("kernel", window_design._order_stat_window))
     monkeypatch.setattr(window_design, "_dro_window", counted("kernel", window_design._dro_window))
     for net, pen, model, label in cases():
         for search in (branch_and_bound, enumerate_exact):
-            counts.update(kernel=0, place_cost=0)
+            counts.update(kernel=0, price=0)
             search(net, model, pen)
-            assert counts["kernel"] == counts["place_cost"] > 0, (label, search.__name__)
+            assert counts["kernel"] == counts["price"] > 0, (label, search.__name__)
 
 
 def test_bnb_matches_enumeration_rm_clamped_windows():
@@ -265,12 +268,12 @@ def test_only_nodes_with_children_to_order_are_bounded(monkeypatch):
     calls = []
     state = {"tour": False}
 
-    def counting(ctx, net, node_state, rest, kids):
+    def counting(ctx, net, node_state, rest, kids, window):
         calls.append((len(rest), len(kids), state["tour"]))
-        return _completion_bounds(ctx, net, node_state, rest, kids)
+        return _completion_bounds(ctx, net, node_state, rest, kids, window)
 
-    def offer(self, seq, cost, windows, states):
-        offered(self, seq, cost, windows, states)
+    def offer(self, seq, cost, windows):
+        offered(self, seq, cost, windows)
         state["tour"] = self.cost < np.inf
 
     offered = solver._Incumbent.offer
@@ -288,9 +291,9 @@ def test_only_nodes_with_children_to_order_are_bounded(monkeypatch):
 
 
 def test_rank_reuse_changes_no_search(monkeypatch):
-    # the pricer keeps the ranking of the state it priced last, and the
-    # completion bound at that state reads its duals' ranks from it: the
-    # search is the one that ranks every state again, node for node
+    # a node's completion bound is given the node's own window and reads
+    # its duals' ranks from it: the search is the one that ranks every
+    # state again, node for node
     def cases():
         for seed in range(4):
             net = random_network(7, seed=seed, complete=True)
@@ -313,17 +316,57 @@ def test_rank_reuse_changes_no_search(monkeypatch):
     monkeypatch.setattr(window_design, "_ranks", lambda *args: rankings.append(0) or ranks(*args))
     with_reuse = [search(*case) for case in cases()]
     reused = len(rankings)
-    place_cost = SaaPricer.place_cost
+    subgradients = SaaPricer.subgradients
 
-    def forgetful(self, state, k):
-        cost = place_cost(self, state, k)
-        self._ranked = (None, None, None)
-        return cost
+    def forgetful(self, state, unplaced, window=None):
+        return subgradients(self, state, unplaced, window=None)
 
-    monkeypatch.setattr(SaaPricer, "place_cost", forgetful)
+    monkeypatch.setattr(SaaPricer, "subgradients", forgetful)
     rankings.clear()
     assert [search(*case) for case in cases()] == with_reuse
     assert reused < len(rankings)
+
+
+def test_pricers_keep_no_state(monkeypatch):
+    # a pricer keeps nothing between calls: once its linear costs are
+    # read, pricing, cuts and plans leave its attributes as they were, and
+    # a search whose pricer also prices an unrelated state after every
+    # call returns the same solve, field for field
+    net = random_network(7, seed=2, complete=True)
+    pen = mixed_penalties(7, 2)
+    models = both_models(sample_travel_times(net, 200, seed=2))
+    route = branch_and_bound(net, models[0], pen).route
+    for model in models:
+        ctx = model.context(net, pen)
+        ctx.linear
+        before = dict(vars(ctx))
+        state, window = ctx.root_state(), None
+        for arc, k in zip(route.path_arcs, route.customers):
+            ctx.subgradients(state, np.array(route.customers), window)
+            state = ctx.extend(state, arc)
+            window = ctx.price(state, k)
+        ctx.plan(route)
+        after = vars(ctx)
+        assert after.keys() == before.keys(), model.name
+        assert all(after[key] is value for key, value in before.items()), model.name
+
+    def solves():
+        return [
+            [f for f in fields(search(net, model, pen)) if f[0] != "wall_time"]
+            for search in (branch_and_bound, enumerate_exact)
+            for model in models
+        ]
+
+    plain = solves()
+    for pricer in (SaaPricer, DroPricer):
+
+        def stray(self, state, k, price=pricer.price):
+            window = price(self, state, k)
+            price(self, self.extend(self.root_state(), net.arc_index[0, 1]), net.n_customers)
+            return window
+
+        monkeypatch.setattr(pricer, "price", stray)
+    assert solves() == plain
 
 
 def test_structural_prune_matches_enumeration():
@@ -552,11 +595,11 @@ def completions(ctx, net, state, j, arc, rest):
             if (prev, k) not in net.arc_index:
                 break
             st = ctx.extend(st, net.arc_index[prev, k])
-            total += ctx.place_cost(st, k)
+            total += ctx.price(st, k)[2]
             prev = k
         else:
             best = min(best, total)
-    return ctx.place_cost(at_j, j), best
+    return ctx.price(at_j, j)[2], best
 
 
 def clipped_bounds(ctx, net, state, rest, kids):
@@ -632,9 +675,11 @@ def test_completion_bound_is_admissible():
                     if model.name == "rm":
                         want = scale[k] * math.sqrt(state[2])
                     else:
-                        want = ctx.place_cost(state, k) * (scale[k] > 0)
+                        want = ctx.price(state, k)[2] * (scale[k] > 0)
                     assert scale[k] * intercept == pytest.approx(want, rel=1e-9, abs=1e-9), label
-            own, others = _completion_bounds(ctx, net, state, rest, kids)
+            # the node's own window, as the search hands it on
+            window = ctx.price(state, node) if node else None
+            own, others = _completion_bounds(ctx, net, state, rest, kids, window)
             clipped = clipped_bounds(ctx, net, state, rest, kids)
             for c, (j, arc) in enumerate(kids):
                 true_own, true_others = completions(ctx, net, state, j, arc, rest)
