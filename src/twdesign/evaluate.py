@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .instance import Network, Route, SampleSet, _check_sizes, _open_for_write, sample_travel_times, substream
+from .instance import Network, Route, SampleSet, _check_sizes, _is_finite_real, _open_for_write, sample_travel_times, substream
 from .solver import branch_and_bound, build_model
 from .window_design import WindowPlan, _outside, arrival_matrix, penalties_from_beta
 
@@ -68,10 +68,9 @@ def evaluate_plan(route: Route, plan: WindowPlan, test_samples: SampleSet) -> Ev
         raise ValueError(f"plan was made for route {list(plan.route_seq)}, not {list(route.seq)}")
     _check_sizes(len(route.x), len(route.customers), samples=test_samples)
     n = len(route.customers)
-    lower = np.empty(n)
-    upper = np.empty(n)
-    for pos, k in enumerate(route.customers):
-        lower[pos], upper[pos] = plan.window_for(k)
+    # the plan holds a window for each customer of its route (``WindowPlan``)
+    at = [plan.customers.index(k) for k in route.customers]
+    lower, upper = plan.lower[at], plan.upper[at]
     arr = arrival_matrix(route, test_samples.values)
     q = test_samples.q
     early_mask, late_mask = _outside(arr, lower, upper)
@@ -104,13 +103,14 @@ def simulate_waiting(route: Route, lowers: Mapping[int, float], samples: SampleS
 
     Returns a (q, n) matrix of start times in visit order, computed by
     the forward recursion T_k = max(T_prev + travel, lower_k) with the
-    depot released at time zero.
+    depot released at time zero.  Each customer's lower is a finite number
+    (``_is_finite_real``).
     """
     _check_sizes(len(route.x), len(route.customers), samples=samples)
     for k in route.customers:
         if k not in lowers:
             raise ValueError(f"lower bound missing for customer {k}")
-        if not np.isfinite(lowers[k]):
+        if not _is_finite_real(lowers[k]):
             raise ValueError(f"lower bound for customer {k} must be finite, got {lowers[k]!r}")
     t = samples.values
     q = samples.q

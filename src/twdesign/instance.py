@@ -76,15 +76,19 @@ def _is_finite_real(value) -> bool:
         return False
 
 
-def _finite_array(value, name: str, shape: tuple) -> np.ndarray:
-    """``value`` as a float array of ``shape`` with finite entries; errors
-    name the input."""
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != shape:
+def _finite_array(value, name: str, shape: tuple | None = None, message: str | None = None) -> np.ndarray:
+    """The array rule: ``value`` as a float array of ``shape`` (any shape if
+    None), if it has an integer or float dtype and every entry is finite.
+    A bool, string or object array (``True``, ``"1"``, an integer too large
+    for int64) is refused before the float cast, which would read it as a
+    number.  Errors name the input ``name``; ``message``, if given, is the
+    error for entries the rule refuses."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ValueError(message or f"{name}: entries must be finite numbers")
+    if shape is not None and arr.shape != shape:
         raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name}: entries must be finite")
-    return arr
+    return arr.astype(float, copy=False)
 
 
 def _check_sizes(n_arcs: int, n_customers: int, samples=None, mean=None, pen=None) -> None:
@@ -152,8 +156,10 @@ class Network:
     def __post_init__(self):
         self.node_count = _as_int(self.node_count, "node_count")
         self.arcs = tuple((_as_int(i, "arcs", a), _as_int(j, "arcs", a)) for a, (i, j) in enumerate(self.arcs))
-        self.mean = np.array(self.mean, dtype=float)
-        self.cov = np.array(self.cov, dtype=float)
+        self.mean = np.array(_finite_array(self.mean, "mean"))
+        self.cov = np.array(_finite_array(self.cov, "cov"))
+        if not (_is_finite_real(self.time_budget) and self.time_budget > 0):
+            raise ValueError("time_budget must be positive and finite")
         self.time_budget = float(self.time_budget)
         self.factor = _validate_network(self)
         for array in (self.mean, self.cov, self.factor):
@@ -213,15 +219,11 @@ def _validate_network(net: Network) -> np.ndarray:
     _check_arc_count(m)
     if net.mean.shape != (m,):
         raise ValueError(f"mean: expected {m} entries, got {net.mean.shape}")
-    if not np.all(np.isfinite(net.mean)):
-        raise ValueError("mean: entries must be finite")
     if np.any(net.mean < 0):
         bad = int(np.argmax(net.mean < 0))
         raise ValueError(f"mean[{bad}]: negative mean travel time")
     if net.cov.shape != (m, m):
         raise ValueError(f"cov: expected shape ({m}, {m}), got {net.cov.shape}")
-    if not np.all(np.isfinite(net.cov)):
-        raise ValueError("cov: entries must be finite")
     scale = max(1.0, float(np.max(np.abs(net.cov))))
     asym = float(np.max(np.abs(net.cov - net.cov.T)))
     if asym > SYM_TOL * scale:
@@ -229,8 +231,6 @@ def _validate_network(net: Network) -> np.ndarray:
     if np.any(np.diag(net.cov) < 0):
         raise ValueError("cov: negative diagonal entry")
     factor = np.zeros((m, m)) if not net.cov.any() else _cov_factor(net.cov, scale)
-    if not 0 < net.time_budget < np.inf:
-        raise ValueError("time_budget must be positive and finite")
     reachable = _hops_from(0, _successors(n_nodes, net.arcs))
     reaching = _hops_from(0, _successors(n_nodes, ((j, i) for i, j in net.arcs)))
     for k in range(1, n_nodes):
@@ -318,7 +318,9 @@ def generate_covariance(net: Network, params: CovGenParams) -> np.ndarray:
 
 @dataclass(eq=False)
 class SampleSet:
-    """A set of joint travel-time draws, one row per scenario."""
+    """A set of joint travel-time draws, one row per scenario: ``q`` is an
+    integer (``_as_int``) and ``values`` a q x n_arcs array of finite
+    numbers >= 0 (``_finite_array``), frozen."""
 
     q: int
     values: np.ndarray
@@ -326,13 +328,12 @@ class SampleSet:
     clamp_rate: float = 0.0
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        self.q = _as_int(self.q, "q")
+        self.values = _finite_array(self.values, "sample values")
         if self.values.ndim != 2:
             raise ValueError("sample values must be a 2-D array (q, n_arcs)")
         if self.values.shape[0] != self.q:
             raise ValueError(f"sample values: expected {self.q} rows, got {self.values.shape[0]}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("sample values must be finite")
         if np.any(self.values < 0):
             raise ValueError("sample values must be nonnegative")
         if self.values.flags.writeable:
@@ -408,7 +409,7 @@ def random_network(
     mean = rng.uniform(10.0, 30.0, len(arcs))
     arc_pos = {arc: a for a, arc in enumerate(arcs)}
     cycle_mean = float(sum(mean[arc_pos[arc]] for arc in cycle))
-    tb = float(time_budget) if time_budget is not None else BUDGET_FACTOR * cycle_mean
+    tb = time_budget if time_budget is not None else BUDGET_FACTOR * cycle_mean
     params = cov_params or CovGenParams(seed=substream(seed, "covgen"))
     return _generated_network(n_nodes, tuple(arcs), mean, tb, params)
 
@@ -498,10 +499,18 @@ def _open_for_write(path):
 
 
 def _write_json(doc, path) -> None:
-    """Write ``doc`` as JSON indented by two spaces, with a trailing newline."""
-    with _open_for_write(path) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    """Write ``doc`` as JSON indented by two spaces, with a trailing newline.
+    A value JSON cannot hold (NaN, an infinity) is a ``ValueError`` that
+    leaves no file behind.  The text is streamed to the file, not built
+    first: a whole 2,000-arc instance as one string would more than double
+    the writer's peak memory."""
+    try:
+        with _open_for_write(path) as fh:
+            json.dump(doc, fh, indent=2, allow_nan=False)
+            fh.write("\n")
+    except ValueError:
+        Path(path).unlink()
+        raise
 
 
 def save_instance(net: Network, path) -> None:
@@ -583,7 +592,7 @@ def load_instance(path) -> Network:
                     pass
             bad = next(v for v in row if not _is_finite_real(v))
             raise ValueError(f"cov[{r}]: expected numbers, got {json.dumps(bad)}")
-        return Network(nodes, tuple(arcs), np.asarray(means), cov, float(tb))
+        return Network(nodes, tuple(arcs), np.asarray(means), cov, tb)
     gen = doc["cov_gen"]
     if not isinstance(gen, dict):
         raise ValueError("cov_gen: expected an object")
@@ -591,7 +600,7 @@ def load_instance(path) -> Network:
     unknown = set(gen) - allowed
     if unknown:
         raise ValueError(f"cov_gen: unknown keys {sorted(unknown)}")
-    return _generated_network(nodes, tuple(arcs), np.asarray(means), float(tb), CovGenParams(**gen))
+    return _generated_network(nodes, tuple(arcs), np.asarray(means), tb, CovGenParams(**gen))
 
 
 def save_route(seq, path) -> None:

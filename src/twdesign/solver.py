@@ -69,7 +69,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .instance import Network, Route, SampleSet, _check_sizes, _finite_array, route_to_xy, sample_travel_times, substream
+from .instance import Network, Route, SampleSet, _as_int, _check_sizes, _finite_array, _is_finite_real, route_to_xy, sample_travel_times, substream
 from .window_design import (
     SINGULAR_QUAD,
     DroPricer,
@@ -123,7 +123,7 @@ class DroModel:
     name: ClassVar[str] = "rm"
 
     def __post_init__(self):
-        if not (0 <= self.alpha1 < np.inf and 0 <= self.alpha2 < np.inf):
+        if not all(_is_finite_real(a) and a >= 0 for a in (self.alpha1, self.alpha2)):
             raise ValueError("alpha1 and alpha2 must be finite and nonnegative")
 
     def budget(self, net: Network, x) -> float:
@@ -648,9 +648,7 @@ def benders_cut(y_hat, samples: SampleSet, pen: PenaltyConfig, customer: int) ->
     Fractional anchors in [0, 1] are fine, the dual closed form only
     needs the induced arrival costs.
     """
-    y = np.asarray(y_hat, dtype=float)
-    if y.shape != (samples.n_arcs,):
-        raise ValueError(f"anchor: expected shape ({samples.n_arcs},), got {y.shape}")
+    y = _finite_array(y_hat, "anchor", (samples.n_arcs,))
     a_w, a_l, a_u = pen.for_customer(customer)
     arrivals = samples.values @ y
     win = saa_window(arrivals, a_w, a_l, a_u)
@@ -660,10 +658,9 @@ def benders_cut(y_hat, samples: SampleSet, pen: PenaltyConfig, customer: int) ->
 
 def oa_cut(y_hat, cbar, customer: int = 0) -> Cut:
     """Outer-approximation cut for the dispersion term sqrt(y' C y)."""
-    y = np.asarray(y_hat, dtype=float)
-    cbar = np.asarray(cbar, dtype=float)
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(cbar))):
-        raise ValueError("anchor and covariance must be finite")
+    customer = _as_int(customer, "customer")
+    y = _finite_array(y_hat, "anchor", (np.size(y_hat),))
+    cbar = _finite_array(cbar, "cbar", (y.size, y.size))
     quad = float(y @ cbar @ y)
     if quad <= SINGULAR_QUAD:
         raise ValueError("singular anchor: y' C y is numerically zero")
@@ -674,6 +671,6 @@ def oa_cut(y_hat, cbar, customer: int = 0) -> Cut:
 
 def cut_check(cut: Cut, y, evaluator) -> bool:
     """True when the cut underestimates ``evaluator`` at y (tolerance 1e-9)."""
-    y = np.asarray(y, dtype=float)
+    y = _finite_array(y, "y", cut.anchor.shape)
     rhs = cut.intercept + float(cut.coeffs @ (y - cut.anchor))
     return bool(evaluator(y) >= rhs - CUT_CHECK_TOL)

@@ -42,9 +42,10 @@ SINGULAR_QUAD = 1e-18  # a path variance y' C y at or below this counts as zero
 class PenaltyConfig:
     """Per-customer cost weights (a_w, a_l, a_u), indexed by customer id - 1.
 
-    All weights lie in (0, 1] and satisfy a_w/a_l + a_w/a_u <= 1, which
-    guarantees the window cost cannot be reduced by collapsing or
-    inflating the window without bound.
+    Each weight is a 1-D array of numbers (a scalar counts as one
+    customer) under ``_finite_array``.  All weights lie in (0, 1] and
+    satisfy a_w/a_l + a_w/a_u <= 1, which guarantees the window cost
+    cannot be reduced by collapsing or inflating the window without bound.
     """
 
     a_w: np.ndarray
@@ -52,18 +53,18 @@ class PenaltyConfig:
     a_u: np.ndarray
 
     def __post_init__(self):
-        self.a_w = np.atleast_1d(np.asarray(self.a_w, dtype=float)).copy()
-        self.a_l = np.atleast_1d(np.asarray(self.a_l, dtype=float)).copy()
-        self.a_u = np.atleast_1d(np.asarray(self.a_u, dtype=float)).copy()
+        for name in ("a_w", "a_l", "a_u"):
+            arr = _finite_array(np.atleast_1d(getattr(self, name)), name, message=f"{name}: weights must lie in (0, 1]")
+            if not np.all((arr > 0) & (arr <= 1 + CMP_TOL)):
+                raise ValueError(f"{name}: weights must lie in (0, 1]")
+            if arr.ndim != 1:
+                raise ValueError(f"{name}: expected a 1-D array, got shape {arr.shape}")
+            setattr(self, name, arr.copy())
         n = self.a_w.size
         if self.a_l.size != n or self.a_u.size != n:
             raise ValueError("penalty arrays must have equal length")
         if n == 0:
             raise ValueError("penalty arrays must not be empty: a config needs at least one customer")
-        for name, arr in (("a_w", self.a_w), ("a_l", self.a_l), ("a_u", self.a_u)):
-            # written so that NaN fails the test as well
-            if not np.all((arr > 0) & (arr <= 1 + CMP_TOL)):
-                raise ValueError(f"{name}: weights must lie in (0, 1]")
         ratio = self.a_w / self.a_l + self.a_w / self.a_u
         if np.any(ratio > 1 + CMP_TOL):
             k = int(np.argmax(ratio)) + 1
@@ -102,7 +103,7 @@ def penalties_from_beta(beta_l: float, beta_u: float, n_customers: int) -> Penal
     so the tolerated early rate a_w/a_l equals beta_l and the tolerated
     late rate a_w/a_u equals beta_u, with every weight still in (0, 1].
     """
-    if not (0 < beta_l < 1 and 0 < beta_u < 1) or beta_l + beta_u > 1 + CMP_TOL:
+    if not all(_is_finite_real(b) and 0 < b < 1 for b in (beta_l, beta_u)) or beta_l + beta_u > 1 + CMP_TOL:
         raise ValueError(
             "infeasible confidence: need beta_l, beta_u > 0 with beta_l + beta_u <= 1"
         )
@@ -120,12 +121,14 @@ def critical_indices(q: int, a_w: float, a_l: float, a_u: float) -> tuple[int, i
     P1 is the smallest rank r in 1..q with a_w <= (r/q) a_l + 1e-12 and P2
     the largest with a_w <= ((q - r + 1)/q) a_u + 1e-12, in exactly those
     float expressions.  Each right-hand side grows with r (with q - r + 1),
-    so a bisection over the ranks finds each.
+    so a bisection over the ranks finds each.  The weights must be finite
+    numbers > 0 (``_check_weights``), with a_w at most min(a_l, a_u).
     """
     q = _as_int(q, "q")
     if q < 1:
         raise ValueError("q must be >= 1")
-    # NaN fails this test too; past it, r = q satisfies both inequalities
+    _check_weights(a_w, a_l, a_u)
+    # past this test, r = q satisfies both inequalities
     if not (a_w <= a_l + CMP_TOL and a_w <= a_u + CMP_TOL):
         raise ValueError("no valid quantile index: a_w must not exceed min(a_l, a_u)")
 
@@ -136,6 +139,13 @@ def critical_indices(q: int, a_w: float, a_l: float, a_u: float) -> tuple[int, i
     if p1 > p2:
         raise ValueError("no valid quantile index: ranks crossed")
     return p1, p2
+
+
+def _check_weights(a_w, a_l, a_u) -> None:
+    """The weight rule of the closed forms (``critical_indices``,
+    ``gamma_coeffs``): finite numbers > 0."""
+    if not all(_is_finite_real(a) and a > 0 for a in (a_w, a_l, a_u)):
+        raise ValueError("penalty weights must be positive and finite")
 
 
 @dataclass(eq=False)
@@ -181,12 +191,13 @@ def saa_window(arrivals, a_w: float, a_l: float, a_u: float) -> SaaWindow:
 
     Works for any nonnegative combination of scenario travel times, so
     callers may pass arrival costs induced by fractional path variables.
+    The arrivals must be finite numbers (``_finite_array``) and the weights
+    finite numbers > 0 (``critical_indices``), so the cost is never NaN
+    or negative.
     """
-    arr = np.asarray(arrivals, dtype=float)
+    arr = _finite_array(arrivals, "arrivals", message="arrivals must be finite numbers")
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("arrivals must be a non-empty 1-D array")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("arrivals must be finite")
     terms = (*critical_indices(arr.size, a_w, a_l, a_u), a_w, a_l, a_u)
     return _saa_window(*_order_stat_window(arr, *terms), *terms)
 
@@ -237,7 +248,17 @@ def _rank_duals(q: int, p1: int, p2: int, a_w: float, a_l: float, a_u: float):
 
 @dataclass(eq=False)
 class WindowPlan:
-    """Designed windows for the customers of one route, in visit order."""
+    """Designed windows for the customers of one route, in visit order.
+
+    A plan holds one finite lower, upper and cost (``_finite_array``) for
+    each of the route's customers 1..n, n = len(route_seq) - 2, in any
+    order, with 0 <= lower <= upper; a finite total, stored as a float;
+    and a ``shared_width`` that is None or a finite float >= 0.  So every
+    plan the constructor accepts is one ``save_plan`` can write and
+    ``load_plan`` read back, field for field.  The in-sample rates and
+    clamp flags are diagnostics of the design; a plan file does not carry
+    them back.
+    """
 
     kind: str
     route_seq: tuple[int, ...]
@@ -254,16 +275,22 @@ class WindowPlan:
     def __post_init__(self):
         self.route_seq = tuple(_as_int(v, "route", t) for t, v in enumerate(self.route_seq))
         self.customers = tuple(_as_int(k, "customers", p) for p, k in enumerate(self.customers))
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        self.cost_per_customer = np.asarray(self.cost_per_customer, dtype=float)
-        for name in ("lower", "upper", "cost_per_customer"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"window plan has a non-finite {name}")
+        n = len(self.route_seq) - 2  # a route visits each of the customers 1..n once
+        if sorted(self.customers) != list(range(1, n + 1)):
+            raise ValueError(f"customers: expected one for each customer 1..{n}, got {list(self.customers)}")
+        for name in ("lower", "upper", "cost_per_customer"):  # one for each customer
+            message = f"{name}: expected finite numbers, got a non-finite {name}"
+            setattr(self, name, _finite_array(getattr(self, name), name, (len(self.customers),), message))
+        if not _is_finite_real(self.total_cost):
+            raise ValueError(f"total_cost: expected a finite number, got {self.total_cost!r}")
+        self.total_cost = float(self.total_cost)
+        if not (self.shared_width is None or _is_finite_real(self.shared_width) and self.shared_width >= 0):
+            raise ValueError(f"shared_width: expected None or a finite number >= 0, got {self.shared_width!r}")
+        self.shared_width = None if self.shared_width is None else float(self.shared_width)
         if np.any(self.upper < self.lower):
-            raise ValueError("window plan has upper < lower")
+            raise ValueError("upper: expected at least lower, got upper < lower")
         if np.any(self.lower < 0):
-            raise ValueError("window plan has a negative lower bound")
+            raise ValueError("lower: expected a number >= 0, got a negative lower bound")
 
     @property
     def width(self) -> np.ndarray:
@@ -326,6 +353,9 @@ def write_cost_csv(plan, path) -> None:
 
 
 def load_plan(path) -> WindowPlan:
+    """Read a plan file.  Each value is checked as it is read
+    (``_plan_field``); what ``WindowPlan`` then refuses is the file's error,
+    its ``customers`` under the file's key ``windows``."""
     doc = _read_json(path, "window plan")
     for key in ("route", "windows", "cost"):
         if key not in doc:
@@ -342,28 +372,18 @@ def load_plan(path) -> WindowPlan:
     elif not (isinstance(per, list) and len(per) == len(windows) and all(isinstance(e, dict) for e in per)):
         raise ValueError(f"window plan file: per_customer: expected a list of {len(windows)} objects, one per window")
     customers = tuple(_plan_field(w["customer"], "customer", integer=True) for w in windows)
-    n = len(doc["route"]) - 2  # a route visits each of the customers 1..n once
-    if sorted(customers) != list(range(1, n + 1)):
-        raise ValueError(f"window plan file: windows: expected one for each customer 1..{n}, got {list(customers)}")
     lower = np.array([_plan_field(w["lower"], "lower") for w in windows], dtype=float)
     upper = np.array([_plan_field(w["upper"], "upper") for w in windows], dtype=float)
     costs = np.array([_plan_field(e.get("cost", 0.0), "cost") for e in per], dtype=float)
-    shared_width = doc.get("shared_width")
-    if shared_width is not None and not (_is_finite_real(shared_width) and shared_width >= 0):
-        raise ValueError("window plan file: shared_width: expected null or a finite number >= 0")
     kind = doc.get("kind", "unknown")
     if not isinstance(kind, str):
         raise ValueError(f"window plan file: kind: expected a string, got {json.dumps(kind)}")
-    return WindowPlan(
-        kind=kind,
-        route_seq=tuple(doc["route"]),
-        customers=customers,
-        lower=lower,
-        upper=upper,
-        cost_per_customer=costs,
-        total_cost=float(_plan_field(doc["cost"], "cost")),
-        shared_width=None if shared_width is None else float(shared_width),
-    )
+    try:
+        return WindowPlan(kind, tuple(doc["route"]), customers, lower, upper, costs,
+                          _plan_field(doc["cost"], "cost"), doc.get("shared_width"))
+    except ValueError as exc:
+        key, _, rest = str(exc).partition(": ")
+        raise ValueError(f"window plan file: {'windows' if key == 'customers' else key}: {rest}") from None
 
 
 def _plan_field(value, key: str, integer: bool = False):
@@ -907,12 +927,6 @@ def design_fixed_width(route, samples, pen: PenaltyConfig) -> WindowPlan:
 # moment-robust design
 
 
-def _check_moments(variance: float, *values: float) -> None:
-    """The public moment closed forms take finite numbers, variance >= 0."""
-    if not (0 <= variance < math.inf and all(math.isfinite(v) for v in values)):
-        raise ValueError("moments and window edges must be finite, with variance >= 0")
-
-
 def _scarf(d: float, variance: float) -> float:
     """The Scarf bound at offset d, unchecked: the pricing kernel's copy."""
     return 0.5 * (d + math.sqrt(variance + d * d))
@@ -920,14 +934,17 @@ def _scarf(d: float, variance: float) -> float:
 
 def scarf_earliness(lower: float, mean: float, variance: float) -> float:
     """Worst-case E[(l - tau)+] over distributions with the given mean and
-    variance (Scarf bound): (d + sqrt(s^2 + d^2)) / 2 with d = l - mean."""
-    _check_moments(variance, lower, mean)
+    variance (Scarf bound): (d + sqrt(s^2 + d^2)) / 2 with d = l - mean.
+    Every input is a finite number (``_is_finite_real``), variance >= 0."""
+    if not (all(map(_is_finite_real, (lower, mean, variance))) and variance >= 0):
+        raise ValueError("moments and window edges must be finite, with variance >= 0")
     return _scarf(lower - mean, variance)
 
 
 def scarf_tardiness(upper: float, mean: float, variance: float) -> float:
     """Worst-case E[(tau - u)+], mirror image of the earliness bound."""
-    _check_moments(variance, upper, mean)
+    if not (all(map(_is_finite_real, (upper, mean, variance))) and variance >= 0):
+        raise ValueError("moments and window edges must be finite, with variance >= 0")
     return _scarf(mean - upper, variance)
 
 
@@ -946,19 +963,26 @@ def gamma_coeffs(a_w: float, a_l: float, a_u: float) -> tuple[float, float]:
     The minimised worst-case cost for a customer with arrival standard
     deviation sigma is (gamma_l + gamma_u) * sigma with
     gamma_side = sqrt(a_w (a_side - a_w)).  At the closed boundary
-    2 a_w = a_side this degenerates to gamma_side = a_side / 2.
+    2 a_w = a_side this degenerates to gamma_side = a_side / 2.  The
+    weights must be finite numbers > 0 (``_check_weights``).
     """
-    if not all(0 < a < math.inf for a in (a_w, a_l, a_u)):
-        raise ValueError("penalty weights must be positive and finite")
+    _check_weights(a_w, a_l, a_u)
     if 2 * a_w > min(a_l, a_u) + CMP_TOL:
         raise ValueError("coefficient domain: need 2*a_w <= min(a_l, a_u)")
+    return _gammas(a_w, a_l, a_u)
+
+
+def _gammas(a_w: float, a_l: float, a_u: float) -> tuple[float, float]:
+    """``gamma_coeffs`` unchecked: the pricing kernel's copy, for weights a
+    ``PenaltyConfig`` has already checked."""
     return math.sqrt(a_w * (a_l - a_w)), math.sqrt(a_w * (a_u - a_w))
 
 
 def _dro_terms(a_w: float, a_l: float, a_u: float) -> tuple[float, ...]:
     """The weights followed by the per-sigma cost gamma_l + gamma_u and the
-    two wings: everything ``_dro_window`` needs about one customer."""
-    g_l, g_u = gamma_coeffs(a_w, a_l, a_u)
+    two wings: everything ``_dro_window`` needs about one customer.
+    Unchecked, as ``_gammas``."""
+    g_l, g_u = _gammas(a_w, a_l, a_u)
     return a_w, a_l, a_u, g_l + g_u, _wing(a_w / a_l), _wing(a_w / a_u)
 
 
@@ -979,9 +1003,13 @@ def dro_window(mean: float, variance: float, a_w: float, a_l: float, a_u: float)
     Returns (lower, upper, cost, clamped).  The unconstrained optimum is
     mean -/+ sigma * wing(beta_side) at cost (gamma_l + gamma_u) * sigma;
     a negative lower edge is clamped to zero and flagged, with the cost
-    evaluated at the clamped window.
+    evaluated at the clamped window.  The moments must be finite numbers
+    (``_is_finite_real``), variance >= 0, and the weights as
+    ``gamma_coeffs`` requires.
     """
-    _check_moments(variance, mean)
+    if not (all(map(_is_finite_real, (mean, variance))) and variance >= 0):
+        raise ValueError("moments and window edges must be finite, with variance >= 0")
+    gamma_coeffs(a_w, a_l, a_u)  # the weight checks
     return _dro_window(mean, variance, *_dro_terms(a_w, a_l, a_u))
 
 
@@ -996,7 +1024,7 @@ class DroPricer:
     def __init__(self, mean, cov, alpha2: float, pen: PenaltyConfig):
         if not pen.dro_valid:
             raise ValueError("coefficient domain: moment-robust design needs 2*a_w < min(a_l, a_u)")
-        if not 0 <= alpha2 < math.inf:
+        if not (_is_finite_real(alpha2) and alpha2 >= 0):
             raise ValueError("alpha2 must be finite and nonnegative")
         self.linear = _finite_array(mean, "mean", (np.size(mean),))
         m = len(self.linear)

@@ -84,21 +84,23 @@ def test_evaluate_boundary_arrivals_count_inside():
 
 
 def test_evaluate_requires_all_windows():
+    # a plan that lacks a customer of its route is refused as it is made,
+    # so evaluate_plan never meets one
     route, samples = line_route_with_samples([[1.0, 1.0, 1.0]])
-    plan = WindowPlan(
-        kind="saa",
-        route_seq=route.seq,
-        customers=(1,),
-        lower=np.array([0.0]),
-        upper=np.array([1.0]),
-        cost_per_customer=np.zeros(1),
-        total_cost=0.0,
-    )
-    with pytest.raises(ValueError, match="no window for customer 2"):
-        evaluate_plan(route, plan, samples)
-    # a plan on the route's own sequence that lacks the first customer
-    with pytest.raises(ValueError, match=r"^plan has no window for customer 1$"):
-        evaluate_plan(route, dataclasses.replace(plan, customers=(2,)), samples)
+    for customers in ((1,), (2,)):
+        with pytest.raises(ValueError, match=rf"^customers: expected one for each customer 1\.\.2, got \[{customers[0]}\]$"):
+            WindowPlan(
+                kind="saa",
+                route_seq=route.seq,
+                customers=customers,
+                lower=np.array([0.0]),
+                upper=np.array([1.0]),
+                cost_per_customer=np.zeros(1),
+                total_cost=0.0,
+            )
+    plan = plan_for(route, [0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^plan has no window for customer 3$"):
+        plan.window_for(3)
 
 
 def test_evaluate_rejects_plan_for_another_route():

@@ -9,8 +9,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import tempfile
 import tracemalloc
 from fractions import Fraction
 
@@ -1173,6 +1175,69 @@ def test_plan_ids_are_integers():
             WindowPlan(route_seq=(0, bad, 0), customers=(1,), **values)
         with pytest.raises(ValueError, match=r"^customers\[0\]: expected an integer"):
             WindowPlan(route_seq=(0, 1, 0), customers=(bad,), **values)
+
+
+def test_plan_holds_one_window_for_each_customer_of_its_route():
+    # a plan that save_plan could write but load_plan would refuse is
+    # refused as it is made: customers that are not the route's, or arrays
+    # of another length
+    values = dict(kind="saa", lower=[1.0, 2.0], upper=[3.0, 4.0], cost_per_customer=[0.5, 0.5], total_cost=1)
+    plan = WindowPlan(route_seq=(0, 2, 1, 0), customers=(1, 2), **values)  # in any order
+    assert type(plan.total_cost) is float and plan.total_cost == 1.0
+    for customers in ((5, 7), (1, 1), (1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match=r"^customers: expected one for each customer 1\.\.2, got "):
+            WindowPlan(route_seq=(0, 1, 2, 0), customers=customers, **values)
+    for name in ("lower", "upper", "cost_per_customer"):
+        with pytest.raises(ValueError, match=rf"^{name}: expected shape \(2,\), got \(3,\)$"):
+            WindowPlan(route_seq=(0, 1, 2, 0), customers=(1, 2), **dict(values, **{name: [1.0, 2.0, 3.0]}))
+
+
+@st.composite
+def _plans(draw):
+    """Any plan the ``WindowPlan`` constructor accepts; the design's
+    diagnostics (rates, clamp flags), which a plan file does not carry
+    back, are left out."""
+    n = draw(st.integers(0, 5))
+    finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(10**6), 10**6))
+    lower = draw(st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=n, max_size=n))
+    return WindowPlan(
+        kind=draw(st.text(max_size=5)),
+        route_seq=tuple(draw(st.lists(st.integers(-(2**63), 2**63), min_size=n + 2, max_size=n + 2))),
+        customers=tuple(draw(st.permutations(range(1, n + 1)))),
+        lower=lower,
+        upper=[draw(st.floats(min_value=lo, allow_infinity=False)) for lo in lower],
+        cost_per_customer=draw(st.lists(finite, min_size=n, max_size=n)),
+        total_cost=draw(finite),
+        shared_width=draw(st.one_of(st.none(), st.floats(min_value=0.0, allow_infinity=False), st.integers(0, 10))),
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(plan=_plans())
+def test_every_plan_made_is_one_load_plan_reads_back(plan):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "plan.json")
+        save_plan(plan, path)
+        back = load_plan(path)
+    for field in dataclasses.fields(WindowPlan):
+        want, got = getattr(plan, field.name), getattr(back, field.name)
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), field.name
+        else:
+            assert (type(got), repr(got)) == (type(want), repr(want)), field.name
+
+
+def test_save_plan_refuses_what_json_cannot_hold(tmp_path):
+    # NaN and the infinities are no JSON: the writer refuses them before it
+    # opens the file, so no file is left behind
+    plan = WindowPlan("saa", (0, 1, 0), (1,), [1.0], [3.0], [0.5], 0.5)
+    path = tmp_path / "plan.json"
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_plan(dataclasses.replace(plan, early_rate=np.array([bad])), path)
+        assert not path.exists()
+    save_plan(plan, path)
+    assert path.read_text() == json.dumps(plan.to_json_dict(), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("bad", [2.0, 2.5, True, "2"])
