@@ -80,15 +80,27 @@ def _finite_array(value, name: str, shape: tuple | None = None, message: str | N
     """The array rule: ``value`` as a float array of ``shape`` (any shape if
     None), if it has an integer or float dtype and every entry is finite.
     A bool, string or object array (``True``, ``"1"``, an integer too large
-    for int64) is refused before the float cast, which would read it as a
-    number.  Errors name the input ``name``; ``message``, if given, is the
-    error for entries the rule refuses."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+    for int64), and a list or tuple that holds a bool among numbers, are
+    refused before the float cast, which would read them as numbers; so is
+    a ragged nested sequence.  Errors name the input ``name``; ``message``,
+    if given, is the error for entries the rule refuses."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # rows of different lengths
+        raise ValueError(f"{name}: expected a rectangular array of numbers, got a ragged sequence") from None
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all() or _holds_bool(value):
         raise ValueError(message or f"{name}: entries must be finite numbers")
     if shape is not None and arr.shape != shape:
         raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
     return arr.astype(float, copy=False)
+
+
+def _holds_bool(value) -> bool:
+    """True for a list or tuple with a bool entry at any depth, which numpy
+    casts to 0 or 1 when the other entries are numbers."""
+    return isinstance(value, (list, tuple)) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat
+    )
 
 
 def _check_sizes(n_arcs: int, n_customers: int, samples=None, mean=None, pen=None) -> None:

@@ -54,7 +54,7 @@ class PenaltyConfig:
 
     def __post_init__(self):
         for name in ("a_w", "a_l", "a_u"):
-            arr = _finite_array(np.atleast_1d(getattr(self, name)), name, message=f"{name}: weights must lie in (0, 1]")
+            arr = np.atleast_1d(_finite_array(getattr(self, name), name, message=f"{name}: weights must lie in (0, 1]"))
             if not np.all((arr > 0) & (arr <= 1 + CMP_TOL)):
                 raise ValueError(f"{name}: weights must lie in (0, 1]")
             if arr.ndim != 1:

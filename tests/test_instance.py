@@ -698,6 +698,30 @@ def test_instance_load_errors_name_the_field(tmp_path):
         load_instance(path)
 
 
+def test_array_inputs_refuse_bools_in_lists_and_ragged_rows():
+    # numpy reads a list that mixes a bool with numbers as numbers (True is
+    # 1.0), and a ragged nested list ends in its own error; each is a
+    # ValueError that names the input, as at the file readers
+    arcs = ((0, 1), (1, 0))
+    calls = [
+        ("mean", lambda v: Network(2, arcs, v, np.zeros((2, 2)), 10.0), [True, 12.0], [[1.0], [2.0, 3.0]]),
+        ("cov", lambda v: Network(2, arcs, [1.0, 1.0], v, 10.0), [[0.0, np.False_], [0.0, 0.0]], [[0.0, 0.0], [0.0]]),
+        ("sample values", lambda v: SampleSet(2, v), ((1.0, 2.0), (False, 2.0)), [[1.0, 2.0], [1.0]]),
+        ("a_w", lambda v: twdesign.PenaltyConfig(v, [1.0, 1.0], [1.0, 1.0]), [0.05, True], [[0.05], [0.05, 0.05]]),
+        ("arrivals", lambda v: twdesign.saa_window(v, 0.05, 1.0, 1.0), [True, 2.0, 3.0], [[1.0], [2.0, 3.0]]),
+        ("lower", lambda v: twdesign.WindowPlan("saa", (0, 1, 2, 0), (1, 2), v, [3.0, 4.0], [0.5, 0.5], 1.0),
+         [True, 2.0], [[1.0], [2.0, 3.0]]),
+    ]
+    for name, call, with_bool, ragged in calls:
+        with pytest.raises(ValueError, match=name):
+            call(with_bool)
+        with pytest.raises(ValueError, match=f"{name}: expected a rectangular array of numbers"):
+            call(ragged)
+    # the same lists with the bool as a number are accepted
+    assert Network(2, arcs, [1.0, 12.0], np.zeros((2, 2)), 10.0).mean.tolist() == [1.0, 12.0]
+    assert twdesign.saa_window([1.0, 2.0, 3.0], 0.05, 1.0, 1.0).cost >= 0
+
+
 def test_instance_load_rejects_json_booleans(tmp_path):
     # true and false load as bool, which Python counts as 1 and 0: an arc
     # {"from": false, "to": true} would otherwise read as the arc (0, 1)

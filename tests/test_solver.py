@@ -36,7 +36,7 @@ from twdesign import (
     substream,
 )
 from twdesign import solver, window_design
-from twdesign.solver import _completion_bounds, _spans, build_model
+from twdesign.solver import _completion_bounds, _Completions, build_model
 from twdesign.window_design import DroPricer, SaaPricer
 
 
@@ -264,7 +264,9 @@ def test_only_nodes_with_children_to_order_are_bounded(monkeypatch):
     # a node with two children or more and two unplaced customers or more
     # bounds them before its first, tour or no tour, to try them in bound
     # order; a lone child has nothing to order and is never bounded, also
-    # once a tour exists
+    # once a tour exists.  Sparse n=16: on the default n=12 graphs of
+    # seeds 0-2 the exact completion test leaves few nodes with two live
+    # children (none at seed 0), so the search there may bound no node
     calls = []
     state = {"tour": False}
 
@@ -279,9 +281,9 @@ def test_only_nodes_with_children_to_order_are_bounded(monkeypatch):
     offered = solver._Incumbent.offer
     monkeypatch.setattr(solver, "_completion_bounds", counting)
     monkeypatch.setattr(solver._Incumbent, "offer", offer)
-    for seed in range(3):
-        net = random_network(12, seed=seed)
-        pen = penalties_from_beta(0.05, 0.05, 12)
+    for seed in (1, 2, 3):
+        net = random_network(16, seed=seed)
+        pen = penalties_from_beta(0.05, 0.05, 16)
         for name in ("sm", "rm"):
             calls.clear()
             state["tour"] = False
@@ -391,8 +393,9 @@ def test_structural_prune_cuts_a_stranding_dive(monkeypatch):
     # does not see it (other unplaced customers have arcs home), nor does
     # the completion bound, which looks at the arcs into each customer
     # only.  The structural prune cuts those subtrees, so the search
-    # visits fewer nodes than with its test stubbed out (31 against 43
-    # for sm, 25 against 33 for rm here) and returns the same tour
+    # visits fewer nodes than with its completion test stubbed out (37
+    # against 46 for sm, 32 against 38 for rm here) and returns the same
+    # tour
     n = 6
     arcs = [
         (i, j) for i in range(n + 1) for j in range(n + 1) if i != j and (j != 6 or i == 1) and (i != 5 or j == 2)
@@ -403,12 +406,65 @@ def test_structural_prune_cuts_a_stranding_dive(monkeypatch):
     pen = penalties_from_beta(0.05, 0.05, n)
     models = (SaaModel(sample_travel_times(net, 200, seed=0)), DroModel())
     solved = [solve_both(net, model, pen) for model in models]
-    monkeypatch.setattr("twdesign.solver._spans", lambda *args: True)
+    monkeypatch.setattr(_Completions, "__call__", lambda self, j, rest: True)
     for model, (ref, res) in zip(models, solved):
         free = branch_and_bound(net, model, pen)
         assert res.route.seq == ref.route.seq == free.route.seq == (0, 1, 6, 4, 3, 5, 2, 0), model.name
         assert res.objective == ref.objective == free.objective, model.name
         assert res.nodes < free.nodes, model.name
+
+
+def has_completion(arcs, j, rest):
+    """Brute force: some order of the customers ``rest`` (a frozenset) is a
+    path of ``arcs`` from j that ends with an arc home to the depot."""
+    if not rest:
+        return (j, 0) in arcs
+    return any((j, k) in arcs and has_completion(arcs, k, rest - {k}) for k in rest)
+
+
+def test_completion_test_is_exact(monkeypatch):
+    # every state the completion test decides, through its pre-checks or
+    # by branching, agrees with brute force both ways: a rejected state
+    # has no completion and an accepted one has one; first every state a
+    # search queries or reaches on sparse networks, then every state of
+    # random digraphs of other densities
+    tests = []
+    init = _Completions.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        tests.append(self)
+
+    monkeypatch.setattr(_Completions, "__init__", recording)
+    decided = 0
+    for n in (5, 7, 9):
+        for seed in range(8):
+            net = random_network(n, seed=seed)
+            pen = penalties_from_beta(0.05, 0.05, n)
+            for model in both_models(sample_travel_times(net, 50, seed=seed)):
+                branch_and_bound(net, model, pen)
+                memo = tests.pop().memo
+                for (j, rest), known in memo.items():
+                    members = frozenset(k for k in net.customers if rest >> k & 1)
+                    assert known == has_completion(net.arc_index, j, members), (n, seed, j, rest)
+                decided += len(memo)
+    rng = np.random.default_rng(0)
+    outcomes = set()
+    for n in (4, 5, 6, 7):
+        for density in (0.3, 0.5, 0.7):
+            arcs = {(i, j) for i in range(n + 1) for j in range(n + 1) if i != j and rng.random() < density}
+            completes = _Completions(arcs, n + 1)
+            for j in range(1, n + 1):
+                for members in itertools.product((0, 1), repeat=n - 1):
+                    rest = sum(1 << k for k, bit in zip((k for k in range(1, n + 1) if k != j), members) if bit)
+                    want = has_completion(arcs, j, frozenset(k for k in range(1, n + 1) if rest >> k & 1))
+                    assert completes(j, rest) == want, (n, density, j, rest)
+                    if rest:  # a state with its pre-checks passed, or not
+                        outcomes.add((want, completes._open(j, rest) != 0))
+    assert decided > 1000
+    # the pre-checks reject no state that completes, and miss some that
+    # do not, which branching rejects
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_complete_graphs_skip_the_structural_prune(monkeypatch):
@@ -422,12 +478,13 @@ def test_complete_graphs_skip_the_structural_prune(monkeypatch):
         (3, "sm"): (39, 94), (3, "rm"): (39, 95),
     }
     calls = []
+    completes = _Completions.__call__
 
-    def counting(*args):
-        calls.append(args)
-        return _spans(*args)
+    def counting(self, j, rest):
+        calls.append((j, rest))
+        return completes(self, j, rest)
 
-    monkeypatch.setattr("twdesign.solver._spans", counting)
+    monkeypatch.setattr(_Completions, "__call__", counting)
     pen = penalties_from_beta(0.05, 0.05, 7)
     for seed in range(4):
         net = random_network(7, seed=seed, complete=True)
@@ -445,20 +502,22 @@ def test_sparse_search_counts_are_pinned():
     # runs, at each instance's budget and at the cheapest tour budget that
     # budget 5.0 quotes, where instances 1 and 2 also prune by the budget
     # limit; a lone child is never bounded, so only the prunes that need
-    # no completion bound can stop the search from entering it
+    # no completion bound can stop the search from entering it.  The
+    # completion test is exact, so the first dive reaches a tour without
+    # turning back, and at instance 0 no other child survives the prunes
     pinned = {
-        (0, "sm", "own"): ((0, 10, 1, 3, 11, 7, 5, 2, 12, 6, 9, 8, 4, 0), 21, 15),
-        (0, "sm", "tight"): ((0, 10, 1, 3, 11, 7, 5, 2, 12, 6, 9, 8, 4, 0), 20, 13),
-        (0, "rm", "own"): ((0, 10, 1, 3, 11, 7, 5, 2, 12, 6, 9, 8, 4, 0), 21, 15),
-        (0, "rm", "tight"): ((0, 10, 1, 3, 11, 7, 5, 2, 12, 6, 9, 8, 4, 0), 21, 15),
-        (1, "sm", "own"): ((0, 5, 4, 10, 3, 11, 8, 1, 2, 9, 12, 6, 7, 0), 122, 93),
-        (1, "sm", "tight"): ((0, 5, 4, 10, 3, 11, 2, 9, 12, 6, 7, 8, 1, 0), 122, 91),
-        (1, "rm", "own"): ((0, 5, 4, 10, 3, 11, 8, 1, 2, 9, 12, 6, 7, 0), 127, 94),
-        (1, "rm", "tight"): ((0, 5, 4, 10, 3, 11, 2, 9, 12, 6, 7, 8, 1, 0), 140, 95),
-        (2, "sm", "own"): ((0, 9, 11, 8, 3, 6, 12, 4, 7, 10, 5, 1, 2, 0), 33, 18),
-        (2, "sm", "tight"): ((0, 9, 11, 8, 1, 7, 10, 5, 4, 3, 6, 12, 2, 0), 17, 10),
-        (2, "rm", "own"): ((0, 9, 11, 8, 3, 6, 12, 4, 7, 10, 5, 1, 2, 0), 25, 15),
-        (2, "rm", "tight"): ((0, 9, 11, 8, 1, 7, 10, 5, 4, 3, 6, 12, 2, 0), 28, 15),
+        (0, "sm", "own"): ((0, 10, 1, 3, 11, 7, 5, 2, 12, 6, 9, 8, 4, 0), 13, 7),
+        (0, "sm", "tight"): ((0, 10, 1, 3, 11, 7, 5, 2, 12, 6, 9, 8, 4, 0), 13, 7),
+        (0, "rm", "own"): ((0, 10, 1, 3, 11, 7, 5, 2, 12, 6, 9, 8, 4, 0), 13, 7),
+        (0, "rm", "tight"): ((0, 10, 1, 3, 11, 7, 5, 2, 12, 6, 9, 8, 4, 0), 13, 7),
+        (1, "sm", "own"): ((0, 5, 4, 10, 3, 11, 8, 1, 2, 9, 12, 6, 7, 0), 79, 57),
+        (1, "sm", "tight"): ((0, 5, 4, 10, 3, 11, 2, 9, 12, 6, 7, 8, 1, 0), 68, 49),
+        (1, "rm", "own"): ((0, 5, 4, 10, 3, 11, 8, 1, 2, 9, 12, 6, 7, 0), 81, 57),
+        (1, "rm", "tight"): ((0, 5, 4, 10, 3, 11, 2, 9, 12, 6, 7, 8, 1, 0), 81, 51),
+        (2, "sm", "own"): ((0, 9, 11, 8, 3, 6, 12, 4, 7, 10, 5, 1, 2, 0), 29, 16),
+        (2, "sm", "tight"): ((0, 9, 11, 8, 1, 7, 10, 5, 4, 3, 6, 12, 2, 0), 13, 8),
+        (2, "rm", "own"): ((0, 9, 11, 8, 3, 6, 12, 4, 7, 10, 5, 1, 2, 0), 21, 13),
+        (2, "rm", "tight"): ((0, 9, 11, 8, 1, 7, 10, 5, 4, 3, 6, 12, 2, 0), 23, 13),
     }
     pen = penalties_from_beta(0.05, 0.05, 12)
     for seed in range(3):
