@@ -229,6 +229,8 @@ def _validate_network(net: Network) -> np.ndarray:
     if m == 0:
         raise ValueError("network has no arcs")
     _check_arc_count(m)
+    if n_nodes > m:  # each node needs an arc out; refused before any per-node list is made
+        raise ValueError(f"node_count: expected at most {m}, the number of arcs, got {n_nodes}")
     if net.mean.shape != (m,):
         raise ValueError(f"mean: expected {m} entries, got {net.mean.shape}")
     if np.any(net.mean < 0):
@@ -573,7 +575,7 @@ def load_instance(path) -> Network:
     arcs, means = _parse_arcs(doc)
     m = len(arcs)
     _check_arc_count(m)
-    if nodes > m:  # each node needs an arc out, so the network is disconnected
+    if nodes > m:  # Network's rule, under the file's key and before the cov rows are read
         raise ValueError(f"nodes: expected at most {m}, the number of arcs, got {nodes}")
     if "time_budget" not in doc:
         raise ValueError("time_budget: missing")

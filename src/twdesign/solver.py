@@ -306,7 +306,9 @@ def _completion_bounds(ctx, net: Network, state, rest: list[int], kids, window) 
     node's own window, priced at ``state``, or None at the depot).
 
     ``rest`` lists the unplaced customers (u of them, u >= 2) and
-    ``kids`` the children as (customer j, arc a) pairs.  For each child
+    ``kids`` the children as (customer j, arc a) pairs, two or more, each
+    with a completion: a path from j through every other customer of
+    ``rest`` and home (``_dfs`` passes no others).  For each child
     the result holds a bound on j's own window cost and one on the summed
     window costs of the other customers of ``rest``, valid for every
     completion of the tour through j.  Per cut (scale s, intercept c,
@@ -330,10 +332,9 @@ def _completion_bounds(ctx, net: Network, state, rest: list[int], kids, window) 
     j's rank: S_j pairs the into_k of the customers other than j,
     ascending, with the multipliers u - 1, ..., 1.  One sort and prefix
     sums of v serve every child.  ``branch_and_bound`` gives the
-    proofs.  A customer with no arc into it from ``rest`` has no
-    completion, and its bound is +inf; an infinite into_k sorts last,
-    where its multiplier is 0, and a child whose sum is already +inf
-    keeps it.
+    proofs.  Every into_k, and so every bound, is finite: each customer
+    k of ``rest`` differs from some child j, and j's completion enters k
+    from ``rest``.
     """
     members = set(rest)
     in_arcs = net.in_arcs
@@ -343,15 +344,14 @@ def _completion_bounds(ctx, net: Network, state, rest: list[int], kids, window) 
     for scale, intercept, weights in ctx.subgradients(state, np.array(rest), window):
         w = weights.tolist()
         scale = scale.tolist()
-        into = [min((w[a] for i, a in in_arcs[k] if i in members), default=np.inf) for k in rest]
+        into = [min(w[a] for i, a in in_arcs[k] if i in members) for k in rest]
         detour = (u - 2) * min(0.0, min(into))
         base = [(k, scale[k], intercept + into_k + detour) for k, into_k in zip(rest, into) if scale[k] > 0]
         s = scale[rest[0]]
         positional = u >= 3 and s > 0 and all(scale[k] == s for k in rest)
         if positional:
-            # v ascending, an infinite into_k last (its multiplier is 0);
-            # pre[r] = v[0] + ... + v[r], and the sum of (u - 1 - r) v[r]
-            # is the sum of pre[r] over r < u - 1
+            # v ascending; pre[r] = v[0] + ... + v[r], and the sum of
+            # (u - 1 - r) v[r] is the sum of pre[r] over r < u - 1
             v = sorted(into)
             pre = list(accumulate(v))
             total = sum(pre[:-1])
@@ -359,9 +359,9 @@ def _completion_bounds(ctx, net: Network, state, rest: list[int], kids, window) 
             step = w[arc]
             own[c] += scale[j] * max(0.0, intercept + step)
             bound = sum(s_k * max(0.0, b + step) for k, s_k, b in base if k != j)
-            if positional and bound < np.inf:
-                # every into_k but j's own is finite here; an into_k equal
-                # to j's gives the same sum without it, so any rank will do
+            if positional:
+                # an into_k equal to j's gives the same sum without it, so
+                # any rank will do
                 r = bisect_left(v, into[rest.index(j)])
                 S_j = total - (u - 1 - r) * v[r] + pre[-1] - pre[r] if r < u - 1 else total
                 bound = max(bound, s * ((u - 1) * (intercept + step) + S_j))
@@ -492,25 +492,29 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
     ``completes(j, left ^ 1 << j)``, is a ``_Completions`` made for this
     search and dropped when it returns, so its memo outlives no solve; it
     is skipped on complete graphs, where every completion exists, and at
-    the last customer, whose arc home the budget bound checks.
+    the last customer, whose arc home its parent's test has shown.  Dead
+    ends are this test's alone: the prunes below see only children with
+    a completion, and every bound they compare is finite.
     A child is also discarded when the cost placed so far plus the
     completion bound (``_completion_bounds``, from the cuts at the node's
     state) reaches the incumbent by more than ``COMPLETION_PRUNE_SLACK``,
     first with a bound on the child's own cost and, once priced, with its
-    exact cost; before the first tour that cutoff is +inf, and only a
-    child whose bound is +inf (an unplaced customer with no arc into it
-    from the unplaced ones) is discarded.  A child is also discarded
-    when its exact cost alone reaches the incumbent, or when its budget
-    bound is infinite (no way home, or no arc into an unplaced customer)
-    or exceeds the limit, max(time budget, cheapest tour budget priced
-    so far) + ``BUDGET_PRUNE_SLACK``, refreshed after each offer.  A
-    node's completion bound is given the node's own window, so the cuts at
-    its state read the ranks of that pricing (``SaaPricer``).
+    exact cost; before the first tour the incumbent's cost, and so that
+    cutoff, is +inf, and nothing is discarded this way.  A child is also
+    discarded when its exact cost alone reaches the incumbent, or when
+    its budget bound exceeds the limit, max(time budget, cheapest tour
+    budget priced so far) + ``BUDGET_PRUNE_SLACK``, refreshed after each
+    offer.  The budget bound's arcs exist: ``Network`` gives every node
+    an arc in, and a child's completion ends with an arc home from one of
+    the other unplaced customers, or from the child itself when it is
+    the last (on a complete graph every arc exists).  A node's completion
+    bound is given the node's own window, so the cuts at its state read
+    the ranks of that pricing (``SaaPricer``).
     """
     ctx = inc.ctx
     linear = ctx.linear.tolist()
     in_arcs = net.in_arcs
-    min_in = [min((linear[a] for _, a in in_arcs[k]), default=np.inf) for k in range(net.node_count)]
+    min_in = [min(linear[a] for _, a in in_arcs[k]) for k in range(net.node_count)]
     successors = {
         i: sorted(out, key=lambda step: (linear[step[1]], step[0])) for i, out in net.out_arcs.items()
     }
@@ -518,15 +522,14 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
     structural = net.n_arcs < net.node_count * (net.node_count - 1)
     completes = _Completions(net.arcs, net.node_count) if structural else None
     limit = max(net.time_budget, inc.min_budget) + BUDGET_PRUNE_SLACK
-    nodes = 0
-    pruned = 0
+    nodes = pruned = 0
     customers = range(1, net.n_customers + 1)
     stack = [(0, sum(1 << k for k in customers), ctx.root_state(), 0.0, 0.0, None, None, None, None, None)]
     while stack:
         node, left, state, acc_cost, acc_linear, rest, kids, bounds, untried, window = stack[-1]
         if untried is None:
             nodes += 1
-            if not left:  # the budget bound let it in, so its arc home exists
+            if not left:  # its parent's completion test gave it an arc home
                 path = stack[1:]
                 seq = (0, *(frame[0] for frame in path), 0)
                 inc.offer(seq, acc_cost, [frame[9] for frame in path])
@@ -562,9 +565,8 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
             child_linear = acc_linear + linear[arc]
             lb = child_linear + sum(min_in[k] for k in rest if k != j)
             ends = left ^ 1 << j or 1 << j  # who can close the tour: the others, or j last
-            closing = [linear[a] for i, a in in_arcs[0] if ends >> i & 1]
-            lb += min(closing) if closing else np.inf
-            if lb == np.inf or lb > limit:
+            lb += min(linear[a] for i, a in in_arcs[0] if ends >> i & 1)
+            if lb > limit:
                 pruned += 1
                 continue
             stack.append((j, left ^ 1 << j, child_state, child_cost, child_linear, None, None, None, None, child_window))
@@ -604,7 +606,22 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     The budget bound adds, to the linear part of the partial duration,
     each unvisited node's cheapest incoming arc plus the cheapest closing
     arc; the dispersion part of the robust budget is nonnegative, so the
-    bound stays admissible there too.
+    bound stays admissible there too.  Both minima are over arcs that
+    exist: ``Network`` gives every node an arc in, and the structural
+    prune keeps a child only with a path from it through the other
+    unplaced customers and home, so one of them has an arc home, or the
+    child itself when it is the last (the test that kept its parent
+    found the path through it and home).  On a complete graph, which
+    skips the test, every arc exists.
+
+    Dead ends are the structural prune's alone.  The completion bound
+    below is computed only at a node with two children or more, after
+    that prune, so each child it sees has a completion.  Each unplaced
+    customer k differs from one of those children, whose completion
+    enters k from inside the unplaced set: the least arc weight into k
+    from that set is a minimum over arcs that exist, and every bound is
+    finite.  The only non-finite numbers in the search are the
+    incumbent's starting cost and budgets, +inf until a tour is priced.
 
     The completion bound adds what the unplaced customers must still
     cost.  Take a node with arrival state tau (the arrivals at its
@@ -665,10 +682,11 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     test is against it.  On complete n=8 graphs (q=1000, instances 0-15)
     the first tour costs 1.0-2.2 times the optimum, against 1.3-5.8 for
     the nearest-neighbour tour a cheapest-arc-first dive reaches.
-    Before the first tour the bound prunes only children with no
-    completion.  A lone child is never bounded, before or after the
-    first tour: the bound would order nothing, and on sparse graphs,
-    where lone children are common, its prune cost more than it saved.
+    Before the first tour the bound prunes nothing: the incumbent's cost
+    is +inf and every bound is finite.  A lone child is never bounded,
+    before or after the first tour: the bound would order nothing, and
+    on sparse graphs, where lone children are common, its prune cost
+    more than it saved.
     Every tour strictly cheaper than the incumbent survives every prune,
     so the objective is the minimum in any order; among exactly tied
     tours the search keeps the first it completes.
@@ -681,8 +699,7 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     arcs a customer, ``random_network``'s default) with 22 customers
     solve in 0.005-0.038 s (``sm``) and 0.003-0.019 s (``rm``) on
     instances 0-3, with 26 customers in 0.008-0.046 s and 0.005-0.037 s,
-    and with 36 customers in 0.10-0.23 s and 0.09-0.22 s on instances 0-2
-    (0.27-1.33 s and 0.15-0.71 s with the reachability prune alone).
+    and with 36 customers in 0.10-0.23 s and 0.09-0.22 s on instances 0-2.
     Sparse n=46 instance 0 takes 3.9 s (``sm``) with 171k completion
     states.  The worst case still grows factorially with the customer
     count, and the completion memo exponentially.
@@ -691,7 +708,8 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     tour budget that ``InfeasibleError.min_budget`` quotes.  The budget
     limit is max(time budget, cheapest tour budget priced so far)
     (``_dfs``), so until a tour fits, the search prunes only subtrees
-    whose budget bound exceeds a budget already seen or is infinite.
+    that hold no tour or whose budget bound exceeds a budget already
+    seen.
     With no tour in budget there is never an incumbent, hence no cost or
     completion pruning; every tour offered is priced, and every discarded
     subtree holds no tour or only tours over a budget already priced:

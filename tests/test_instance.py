@@ -171,6 +171,13 @@ def test_network_rejects_disconnected():
         Network(3, arcs, mean, np.zeros((3, 3)), 10.0)
 
 
+def test_network_refuses_more_nodes_than_arcs_at_once():
+    # each node needs an arc out, so a million nodes on two arcs is refused
+    # before any per-node list is made
+    with pytest.raises(ValueError, match="node_count: expected at most 2, the number of arcs, got 1000000"):
+        Network(10**6, ((0, 1), (1, 0)), np.ones(2), np.eye(2), 10.0)
+
+
 def test_substream_is_stable_and_label_sensitive():
     a = substream(42, "sampling-train")
     assert a == substream(42, "sampling-train")
@@ -248,14 +255,15 @@ def test_graph_searches_match_networkx():
         g.add_nodes_from(range(n_nodes))
         g.add_edges_from(arcs)
         reachable, reaching = nx.descendants(g, 0), nx.ancestors(g, 0)
-        want = None
+        # fewer arcs than nodes is refused first: each node needs an arc out
+        want = f"node_count: expected at most {m}, the number of arcs" if m < n_nodes else None
         for k in range(1, n_nodes):
+            if want:
+                break
             if k not in reachable:
                 want = f"customer {k} unreachable from depot"
             elif k not in reaching:
                 want = f"customer {k} cannot reach depot"
-            if want:
-                break
         if want:
             with pytest.raises(ValueError, match=want):
                 Network(n_nodes, tuple(arcs), np.ones(m), np.zeros((m, m)), 10.0)

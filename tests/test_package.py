@@ -170,8 +170,8 @@ def test_entry_points_refuse_bools_strings_and_non_finite_numbers(row):
             call(context, bad)
 
 
-# the two places that judge the search's own numbers, not an input
-SEARCH_NUMBERS = {"solver.py": {"_Incumbent.infeasible", "_completion_bounds"}}
+# the one place that judges the search's own numbers, not an input
+SEARCH_NUMBERS = {"solver.py": {"_Incumbent.infeasible"}}
 
 
 def _finite_tests(path: Path) -> set[str]:

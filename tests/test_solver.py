@@ -251,9 +251,10 @@ def test_completion_bound_prunes_dense_search():
 
 
 def test_dead_ends_are_pruned_before_the_first_tour():
-    # the budget limit is infinite until a tour is offered, but a child
-    # with no way home or no arc into an unplaced customer is still
-    # pruned: without that the first dive visits 111 nodes here
+    # the budget limit and the incumbent's cost are infinite until a tour
+    # is offered, yet the completion test discards every child that
+    # cannot finish a tour, before the first tour too: the search visits
+    # 32 nodes here, 42 with reachability alone in place of the test
     net = random_network(10, seed=1)
     train = sample_travel_times(net, 1000, substream(1, "sampling-train"))
     res = branch_and_bound(net, SaaModel(train), penalties_from_beta(0.05, 0.05, 10))
@@ -387,31 +388,26 @@ def test_structural_prune_matches_enumeration():
 
 
 def test_structural_prune_cuts_a_stranding_dive(monkeypatch):
-    # customer 6's only arc in leaves customer 1 and customer 5's only arc
-    # out enters customer 2, while the cheapest arcs lead 0 -> 1 -> 2: a
-    # dive that places 2 before 5 leaves 5 no way home.  The budget bound
-    # does not see it (other unplaced customers have arcs home), nor does
-    # the completion bound, which looks at the arcs into each customer
-    # only.  The structural prune cuts those subtrees, so the search
-    # visits fewer nodes than with its completion test stubbed out (37
-    # against 46 for sm, 32 against 38 for rm here) and returns the same
-    # tour
-    n = 6
-    arcs = [
-        (i, j) for i in range(n + 1) for j in range(n + 1) if i != j and (j != 6 or i == 1) and (i != 5 or j == 2)
-    ]
-    mean = np.random.default_rng(7).uniform(10.0, 30.0, len(arcs))
-    mean[arcs.index((0, 1))] = mean[arcs.index((1, 2))] = 2.0
-    net = Network(n + 1, arcs, mean, np.diag((0.2 * mean) ** 2), 1e6)
-    pen = penalties_from_beta(0.05, 0.05, n)
-    models = (SaaModel(sample_travel_times(net, 200, seed=0)), DroModel())
+    # reachability alone (every unplaced customer reached from the child
+    # and reaching the depot inside the unplaced set, the prune before the
+    # exact test) lets in children whose every path through the others
+    # strands a customer; the exact completion test cuts them, so the
+    # search visits fewer nodes (12 against 22 for sm, 11 against 21 for
+    # rm here) and returns the same tour, the enumeration's
+    net = random_network(7, seed=7)
+    pen = penalties_from_beta(0.05, 0.05, 7)
+    models = [build_model(name, net, 7, 200) for name in ("sm", "rm")]
     solved = [solve_both(net, model, pen) for model in models]
-    monkeypatch.setattr(_Completions, "__call__", lambda self, j, rest: True)
+
+    def reachable(self, j, rest):
+        return solver._spans(self.succ[j], self.succ, rest) and solver._spans(self.pred[0], self.pred, rest)
+
+    monkeypatch.setattr(_Completions, "__call__", reachable)
     for model, (ref, res) in zip(models, solved):
-        free = branch_and_bound(net, model, pen)
-        assert res.route.seq == ref.route.seq == free.route.seq == (0, 1, 6, 4, 3, 5, 2, 0), model.name
-        assert res.objective == ref.objective == free.objective, model.name
-        assert res.nodes < free.nodes, model.name
+        loose = branch_and_bound(net, model, pen)
+        assert res.route.seq == ref.route.seq == loose.route.seq, model.name
+        assert res.objective == ref.objective == loose.objective, model.name
+        assert res.nodes < loose.nodes, model.name
 
 
 def has_completion(arcs, j, rest):
@@ -465,6 +461,49 @@ def test_completion_test_is_exact(monkeypatch):
     # the pre-checks reject no state that completes, and miss some that
     # do not, which branching rejects
     assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_search_bounds_only_children_with_a_completion(monkeypatch):
+    # the contract between the search and its completion bound: the
+    # bound is handed two or more children, with two or more customers
+    # unplaced, and each child has a completion (a path through the other
+    # unplaced customers and home), so each into_k is a minimum over arcs
+    # that exist and every bound returned is finite; on sparse and
+    # complete arcs, equal and mixed weights, at the network's own budget,
+    # at one that no tour fits and at the cheapest budget quoted there
+    calls = []
+
+    def checking(ctx, net, state, rest, kids, window):
+        assert len(rest) > 1 and len(kids) > 1
+        for j, _ in kids:
+            assert has_completion(net.arc_index, j, frozenset(rest) - {j}), (rest, j)
+        own, others = _completion_bounds(ctx, net, state, rest, kids, window)
+        assert all(math.isfinite(b) for b in own + others), (rest, kids)
+        calls.append(len(kids))
+        return own, others
+
+    def cases():
+        for n in (7, 8, 9):
+            for seed in range(8):
+                net = random_network(n, seed=seed)
+                yield net, penalties_from_beta(0.05, 0.05, n), seed
+                if n == 8 and seed < 4:
+                    yield net, mixed_penalties(n, seed), seed
+        complete = random_network(7, seed=0, complete=True)
+        yield complete, penalties_from_beta(0.05, 0.05, 7), 0
+        yield complete, mixed_penalties(7, 0), 0
+
+    monkeypatch.setattr(solver, "_completion_bounds", checking)
+    binding = 0
+    for net, pen, seed in cases():
+        for model in both_models(sample_travel_times(net, 50, seed=seed)):
+            own = branch_and_bound(net, model, pen)
+            shut = Network(net.node_count, net.arcs, net.mean, net.cov, 5.0)
+            with pytest.raises(InfeasibleError) as info:
+                branch_and_bound(shut, model, pen)
+            tight = Network(net.node_count, net.arcs, net.mean, net.cov, info.value.min_budget)
+            binding += branch_and_bound(tight, model, pen).route.seq != own.route.seq
+    assert len(calls) > 1000 and binding > 10, (len(calls), binding)
 
 
 def test_complete_graphs_skip_the_structural_prune(monkeypatch):
@@ -667,7 +706,7 @@ def clipped_bounds(ctx, net, state, rest, kids):
     into it plus (u - 2) times the most negative weight."""
     others = [0.0] * len(kids)
     for scale, intercept, w in ctx.subgradients(state, np.array(rest)):
-        into = {k: min((w[a] for i, a in net.in_arcs[k] if i in rest), default=np.inf) for k in rest}
+        into = {k: min(w[a] for i, a in net.in_arcs[k] if i in rest) for k in rest}
         detour = (len(rest) - 2) * min(0.0, min(into.values()))
         for c, (j, arc) in enumerate(kids):
             others[c] += sum(
@@ -698,8 +737,7 @@ def test_completion_bound_is_admissible():
                 line = Network(net.node_count, net.arcs, 10 * net.mean, np.outer(b, b), net.time_budget)
                 yield line, DroModel(), pen, "rm rank one"
         # one weight triple: every cut has one scale, so the positional
-        # (delivery-man) term applies wherever three or more are unplaced;
-        # on sparse arcs a child may have no arc into it from the others
+        # (delivery-man) term applies wherever three or more are unplaced
         for n in (7, 8):
             for complete in (True, False):
                 net = random_network(n, seed=n, complete=complete)
@@ -712,11 +750,12 @@ def test_completion_bound_is_admissible():
     checked = positive = uniform = positional = 0
     for net, model, pen, label in cases():
         ctx = model.context(net, pen)
-        # a random partial path from the depot leaving two or more
-        # customers (three to six with one weight triple)
+        # a random partial path from the depot to a node the search bounds:
+        # two or more customers left (three to six with one weight triple)
+        # and two or more children that have a completion
         n = net.n_customers
         steps = (max(0, n - 6), n - 2) if label.endswith("uniform") else (0, n - 1)
-        for _ in range(4):
+        for _ in range(8):
             state, node, rest = ctx.root_state(), 0, list(net.customers)
             for _ in range(rng.integers(*steps)):
                 nxt = [(j, a) for j, a in net.out_arcs[node] if j in rest]
@@ -725,8 +764,11 @@ def test_completion_bound_is_admissible():
                 node, arc = nxt[rng.integers(len(nxt))]
                 state = ctx.extend(state, arc)
                 rest.remove(node)
-            kids = [(j, a) for j, a in net.out_arcs[node] if j in rest]
-            if len(rest) < 2 or not kids:
+            kids = [
+                (j, a) for j, a in net.out_arcs[node]
+                if j in rest and has_completion(net.arc_index, j, frozenset(rest) - {j})
+            ]
+            if len(rest) < 2 or len(kids) < 2:
                 continue
             # each cut is exact at the prefix (the unclamped cost for rm)
             for scale, intercept, _ in ctx.subgradients(state, np.array(rest)):
@@ -744,7 +786,7 @@ def test_completion_bound_is_admissible():
                 true_own, true_others = completions(ctx, net, state, j, arc, rest)
                 assert own[c] <= true_own + 1e-9 * max(1.0, true_own), (label, j)
                 assert others[c] <= true_others + 1e-9 * max(1.0, true_others), (label, j)
-                slack = 1e-9 * max(1.0, clipped[c]) if clipped[c] < np.inf else 0.0
+                slack = 1e-9 * max(1.0, clipped[c])
                 assert others[c] >= clipped[c] - slack, (label, j)
                 checked += 1
                 positive += 0 < others[c] < np.inf
