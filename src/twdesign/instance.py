@@ -438,12 +438,22 @@ def _generated_network(nodes, arcs, mean, time_budget, params: CovGenParams) -> 
 
 @dataclass(eq=False)
 class Route:
-    """A tour with its incidence encodings against a fixed network."""
+    """A tour with its incidence encodings against a fixed network.
+
+    ``seq`` runs from the depot 0 through each customer 1..n once and back,
+    in integer ids, also in a route built by hand: the plans designed for a
+    route take its ids unchecked (``window_design._window_plan``).
+    ``route_to_xy`` builds a route of a network and checks it against it."""
 
     seq: tuple[int, ...]
     x: np.ndarray
     y: np.ndarray
     path_arcs: tuple[int, ...] = field(repr=False)
+
+    def __post_init__(self):
+        seq = self.seq = tuple(_as_int(v, "route", t) for t, v in enumerate(self.seq))
+        if seq[:1] != (0,) or seq[-1:] != (0,) or sorted(seq[1:-1]) != list(range(1, len(seq) - 1)):
+            raise ValueError(f"route: expected the depot 0, each customer 1..n once and the depot, got {list(seq)}")
 
     @property
     def customers(self) -> tuple[int, ...]:

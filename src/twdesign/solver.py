@@ -41,10 +41,14 @@ the pricer (``SaaPricer`` or ``DroPricer`` from ``window_design``), the
 model's one way in.  ``_search``, the one entry to both searches, builds
 it (which applies the model's rules) and each search adds only its walk;
 both price through it, and its ``subgradients`` give the completion
-bound and the cuts.  The pricer keeps no state: ``price`` returns a
-placed customer's window, a search carries each placed customer's window
-along its path, and the solve's plan is assembled from the windows of the
-tour it keeps: the windows its search priced, with no second pricing.
+bound and the cuts.  Pricing and ranking are apart: an ``sm`` price
+reads the window off one sort of the arrivals and ranks nothing, and
+only ``subgradients`` ranks a state, at the nodes whose children the
+search bounds and at the customers of ``route_cuts``.  The pricer keeps
+no state: ``price`` returns a placed customer's window, a search
+carries each placed customer's window along its path, and the solve's
+plan is assembled from the windows of the tour it keeps: the windows
+its search priced, with no second pricing.
 That plan equals the pricer's ``plan(route)``
 (``design_stochastic(...)[0]`` or ``design_dro(...)``) field for field,
 so the searches, the plan and the cut log agree on every cost to the
@@ -300,10 +304,9 @@ def _walk(net: Network, inc: _Incumbent, seq: tuple[int, ...], state, acc_cost: 
     return priced
 
 
-def _completion_bounds(ctx, net: Network, state, rest: list[int], kids, window) -> tuple[list, list]:
+def _completion_bounds(ctx, net: Network, state, rest: list[int], kids) -> tuple[list, list]:
     """Lower bounds for the children of one search node, from the
-    pricer's cuts at the node's arrival state ``state`` (``window`` is the
-    node's own window, priced at ``state``, or None at the depot).
+    pricer's cuts at the node's arrival state ``state``.
 
     ``rest`` lists the unplaced customers (u of them, u >= 2) and
     ``kids`` the children as (customer j, arc a) pairs, two or more, each
@@ -341,7 +344,7 @@ def _completion_bounds(ctx, net: Network, state, rest: list[int], kids, window) 
     u = len(rest)
     own = [0.0] * len(kids)
     others = [0.0] * len(kids)
-    for scale, intercept, weights in ctx.subgradients(state, np.array(rest), window):
+    for scale, intercept, weights in ctx.subgradients(state, np.array(rest)):
         w = weights.tolist()
         scale = scale.tolist()
         into = [min(w[a] for i, a in in_arcs[k] if i in members) for k in rest]
@@ -507,9 +510,9 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
     offer.  The budget bound's arcs exist: ``Network`` gives every node
     an arc in, and a child's completion ends with an arc home from one of
     the other unplaced customers, or from the child itself when it is
-    the last (on a complete graph every arc exists).  A node's completion
-    bound is given the node's own window, so the cuts at its state read
-    the ranks of that pricing (``SaaPricer``).
+    the last (on a complete graph every arc exists).  Pricing a child
+    ranks no samples; a node's completion bound reads the cuts at its
+    state, and only those rank it (``SaaPricer.subgradients``).
     """
     ctx = inc.ctx
     linear = ctx.linear.tolist()
@@ -544,7 +547,7 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
                 kids = live
             order = range(len(kids))
             if len(rest) > 1 and len(kids) > 1:
-                bounds = _completion_bounds(ctx, net, state, rest, kids, window)
+                bounds = _completion_bounds(ctx, net, state, rest, kids)
                 order = sorted(order, key=[o + t for o, t in zip(*bounds)].__getitem__)
             untried = iter(order)
             stack[-1] = (node, left, state, acc_cost, acc_linear, rest, kids, bounds, untried, window)

@@ -169,21 +169,28 @@ class SaaWindow:
 
 def _order_stat_window(arr: np.ndarray, p1: int, p2: int, a_w: float, a_l: float, a_u: float):
     """The sample-average pricing kernel: (lower, upper, cost) of the
-    optimal window, whose edges are the order statistics of ranks p1, p2,
-    and the ranking it read them from (``_ranks``).
+    optimal window, whose edges are the order statistics of ranks p1, p2.
 
-    The partial sort places the p1 - 1 earliest and the q - p2 latest
-    arrivals on either side of the two ranks, which is all the earliness
-    and tardiness sums need, and its indices are all the rank duals need.
-    """
-    q = arr.size
-    ranked = _ranks(arr, p1, p2)
-    part = arr[ranked]
+    One sort gives both edges and the p1 - 1 earliest and q - p2 latest
+    arrivals, all that the earliness and tardiness sums need
+    (``_tail_window``), so the result depends on the sample values alone,
+    not on their order.  It ranks nothing: the duals are ranked only
+    where they are read (``_ranks``)."""
+    return _tail_window(np.sort(arr), p1, p2, a_w, a_l, a_u)
+
+
+def _tail_window(part: np.ndarray, p1: int, p2: int, a_w: float, a_l: float, a_u: float):
+    """(lower, upper, cost) read off an arrangement of the arrivals with
+    the samples of ranks p1 and p2 in place and the earlier and later
+    ranks on either side, each tail sorted ascending, so that each sums
+    in ascending order: a sorted copy, or a ranking with both tails
+    sorted, gives the same bits."""
+    q = part.size
     lower = float(part[p1 - 1])
     upper = float(part[p2 - 1])
     early = lower * (p1 - 1) - part[: p1 - 1].sum()
     late = part[p2:].sum() - upper * (q - p2)
-    return lower, upper, float(a_w * (upper - lower) + (a_l / q) * early + (a_u / q) * late), ranked
+    return lower, upper, float(a_w * (upper - lower) + (a_l / q) * early + (a_u / q) * late)
 
 
 def saa_window(arrivals, a_w: float, a_l: float, a_u: float) -> SaaWindow:
@@ -198,19 +205,24 @@ def saa_window(arrivals, a_w: float, a_l: float, a_u: float) -> SaaWindow:
     arr = _finite_array(arrivals, "arrivals", message="arrivals must be finite numbers")
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("arrivals must be a non-empty 1-D array")
-    terms = (*critical_indices(arr.size, a_w, a_l, a_u), a_w, a_l, a_u)
-    return _saa_window(*_order_stat_window(arr, *terms), *terms)
+    return _saa_window(arr, *critical_indices(arr.size, a_w, a_l, a_u), a_w, a_l, a_u)
 
 
-def _saa_window(lower, upper, cost, ranked, p1, p2, a_w, a_l, a_u) -> SaaWindow:
-    """The ``SaaWindow`` of one ``_order_stat_window`` result at ranks p1,
-    p2 and weights (a_w, a_l, a_u): its duals sit on the kernel's ranking."""
-    q = ranked.size
+def _saa_window(arr: np.ndarray, p1: int, p2: int, a_w: float, a_l: float, a_u: float) -> SaaWindow:
+    """The ``SaaWindow`` of the arrivals ``arr`` at ranks p1, p2 and weights
+    (a_w, a_l, a_u), from one ranking (``_ranks``): its duals sit on the
+    ranking, and its window is read off the ranked samples with both tails
+    sorted in place (``_tail_window``), the bits of ``_order_stat_window``."""
+    q = arr.size
+    ranked = _ranks(arr, p1, p2)
+    part = arr[ranked]
+    part[: p1 - 1].sort()
+    part[p2:].sort()
     early, late = _rank_split(ranked, p1, p2)
     rho1 = np.zeros(q)
     rho2 = np.zeros(q)
     rho1[early], rho2[late] = _rank_duals(q, p1, p2, a_w, a_l, a_u)
-    return SaaWindow(lower, upper, cost, rho1, rho2, p1, p2)
+    return SaaWindow(*_tail_window(part, p1, p2, a_w, a_l, a_u), rho1, rho2, p1, p2)
 
 
 def _ranks(arr: np.ndarray, p1: int, p2: int) -> np.ndarray:
@@ -255,7 +267,9 @@ class WindowPlan:
     order, with 0 <= lower <= upper; a finite total, stored as a float;
     and a ``shared_width`` that is None or a finite float >= 0.  So every
     plan the constructor accepts is one ``save_plan`` can write and
-    ``load_plan`` read back, field for field.  The in-sample rates and
+    ``load_plan`` read back, field for field.  The plans of the searches
+    and designs are assembled without these checks, which hold for them
+    already (``_window_plan``).  The in-sample rates and
     clamp flags are diagnostics of the design; a plan file does not carry
     them back.
     """
@@ -459,13 +473,20 @@ def _window_plan(kind: str, route, windows, arrivals=None, **fields) -> WindowPl
     its window (``early_rate``) and strictly after it (``late_rate``), by
     the rule ``evaluate_plan`` counts with (``_outside``), so an arrival
     exactly on an edge is on time.
+
+    The plan is assembled without ``WindowPlan``'s checks, which hold for
+    it already: the route is a ``route_to_xy`` route, so its nodes and
+    customers are ints, one for each customer; the designs price finite
+    windows with 0 <= lower <= upper and finite costs; and a shared width
+    is a float >= 0.  The constructor would return the same fields.
     """
     lower, upper, cost = np.array(windows, dtype=float).reshape(-1, 3).T
     if arrivals is not None:
         early, late = _outside(arrivals, lower, upper)
         fields["early_rate"] = np.count_nonzero(early, axis=0) / len(arrivals)
         fields["late_rate"] = np.count_nonzero(late, axis=0) / len(arrivals)
-    return WindowPlan(
+    plan = WindowPlan.__new__(WindowPlan)
+    vars(plan).update(dict(
         kind=kind,
         route_seq=route.seq,
         customers=route.customers,
@@ -473,23 +494,23 @@ def _window_plan(kind: str, route, windows, arrivals=None, **fields) -> WindowPl
         upper=upper,
         cost_per_customer=cost,
         total_cost=_visit_sum(cost),
-        **fields,
-    )
+        shared_width=None,
+        early_rate=None,
+        late_rate=None,
+        clamped=None,
+    ) | fields)
+    return plan
 
 
 class SaaPricer:
     """Sample-average pricing: the state is the vector of scenario arrival
     times, and ``price`` returns a customer's ``_order_stat_window``
-    (lower, upper, cost and ranking), then the customer's weight terms
-    (p1, p2, a_w, a_l, a_u) and the state it priced: all that a plan
-    (``_plan``), an ``SaaWindow`` (``design_stochastic``) and a cut at
-    that state (``subgradients``) need.
+    (lower, upper and cost) and the state it priced: all that a plan needs
+    (``_plan``).
 
-    The pricer keeps nothing between calls.  A caller that priced a state
-    may hand the window to ``subgradients`` at that state, which then
-    reads its duals' ranks from the window instead of ranking the state
-    again.  The route search prices a child and bounds the child's
-    children with the child's window, so each node ranks its state once."""
+    The pricer keeps nothing between calls.  Pricing ranks no samples:
+    the rank duals are placed only where a cut reads them, and
+    ``subgradients`` ranks the state it is given (``_ranks``)."""
 
     def __init__(self, samples, pen: PenaltyConfig):
         self.values = samples.values
@@ -517,9 +538,7 @@ class SaaPricer:
         return state + self.values[:, arc]
 
     def price(self, state, k: int):
-        terms = self.terms[k]
-        lower, upper, cost, ranked = _order_stat_window(state, *terms)
-        return lower, upper, cost, ranked, terms, state
+        return (*_order_stat_window(state, *self.terms[k]), state)
 
     def plan(self, route) -> WindowPlan:
         """The route's ``saa`` plan: each customer's window at its arrival
@@ -534,30 +553,28 @@ class SaaPricer:
         late; samples tied with an edge are on time.  The samples
         transposed are the route's ``arrival_matrix``, in its column-major
         layout, where each customer's count reads contiguous samples."""
-        return _window_plan("saa", route, [w[:3] for w in windows], np.array([w[5] for w in windows]).T)
+        return _window_plan("saa", route, [w[:3] for w in windows], np.array([w[3] for w in windows]).T)
 
-    def subgradients(self, state, unplaced: np.ndarray, window=None):
+    def subgradients(self, state, unplaced: np.ndarray):
         """Linear underestimates of the unplaced customers' costs beyond
         ``state``: one ``(scale, intercept, weights)`` per weight triple
         among the customers listed in ``unplaced``, such that
         cost_k(state + values @ d) >= scale[k] * (intercept + weights @ d)
         for every arc vector d.
 
-        With g = rho2 - rho1 the triple's rank duals placed on the ranks
-        of ``state`` (``_rank_duals``), the window cost is at least g' x
-        at every arrival vector x, with equality at ``state``: weights =
-        values' g (the coefficients of ``benders_cut``) and intercept =
-        g' state, the cost at the state.  ``window``, if given, is a
-        ``price`` of ``state``; the triple it was priced for reads its
-        ranks from it.
+        With g = rho2 - rho1 the triple's rank duals placed on one ranking
+        of ``state`` at the triple's ranks (``_ranks``, ``_rank_duals``),
+        the window cost is at least g' x at every arrival vector x, with
+        equality at ``state``: weights = values' g (the coefficients of
+        ``benders_cut``) and intercept = g' state, the cost at the state.
+        Each triple ranks the state once, here: pricing ranks nothing.
         """
         cuts = []
         for terms, (scale, rho1, rho2) in self.groups.items():
             if not scale[unplaced].any():
                 continue
             p1, p2 = terms[:2]
-            ranked = window[3] if window is not None and window[4] == terms else _ranks(state, p1, p2)
-            early, late = _rank_split(ranked, p1, p2)
+            early, late = _rank_split(_ranks(state, p1, p2), p1, p2)
             intercept = float(rho2 @ state[late] - rho1 @ state[early])
             cuts.append((scale, intercept, rho2 @ self.values[late] - rho1 @ self.values[early]))
         return cuts
@@ -577,12 +594,16 @@ def design_stochastic(route, samples, pen: PenaltyConfig):
     ``SaaWindow``, keyed by customer id.  A window's optimal duals
     ``rho1``/``rho2`` and ranks ``p1``/``p2`` are what optimality cuts
     for the routing master problem are built from.  Both come from one
-    walk of the route and one ``_order_stat_window`` per customer.
+    walk of the route and one ranking per customer (``_saa_window``),
+    whose window is the pricer's to the bit.
     """
     _check_sizes(len(route.x), len(route.customers), samples=samples, pen=pen)
     pricer = SaaPricer(samples, pen)
-    windows = [pricer.price(state, k) for k, state in _prefix_states(pricer, route)]
-    duals = {k: _saa_window(*w[:4], *w[4]) for k, w in zip(route.customers, windows)}
+    duals = {}
+    windows = []
+    for k, state in _prefix_states(pricer, route):
+        win = duals[k] = _saa_window(state, *pricer.terms[k])
+        windows.append((win.lower, win.upper, win.cost, state))
     return pricer._plan(route, windows), duals
 
 
@@ -1057,10 +1078,9 @@ class DroPricer:
             "dro", route, [w[:3] for w in windows], clamped=np.array([w[3] for w in windows], dtype=bool)
         )
 
-    def subgradients(self, state, unplaced: np.ndarray, window=None):
+    def subgradients(self, state, unplaced: np.ndarray):
         """Linear underestimates of the customers' costs beyond ``state``,
-        as ``SaaPricer.subgradients``: one gradient serves everyone, and
-        ``window`` is not needed.
+        as ``SaaPricer.subgradients``: one gradient serves everyone.
 
         A customer's cost is never below gamma_k * sigma (the clamped
         window is a feasible, not the optimal, point of the unclamped

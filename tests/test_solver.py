@@ -271,9 +271,9 @@ def test_only_nodes_with_children_to_order_are_bounded(monkeypatch):
     calls = []
     state = {"tour": False}
 
-    def counting(ctx, net, node_state, rest, kids, window):
+    def counting(ctx, net, node_state, rest, kids):
         calls.append((len(rest), len(kids), state["tour"]))
-        return _completion_bounds(ctx, net, node_state, rest, kids, window)
+        return _completion_bounds(ctx, net, node_state, rest, kids)
 
     def offer(self, seq, cost, windows):
         offered(self, seq, cost, windows)
@@ -293,41 +293,75 @@ def test_only_nodes_with_children_to_order_are_bounded(monkeypatch):
             assert {tour for *_, tour in calls} == {False, True}, (seed, name)
 
 
-def test_rank_reuse_changes_no_search(monkeypatch):
-    # a node's completion bound is given the node's own window and reads
-    # its duals' ranks from it: the search is the one that ranks every
-    # state again, node for node
-    def cases():
-        for seed in range(4):
-            net = random_network(7, seed=seed, complete=True)
-            yield net, mixed_penalties(7, seed), sample_travel_times(net, 120, seed=seed)
-            yield net, penalties_from_beta(0.05, 0.05, 7), sample_travel_times(net, 300, seed=seed)
-            sparse = random_network(9, seed=seed)
-            yield sparse, mixed_penalties(9, seed), sample_travel_times(sparse, 200, seed=seed)
-            # tied arrivals: rounded draws, and no spread at all
-            rounded = sample_travel_times(net, 200, seed=seed)
-            yield net, mixed_penalties(7, seed), SampleSet(200, np.round(rounded.values))
-            flat = Network(net.node_count, net.arcs, net.mean, np.zeros_like(net.cov), net.time_budget)
-            yield flat, penalties_from_beta(0.05, 0.05, 7), sample_travel_times(flat, 50, seed=seed)
+def _sm_cases():
+    """(network, penalties, training samples) of small ``sm`` searches:
+    complete and sparse arcs, one and several weight triples, and tied
+    arrivals (rounded draws, and no spread at all)."""
+    for seed in range(4):
+        net = random_network(7, seed=seed, complete=True)
+        yield net, mixed_penalties(7, seed), sample_travel_times(net, 120, seed=seed)
+        yield net, penalties_from_beta(0.05, 0.05, 7), sample_travel_times(net, 300, seed=seed)
+        sparse = random_network(9, seed=seed)
+        yield sparse, mixed_penalties(9, seed), sample_travel_times(sparse, 200, seed=seed)
+        rounded = sample_travel_times(net, 200, seed=seed)
+        yield net, mixed_penalties(7, seed), SampleSet(200, np.round(rounded.values))
+        flat = Network(net.node_count, net.arcs, net.mean, np.zeros_like(net.cov), net.time_budget)
+        yield flat, penalties_from_beta(0.05, 0.05, 7), sample_travel_times(flat, 50, seed=seed)
 
-    def search(net, pen, samples):
-        res = branch_and_bound(net, SaaModel(samples), pen)
-        return res.route.seq, repr(res.objective), res.nodes, res.pruned
 
-    rankings = []
+def test_only_cuts_rank_the_samples(monkeypatch):
+    # pricing sorts a state and ranks nothing: price, plan and
+    # route_cost_sm call no argpartition, and an sm search ranks once per
+    # cut that subgradients builds, one per weight triple at each node
+    # whose children it bounds
+    rankings, cuts = [], []
     ranks = window_design._ranks
     monkeypatch.setattr(window_design, "_ranks", lambda *args: rankings.append(0) or ranks(*args))
-    with_reuse = [search(*case) for case in cases()]
-    reused = len(rankings)
     subgradients = SaaPricer.subgradients
 
-    def forgetful(self, state, unplaced, window=None):
-        return subgradients(self, state, unplaced, window=None)
+    def counted(self, state, unplaced):
+        built = subgradients(self, state, unplaced)
+        cuts.append(len(built))
+        return built
 
-    monkeypatch.setattr(SaaPricer, "subgradients", forgetful)
-    rankings.clear()
-    assert [search(*case) for case in cases()] == with_reuse
-    assert reused < len(rankings)
+    def refused(*args, **kwargs):
+        raise AssertionError("pricing ranked the samples")
+
+    monkeypatch.setattr(SaaPricer, "subgradients", counted)
+    bounded = several = 0
+    for net, pen, samples in _sm_cases():
+        rankings.clear()
+        cuts.clear()
+        route = branch_and_bound(net, SaaModel(samples), pen).route
+        assert len(rankings) == sum(cuts), (len(rankings), sum(cuts))
+        bounded += bool(cuts)
+        several += sum(cuts) > len(cuts)
+        with monkeypatch.context() as m:
+            m.setattr(np, "argpartition", refused)
+            enumerate_exact(net, SaaModel(samples), pen)
+            ctx = SaaPricer(samples, pen)
+            for k, state in window_design._prefix_states(ctx, route):
+                ctx.price(state, k)
+            ctx.plan(route)
+            route_cost_sm(route, samples, pen)
+    assert bounded > 15 and several > 5, (bounded, several)
+
+
+@pytest.mark.parametrize("ranking", [
+    lambda arr, p1, p2: np.argsort(arr, kind="stable"),
+    lambda arr, p1, p2: np.lexsort((-np.arange(arr.size), arr)),  # ties by descending index
+], ids=["stable argsort", "ties reversed"])
+def test_another_ranking_changes_no_cost(monkeypatch, ranking):
+    # costs depend on the sample values alone: with any other valid
+    # ranking in place of _ranks the cuts, and so the node counts, may
+    # move, but every tour, objective and plan stays bit for bit
+    def solve(net, pen, samples):
+        res = branch_and_bound(net, SaaModel(samples), pen)
+        return res.route.seq, res.objective.hex(), fields(res.plan)
+
+    solves = [solve(*case) for case in _sm_cases()]
+    monkeypatch.setattr(window_design, "_ranks", ranking)
+    assert [solve(*case) for case in _sm_cases()] == solves
 
 
 def test_pricers_keep_no_state(monkeypatch):
@@ -343,11 +377,11 @@ def test_pricers_keep_no_state(monkeypatch):
         ctx = model.context(net, pen)
         ctx.linear
         before = dict(vars(ctx))
-        state, window = ctx.root_state(), None
+        state = ctx.root_state()
         for arc, k in zip(route.path_arcs, route.customers):
-            ctx.subgradients(state, np.array(route.customers), window)
+            ctx.subgradients(state, np.array(route.customers))
             state = ctx.extend(state, arc)
-            window = ctx.price(state, k)
+            ctx.price(state, k)
         ctx.plan(route)
         after = vars(ctx)
         assert after.keys() == before.keys(), model.name
@@ -473,11 +507,11 @@ def test_search_bounds_only_children_with_a_completion(monkeypatch):
     # at one that no tour fits and at the cheapest budget quoted there
     calls = []
 
-    def checking(ctx, net, state, rest, kids, window):
+    def checking(ctx, net, state, rest, kids):
         assert len(rest) > 1 and len(kids) > 1
         for j, _ in kids:
             assert has_completion(net.arc_index, j, frozenset(rest) - {j}), (rest, j)
-        own, others = _completion_bounds(ctx, net, state, rest, kids, window)
+        own, others = _completion_bounds(ctx, net, state, rest, kids)
         assert all(math.isfinite(b) for b in own + others), (rest, kids)
         calls.append(len(kids))
         return own, others
@@ -778,9 +812,7 @@ def test_completion_bound_is_admissible():
                     else:
                         want = ctx.price(state, k)[2] * (scale[k] > 0)
                     assert scale[k] * intercept == pytest.approx(want, rel=1e-9, abs=1e-9), label
-            # the node's own window, as the search hands it on
-            window = ctx.price(state, node) if node else None
-            own, others = _completion_bounds(ctx, net, state, rest, kids, window)
+            own, others = _completion_bounds(ctx, net, state, rest, kids)
             clipped = clipped_bounds(ctx, net, state, rest, kids)
             for c, (j, arc) in enumerate(kids):
                 true_own, true_others = completions(ctx, net, state, j, arc, rest)

@@ -23,8 +23,10 @@ from hypothesis import strategies as st
 
 from reference import _candidate_widths, _inner_fixed_cost, design_fixed_width_unrolled, three_net
 from twdesign import (
+    DroModel,
     Network,
     PenaltyConfig,
+    Route,
     SaaModel,
     SampleSet,
     WindowPlan,
@@ -297,9 +299,9 @@ def test_saa_window_duals_certify_cost():
 
 
 def test_saa_window_duals_sit_on_one_argpartition():
-    # the pricing kernel's ranking is one np.argpartition at both critical
-    # ranks, also when p1 == p2 (a repeated kth), and the duals sit on it,
-    # with ties too; the edges are the order statistics of those ranks
+    # saa_window's ranking is one np.argpartition at both critical ranks,
+    # also when p1 == p2 (a repeated kth), and the duals sit on it, with
+    # ties too; the edges are the order statistics of those ranks
     rng = np.random.default_rng(11)
     for trial in range(200):
         q = int(rng.integers(1, 1200))
@@ -316,6 +318,36 @@ def test_saa_window_duals_sit_on_one_argpartition():
         assert np.array_equal(win.rho1, rho1) and np.array_equal(win.rho2, rho2), trial
         srt = np.sort(arr)
         assert (win.lower, win.upper) == (srt[p1 - 1], srt[p2 - 1]), trial
+
+
+def test_window_cost_depends_on_the_sample_values_alone():
+    # (lower, upper, cost) of the pricing kernel is bit for bit the same
+    # under any order of the samples, and saa_window, which reads it off
+    # its ranking with both tails sorted, gives the same bits: spread
+    # draws, ties (rounded draws, few values, all equal), zeros, and
+    # p1 == p2 (q = 999 at beta 0.5/0.5, which once moved the last bits)
+    rng = np.random.default_rng(5)
+    cases = []
+    for q in (1, 2, 9, 50, 333, 1000):
+        cases.append((rng.normal(50.0, 10.0, q), 0.05, 1.0, 1.0))
+        cases.append((np.round(rng.normal(50.0, 10.0, q)), 0.2, 0.9, 0.7))
+        cases.append((np.maximum(rng.normal(1.0, 2.0, q), 0.0), 0.1, 0.6, 1.0))
+    cases.append((rng.choice([1.5, 4.0, 9.0], 400), 0.05, 1.0, 1.0))
+    cases.append((np.full(25, 3.0), 0.2, 0.9, 0.7))
+    cases.append((np.zeros(30), 0.05, 1.0, 1.0))
+    cases.append((rng.normal(50.0, 10.0, 999), 0.5, 1.0, 1.0))
+    cases.append((np.round(rng.normal(50.0, 10.0, 999)), 0.5, 1.0, 1.0))
+    assert sum(critical_indices(arr.size, *w)[0] == critical_indices(arr.size, *w)[1] for arr, *w in cases) >= 3
+    for c, (arr, *weights) in enumerate(cases):
+        terms = (*critical_indices(arr.size, *weights), *weights)
+        want = [float(v).hex() for v in window_design._order_stat_window(arr, *terms)]
+        win = saa_window(arr, *weights)
+        assert [v.hex() for v in (win.lower, win.upper, win.cost)] == want, c
+        for order in [arr[::-1], *(rng.permutation(arr) for _ in range(5))]:
+            got = [float(v).hex() for v in window_design._order_stat_window(order, *terms)]
+            assert got == want, c
+            win = saa_window(order, *weights)
+            assert [v.hex() for v in (win.lower, win.upper, win.cost)] == want, c
 
 
 def test_saa_window_beats_grid_of_alternatives():
@@ -1218,13 +1250,82 @@ def test_every_plan_made_is_one_load_plan_reads_back(plan):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "plan.json")
         save_plan(plan, path)
-        back = load_plan(path)
+        _assert_same_fields(plan, load_plan(path))
+
+
+def _assert_same_fields(want_plan, got_plan):
+    """Two plans hold the same fields: arrays of one dtype and the same
+    bytes, anything else of one type and the same repr."""
     for field in dataclasses.fields(WindowPlan):
-        want, got = getattr(plan, field.name), getattr(back, field.name)
+        want, got = getattr(want_plan, field.name), getattr(got_plan, field.name)
         if isinstance(want, np.ndarray):
             assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), field.name
         else:
             assert (type(got), repr(got)) == (type(want), repr(want)), field.name
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 30), n=st.integers(2, 6), complete=st.booleans(), q=st.integers(1, 60),
+       rounded=st.booleans(), beta=st.sampled_from([0.05, 0.2, 0.3]))
+def test_every_plan_assembled_is_one_the_constructor_accepts(seed, n, complete, q, rounded, beta):
+    # the searches, the pricers and the designs assemble their plans
+    # without WindowPlan's checks (_window_plan); each is a plan the
+    # constructor accepts and returns field for field, so each is one that
+    # load_plan reads back (the property above)
+    net = random_network(n, seed=seed, complete=complete)
+    samples = sample_travel_times(net, q, seed=seed)
+    if rounded:
+        samples = SampleSet(q, np.round(samples.values))
+    pen = penalties_from_beta(beta, beta, n)
+    sm = branch_and_bound(net, SaaModel(samples), pen)
+    route = sm.route
+    plans = [
+        sm.plan,
+        branch_and_bound(net, DroModel(alpha2=0.3), pen).plan,
+        design_stochastic(route, samples, pen)[0],
+        brute_force_windows(route, samples, pen),
+        design_fixed_width(route, samples, pen),
+        design_dro(route, net.mean, net.cov, 0.3, pen),
+    ]
+    for plan in plans:
+        _assert_same_fields(plan, WindowPlan(**{f.name: getattr(plan, f.name) for f in dataclasses.fields(WindowPlan)}))
+
+
+def test_hand_built_plans_keep_every_check(tmp_path):
+    # the designs' plans skip the constructor's checks, which hold for
+    # them already; a plan built by hand, or read from a file, is checked
+    # field by field as before, and a route built by hand that is no tour
+    # of integer ids is refused as it is made, so no design plans for it
+    net = random_network(4, seed=0)
+    samples = sample_travel_times(net, 100, seed=0)
+    pen = penalties_from_beta(0.05, 0.05, 4)
+    res = branch_and_bound(net, SaaModel(samples), pen)
+    plan, route = res.plan, res.route
+    for seq, message in (((0, 1.0, 2, 3, 4, 0), r"route\[1\]: expected an integer, got 1\.0"),
+                         ((0, 1, 2, 2, 4, 0), r"route: expected the depot 0, each customer 1\.\.n once"),
+                         ((1, 2, 3, 4, 0), "route: expected the depot 0")):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            Route(seq, route.x, route.y, route.path_arcs)
+    good = {f.name: getattr(plan, f.name) for f in dataclasses.fields(WindowPlan)}
+    bad = [
+        ("route_seq", (0, 1.5, *plan.route_seq[2:]), r"route\[1\]: expected an integer, got 1\.5"),
+        ("customers", plan.customers[:-1], r"customers: expected one for each customer 1\.\.4"),
+        ("lower", np.where(np.arange(4) == 2, np.nan, plan.lower), "lower: expected finite numbers"),
+        ("cost_per_customer", plan.cost_per_customer + np.inf, "cost_per_customer: expected finite numbers"),
+        ("upper", plan.lower - 1.0, "upper: expected at least lower"),
+        ("lower", plan.lower - plan.upper.max() - 1.0, "lower: expected a number >= 0"),
+        ("total_cost", np.nan, "total_cost: expected a finite number"),
+        ("shared_width", -1.0, "shared_width: expected None or a finite number >= 0"),
+    ]
+    for name, value, message in bad:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            WindowPlan(**dict(good, **{name: value}))
+    path = tmp_path / "plan.json"
+    doc = plan.to_json_dict()
+    doc["windows"][0]["lower"] = -1.0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="^window plan file: lower: expected a number >= 0"):
+        load_plan(path)
 
 
 def test_save_plan_refuses_what_json_cannot_hold(tmp_path):
