@@ -41,10 +41,13 @@ the pricer (``SaaPricer`` or ``DroPricer`` from ``window_design``), the
 model's one way in.  ``_search``, the one entry to both searches, builds
 it (which applies the model's rules) and each search adds only its walk;
 both price through it, and its ``subgradients`` give the completion
-bound and the cuts.  Pricing and ranking are apart: an ``sm`` price
-reads the window off one sort of the arrivals and ranks nothing, and
-only ``subgradients`` ranks a state, at the nodes whose children the
-search bounds and at the customers of ``route_cuts``.  The pricer keeps
+bound and the cuts.  Each model has one kernel, and every window of
+the model is priced by it: for ``sm`` that is
+``window_design._order_stat_window``, which reads the window off one
+sort of the arrivals and ranks nothing.  A state is ranked only where
+duals are read: by ``subgradients``, at the nodes whose children the
+search bounds and at the customers of ``route_cuts``, and by
+``design_stochastic`` and ``saa_window``.  The pricer keeps
 no state: ``price`` returns a placed customer's window, a search
 carries each placed customer's window along its path, and the solve's
 plan is assembled from the windows of the tour it keeps: the windows

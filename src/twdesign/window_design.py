@@ -168,28 +168,21 @@ class SaaWindow:
 
 
 def _order_stat_window(arr: np.ndarray, p1: int, p2: int, a_w: float, a_l: float, a_u: float):
-    """The sample-average pricing kernel: (lower, upper, cost) of the
-    optimal window, whose edges are the order statistics of ranks p1, p2.
+    """The sample-average pricing kernel, the one code that prices an
+    ``sm`` window: (lower, upper, cost) of the optimal window, whose edges
+    are the order statistics of ranks p1, p2.
 
     One sort gives both edges and the p1 - 1 earliest and q - p2 latest
-    arrivals, all that the earliness and tardiness sums need
-    (``_tail_window``), so the result depends on the sample values alone,
+    arrivals, all that the earliness and tardiness sums need, each summed
+    in ascending order, so the result depends on the sample values alone,
     not on their order.  It ranks nothing: the duals are ranked only
     where they are read (``_ranks``)."""
-    return _tail_window(np.sort(arr), p1, p2, a_w, a_l, a_u)
-
-
-def _tail_window(part: np.ndarray, p1: int, p2: int, a_w: float, a_l: float, a_u: float):
-    """(lower, upper, cost) read off an arrangement of the arrivals with
-    the samples of ranks p1 and p2 in place and the earlier and later
-    ranks on either side, each tail sorted ascending, so that each sums
-    in ascending order: a sorted copy, or a ranking with both tails
-    sorted, gives the same bits."""
-    q = part.size
-    lower = float(part[p1 - 1])
-    upper = float(part[p2 - 1])
-    early = lower * (p1 - 1) - part[: p1 - 1].sum()
-    late = part[p2:].sum() - upper * (q - p2)
+    srt = np.sort(arr)
+    q = srt.size
+    lower = float(srt[p1 - 1])
+    upper = float(srt[p2 - 1])
+    early = lower * (p1 - 1) - srt[: p1 - 1].sum()
+    late = srt[p2:].sum() - upper * (q - p2)
     return lower, upper, float(a_w * (upper - lower) + (a_l / q) * early + (a_u / q) * late)
 
 
@@ -200,7 +193,8 @@ def saa_window(arrivals, a_w: float, a_l: float, a_u: float) -> SaaWindow:
     callers may pass arrival costs induced by fractional path variables.
     The arrivals must be finite numbers (``_finite_array``) and the weights
     finite numbers > 0 (``critical_indices``), so the cost is never NaN
-    or negative.
+    or negative.  The window is the pricing kernel's
+    (``_order_stat_window``), the one that the searches and plans price.
     """
     arr = _finite_array(arrivals, "arrivals", message="arrivals must be finite numbers")
     if arr.ndim != 1 or arr.size == 0:
@@ -210,31 +204,22 @@ def saa_window(arrivals, a_w: float, a_l: float, a_u: float) -> SaaWindow:
 
 def _saa_window(arr: np.ndarray, p1: int, p2: int, a_w: float, a_l: float, a_u: float) -> SaaWindow:
     """The ``SaaWindow`` of the arrivals ``arr`` at ranks p1, p2 and weights
-    (a_w, a_l, a_u), from one ranking (``_ranks``): its duals sit on the
-    ranking, and its window is read off the ranked samples with both tails
-    sorted in place (``_tail_window``), the bits of ``_order_stat_window``."""
+    (a_w, a_l, a_u): the window of the one kernel (``_order_stat_window``)
+    and the rank duals (``_rank_duals``) placed on one ranking
+    (``_ranks``)."""
     q = arr.size
-    ranked = _ranks(arr, p1, p2)
-    part = arr[ranked]
-    part[: p1 - 1].sort()
-    part[p2:].sort()
-    early, late = _rank_split(ranked, p1, p2)
+    early, late = _ranks(arr, p1, p2)
     rho1 = np.zeros(q)
     rho2 = np.zeros(q)
     rho1[early], rho2[late] = _rank_duals(q, p1, p2, a_w, a_l, a_u)
-    return SaaWindow(*_tail_window(part, p1, p2, a_w, a_l, a_u), rho1, rho2, p1, p2)
+    return SaaWindow(*_order_stat_window(arr, p1, p2, a_w, a_l, a_u), rho1, rho2, p1, p2)
 
 
-def _ranks(arr: np.ndarray, p1: int, p2: int) -> np.ndarray:
-    """Indices of ``arr`` from one partial sort, with the samples of ranks
-    p1 and p2 in place, the earlier ranks before them and the later ones
-    after; ties are ranked either way."""
-    return np.argpartition(arr, (p1 - 1, p2 - 1))
-
-
-def _rank_split(ranked: np.ndarray, p1: int, p2: int):
+def _ranks(arr: np.ndarray, p1: int, p2: int):
     """The indices of the samples of ranks 1..p1 (rank p1 last) and p2..q
-    (rank p2 first) in a ranking from ``_ranks``."""
+    (rank p2 first) in ``arr``, from one partial sort at both ranks: the
+    samples the rank duals sit on.  Ties are ranked either way."""
+    ranked = np.argpartition(arr, (p1 - 1, p2 - 1))
     return ranked[:p1], ranked[p2 - 1 :]
 
 
@@ -243,13 +228,14 @@ def _rank_duals(q: int, p1: int, p2: int, a_w: float, a_l: float, a_u: float):
     a_l/q on each of the p1 - 1 earliest samples and the remainder of a_w
     at rank p1; rho2 is a_u/q on each of the q - p2 latest and the
     remainder at rank p2.  Returns rho1 on ranks 1..p1 and rho2 on ranks
-    p2..q, in the order of ``_rank_split``.
+    p2..q, in the order of the two tails of ``_ranks``.
 
     The duals do not depend on the arrival values, only on which sample
     holds which rank.  Placed on any ranking of a vector tau (ties broken
-    either way) they are optimal at tau, and they are dual feasible
-    everywhere, so sum_q x_q (rho2_q - rho1_q) never exceeds the window
-    cost at any arrival vector x.
+    either way) they are optimal at tau: sum_q tau_q (rho2_q - rho1_q) is
+    the cost of the one kernel (``_order_stat_window``) at tau, up to
+    rounding.  They are dual feasible everywhere, so that sum never
+    exceeds the window cost at any arrival vector x.
     """
     rho1 = np.full(p1, a_l / q)
     rho1[-1] = min(max(a_w - (p1 - 1) * (a_l / q), 0.0), a_l / q)
@@ -504,13 +490,14 @@ def _window_plan(kind: str, route, windows, arrivals=None, **fields) -> WindowPl
 
 class SaaPricer:
     """Sample-average pricing: the state is the vector of scenario arrival
-    times, and ``price`` returns a customer's ``_order_stat_window``
-    (lower, upper and cost) and the state it priced: all that a plan needs
-    (``_plan``).
+    times, and ``price`` returns a customer's window from the one kernel
+    (``_order_stat_window``: lower, upper and cost) and the state it
+    priced: all that a plan needs (``_plan``).
 
     The pricer keeps nothing between calls.  Pricing ranks no samples:
-    the rank duals are placed only where a cut reads them, and
-    ``subgradients`` ranks the state it is given (``_ranks``)."""
+    the rank duals are placed only where they are read, by
+    ``subgradients``, ``design_stochastic`` and ``saa_window``
+    (``_ranks``)."""
 
     def __init__(self, samples, pen: PenaltyConfig):
         self.values = samples.values
@@ -519,6 +506,7 @@ class SaaPricer:
         # cost and its duals: per triple, membership over node ids and the
         # rho1 (rho2) duals of the p1 earliest (q - p2 + 1 latest) ranks
         self.groups: dict[tuple, tuple] = {}
+        # cached: design_stochastic builds a pricer per call, so bisect each triple's ranks once
         terms_of = cache(lambda weights: (*critical_indices(samples.q, *weights), *weights))
         for k in range(1, pen.n_customers + 1):
             terms = self.terms[k] = terms_of(pen.for_customer(k))
@@ -573,8 +561,7 @@ class SaaPricer:
         for terms, (scale, rho1, rho2) in self.groups.items():
             if not scale[unplaced].any():
                 continue
-            p1, p2 = terms[:2]
-            early, late = _rank_split(_ranks(state, p1, p2), p1, p2)
+            early, late = _ranks(state, *terms[:2])
             intercept = float(rho2 @ state[late] - rho1 @ state[early])
             cuts.append((scale, intercept, rho2 @ self.values[late] - rho1 @ self.values[early]))
         return cuts
@@ -594,8 +581,9 @@ def design_stochastic(route, samples, pen: PenaltyConfig):
     ``SaaWindow``, keyed by customer id.  A window's optimal duals
     ``rho1``/``rho2`` and ranks ``p1``/``p2`` are what optimality cuts
     for the routing master problem are built from.  Both come from one
-    walk of the route and one ranking per customer (``_saa_window``),
-    whose window is the pricer's to the bit.
+    walk of the route (``_saa_window``): each window from the one kernel
+    that the pricer prices with (``_order_stat_window``), and its duals
+    from one ranking of the customer's arrivals.
     """
     _check_sizes(len(route.x), len(route.customers), samples=samples, pen=pen)
     pricer = SaaPricer(samples, pen)

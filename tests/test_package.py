@@ -64,6 +64,41 @@ def test_all_lists_exactly_the_imported_names():
     assert set(twdesign.__all__) == imported
 
 
+def _reads(tree) -> set[str]:
+    """The names a module reads, at any depth."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _private_definitions(tree) -> set[str]:
+    """The module-level ``_private`` functions, classes and constants."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_modules_leave_no_unread_name():
+    # a lint with no linter: no module imports a name it never reads (the
+    # package's __init__ imports to re-export), and no module-level
+    # _private function, class or constant is left that no module reads
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(_reads, trees.values()))
+    for name, tree in trees.items():
+        if name != "__init__":
+            bound = {
+                (alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                for alias in node.names
+            }
+            assert not bound - _reads(tree), f"{name} imports {sorted(bound - _reads(tree))} and never reads them"
+        assert not _private_definitions(tree) - read, f"{name} defines {sorted(_private_definitions(tree) - read)}, never read"
+
+
 # ---------------------------------------------------------------------------
 # the finite-number rule where values enter the library
 

@@ -347,9 +347,14 @@ def test_only_cuts_rank_the_samples(monkeypatch):
     assert bounded > 15 and several > 5, (bounded, several)
 
 
+def _tails(ranked, p1, p2):
+    """The two tails of a full ranking that ``_ranks`` returns."""
+    return ranked[:p1], ranked[p2 - 1 :]
+
+
 @pytest.mark.parametrize("ranking", [
-    lambda arr, p1, p2: np.argsort(arr, kind="stable"),
-    lambda arr, p1, p2: np.lexsort((-np.arange(arr.size), arr)),  # ties by descending index
+    lambda arr, p1, p2: _tails(np.argsort(arr, kind="stable"), p1, p2),
+    lambda arr, p1, p2: _tails(np.lexsort((-np.arange(arr.size), arr)), p1, p2),  # ties by descending index
 ], ids=["stable argsort", "ties reversed"])
 def test_another_ranking_changes_no_cost(monkeypatch, ranking):
     # costs depend on the sample values alone: with any other valid

@@ -322,8 +322,7 @@ def test_saa_window_duals_sit_on_one_argpartition():
 
 def test_window_cost_depends_on_the_sample_values_alone():
     # (lower, upper, cost) of the pricing kernel is bit for bit the same
-    # under any order of the samples, and saa_window, which reads it off
-    # its ranking with both tails sorted, gives the same bits: spread
+    # under any order of the samples, and so is saa_window's: spread
     # draws, ties (rounded draws, few values, all equal), zeros, and
     # p1 == p2 (q = 999 at beta 0.5/0.5, which once moved the last bits)
     rng = np.random.default_rng(5)
@@ -348,6 +347,34 @@ def test_window_cost_depends_on_the_sample_values_alone():
             assert got == want, c
             win = saa_window(order, *weights)
             assert [v.hex() for v in (win.lower, win.upper, win.cost)] == want, c
+
+
+def test_one_kernel_prices_every_sm_window(monkeypatch):
+    # _order_stat_window computes every sample-average window: saa_window
+    # runs it once a call, and design_stochastic, SaaPricer.plan and
+    # route_cost_sm once a customer
+    calls = []
+    kernel = window_design._order_stat_window
+    monkeypatch.setattr(window_design, "_order_stat_window", lambda *args: calls.append(args[1:]) or kernel(*args))
+    rng = np.random.default_rng(3)
+    for q in (1, 9, 999):
+        for arr in (rng.normal(50.0, 10.0, q), np.round(rng.normal(50.0, 10.0, q))):
+            calls.clear()
+            win = saa_window(arr, 0.2, 0.9, 0.7)
+            assert calls == [(win.p1, win.p2, 0.2, 0.9, 0.7)], q
+    net = random_network(6, seed=4, complete=True)
+    route = route_to_xy([0, 2, 6, 1, 4, 3, 5, 0], net)
+    samples = sample_travel_times(net, 200, seed=4)
+    pen = PenaltyConfig(np.linspace(0.05, 0.2, 6), np.linspace(1.0, 0.5, 6), np.linspace(0.5, 1.0, 6))
+    terms = [(*critical_indices(200, *pen.for_customer(k)), *pen.for_customer(k)) for k in route.customers]
+    for price in (
+        lambda: design_stochastic(route, samples, pen),
+        lambda: window_design.SaaPricer(samples, pen).plan(route),
+        lambda: route_cost_sm(route, samples, pen),
+    ):
+        calls.clear()
+        price()
+        assert calls == terms
 
 
 def test_saa_window_beats_grid_of_alternatives():
@@ -420,6 +447,80 @@ def test_brute_force_frozen():
         "late_rate": "b0ced6ebba498ec8ce2bda9a5ce84faa64719c1c6e068d66090f04820fd49729",
         "clamped": "None",
     }
+
+
+def _sm_window_digests(route, samples, pen, duals_pinned):
+    """sha256 digests of ``design_stochastic``'s plan (every field) and of
+    its windows (edges and cost by ``hex``, the ranks, and the duals'
+    bytes where ``duals_pinned``)."""
+    plan, windows = design_stochastic(route, samples, pen)
+    assert list(windows) == list(route.customers)
+    digests = {f.name: _digest(getattr(plan, f.name)) for f in dataclasses.fields(plan)}
+    h, duals = hashlib.sha256(), hashlib.sha256()
+    for k, win in windows.items():
+        h.update(repr((k, win.lower.hex(), win.upper.hex(), win.cost.hex(), win.p1, win.p2)).encode())
+        duals.update(win.rho1.tobytes() + win.rho2.tobytes())
+    digests["windows"] = h.hexdigest()
+    if duals_pinned:
+        digests["duals"] = duals.hexdigest()
+    return digests
+
+
+def test_sm_windows_frozen():
+    # design_stochastic's plan and windows, bit for bit, with each
+    # customer's own weights, on rounded (tied) arrivals, and at q = 999
+    # with beta 0.5/0.5, where both edges sit on one rank (p1 == p2).  The
+    # duals are pinned only without ties: with ties they sit on
+    # np.argpartition's order of the tied samples, which numpy may change
+    net = random_network(5, seed=2, complete=True)
+    route = route_to_xy([0, 3, 1, 5, 2, 4, 0], net)
+    mixed = PenaltyConfig(np.linspace(0.05, 0.2, 5), np.linspace(1.0, 0.5, 5), np.linspace(0.5, 1.0, 5))
+    drawn = sample_travel_times(net, 120, seed=7)
+    rounded = SampleSet(400, np.round(sample_travel_times(net, 400, seed=8).values))
+    wide = sample_travel_times(net, 999, seed=9)
+    half = penalties_from_beta(0.5, 0.5, 5)
+    assert critical_indices(999, *half.for_customer(1)) == (500, 500)
+    for samples, tied in ((drawn, False), (rounded, True), (wide, False)):
+        arrivals = arrival_matrix(route, samples.values)
+        assert all((len(np.unique(col)) < samples.q) == tied for col in arrivals.T)
+    got = [
+        _sm_window_digests(route, drawn, mixed, duals_pinned=True),
+        _sm_window_digests(route, rounded, mixed, duals_pinned=False),
+        _sm_window_digests(route, wide, half, duals_pinned=True),
+    ]
+    fixed = {"kind": "'saa'", "route_seq": "(0, 3, 1, 5, 2, 4, 0)", "customers": "(3, 1, 5, 2, 4)",
+             "shared_width": "None", "clamped": "None"}
+    assert got == [
+        fixed | {
+            "lower": "8075e1695d2d1a83c1f343185cec2f302f86e36a5f2a7a989c2529a73531de03",
+            "upper": "413314d3b45dcc4c7f92796def7cae10bc7ad9f465f6d9d968dfc3a6432801ad",
+            "cost_per_customer": "8d356159b208dc56875a8d4468ab0782de255b2ac3e39701a14850697638b19a",
+            "total_cost": "8.53577677437972",
+            "early_rate": "53b6eaf081f78adc2bd6cfce90d14af1ee4c64ddd24c295ad7054fe6d9e8ca3a",
+            "late_rate": "871115580f1cc60250fc7f8eae5678b7397cf70471f6dc38694544cbb4a89211",
+            "windows": "82fe984d9dc7b4381868c4715054f8cccbd086685aabb2ba5cc286ff6ac6ec93",
+            "duals": "aaecf26aaf41a2dc06d0bc807157743894e0479cf92137fa42a8bd9387633c2c",
+        },
+        fixed | {
+            "lower": "035671e1a2e1bbe8bc58391e285ec9c68b210e2bf58ecf6e33534286054139ed",
+            "upper": "584df7adc717f36d35d3e630bdab7ec40bb4f1aca254cfd46ca6cbec3f2488e6",
+            "cost_per_customer": "c908a688bb6414576bc76d32febbc1e3dafcba4faac3c71f68f86569a0d14dbf",
+            "total_cost": "7.925625",
+            "early_rate": "bce2339349ef98748ba9da9efc66d44613108e992cc7c4a8817e67a6dc8ebbb6",
+            "late_rate": "09dffd8d3c1c5e9bad130672f031819c25e4e80ef5fb97fcc0672e69779513a8",
+            "windows": "cfb0df4ec87e1d3fc8be3b629b0535cac1e15e945da2d2a56ec3f7c13588154a",
+        },
+        fixed | {
+            "lower": "744374d9dfa72ef2b9e38e291c3e339c7ca3c11ebeefd5c13ed1164e97158206",
+            "upper": "744374d9dfa72ef2b9e38e291c3e339c7ca3c11ebeefd5c13ed1164e97158206",
+            "cost_per_customer": "2557f91080349e746aa791b70746fc6c281a6401fd6404899bae83f0d4527737",
+            "total_cost": "17.35935370404006",
+            "early_rate": "146fb94c888ed60a966b6bbdb0d85baccc6628b0dcbf34044cc8398376864fd3",
+            "late_rate": "146fb94c888ed60a966b6bbdb0d85baccc6628b0dcbf34044cc8398376864fd3",
+            "windows": "5eb41e6b3f81146ce9ec650c0efbe86a28983383ea4ab691e8d7ee104513b57b",
+            "duals": "5eb7ca9a01e337cde322e6872cdf7c9062e6d499fb17d4dc9cebf3db465a6551",
+        },
+    ]
 
 
 def test_brute_force_refuses_large_q():
