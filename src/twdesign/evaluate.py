@@ -139,7 +139,10 @@ def guideline_sweep(
     named substreams for the training and test draws, and each input is
     computed once: a seed's draws serve every pair (its test draws every
     model), and seeds with equal models (all ``rm`` seeds) share a solve.
-    Rows come back sorted by (model, beta_l, beta_u, seed).
+    Every solve is of the one ``net``, so all of them share its
+    completion memo (``solver._completions``): on a sparse network only
+    the first decides most of the states, and the later pairs and models
+    read them.  Rows come back sorted by (model, beta_l, beta_u, seed).
     """
     rows = []
     tests = {seed: sample_travel_times(net, q_test, substream(seed, "sampling-test")) for seed in seeds}

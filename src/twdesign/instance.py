@@ -142,8 +142,14 @@ class CovGenParams:
 class Network:
     """Directed delivery network with depot node 0 and customers 1..n.
 
-    Instances are treated as immutable after construction; the numpy
-    arrays are marked read-only so shared use across threads is safe.
+    A network is not mutated after construction: its derived fields
+    (``arc_index``, ``out_arcs``, ``in_arcs``, ``factor``) are computed
+    once from the others, and the search keeps one completion memo per
+    network for the network's life (``solver._completions``), which
+    holds facts about its arcs.  Both rely on that.  For another budget
+    or other arcs, build a new ``Network``; it gets a memo of its own.
+    The numpy arrays are marked read-only, so shared use across threads
+    is safe.
 
     ``factor``, the F with F F' = ``cov`` that every draw uses, is made
     once by the PSD check: zero for a zero ``cov``, else the Cholesky

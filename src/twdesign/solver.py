@@ -14,7 +14,8 @@ finished tour.  Two searches are provided on purpose:
   there is nothing to order it against), with incremental arrival
   bookkeeping, an exact structural prune (a child is entered only if a
   path from it through every other unplaced customer reaches the depot:
-  ``_Completions``, a subset recursion memoized for one search), an
+  ``_Completions``, a subset recursion memoized once per network and
+  shared by all its solves), an
   admissible budget bound, incumbent pruning and a completion bound.
   The completion bound is built from the same cuts as below, anchored
   at the search node's arrival state: every unplaced customer arrives
@@ -69,7 +70,9 @@ anchor, as references.
 
 from __future__ import annotations
 
+import threading
 import time
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
@@ -390,7 +393,7 @@ def _spans(seed: int, adj: list[int], within: int) -> bool:
 
 
 class _Completions:
-    """The exact completion test of one search, memoized on its states.
+    """The exact completion test of one network, memoized on its states.
 
     ``completes(j, rest)`` is True when a path from customer j visits every
     customer of the bitmask ``rest`` (bit k is customer k, j not among
@@ -405,7 +408,13 @@ class _Completions:
     and reaches the depot inside ``rest``, and no two customers of
     ``rest`` share a lone possible predecessor or a lone possible
     successor (Rubin 1974).  The graph is ``arcs`` over ``node_count``
-    nodes, the depot 0 and the customers."""
+    nodes, the depot 0 and the customers.
+
+    Every answer is a fact about the arcs alone, true for any model,
+    penalty, sample set or budget, so a network keeps one test for its
+    whole life (``_completions``) and each solve of it reads the states
+    the earlier ones decided.  The test holds bitmasks and its memo, and
+    no reference to the network, which would keep its key alive."""
 
     def __init__(self, arcs, node_count: int):
         # bitmasks of each node's successors and predecessors (bit k is node k)
@@ -471,6 +480,23 @@ class _Completions:
         return succ[j] & rest
 
 
+# one completion test per live network, dropped with it; the network is
+# never mutated after construction, so its arcs, and every answer, hold
+_COMPLETIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_COMPLETIONS_LOCK = threading.Lock()
+
+
+def _completions(net: Network) -> _Completions:
+    """The completion test of ``net``, built on the network's first sparse
+    solve and shared by every later one; under a lock, so searches of one
+    network in several threads build it once."""
+    with _COMPLETIONS_LOCK:
+        completes = _COMPLETIONS.get(net)
+        if completes is None:
+            completes = _COMPLETIONS[net] = _Completions(net.arcs, net.node_count)
+    return completes
+
+
 def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
     """Depth-first search over partial visit sequences from the depot;
     offers every complete tour it reaches to the incumbent ``inc`` and
@@ -495,10 +521,11 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
     discarded, before it is priced or bounded, if and only if the arcs
     leave no completion through it: no path from j visits each other
     unplaced customer once and then takes an arc home.  The test,
-    ``completes(j, left ^ 1 << j)``, is a ``_Completions`` made for this
-    search and dropped when it returns, so its memo outlives no solve; it
-    is skipped on complete graphs, where every completion exists, and at
-    the last customer, whose arc home its parent's test has shown.  Dead
+    ``completes(j, left ^ 1 << j)``, is the network's ``_Completions``
+    (``_completions``), whose memo every solve of the network shares and
+    which is freed with the network; it is skipped on complete graphs,
+    where every completion exists (nothing is registered for them), and
+    at the last customer, whose arc home its parent's test has shown.  Dead
     ends are this test's alone: the prunes below see only children with
     a completion, and every bound they compare is finite.
     A child is also discarded when the cost placed so far plus the
@@ -526,7 +553,7 @@ def _dfs(net: Network, inc: _Incumbent) -> tuple[int, int]:
     }
     # complete graphs skip the test: every ordering of the customers is a tour
     structural = net.n_arcs < net.node_count * (net.node_count - 1)
-    completes = _Completions(net.arcs, net.node_count) if structural else None
+    completes = _completions(net) if structural else None
     limit = max(net.time_budget, inc.min_budget) + BUDGET_PRUNE_SLACK
     nodes = pruned = 0
     customers = range(1, net.n_customers + 1)
@@ -598,7 +625,11 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     offered in the same order, and the tour, its cost, its budget and
     every infeasibility report are those of the search without it.  The
     test is exact: the subset recursion of Held & Karp (1962) over
-    (customer, unplaced set) states, each decided once a search.  Before
+    (customer, unplaced set) states, each decided once per network.  An
+    answer depends on the arcs alone, so the memo lives as long as the
+    network (``_completions``): a later solve of it, with another model
+    or penalty, decides only the states that earlier solves left
+    undecided, and prunes exactly as it would with a fresh memo.  Before
     a state branches it must pass necessary conditions, which end most
     dead states at once and keep the memo small: every customer of the
     set is reached from j and reaches the depot inside the set, and no
@@ -707,8 +738,14 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     instances 0-3, with 26 customers in 0.008-0.046 s and 0.005-0.037 s,
     and with 36 customers in 0.10-0.23 s and 0.09-0.22 s on instances 0-2.
     Sparse n=46 instance 0 takes 3.9 s (``sm``) with 171k completion
-    states.  The worst case still grows factorially with the customer
-    count, and the completion memo exponentially.
+    states.  These are first solves of a network.  A later solve of the
+    same network reads the states already decided: on sparse n=36
+    instance 0 the ``rm`` solve after the ``sm`` one decides none of its
+    14,570 states anew and takes 0.006 s, against 0.31 s on a network of
+    its own.  The memo is held until the network is dropped: 1.8 MiB for
+    those 14,570 states and 19.4 MiB for the 171k of sparse n=46
+    instance 0.  The worst case still grows factorially with
+    the customer count, and the completion memo exponentially.
 
     One pass both solves and, when no tour fits, finds the exact cheapest
     tour budget that ``InfeasibleError.min_budget`` quotes.  The budget

@@ -462,7 +462,9 @@ def test_completion_test_is_exact(monkeypatch):
     # by branching, agrees with brute force both ways: a rejected state
     # has no completion and an accepted one has one; first every state a
     # search queries or reaches on sparse networks, then every state of
-    # random digraphs of other densities
+    # random digraphs of other densities.  A network keeps one memo for
+    # all its solves, so each model solves its own copy of the network
+    # and every search's states are checked as a fresh memo decides them
     tests = []
     init = _Completions.__init__
 
@@ -477,7 +479,7 @@ def test_completion_test_is_exact(monkeypatch):
             net = random_network(n, seed=seed)
             pen = penalties_from_beta(0.05, 0.05, n)
             for model in both_models(sample_travel_times(net, 50, seed=seed)):
-                branch_and_bound(net, model, pen)
+                branch_and_bound(Network(net.node_count, net.arcs, net.mean, net.cov, net.time_budget), model, pen)
                 memo = tests.pop().memo
                 for (j, rest), known in memo.items():
                     members = frozenset(k for k in net.customers if rest >> k & 1)
@@ -658,6 +660,70 @@ def test_searches_free_their_pricer_on_return():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_repeated_solves_share_one_completion_memo(monkeypatch):
+    # a network keeps one completion memo for its life: the sm solves at
+    # two betas and the rm solve after them read it, and each equals the
+    # same solve of a fresh copy of the network (with a memo of its own)
+    # field for field; a repeated solve decides no new state, a complete
+    # graph registers no memo, and dropping a network frees its memo
+    built = []
+    init = _Completions.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(weakref.ref(self))
+
+    def outcome(res):
+        return (res.route.seq, res.objective.hex(), res.nodes, res.pruned, res.budget_value.hex(),
+                res.plan.lower.tobytes(), res.plan.upper.tobytes())
+
+    monkeypatch.setattr(_Completions, "__init__", recording)
+    enabled = gc.isenabled()
+    for n in (7, 8, 9, 10):
+        for seed in range(8):
+            net = random_network(n, seed=seed)
+            sm = SaaModel(sample_travel_times(net, 200, seed=seed))
+            pens = [penalties_from_beta(beta, beta, n) for beta in (0.05, 0.025)]
+            solves = [(sm, pens[0]), (sm, pens[1]), (DroModel(), pens[0])]
+            want = [
+                outcome(branch_and_bound(Network(net.node_count, net.arcs, net.mean, net.cov, net.time_budget), *args))
+                for args in solves
+            ]
+            assert len(built) == 3 and all(ref() is None for ref in built), (n, seed)
+            built.clear()
+            assert [outcome(branch_and_bound(net, *args)) for args in solves] == want, (n, seed)
+            assert len(built) == 1 and built[0]() is solver._COMPLETIONS[net], (n, seed)
+            decided = len(built[0]().memo)
+            assert [outcome(branch_and_bound(net, *args)) for args in solves] == want, (n, seed)
+            assert len(built) == 1 and len(built[0]().memo) == decided, (n, seed)
+            gc.disable()
+            try:
+                del net
+                assert built.pop()() is None, (n, seed)
+            finally:
+                if enabled:
+                    gc.enable()
+    complete = random_network(7, seed=0, complete=True)
+    for model in both_models(sample_travel_times(complete, 200, seed=0)):
+        branch_and_bound(complete, model, penalties_from_beta(0.05, 0.05, 7))
+    assert built == [] and complete not in solver._COMPLETIONS
+
+
+def test_deep_sparse_solves_price_their_routes_and_share_the_memo():
+    # 36 customers with three arcs each, as the console check runs it:
+    # each objective is its model's cost of the route, to the bit, and the
+    # rm solve after the sm one finds every state it needs decided
+    net = random_network(36, seed=0)
+    pen = penalties_from_beta(0.05, 0.05, net.n_customers)
+    sm = build_model("sm", net, 0, 1000)
+    res = branch_and_bound(net, sm, pen)
+    assert res.objective == route_cost_sm(res.route, sm.samples, pen)
+    decided = len(solver._COMPLETIONS[net].memo)
+    res = branch_and_bound(net, build_model("rm", net, 0, 1000), pen)
+    assert res.objective == route_cost_rm(res.route, net.mean, net.cov, 0.0, pen)
+    assert len(solver._COMPLETIONS[net].memo) == decided
 
 
 def test_complete_graphs_match_enumeration():
