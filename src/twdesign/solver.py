@@ -47,8 +47,9 @@ the model is priced by it: for ``sm`` that is
 ``window_design._order_stat_window``, which reads the window off one
 sort of the arrivals and ranks nothing.  A state is ranked only where
 duals are read: by ``subgradients``, at the nodes whose children the
-search bounds and at the customers of ``route_cuts``, and by
-``design_stochastic`` and ``saa_window``.  The pricer keeps
+search bounds and at the customers of ``route_cuts``, by
+``saa_window``, and by a window of ``design_stochastic`` on its first
+read.  The pricer keeps
 no state: ``price`` returns a placed customer's window, a search
 carries each placed customer's window along its path, and the solve's
 plan is assembled from the windows of the tour it keeps: the windows
@@ -736,12 +737,12 @@ def branch_and_bound(net: Network, model, pen: PenaltyConfig) -> SolveResult:
     arcs a customer, ``random_network``'s default) with 22 customers
     solve in 0.005-0.038 s (``sm``) and 0.003-0.019 s (``rm``) on
     instances 0-3, with 26 customers in 0.008-0.046 s and 0.005-0.037 s,
-    and with 36 customers in 0.10-0.23 s and 0.09-0.22 s on instances 0-2.
+    and with 36 customers in 0.16-0.31 s and 0.09-0.24 s on instances 0-2.
     Sparse n=46 instance 0 takes 3.9 s (``sm``) with 171k completion
     states.  These are first solves of a network.  A later solve of the
     same network reads the states already decided: on sparse n=36
     instance 0 the ``rm`` solve after the ``sm`` one decides none of its
-    14,570 states anew and takes 0.006 s, against 0.31 s on a network of
+    14,570 states anew and takes 0.005 s, against 0.24 s on a network of
     its own.  The memo is held until the network is dropped: 1.8 MiB for
     those 14,570 states and 19.4 MiB for the 171k of sparse n=46
     instance 0.  The worst case still grows factorially with

@@ -27,6 +27,7 @@ import csv
 import json
 import math
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -199,26 +200,34 @@ def saa_window(arrivals, a_w: float, a_l: float, a_u: float) -> SaaWindow:
     arr = _finite_array(arrivals, "arrivals", message="arrivals must be finite numbers")
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("arrivals must be a non-empty 1-D array")
-    return _saa_window(arr, *critical_indices(arr.size, a_w, a_l, a_u), a_w, a_l, a_u)
+    terms = (*critical_indices(arr.size, a_w, a_l, a_u), a_w, a_l, a_u)
+    return _saa_window(arr, _order_stat_window(arr, *terms), *terms)
 
 
-def _saa_window(arr: np.ndarray, p1: int, p2: int, a_w: float, a_l: float, a_u: float) -> SaaWindow:
+def _saa_window(arr: np.ndarray, window, p1: int, p2: int, a_w: float, a_l: float, a_u: float) -> SaaWindow:
     """The ``SaaWindow`` of the arrivals ``arr`` at ranks p1, p2 and weights
-    (a_w, a_l, a_u): the window of the one kernel (``_order_stat_window``)
-    and the rank duals (``_rank_duals``) placed on one ranking
-    (``_ranks``)."""
+    (a_w, a_l, a_u), from their window (lower, upper, cost) as the one
+    kernel (``_order_stat_window``) priced it: the one code that places
+    the rank duals (``_rank_duals``) on a ranking (``_ranks``)."""
     q = arr.size
     early, late = _ranks(arr, p1, p2)
     rho1 = np.zeros(q)
     rho2 = np.zeros(q)
     rho1[early], rho2[late] = _rank_duals(q, p1, p2, a_w, a_l, a_u)
-    return SaaWindow(*_order_stat_window(arr, p1, p2, a_w, a_l, a_u), rho1, rho2, p1, p2)
+    return SaaWindow(*window, rho1, rho2, p1, p2)
 
 
 def _ranks(arr: np.ndarray, p1: int, p2: int):
     """The indices of the samples of ranks 1..p1 (rank p1 last) and p2..q
     (rank p2 first) in ``arr``, from one partial sort at both ranks: the
-    samples the rank duals sit on.  Ties are ranked either way."""
+    samples the rank duals sit on.  Ties are ranked either way.
+
+    Both ranks are passed also when p1 == p2, where numpy takes the
+    repeated rank as one.  With two ranks numpy 2.4 ranks the same on
+    every CPU; a rank passed alone goes, on AVX2 or AVX-512, to a
+    CPU-dispatched selection that orders the tails otherwise.  The cuts
+    sum over the tails in their order, so their last bits, and with them
+    node counts and tied duals, would then depend on the CPU."""
     ranked = np.argpartition(arr, (p1 - 1, p2 - 1))
     return ranked[:p1], ranked[p2 - 1 :]
 
@@ -496,8 +505,8 @@ class SaaPricer:
 
     The pricer keeps nothing between calls.  Pricing ranks no samples:
     the rank duals are placed only where they are read, by
-    ``subgradients``, ``design_stochastic`` and ``saa_window``
-    (``_ranks``)."""
+    ``subgradients``, by ``saa_window`` and by a window of
+    ``design_stochastic`` on its first read (``_ranks``)."""
 
     def __init__(self, samples, pen: PenaltyConfig):
         self.values = samples.values
@@ -506,7 +515,9 @@ class SaaPricer:
         # cost and its duals: per triple, membership over node ids and the
         # rho1 (rho2) duals of the p1 earliest (q - p2 + 1 latest) ranks
         self.groups: dict[tuple, tuple] = {}
-        # cached: design_stochastic builds a pricer per call, so bisect each triple's ranks once
+        # cached: customers sharing a weight triple bisect its ranks once.  Every
+        # plan, design and route cost builds a pricer: at n = 8, q = 1000 and
+        # one triple that takes 25 us, against 80 us without the cache
         terms_of = cache(lambda weights: (*critical_indices(samples.q, *weights), *weights))
         for k in range(1, pen.n_customers + 1):
             terms = self.terms[k] = terms_of(pen.for_customer(k))
@@ -577,22 +588,48 @@ def route_cost_sm(route, samples, pen: PenaltyConfig) -> float:
 def design_stochastic(route, samples, pen: PenaltyConfig):
     """Per-customer optimal windows under the sample-average cost.
 
-    Returns the plan (``SaaPricer.plan``) together with each customer's
-    ``SaaWindow``, keyed by customer id.  A window's optimal duals
-    ``rho1``/``rho2`` and ranks ``p1``/``p2`` are what optimality cuts
-    for the routing master problem are built from.  Both come from one
-    walk of the route (``_saa_window``): each window from the one kernel
-    that the pricer prices with (``_order_stat_window``), and its duals
-    from one ranking of the customer's arrivals.
+    Returns the route's plan, the one ``SaaPricer.plan`` builds, from one
+    walk of the route, together with each customer's ``SaaWindow`` in a
+    read-only mapping keyed by customer id in visit order
+    (``_SaaWindows``).  A window's optimal duals ``rho1``/``rho2`` and
+    ranks ``p1``/``p2`` are what optimality cuts for the routing master
+    problem are built from; the design itself prices each customer once
+    with the pricer's kernel (``_order_stat_window``) and ranks nothing.
+    A customer's samples are ranked the first time its window is read.
     """
     _check_sizes(len(route.x), len(route.customers), samples=samples, pen=pen)
     pricer = SaaPricer(samples, pen)
-    duals = {}
-    windows = []
-    for k, state in _prefix_states(pricer, route):
-        win = duals[k] = _saa_window(state, *pricer.terms[k])
-        windows.append((win.lower, win.upper, win.cost, state))
-    return pricer._plan(route, windows), duals
+    priced = {k: pricer.price(state, k) for k, state in _prefix_states(pricer, route)}
+    return pricer._plan(route, list(priced.values())), _SaaWindows(priced, pricer.terms)
+
+
+class _SaaWindows(Mapping):
+    """The ``SaaWindow`` of each customer of a route, keyed by customer id
+    in visit order, from the windows a ``SaaPricer`` priced on one walk of
+    the route: each customer's (lower, upper, cost, arrival state) and its
+    pricer terms (ranks and weights).  A customer's window is built on its
+    first read (``_saa_window``), which ranks its arrival state once, and
+    kept; its edges and cost are the ones already priced."""
+
+    def __init__(self, priced: dict, terms: dict):
+        self._priced = priced
+        self._terms = terms
+        self._read: dict[int, SaaWindow] = {}
+
+    def __getitem__(self, k) -> SaaWindow:
+        if k not in self._read:
+            *window, state = self._priced[k]
+            self._read[k] = _saa_window(state, window, *self._terms[k])
+        return self._read[k]
+
+    def __contains__(self, k) -> bool:
+        return k in self._priced
+
+    def __iter__(self):
+        return iter(self._priced)
+
+    def __len__(self) -> int:
+        return len(self._priced)
 
 
 def _window_cost(arrivals, lower, upper, a_w, a_l, a_u):

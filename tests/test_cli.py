@@ -241,6 +241,24 @@ def test_solve_agrees_with_enumeration(inst, tmp_path):
     assert seq_doc["seq"] == doc["seq"]
 
 
+@pytest.mark.parametrize("model", ["sm", "rm"])
+def test_solve_plan_is_a_fresh_design_of_its_route(tmp_path, model):
+    # a solve's plan, assembled from the windows its search priced, is the
+    # plan file a fresh design of its route writes, byte for byte; the
+    # solve takes its options from --config, the design from flags
+    inst_path, cfg = tmp_path / "inst.json", tmp_path / "cfg.json"
+    assert main(["gen", "--customers", "6", "--seed", "1", "--out", str(inst_path)]) == 0
+    cfg.write_text(json.dumps({"model": model, "beta_l": 0.05, "beta_u": 0.05, "q_train": 200}))
+    run = tmp_path / "run"
+    assert main(["--config", str(cfg), "solve", "--instance", str(inst_path), "--out-dir", str(run),
+                 "--no-timestamp"]) == 0
+    design = tmp_path / "design" / "plan.json"
+    assert main(["design", "--instance", str(inst_path), "--route", str(run / "route.json"), "--model", model,
+                 "--beta-l", "0.05", "--beta-u", "0.05", "--q-train", "200", "--seed", "0",
+                 "--out", str(design), "--no-timestamp"]) == 0
+    assert (run / "plan.json").read_bytes() == design.read_bytes()
+
+
 def test_solve_explicit_weights_match_betas(inst, tmp_path):
     # --a-w/--a-l/--a-u give the same weights as the betas they imply
     net, inst_path = inst

@@ -375,6 +375,11 @@ def test_one_kernel_prices_every_sm_window(monkeypatch):
         calls.clear()
         price()
         assert calls == terms
+    # reading design_stochastic's windows prices nothing again
+    calls.clear()
+    _, windows = design_stochastic(route, samples, pen)
+    assert [windows[k] for k in windows] and list(windows.values())
+    assert calls == terms
 
 
 def test_saa_window_beats_grid_of_alternatives():
@@ -521,6 +526,88 @@ def test_sm_windows_frozen():
             "duals": "5eb7ca9a01e337cde322e6872cdf7c9062e6d499fb17d4dc9cebf3db465a6551",
         },
     ]
+
+
+def _sm_window_cases():
+    """(route, samples, pen) on drawn, rounded (tied) and q = 999 samples
+    at beta 0.5/0.5 (p1 == p2), those of ``test_sm_windows_frozen``."""
+    net = random_network(5, seed=2, complete=True)
+    route = route_to_xy([0, 3, 1, 5, 2, 4, 0], net)
+    mixed = PenaltyConfig(np.linspace(0.05, 0.2, 5), np.linspace(1.0, 0.5, 5), np.linspace(0.5, 1.0, 5))
+    yield route, sample_travel_times(net, 120, seed=7), mixed
+    yield route, SampleSet(400, np.round(sample_travel_times(net, 400, seed=8).values)), mixed
+    yield route, sample_travel_times(net, 999, seed=9), penalties_from_beta(0.5, 0.5, 5)
+
+
+def test_design_stochastic_ranks_a_window_on_its_first_read(monkeypatch):
+    # design_stochastic ranks nothing; a window is ranked on its first
+    # read, once, and equals saa_window on the customer's arrivals field
+    # for field, the duals by their bytes
+    rankings = []
+    ranks = window_design._ranks
+    monkeypatch.setattr(window_design, "_ranks", lambda *args: rankings.append(0) or ranks(*args))
+    tied = p1_is_p2 = 0
+    for route, samples, pen in _sm_window_cases():
+        rankings.clear()
+        _, windows = design_stochastic(route, samples, pen)
+        assert rankings == []
+        arrivals = arrival_matrix(route, samples.values)
+        for pos, k in enumerate(route.customers):
+            before = len(rankings)
+            win = windows[k]
+            assert windows[k] is win and len(rankings) == before + 1
+            want = saa_window(arrivals[:, pos], *pen.for_customer(k))
+            for f in dataclasses.fields(win):
+                assert _digest(getattr(win, f.name)) == _digest(getattr(want, f.name)), (k, f.name)
+            tied += len(np.unique(arrivals[:, pos])) < samples.q
+            p1_is_p2 += win.p1 == win.p2
+        rankings.clear()
+        list(windows.values())
+        assert rankings == []
+    assert tied == 5 and p1_is_p2 == 5
+
+
+def test_design_stochastic_windows_are_a_mapping(monkeypatch):
+    # keyed by customer in visit order; iteration, membership, length and
+    # a missing key rank nothing
+    rankings = []
+    ranks = window_design._ranks
+    monkeypatch.setattr(window_design, "_ranks", lambda *args: rankings.append(0) or ranks(*args))
+    route, samples, pen = next(_sm_window_cases())
+    plan, windows = design_stochastic(route, samples, pen)
+    assert list(windows) == list(route.customers) == list(windows.keys())
+    assert len(windows) == 5
+    assert all(k in windows for k in route.customers)
+    for absent in (0, 6, -1, "1", None):
+        assert absent not in windows
+        with pytest.raises(KeyError):
+            windows[absent]
+        assert windows.get(absent) is None
+    assert rankings == []
+    assert [w.lower for w in windows.values()] == plan.lower.tolist()
+    assert len(rankings) == 5
+    with pytest.raises(TypeError):
+        windows[1] = windows[1]
+
+
+def test_ranks_at_one_rank_hold_both_tails():
+    # at p1 == p2 the two tails share the sample of that rank, and hold the
+    # p1 earliest and q - p2 + 1 latest samples: by index without ties, by
+    # value with them
+    rng = np.random.default_rng(12)
+    for q in (1, 2, 9, 999, 1000):
+        for arr in (rng.normal(50.0, 10.0, q), np.round(rng.normal(50.0, 2.0, q)), np.full(q, 3.0)):
+            srt, order = np.sort(arr), np.argsort(arr)
+            for p in sorted({1, (q + 1) // 2, q}):
+                early, late = window_design._ranks(arr, p, p)
+                assert len(early) == p and len(late) == q - p + 1
+                assert early[-1] == late[0]
+                assert sorted({*early, *late}) == list(range(q))
+                assert np.array_equal(np.sort(arr[early]), srt[:p])
+                assert np.array_equal(np.sort(arr[late]), srt[p - 1 :])
+                assert arr[early[-1]] == srt[p - 1]
+                if len(np.unique(arr)) == q:
+                    assert set(early) == set(order[:p]) and set(late) == set(order[p - 1 :])
 
 
 def test_brute_force_refuses_large_q():
